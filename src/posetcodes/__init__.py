@@ -12,10 +12,8 @@ from .code import LinearCode, ParityData
 from .decomposition import (
     Decomposition,
     cheapest_grouping,
-    complexity_of,
     maximal_decomposition,
     min_grouping_complexity,
-    profile_of,
     trivial_decomposition,
 )
 from .decoder import (
@@ -27,12 +25,11 @@ from .decoder import (
     table_stats,
 )
 from .errors import ResourceLimitError, ValidationError
-from .field import FieldSpec, make_field
+from .field import FieldSpec
 from .isometry import (
     PIsometry,
     enumerate_isometries,
     group_size,
-    induced_order_map,
     verify_isometry,
 )
 from .metric import min_pdistance, pdist, pweight, support
@@ -44,7 +41,6 @@ from .search import (
     hierarchy_bounds,
     is_p_irreducible,
     lower_neighbour,
-    maximal_p_decompositions,
     minimal_complexity,
     monotonicity_check,
     orbit_codes,
@@ -74,19 +70,15 @@ __all__ = [
     "all_posets",
     "build_table",
     "cheapest_grouping",
-    "complexity_of",
     "decode",
     "enumerate_isometries",
     "group_size",
     "hierarchical_posets",
     "hierarchy_bounds",
-    "induced_order_map",
     "is_p_irreducible",
     "lower_neighbour",
     "make_family",
-    "make_field",
     "maximal_decomposition",
-    "maximal_p_decompositions",
     "min_grouping_complexity",
     "min_pdistance",
     "minimal_complexity",
@@ -95,7 +87,6 @@ __all__ = [
     "orbit_codes",
     "pdist",
     "primary_decomposition",
-    "profile_of",
     "pweight",
     "strip_permutation",
     "support",

@@ -18,8 +18,9 @@ from .code import LinearCode
 from .decomposition import maximal_decomposition
 from .errors import ResourceLimitError, ValidationError
 from .field import parse_vector
+from .isometry import GROUP_BUDGET
 from .metric import min_pdistance, pweight
-from .poset import Poset
+from .poset import Poset, make_family
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,7 +60,7 @@ def _config(args) -> RunConfig:
     config = RunConfig(
         group_budget=args.group_budget
         if args.group_budget is not None
-        else _env_int("POSETCODES_GROUP_BUDGET", search.DEFAULT_GROUP_BUDGET),
+        else _env_int("POSETCODES_GROUP_BUDGET", GROUP_BUDGET),
         orbit_budget=args.orbit_budget
         if args.orbit_budget is not None
         else _env_int("POSETCODES_ORBIT_BUDGET", search.DEFAULT_ORBIT_BUDGET),
@@ -80,13 +81,14 @@ def load_poset(spec: str) -> Poset:
     ``hierarchical:2,2``."""
     if ":" in spec and not os.path.exists(spec):
         kind, _, arg = spec.partition(":")
-        if kind == "chain":
-            return Poset.chain(int(arg))
-        if kind == "antichain":
-            return Poset.antichain(int(arg))
-        if kind == "hierarchical":
-            return Poset.hierarchical(tuple(int(p) for p in arg.split(",")))
-        raise ValidationError(f"unknown poset family {kind!r}")
+        try:
+            sizes = tuple(int(part) for part in arg.split(","))
+        except ValueError as exc:
+            raise ValidationError(
+                f"poset spec {spec!r} needs comma-separated integers after the colon"
+            ) from exc
+        n = sizes[0] if len(sizes) == 1 else None
+        return make_family(kind, n=n, type_vector=sizes)
     with open(spec, encoding="utf-8") as handle:
         return Poset.from_json_dict(json.load(handle))
 
@@ -289,28 +291,36 @@ def cmd_decode(args) -> int:
 # -- verification ----------------------------------------------------------
 
 
+def _refinement_witness(args):
+    if not args.p or not args.q_poset:
+        raise ValidationError("refinement-witness needs --p and --q-poset")
+    return suites.refinement_witness_suite(
+        finer=load_poset(args.p), coarser=load_poset(args.q_poset), q=args.q
+    )
+
+
+# Suite name -> call.  Each entry looks its suite up in ``suites`` when run.
+VERIFY_SUITES = {
+    "metric": lambda a: suites.metric_suite(
+        n=a.n, q=a.q, posets=a.samples, seed=a.seed
+    ),
+    "partition": lambda a: suites.partition_suite(max_n=a.n),
+    "profile": lambda a: suites.profile_suite(
+        n=a.n, q=a.q, samples=a.samples, seed=a.seed
+    ),
+    "monotone": lambda a: suites.monotonicity_suite(
+        n=a.n, q=a.q, samples=a.samples, seed=a.seed
+    ),
+    "bounds": lambda a: suites.bounds_suite(
+        n=a.n, q=a.q, samples=a.samples, seed=a.seed
+    ),
+    "neighbours": lambda a: suites.neighbour_suite(n=a.n),
+    "refinement-witness": _refinement_witness,
+}
+
+
 def cmd_verify(args) -> int:
-    name = args.suite
-    if name == "metric":
-        report = suites.metric_suite(n=args.n, q=args.q, posets=args.samples, seed=args.seed)
-    elif name == "partition":
-        report = suites.partition_suite(max_n=args.n)
-    elif name == "profile":
-        report = suites.profile_suite(n=args.n, q=args.q, samples=args.samples, seed=args.seed)
-    elif name == "monotone":
-        report = suites.monotonicity_suite(n=args.n, q=args.q, samples=args.samples, seed=args.seed)
-    elif name == "bounds":
-        report = suites.bounds_suite(n=args.n, q=args.q, samples=args.samples, seed=args.seed)
-    elif name == "neighbours":
-        report = suites.neighbour_suite(n=min(args.n, 4))
-    elif name == "refinement-witness":
-        if not args.p or not args.q_poset:
-            raise ValidationError("refinement-witness needs --p and --q-poset")
-        report = suites.refinement_witness_suite(
-            load_poset(args.p), load_poset(args.q_poset), q=args.q
-        )
-    else:
-        raise ValidationError(f"unknown suite {name!r}")
+    report = VERIFY_SUITES[args.suite](args)
     payload = report.to_json_dict()
     emit(
         args,
@@ -405,18 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     decode_cmd.set_defaults(handler=cmd_decode)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument(
-        "suite",
-        choices=(
-            "metric",
-            "partition",
-            "profile",
-            "monotone",
-            "bounds",
-            "neighbours",
-            "refinement-witness",
-        ),
-    )
+    verify.add_argument("suite", choices=tuple(VERIFY_SUITES))
     verify.add_argument("--n", type=int, default=4)
     verify.add_argument("--q", type=int, default=2)
     verify.add_argument("--samples", type=int, default=50)

@@ -173,14 +173,6 @@ class LinearCode:
         return f"LinearCode(q={self.q}, n={self.n}, generators={list(self.generators)})"
 
 
-def embed(local, coords, n: int) -> tuple:
-    """Place a length-|coords| vector onto coordinates ``coords`` inside [n]."""
-    out = [0] * n
-    for value, j in zip(local, sorted(coords)):
-        out[j - 1] = value
-    return tuple(out)
-
-
 def enumerate_codes(q: int, n: int, k: int):
     """All k-dimensional codes of length n over GF(q), sorted by generator matrix.
 

@@ -96,14 +96,6 @@ class Decomposition:
         return f"Decomposition(code={self.code!r}, supports={supports})"
 
 
-def profile_of(dec: Decomposition) -> tuple:
-    return dec.profile()
-
-
-def complexity_of(dec: Decomposition) -> int:
-    return dec.complexity()
-
-
 def trivial_decomposition(code: LinearCode) -> Decomposition:
     return Decomposition(code, [code])
 

@@ -41,62 +41,11 @@ class FieldSpec:
     def normalize(self, a: int) -> int:
         return a % self.q
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ValidationError("division by zero in GF(q)")
-        return pow(a, self.q - 2, self.q)
-
-
-def make_field(q: int) -> FieldSpec:
-    """Build a prime-field spec, rejecting composite moduli."""
-    return FieldSpec(q)
-
-
-Vector = tuple
-
-
-def validate_vector(field: FieldSpec, x, n: int | None = None) -> tuple:
-    """Check residues are canonical and, when given, the length is ``n``."""
-    vec = tuple(x)
-    if n is not None and len(vec) != n:
-        raise ValidationError(f"expected vector of length {n}, got {len(vec)}")
-    for v in vec:
-        if not isinstance(v, int) or not 0 <= v < field.q:
-            raise ValidationError(f"entry {v!r} is not a residue in [0, {field.q})")
-    return vec
-
-
-def vec_add(field: FieldSpec, u, v) -> tuple:
-    if len(u) != len(v):
-        raise ValidationError(f"length mismatch: {len(u)} vs {len(v)}")
-    return tuple((a + b) % field.q for a, b in zip(u, v))
-
 
 def vec_sub(field: FieldSpec, u, v) -> tuple:
     if len(u) != len(v):
         raise ValidationError(f"length mismatch: {len(u)} vs {len(v)}")
     return tuple((a - b) % field.q for a, b in zip(u, v))
-
-
-def vec_neg(field: FieldSpec, u) -> tuple:
-    return tuple((-a) % field.q for a in u)
-
-
-def scalar_mul(field: FieldSpec, scalar: int, u) -> tuple:
-    return tuple((scalar * a) % field.q for a in u)
 
 
 def parse_vector(text: str, q: int) -> tuple:
@@ -107,7 +56,3 @@ def parse_vector(text: str, q: int) -> tuple:
     except ValueError as exc:
         raise ValidationError(f"cannot parse vector {text!r}") from exc
     return tuple(field.normalize(e) for e in entries)
-
-
-def format_vector(x) -> str:
-    return ",".join(str(v) for v in x)

@@ -111,11 +111,6 @@ class PIsometry:
         return f"PIsometry(sigma={self.sigma}, A={list(self.matrix_rows)})"
 
 
-def induced_order_map(isometry: PIsometry) -> tuple:
-    """The automorphism component of the semidirect factorization."""
-    return isometry.sigma
-
-
 def group_size(poset: Poset, q: int) -> int:
     """|Aut(P)| * (q-1)^n * q^(number of strict pairs)."""
     FieldSpec(q)

@@ -55,15 +55,18 @@ class Poset:
         The reflexive-transitive closure is taken; inputs whose closure
         violates antisymmetry are rejected as cyclic.
         """
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValidationError(f"ground-set size must be a positive integer, got {n!r}")
         if n > MAX_GROUND_SET:
             raise ResourceLimitError(f"ground-set size {n} exceeds supported maximum {MAX_GROUND_SET}")
         up = [1 << i for i in range(n)]
         for pair in covers:
-            a, b = pair
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValidationError(f"relation {pair!r} out of range for [{n}]")
+            try:
+                a, b = pair
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"relation {pair!r} is not a pair") from exc
+            if type(a) is not int or type(b) is not int or not (1 <= a <= n and 1 <= b <= n):
+                raise ValidationError(f"relation {pair!r} is not a pair of elements of [{n}]")
             if a == b:
                 raise ValidationError(f"relation {pair!r} relates an element to itself")
             up[a - 1] |= 1 << (b - 1)
@@ -105,15 +108,21 @@ class Poset:
         tv = tuple(type_vector)
         if not tv or any(not isinstance(m, int) or m < 1 for m in tv):
             raise ValidationError(f"type vector must be nonempty with positive entries, got {tv!r}")
-        n = sum(tv)
         block = []
         for idx, size in enumerate(tv):
             block.extend([idx] * size)
+        return cls.from_ranks(block)
+
+    @classmethod
+    def from_ranks(cls, ranks) -> "Poset":
+        """Hierarchical poset on [len(ranks)]: i lies below j exactly when
+        ``ranks[i-1] < ranks[j-1]``."""
+        n = len(ranks)
         pairs = [
             (a + 1, b + 1)
             for a in range(n)
             for b in range(n)
-            if block[a] < block[b]
+            if ranks[a] < ranks[b]
         ]
         return cls.from_covers(n, pairs)
 
@@ -123,9 +132,6 @@ class Poset:
         self._check_element(i)
         self._check_element(j)
         return bool(self._up[i - 1] >> (j - 1) & 1)
-
-    def strictly_less(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
 
     def strict_pairs(self) -> frozenset:
         return frozenset(
@@ -387,11 +393,11 @@ def make_family(kind: str, n: int | None = None, type_vector=None) -> Poset:
     """Standard families by name: antichain, chain, hierarchical(type_vector)."""
     if kind == "antichain":
         if n is None:
-            raise ValidationError("antichain family needs n")
+            raise ValidationError("antichain family needs one size n")
         return Poset.antichain(n)
     if kind == "chain":
         if n is None:
-            raise ValidationError("chain family needs n")
+            raise ValidationError("chain family needs one size n")
         return Poset.chain(n)
     if kind == "hierarchical":
         if type_vector is None:
@@ -443,11 +449,8 @@ def hierarchical_posets(n: int):
                     yield [chosen] + tail
 
     for blocks in ordered_partitions(elements):
-        pairs = [
-            (a, b)
-            for lo in range(len(blocks))
-            for hi in range(lo + 1, len(blocks))
-            for a in blocks[lo]
-            for b in blocks[hi]
-        ]
-        yield Poset.from_covers(n, pairs)
+        ranks = [0] * n
+        for rank, block in enumerate(blocks):
+            for a in block:
+                ranks[a - 1] = rank
+        yield Poset.from_ranks(ranks)

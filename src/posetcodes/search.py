@@ -18,10 +18,9 @@ from .decomposition import (
     min_grouping_complexity,
 )
 from .errors import ResourceLimitError, ValidationError
-from .isometry import PIsometry, enumerate_isometries, group_size
-from .poset import Poset, hierarchical_posets
+from .isometry import GROUP_BUDGET, PIsometry, enumerate_isometries
+from .poset import Poset
 
-DEFAULT_GROUP_BUDGET = 10**7
 DEFAULT_ORBIT_BUDGET = 10**5
 
 
@@ -93,16 +92,12 @@ class ProfileUniquenessReport:
         }
 
 
-def orbit_codes(
-    code: LinearCode,
-    poset: Poset,
-    group_budget: int = DEFAULT_GROUP_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
-) -> dict:
-    """Distinct orbit codes mapped to the first isometry reaching each."""
+def _orbit(code: LinearCode, poset: Poset, group_budget: int, orbit_budget: int):
+    """Each distinct image of the code, in enumeration order, paired with the
+    first isometry that reaches it."""
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
-    seen = {}
+    seen = set()
     for iso in enumerate_isometries(poset, code.q, budget=group_budget):
         image = iso.apply_code(code)
         if image not in seen:
@@ -110,14 +105,24 @@ def orbit_codes(
                 raise ResourceLimitError(
                     f"orbit exceeds budget of {orbit_budget} codes"
                 )
-            seen[image] = iso
-    return seen
+            seen.add(image)
+            yield image, iso
+
+
+def orbit_codes(
+    code: LinearCode,
+    poset: Poset,
+    group_budget: int = GROUP_BUDGET,
+    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
+) -> dict:
+    """Distinct orbit codes mapped to the first isometry reaching each."""
+    return dict(_orbit(code, poset, group_budget, orbit_budget))
 
 
 def primary_decomposition(
     code: LinearCode,
     poset: Poset,
-    group_budget: int = DEFAULT_GROUP_BUDGET,
+    group_budget: int = GROUP_BUDGET,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> PDecomposition:
     """A decomposition of minimal complexity over the whole orbit.
@@ -125,37 +130,27 @@ def primary_decomposition(
     Ties are broken by the lexicographically smallest canonical generator
     matrix and then by the earliest isometry in the enumeration stream.
     """
-    if poset.n != code.n:
-        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
-    best = None  # (complexity, generator matrix, witness)
-    seen = set()
-    for iso in enumerate_isometries(poset, code.q, budget=group_budget):
-        image = iso.apply_code(code)
-        if image in seen:
-            continue
-        if len(seen) >= orbit_budget:
-            partial = None
-            if best is not None:
-                _, _, witness, img = best
-                partial = PDecomposition(
-                    witness, cheapest_grouping(img), best[0], proven_minimal=False
-                )
-            raise ResourceLimitError(
-                f"orbit exceeds budget of {orbit_budget} codes", partial_result=partial
+    best = None  # ((complexity, generator matrix), witness, image)
+    try:
+        for image, iso in _orbit(code, poset, group_budget, orbit_budget):
+            key = (min_grouping_complexity(image), image.generators)
+            if best is None or key < best[0]:
+                best = (key, iso, image)
+    except ResourceLimitError as exc:
+        if best is not None:
+            (value, _), witness, image = best
+            exc.partial_result = PDecomposition(
+                witness, cheapest_grouping(image), value, proven_minimal=False
             )
-        seen.add(image)
-        value = min_grouping_complexity(image)
-        key = (value, image.generators)
-        if best is None or key < (best[0], best[1]):
-            best = (value, image.generators, iso, image)
-    value, _, witness, image = best
+        raise
+    (value, _), witness, image = best
     return PDecomposition(witness, cheapest_grouping(image), value)
 
 
 def minimal_complexity(
     code: LinearCode,
     poset: Poset,
-    group_budget: int = DEFAULT_GROUP_BUDGET,
+    group_budget: int = GROUP_BUDGET,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> int:
     return primary_decomposition(code, poset, group_budget, orbit_budget).complexity
@@ -228,54 +223,43 @@ def is_p_irreducible(code: LinearCode, poset: Poset, orbit_budget: int = DEFAULT
     return True
 
 
-def maximal_p_decompositions(
-    code: LinearCode,
-    poset: Poset,
-    group_budget: int = DEFAULT_GROUP_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
-) -> list:
-    """Finest decompositions of orbit codes whose components are all
-    irreducible for the induced subposet on their support."""
-    out = []
-    for image in orbit_codes(code, poset, group_budget, orbit_budget):
-        dec = maximal_decomposition(image)
-        good = True
-        for comp in dec.components:
-            coords = sorted(comp.support())
-            local_poset = poset.restrict(coords)
-            local_code = comp.restrict(coords)
-            if not is_p_irreducible(local_code, local_poset):
-                good = False
-                break
-        if good:
-            out.append(dec)
-    return out
+def _irreducible_components(dec: Decomposition, poset: Poset) -> bool:
+    """True when every component is irreducible for the subposet induced on
+    its support."""
+    for comp in dec.components:
+        coords = sorted(comp.support())
+        if not is_p_irreducible(comp.restrict(coords), poset.restrict(coords)):
+            return False
+    return True
 
 
 def verify_profile_uniqueness(
     code: LinearCode,
     poset: Poset,
-    group_budget: int = DEFAULT_GROUP_BUDGET,
+    group_budget: int = GROUP_BUDGET,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> ProfileUniquenessReport:
     """Scan the orbit and check that every maximal decomposition carries the
     same canonical profile."""
     orbit = orbit_codes(code, poset, group_budget, orbit_budget)
-    candidates = maximal_p_decompositions(code, poset, group_budget, orbit_budget)
+    candidates = 0
     profiles = {}
-    for dec in candidates:
-        profiles.setdefault(dec.profile(), dec.code)
-    if len(profiles) == 1 and candidates:
+    for image in orbit:
+        dec = maximal_decomposition(image)
+        if _irreducible_components(dec, poset):
+            candidates += 1
+            profiles.setdefault(dec.profile(), dec.code)
+    if len(profiles) == 1:
         return ProfileUniquenessReport(
             ok=True,
             profile=next(iter(profiles)),
-            candidates=len(candidates),
+            candidates=candidates,
             orbit_size=len(orbit),
         )
     return ProfileUniquenessReport(
         ok=False,
         profile=None,
-        candidates=len(candidates),
+        candidates=candidates,
         orbit_size=len(orbit),
         conflicts=sorted(profiles.items(), key=lambda item: item[0]),
     )
@@ -316,15 +300,7 @@ def strip_permutation(pd: PDecomposition) -> PDecomposition:
 
 def upper_neighbour(poset: Poset) -> Poset:
     """Hierarchical poset on the same levels: below iff strictly lower level."""
-    heights = poset.heights()
-    n = poset.n
-    pairs = [
-        (a, b)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        if heights[a - 1] < heights[b - 1]
-    ]
-    return Poset.from_covers(n, pairs)
+    return Poset.from_ranks(poset.heights())
 
 
 def lower_neighbour(poset: Poset) -> Poset:
@@ -338,20 +314,13 @@ def lower_neighbour(poset: Poset) -> Poset:
         if flag:
             block += 1
         block_of_level.append(block)
-    n = poset.n
-    pairs = [
-        (a, b)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        if block_of_level[heights[a - 1] - 1] < block_of_level[heights[b - 1] - 1]
-    ]
-    return Poset.from_covers(n, pairs)
+    return Poset.from_ranks([block_of_level[h - 1] for h in heights])
 
 
 def hierarchy_bounds(
     code: LinearCode,
     poset: Poset,
-    group_budget: int = DEFAULT_GROUP_BUDGET,
+    group_budget: int = GROUP_BUDGET,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> BoundsReport:
     """Minimal complexities for the hierarchical neighbours, sandwiching the
@@ -374,7 +343,7 @@ def monotonicity_check(
     code: LinearCode,
     finer: Poset,
     coarser: Poset,
-    group_budget: int = DEFAULT_GROUP_BUDGET,
+    group_budget: int = GROUP_BUDGET,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> bool:
     """Minimal complexity may only drop when the poset gains relations."""
@@ -389,7 +358,7 @@ def witness_refinement(
     finer: Poset,
     coarser: Poset,
     q: int = 2,
-    group_budget: int = DEFAULT_GROUP_BUDGET,
+    group_budget: int = GROUP_BUDGET,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ):
     """First code (by dimension, then canonical generator matrix) whose

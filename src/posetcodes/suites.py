@@ -14,6 +14,7 @@ from itertools import product
 
 from .code import LinearCode
 from .errors import ValidationError
+from .field import FieldSpec
 from .metric import weight_table
 from .partition import all_pointed_partitions
 from .poset import Poset, all_posets, hierarchical_posets
@@ -50,6 +51,14 @@ class SuiteReport:
             "details": self.details,
             "counterexample": self.counterexample,
         }
+
+
+def _check_sizes(n: int, q: int = 2) -> None:
+    """Reject a ground-set size below 1 or a non-prime field up front: the
+    samplers below retry on every ``ValidationError`` and would never stop."""
+    if n < 1:
+        raise ValidationError(f"ground-set size must be a positive integer, got {n}")
+    FieldSpec(q)
 
 
 def random_poset(rng: random.Random, n: int) -> Poset:
@@ -113,6 +122,7 @@ def distinct_random_posets(rng: random.Random, n: int, count: int) -> list:
 def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> SuiteReport:
     """Metric axioms over random posets, plus the closed forms of the two
     extreme families (Hamming for the antichain, top index for the chain)."""
+    _check_sizes(n, q)
     start = time.monotonic()
     rng = random.Random(seed)
     report = SuiteReport("metric", ok=True, checked=0, seed=seed)
@@ -204,6 +214,7 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
 def partition_suite(max_n: int = 4) -> SuiteReport:
     """Closed-form refinement test against reachability over one-step moves,
     for every pointed partition pair on each ground set up to ``max_n``."""
+    _check_sizes(max_n)
     start = time.monotonic()
     report = SuiteReport("partition", ok=True, checked=0)
     for n in range(1, max_n + 1):
@@ -246,6 +257,7 @@ def partition_suite(max_n: int = 4) -> SuiteReport:
 
 def profile_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> SuiteReport:
     """Profile uniqueness across maximal decompositions over random instances."""
+    _check_sizes(n, q)
     start = time.monotonic()
     rng = random.Random(seed)
     report = SuiteReport("profile", ok=True, checked=0, seed=seed)
@@ -268,6 +280,7 @@ def profile_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> S
 
 def monotonicity_suite(n: int = 4, q: int = 2, samples: int = 100, seed: int = 1) -> SuiteReport:
     """Minimal complexity never grows when the order gains relations."""
+    _check_sizes(n, q)
     start = time.monotonic()
     rng = random.Random(seed)
     report = SuiteReport("monotone", ok=True, checked=0, seed=seed)
@@ -295,6 +308,7 @@ def monotonicity_suite(n: int = 4, q: int = 2, samples: int = 100, seed: int = 1
 def bounds_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> SuiteReport:
     """Sandwich between the hierarchical neighbours, pinned on the worked
     length-4 instance and then sampled."""
+    _check_sizes(n, q)
     start = time.monotonic()
     rng = random.Random(seed)
     report = SuiteReport("bounds", ok=True, checked=0, seed=seed)
@@ -335,10 +349,14 @@ def neighbour_suite(n: int = 4) -> SuiteReport:
     the lower neighbour is the maximum hierarchical poset below, and no
     hierarchical poset sits strictly between a poset and its upper
     neighbour."""
+    _check_sizes(n)
     start = time.monotonic()
     report = SuiteReport("neighbours", ok=True, checked=0)
+    # all_posets first: its size guard must stop a large n before the
+    # hierarchical catalogue, which has none, is built.
+    posets = list(all_posets(n))
     catalog = list(hierarchical_posets(n))
-    for poset in all_posets(n):
+    for poset in posets:
         upper = upper_neighbour(poset)
         lower = lower_neighbour(poset)
         good = (
@@ -376,6 +394,7 @@ def neighbour_suite(n: int = 4) -> SuiteReport:
 def refinement_witness_suite(finer: Poset, coarser: Poset, q: int = 2) -> SuiteReport:
     """Search for a code whose primary decomposition strictly improves when
     moving from the finer poset to the coarser."""
+    _check_sizes(finer.n, q)
     start = time.monotonic()
     report = SuiteReport("refinement-witness", ok=True, checked=0)
     code = witness_refinement(finer, coarser, q=q)
@@ -394,13 +413,3 @@ def refinement_witness_suite(finer: Poset, coarser: Poset, q: int = 2) -> SuiteR
     report.elapsed = time.monotonic() - start
     return report
 
-
-SUITES = {
-    "metric": metric_suite,
-    "partition": partition_suite,
-    "profile": profile_suite,
-    "monotone": monotonicity_suite,
-    "bounds": bounds_suite,
-    "neighbours": neighbour_suite,
-    "refinement-witness": refinement_witness_suite,
-}

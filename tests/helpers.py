@@ -177,3 +177,97 @@ def refinement_reachable(start, include_whole_part_aggregates=False):
 
 def all_binary_vectors(n):
     return list(product(range(2), repeat=n))
+
+
+# -- full-enumeration orbit walk ---------------------------------------
+#
+# The orbit loops as the search module first wrote them: every isometry
+# enumerated, applied and deduplicated, with a separate walk per question.
+# Production walks the orbit through one generator; these stay as the
+# reference its witnesses, orders and reports must match.
+
+
+def reference_orbit_codes(code, poset, group_budget=10**7, orbit_budget=10**5):
+    """Distinct orbit codes mapped to the first isometry reaching each."""
+    from posetcodes.errors import ResourceLimitError
+    from posetcodes.isometry import enumerate_isometries
+
+    seen = {}
+    for iso in enumerate_isometries(poset, code.q, budget=group_budget):
+        image = iso.apply_code(code)
+        if image not in seen:
+            if len(seen) >= orbit_budget:
+                raise ResourceLimitError(
+                    f"orbit exceeds budget of {orbit_budget} codes"
+                )
+            seen[image] = iso
+    return seen
+
+
+def reference_primary_decomposition(code, poset, group_budget=10**7, orbit_budget=10**5):
+    """Minimal complexity over the orbit; ties go to the smallest generator
+    matrix, then to the earliest isometry."""
+    from posetcodes.decomposition import cheapest_grouping, min_grouping_complexity
+    from posetcodes.errors import ResourceLimitError
+    from posetcodes.isometry import enumerate_isometries
+    from posetcodes.search import PDecomposition
+
+    best = None  # (complexity, generator matrix, witness, image)
+    seen = set()
+    for iso in enumerate_isometries(poset, code.q, budget=group_budget):
+        image = iso.apply_code(code)
+        if image in seen:
+            continue
+        if len(seen) >= orbit_budget:
+            partial = None
+            if best is not None:
+                _, _, witness, img = best
+                partial = PDecomposition(
+                    witness, cheapest_grouping(img), best[0], proven_minimal=False
+                )
+            raise ResourceLimitError(
+                f"orbit exceeds budget of {orbit_budget} codes", partial_result=partial
+            )
+        seen.add(image)
+        value = min_grouping_complexity(image)
+        key = (value, image.generators)
+        if best is None or key < (best[0], best[1]):
+            best = (value, image.generators, iso, image)
+    value, _, witness, image = best
+    return PDecomposition(witness, cheapest_grouping(image), value)
+
+
+def reference_profile_uniqueness(code, poset):
+    """Profile-uniqueness report from two full walks of the orbit."""
+    from posetcodes.decomposition import maximal_decomposition
+    from posetcodes.search import ProfileUniquenessReport, is_p_irreducible
+
+    orbit = reference_orbit_codes(code, poset)
+    candidates = []
+    for image in reference_orbit_codes(code, poset):
+        dec = maximal_decomposition(image)
+        if all(
+            is_p_irreducible(
+                comp.restrict(sorted(comp.support())),
+                poset.restrict(sorted(comp.support())),
+            )
+            for comp in dec.components
+        ):
+            candidates.append(dec)
+    profiles = {}
+    for dec in candidates:
+        profiles.setdefault(dec.profile(), dec.code)
+    if len(profiles) == 1 and candidates:
+        return ProfileUniquenessReport(
+            ok=True,
+            profile=next(iter(profiles)),
+            candidates=len(candidates),
+            orbit_size=len(orbit),
+        )
+    return ProfileUniquenessReport(
+        ok=False,
+        profile=None,
+        candidates=len(candidates),
+        orbit_size=len(orbit),
+        conflicts=sorted(profiles.items(), key=lambda item: item[0]),
+    )

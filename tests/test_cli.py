@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetcodes
 from posetcodes import cli, suites
 from posetcodes.suites import SuiteReport
 
@@ -187,6 +192,62 @@ def test_validation_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["poset", "info", str(bad)])
     assert code == 1
     assert "not a partial order" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "chain:abc",
+        "hierarchical:2,x",
+        "chain:3,4",
+        {"n": 3, "covers": [[1, 2, 3]]},
+        {"n": 3, "covers": [["a", 2]]},
+        {"n": True},
+    ],
+    ids=["chain-abc", "hierarchical-2-x", "chain-3-4", "triple", "string", "bool-n"],
+)
+def test_bad_poset_input_is_one_error_line(spec, capsys, tmp_path):
+    if isinstance(spec, dict):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    code, out, err = run(capsys, ["poset", "info", spec])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_process(argv, timeout=20):
+    """The CLI in a child process, so that a hang fails the test instead of
+    stalling it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(posetcodes.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "posetcodes.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "metric", "--n", "0"],
+        ["verify", "profile", "--q", "4", "--samples", "1"],
+        ["verify", "bounds", "--q", "1", "--samples", "1"],
+        ["verify", "partition", "--n", "0"],
+    ],
+)
+def test_suites_reject_bad_sizes_at_once(argv):
+    result = run_process(argv)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_verify_neighbours_does_not_clamp_n():
+    result = run_process(["verify", "neighbours", "--n", "9"])
+    assert result.returncode == 2
+    assert "result = pass" not in result.stdout
+    assert "budget exceeded" in result.stderr
 
 
 def test_resource_exit_code(files, capsys):

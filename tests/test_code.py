@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from posetcodes.code import LinearCode, embed, enumerate_codes, rref
+from posetcodes.code import LinearCode, enumerate_codes, rref
 from posetcodes.errors import ResourceLimitError, ValidationError
 
 
@@ -132,10 +132,6 @@ def test_restrict():
     assert local.n == 2 and local.generators == ((1, 1),)
     with pytest.raises(ValidationError):
         comp.restrict([1, 2])
-
-
-def test_embed():
-    assert embed((1, 2), [2, 4], 5) == (0, 1, 0, 2, 0)
 
 
 def test_json_round_trip():

@@ -12,10 +12,8 @@ from posetcodes.code import LinearCode
 from posetcodes.decomposition import (
     Decomposition,
     cheapest_grouping,
-    complexity_of,
     maximal_decomposition,
     min_grouping_complexity,
-    profile_of,
     trivial_decomposition,
 )
 from posetcodes.errors import ValidationError
@@ -89,18 +87,18 @@ def test_profile_totals():
     rng = random.Random(24)
     for _ in range(25):
         code = random_code(rng, 2, 5)
-        profile = profile_of(maximal_decomposition(code))
+        profile = maximal_decomposition(code).profile()
         assert sum(n for n, _ in profile) == code.n
         assert sum(k for _, k in profile[1:]) == code.k
 
 
 def test_complexity_examples():
-    assert complexity_of(maximal_decomposition(D_CODE)) == 4
-    assert complexity_of(trivial_decomposition(R4)) == 8
+    assert maximal_decomposition(D_CODE).complexity() == 4
+    assert trivial_decomposition(R4).complexity() == 8
     full = LinearCode.from_generators(2, 3, [(1, 0, 0), (0, 1, 0)])
-    assert complexity_of(maximal_decomposition(full)) == 2  # two perfect components
+    assert maximal_decomposition(full).complexity() == 2  # two perfect components
     merged = Decomposition(full, [full])
-    assert complexity_of(merged) == 1
+    assert merged.complexity() == 1
 
 
 def test_min_grouping_examples():

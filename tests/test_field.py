@@ -1,68 +1,29 @@
 import pytest
 
 from posetcodes.errors import ValidationError
-from posetcodes.field import (
-    FieldSpec,
-    make_field,
-    parse_vector,
-    scalar_mul,
-    vec_add,
-    vec_sub,
-)
+from posetcodes.field import FieldSpec, parse_vector, vec_sub
 
 
 def test_make_field_accepts_primes():
-    assert make_field(2).q == 2
-    assert make_field(5).q == 5
+    assert FieldSpec(2).q == 2
+    assert FieldSpec(5).q == 5
 
 
 @pytest.mark.parametrize("q", [4, 6, 9, 1, 0, -3])
 def test_make_field_rejects_non_primes(q):
     with pytest.raises(ValidationError):
-        make_field(q)
-
-
-def test_scalar_examples():
-    assert FieldSpec(2).add(1, 1) == 0
-    assert FieldSpec(3).mul(2, 2) == 1
-    assert FieldSpec(5).inv(3) == 2
-
-
-def test_inverse_of_zero_fails():
-    with pytest.raises(ValidationError):
-        FieldSpec(7).inv(0)
-
-
-@pytest.mark.parametrize("q", [2, 3, 5])
-def test_field_axioms_exhaustive(q):
-    f = FieldSpec(q)
-    elements = range(q)
-    for a in elements:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
-        if a:
-            assert f.mul(a, f.inv(a)) == 1
-        for b in elements:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            for c in elements:
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        FieldSpec(q)
 
 
 def test_vector_examples():
     f2, f3 = FieldSpec(2), FieldSpec(3)
-    assert vec_add(f2, (1, 1, 0), (0, 1, 1)) == (1, 0, 1)
-    assert scalar_mul(f3, 2, (1, 2, 0)) == (2, 1, 0)
-    assert vec_add(f3, (1, 2, 0), (0, 0, 0)) == (1, 2, 0)
     assert vec_sub(f2, (1, 0), (1, 1)) == (0, 1)
+    assert vec_sub(f3, (1, 2, 0), (2, 2, 1)) == (2, 0, 2)
 
 
 def test_vector_length_mismatch():
     with pytest.raises(ValidationError):
-        vec_add(FieldSpec(2), (1, 0), (1, 0, 1))
+        vec_sub(FieldSpec(2), (1, 0), (1, 0, 1))
 
 
 def test_parse_vector_normalizes():

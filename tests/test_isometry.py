@@ -11,7 +11,6 @@ from posetcodes.isometry import (
     apply_matrix,
     enumerate_isometries,
     group_size,
-    induced_order_map,
     invert_matrix,
     verify_isometry,
 )
@@ -139,16 +138,16 @@ def test_finer_pattern_is_contained_in_coarser():
 def test_induced_order_map():
     chain = Poset.chain(4)
     fold = PIsometry(chain, 2, identity_sigma(4), fold_matrix(4, 2))
-    assert induced_order_map(fold) == (1, 2, 3, 4)
+    assert fold.sigma == (1, 2, 3, 4)
     anti = Poset.antichain(3)
     eye3 = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
     perm = PIsometry(anti, 2, (2, 3, 1), eye3)
-    assert induced_order_map(perm) == (2, 3, 1)
+    assert perm.sigma == (2, 3, 1)
     hier = Poset.hierarchical((2, 2))
     rows = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     rows[0][2] = 1
     mixed = PIsometry(hier, 2, (2, 1, 3, 4), rows)
-    assert induced_order_map(mixed) == (2, 1, 3, 4)
+    assert mixed.sigma == (2, 1, 3, 4)
 
 
 def test_verify_isometry_rejects_bad_maps():
