@@ -28,7 +28,6 @@ from .errors import ResourceLimitError, ValidationError
 from .field import FieldSpec
 from .isometry import (
     PIsometry,
-    enumerate_isometries,
     group_size,
     verify_isometry,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "build_table",
     "cheapest_grouping",
     "decode",
-    "enumerate_isometries",
     "group_size",
     "hierarchical_posets",
     "hierarchy_bounds",

@@ -11,7 +11,7 @@ linear extension, hence invertible.
 from itertools import product
 
 from .code import LinearCode, rref
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .field import FieldSpec
 from .metric import pweight
 from .poset import Poset
@@ -121,32 +121,6 @@ def group_size(poset: Poset, q: int) -> int:
         if i != j and poset.leq(i, j)
     )
     return len(poset.automorphisms()) * (q - 1) ** poset.n * q**strict
-
-
-def enumerate_isometries(poset: Poset, q: int, budget: int = GROUP_BUDGET):
-    """Every isometry exactly once: automorphisms in lexicographic order,
-    then matrix entries in row-major lexicographic order."""
-    size = group_size(poset, q)
-    if size > budget:
-        raise ResourceLimitError(
-            f"isometry group of size {size} exceeds budget {budget}"
-        )
-    n = poset.n
-    slots = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                slots.append(((i, j), range(1, q)))
-            elif poset.leq(i + 1, j + 1):
-                slots.append(((i, j), range(q)))
-    positions = [slot[0] for slot in slots]
-    ranges = [slot[1] for slot in slots]
-    for sigma in poset.automorphisms():
-        for values in product(*ranges):
-            rows = [[0] * n for _ in range(n)]
-            for (i, j), v in zip(positions, values):
-                rows[i][j] = v
-            yield PIsometry(poset, q, sigma, rows)
 
 
 def matrix_rank(q: int, rows) -> int:

@@ -2,9 +2,10 @@
 uniqueness, hierarchical neighbours and the complexity sandwich bounds.
 
 The minimal complexity of a code relative to a poset is the minimum, over
-the isometry orbit of the code, of the per-code grouping minimum; the
-orbit is enumerated deterministically so reported witnesses are
-reproducible.
+the isometry orbit of the code, of the per-code grouping minimum.  The
+orbit is walked breadth-first over generators of the triangular part and
+then permuted by the order automorphisms, in a fixed order, so reported
+witnesses are reproducible.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -18,7 +19,7 @@ from .decomposition import (
     min_grouping_complexity,
 )
 from .errors import ResourceLimitError, ValidationError
-from .isometry import GROUP_BUDGET, PIsometry, enumerate_isometries
+from .isometry import GROUP_BUDGET, PIsometry, apply_matrix, group_size
 from .poset import Poset
 
 DEFAULT_ORBIT_BUDGET = 10**5
@@ -92,21 +93,90 @@ class ProfileUniquenessReport:
         }
 
 
+def _delta_generator_matrices(poset: Poset, q: int) -> list:
+    """Generators of the triangular part: diagonal scalings, then elementary
+    additions along strict relations by column descending, row ascending,
+    coefficient ascending.  In this order the walk from the all-ones code on
+    a chain first reaches the folded code through the paper's fold map."""
+    n = poset.n
+
+    def with_entry(i, j, value):
+        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+        rows[i - 1][j - 1] = value
+        return tuple(tuple(r) for r in rows)
+
+    gens = [with_entry(i, i, scale) for scale in range(2, q) for i in range(1, n + 1)]
+    for j in range(n, 0, -1):
+        for i in range(1, n + 1):
+            if i != j and poset.leq(i, j):
+                gens.extend(with_entry(i, j, coeff) for coeff in range(1, q))
+    return gens
+
+
+def _admit(seen: set, image: LinearCode, orbit_budget: int) -> bool:
+    """Add an image not seen before to ``seen``; False for a repeat."""
+    if image in seen:
+        return False
+    if len(seen) >= orbit_budget:
+        raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes")
+    seen.add(image)
+    return True
+
+
+def _delta_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
+    """Breadth-first walk of the code's orbit under the triangular part.
+
+    Yields each code, starting with the code itself, that ``_admit`` adds to
+    ``seen``, paired with a matrix taking the code to it: the generator that
+    first reached it times its parent's matrix.
+    """
+    q, n = code.q, code.n
+    gens = _delta_generator_matrices(poset, q)
+    eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    _admit(seen, code, orbit_budget)
+    yield code, eye
+    queue = [(code, eye)]
+    for current, matrix in queue:
+        for gen in gens:
+            image = LinearCode.from_generators(
+                q, n, [apply_matrix(q, gen, row) for row in current.generators]
+            )
+            if _admit(seen, image, orbit_budget):
+                # gen times matrix, column by column
+                product = tuple(zip(*(apply_matrix(q, gen, col) for col in zip(*matrix))))
+                yield image, product
+                queue.append((image, product))
+
+
 def _orbit(code: LinearCode, poset: Poset, group_budget: int, orbit_budget: int):
-    """Each distinct image of the code, in enumeration order, paired with the
-    first isometry that reaches it."""
+    """Each distinct image of the code, in walk order, with the automorphism
+    and the triangular matrix of an isometry reaching it.
+
+    The isometry group is Aut(P) acting on the triangular part, so the orbit
+    is the union of the permuted triangular orbits: the triangular walk is
+    streamed first, under the identity, and each further automorphism, in
+    lexicographic order, then permutes it.
+    """
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    size = group_size(poset, code.q)
+    if size > group_budget:
+        raise ResourceLimitError(
+            f"isometry group of size {size} exceeds budget {group_budget}"
+        )
+    identity, *others = poset.automorphisms()
     seen = set()
-    for iso in enumerate_isometries(poset, code.q, budget=group_budget):
-        image = iso.apply_code(code)
-        if image not in seen:
-            if len(seen) >= orbit_budget:
-                raise ResourceLimitError(
-                    f"orbit exceeds budget of {orbit_budget} codes"
-                )
-            seen.add(image)
-            yield image, iso
+    delta_orbit = []
+    for image, matrix in _delta_walk(code, poset, seen, orbit_budget):
+        delta_orbit.append((image, matrix))
+        yield image, identity, matrix
+    for sigma in others:
+        for image, matrix in delta_orbit:
+            permuted = LinearCode.from_generators(
+                code.q, code.n, [[row[s - 1] for s in sigma] for row in image.generators]
+            )
+            if _admit(seen, permuted, orbit_budget):
+                yield permuted, sigma, matrix
 
 
 def orbit_codes(
@@ -115,8 +185,12 @@ def orbit_codes(
     group_budget: int = GROUP_BUDGET,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> dict:
-    """Distinct orbit codes mapped to the first isometry reaching each."""
-    return dict(_orbit(code, poset, group_budget, orbit_budget))
+    """Distinct orbit codes, in walk order, mapped to the isometry that first
+    reaches each."""
+    return {
+        image: PIsometry(poset, code.q, sigma, matrix)
+        for image, sigma, matrix in _orbit(code, poset, group_budget, orbit_budget)
+    }
 
 
 def primary_decomposition(
@@ -128,23 +202,25 @@ def primary_decomposition(
     """A decomposition of minimal complexity over the whole orbit.
 
     Ties are broken by the lexicographically smallest canonical generator
-    matrix and then by the earliest isometry in the enumeration stream.
+    matrix; the witness is the first isometry of the walk reaching it.
     """
-    best = None  # ((complexity, generator matrix), witness, image)
+    best = None  # ((complexity, generator matrix), image, sigma, matrix)
+
+    def decomposed(proven_minimal=True):
+        (value, _), image, sigma, matrix = best
+        witness = PIsometry(poset, code.q, sigma, matrix)
+        return PDecomposition(witness, cheapest_grouping(image), value, proven_minimal)
+
     try:
-        for image, iso in _orbit(code, poset, group_budget, orbit_budget):
+        for image, sigma, matrix in _orbit(code, poset, group_budget, orbit_budget):
             key = (min_grouping_complexity(image), image.generators)
             if best is None or key < best[0]:
-                best = (key, iso, image)
+                best = (key, image, sigma, matrix)
     except ResourceLimitError as exc:
         if best is not None:
-            (value, _), witness, image = best
-            exc.partial_result = PDecomposition(
-                witness, cheapest_grouping(image), value, proven_minimal=False
-            )
+            exc.partial_result = decomposed(proven_minimal=False)
         raise
-    (value, _), witness, image = best
-    return PDecomposition(witness, cheapest_grouping(image), value)
+    return decomposed()
 
 
 def minimal_complexity(
@@ -157,30 +233,6 @@ def minimal_complexity(
 
 
 # -- irreducibility and profile uniqueness ---------------------------
-
-
-def _delta_generator_matrices(poset: Poset, q: int) -> list:
-    """Generators of the triangular part: diagonal scalings and elementary
-    additions along strict relations."""
-    n = poset.n
-    gens = []
-    for scale in range(2, q):
-        for i in range(n):
-            rows = [
-                [1 if a == b else 0 for b in range(n)] for a in range(n)
-            ]
-            rows[i][i] = scale
-            gens.append(tuple(tuple(r) for r in rows))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and poset.leq(i, j):
-                for coeff in range(1, q):
-                    rows = [
-                        [1 if a == b else 0 for b in range(n)] for a in range(n)
-                    ]
-                    rows[i - 1][j - 1] = coeff
-                    gens.append(tuple(tuple(r) for r in rows))
-    return gens
 
 
 @lru_cache(maxsize=None)
@@ -196,30 +248,9 @@ def is_p_irreducible(code: LinearCode, poset: Poset, orbit_budget: int = DEFAULT
     full = frozenset(range(1, n + 1))
     if code.support() != full:
         raise ValidationError("irreducibility expects a code with full support")
-    identity_sigma = tuple(range(1, n + 1))
-    gens = [
-        PIsometry(poset, code.q, identity_sigma, rows)
-        for rows in _delta_generator_matrices(poset, code.q)
-    ]
-    visited = {code}
-    frontier = [code]
-    while frontier:
-        nxt = []
-        for current in frontier:
-            if len(current.support()) < n:
-                return False
-            if maximal_decomposition(current).r > 1:
-                return False
-            for gen in gens:
-                image = gen.apply_code(current)
-                if image not in visited:
-                    if len(visited) >= orbit_budget:
-                        raise ResourceLimitError(
-                            f"irreducibility orbit exceeds budget {orbit_budget}"
-                        )
-                    visited.add(image)
-                    nxt.append(image)
-        frontier = nxt
+    for image, _ in _delta_walk(code, poset, set(), orbit_budget):
+        if len(image.support()) < n or maximal_decomposition(image).r > 1:
+            return False
     return True
 
 
@@ -241,27 +272,22 @@ def verify_profile_uniqueness(
 ) -> ProfileUniquenessReport:
     """Scan the orbit and check that every maximal decomposition carries the
     same canonical profile."""
-    orbit = orbit_codes(code, poset, group_budget, orbit_budget)
+    orbit_size = 0
     candidates = 0
     profiles = {}
-    for image in orbit:
+    for image, _, _ in _orbit(code, poset, group_budget, orbit_budget):
+        orbit_size += 1
         dec = maximal_decomposition(image)
         if _irreducible_components(dec, poset):
             candidates += 1
             profiles.setdefault(dec.profile(), dec.code)
-    if len(profiles) == 1:
-        return ProfileUniquenessReport(
-            ok=True,
-            profile=next(iter(profiles)),
-            candidates=candidates,
-            orbit_size=len(orbit),
-        )
+    ok = len(profiles) == 1
     return ProfileUniquenessReport(
-        ok=False,
-        profile=None,
+        ok=ok,
+        profile=next(iter(profiles)) if ok else None,
         candidates=candidates,
-        orbit_size=len(orbit),
-        conflicts=sorted(profiles.items(), key=lambda item: item[0]),
+        orbit_size=orbit_size,
+        conflicts=[] if ok else sorted(profiles.items(), key=lambda item: item[0]),
     )
 
 

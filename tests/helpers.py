@@ -181,16 +181,45 @@ def all_binary_vectors(n):
 
 # -- full-enumeration orbit walk ---------------------------------------
 #
-# The orbit loops as the search module first wrote them: every isometry
-# enumerated, applied and deduplicated, with a separate walk per question.
-# Production walks the orbit through one generator; these stay as the
-# reference its witnesses, orders and reports must match.
+# The orbit loops as the search module first wrote them: every isometry of
+# the group enumerated, validated, applied and deduplicated, with a separate
+# walk per question.  Production walks the triangular part breadth-first
+# and permutes that orbit; these stay as the reference its decompositions,
+# orbit sets and reports must match.
+
+
+def enumerate_isometries(poset, q, budget=10**7):
+    """Every isometry exactly once: automorphisms in lexicographic order,
+    then matrix entries in row-major lexicographic order."""
+    from posetcodes.errors import ResourceLimitError
+    from posetcodes.isometry import PIsometry, group_size
+
+    size = group_size(poset, q)
+    if size > budget:
+        raise ResourceLimitError(
+            f"isometry group of size {size} exceeds budget {budget}"
+        )
+    n = poset.n
+    slots = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                slots.append(((i, j), range(1, q)))
+            elif poset.leq(i + 1, j + 1):
+                slots.append(((i, j), range(q)))
+    positions = [slot[0] for slot in slots]
+    ranges = [slot[1] for slot in slots]
+    for sigma in poset.automorphisms():
+        for values in product(*ranges):
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(positions, values):
+                rows[i][j] = v
+            yield PIsometry(poset, q, sigma, rows)
 
 
 def reference_orbit_codes(code, poset, group_budget=10**7, orbit_budget=10**5):
     """Distinct orbit codes mapped to the first isometry reaching each."""
     from posetcodes.errors import ResourceLimitError
-    from posetcodes.isometry import enumerate_isometries
 
     seen = {}
     for iso in enumerate_isometries(poset, code.q, budget=group_budget):
@@ -209,7 +238,6 @@ def reference_primary_decomposition(code, poset, group_budget=10**7, orbit_budge
     matrix, then to the earliest isometry."""
     from posetcodes.decomposition import cheapest_grouping, min_grouping_complexity
     from posetcodes.errors import ResourceLimitError
-    from posetcodes.isometry import enumerate_isometries
     from posetcodes.search import PDecomposition
 
     best = None  # (complexity, generator matrix, witness, image)
@@ -237,17 +265,28 @@ def reference_primary_decomposition(code, poset, group_budget=10**7, orbit_budge
     return PDecomposition(witness, cheapest_grouping(image), value)
 
 
+def reference_is_p_irreducible(code, poset):
+    """No image of a full-support code under the whole group occupies a
+    smaller support or splits into several components."""
+    from posetcodes.decomposition import maximal_decomposition
+
+    return all(
+        len(image.support()) == poset.n and maximal_decomposition(image).r == 1
+        for image in reference_orbit_codes(code, poset)
+    )
+
+
 def reference_profile_uniqueness(code, poset):
     """Profile-uniqueness report from two full walks of the orbit."""
     from posetcodes.decomposition import maximal_decomposition
-    from posetcodes.search import ProfileUniquenessReport, is_p_irreducible
+    from posetcodes.search import ProfileUniquenessReport
 
     orbit = reference_orbit_codes(code, poset)
     candidates = []
     for image in reference_orbit_codes(code, poset):
         dec = maximal_decomposition(image)
         if all(
-            is_p_irreducible(
+            reference_is_p_irreducible(
                 comp.restrict(sorted(comp.support())),
                 poset.restrict(sorted(comp.support())),
             )

@@ -6,10 +6,10 @@ import pytest
 
 from posetcodes.code import LinearCode
 from posetcodes.errors import ResourceLimitError, ValidationError
+from helpers import enumerate_isometries
 from posetcodes.isometry import (
     PIsometry,
     apply_matrix,
-    enumerate_isometries,
     group_size,
     invert_matrix,
     verify_isometry,

@@ -88,3 +88,35 @@ def test_orbit_budget_partial_matches_full_enumeration(orbit_budget):
     with pytest.raises(ResourceLimitError) as got:
         orbit_codes(code, poset, orbit_budget=orbit_budget)
     assert str(got.value) == str(want.value)
+
+
+def test_orbit_codes_follow_walk_order():
+    """On 1 < 2 plus two free points over GF(3), the walk lists the six
+    triangular images first, each under a scaling of coordinate 2 and an
+    addition of it into coordinate 1, and then the same six with 3 and 4
+    swapped by the one nontrivial automorphism."""
+    poset = Poset.from_covers(4, [(1, 2)])
+    code = LinearCode.from_generators(3, 4, [(0, 1, 0, 1)])
+
+    def triangular(a12, a22):
+        return ((1, a12, 0, 0), (0, a22, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+    triangular_part = [
+        ((0, 1, 0, 1), (0, 1)),
+        ((0, 1, 0, 2), (0, 2)),
+        ((1, 1, 0, 1), (1, 1)),
+        ((1, 2, 0, 2), (2, 1)),
+        ((1, 1, 0, 2), (2, 2)),
+        ((1, 2, 0, 1), (1, 2)),
+    ]
+    expected = [
+        (row, (1, 2, 3, 4), triangular(*entries)) for row, entries in triangular_part
+    ] + [
+        ((x, y, z, w), (1, 2, 4, 3), triangular(*entries))
+        for (x, y, w, z), entries in triangular_part
+    ]
+    got = [
+        (image.generators[0], witness.sigma, witness.matrix_rows)
+        for image, witness in orbit_codes(code, poset).items()
+    ]
+    assert got == expected
