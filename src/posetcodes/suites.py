@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 
 from .code import LinearCode
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .field import FieldSpec
 from .metric import weight_table
 from .partition import all_pointed_partitions
@@ -29,6 +29,7 @@ from .search import (
 )
 
 N_POSET_COVERS = ((1, 3), (1, 4), (2, 4))
+POSET_DRAWS = 10_000
 
 
 @dataclass
@@ -106,14 +107,19 @@ def random_coarsening(rng: random.Random, poset: Poset, extra: int = 3) -> Poset
 
 
 def distinct_random_posets(rng: random.Random, n: int, count: int) -> list:
-    out = []
-    seen = set()
-    while len(out) < count:
-        poset = random_poset(rng, n)
-        if poset not in seen:
-            seen.add(poset)
-            out.append(poset)
-    return out
+    """``count`` distinct random posets on [n], in draw order; the draws are
+    bounded, since a small [n] has fewer posets (19 on three points)."""
+    found = {}  # insertion-ordered set
+    for _ in range(POSET_DRAWS):
+        if len(found) >= count:
+            break
+        found[random_poset(rng, n)] = None
+    if len(found) < count:
+        raise ResourceLimitError(
+            f"found {len(found)} distinct posets on {n} points in {POSET_DRAWS} draws,"
+            f" {count} requested"
+        )
+    return list(found)
 
 
 # -- metric -----------------------------------------------------------

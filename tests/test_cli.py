@@ -243,6 +243,23 @@ def test_suites_reject_bad_sizes_at_once(argv):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,found",
+    [
+        (["verify", "metric", "--n", "3"], 19),
+        (["verify", "metric", "--n", "1"], 1),
+        (["verify", "metric", "--n", "2", "--samples", "4"], 3),
+    ],
+    ids=["n3", "n1", "n2-samples4"],
+)
+def test_metric_suite_stops_when_too_few_posets_exist(argv, found):
+    result = run_process(argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"budget exceeded: found {found} distinct posets")
+    assert result.stderr.count("\n") == 1
+
+
 def test_verify_neighbours_does_not_clamp_n():
     result = run_process(["verify", "neighbours", "--n", "9"])
     assert result.returncode == 2
