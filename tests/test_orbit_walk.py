@@ -13,16 +13,18 @@ import random
 import pytest
 
 from helpers import (
+    reference_is_p_irreducible,
     reference_orbit_codes,
     reference_primary_decomposition,
     reference_profile_uniqueness,
 )
 from posetcodes.code import LinearCode
-from posetcodes.decomposition import min_grouping_complexity
+from posetcodes.decomposition import maximal_decomposition, min_grouping_complexity
 from posetcodes.errors import ResourceLimitError
 from posetcodes.isometry import group_size
 from posetcodes.poset import Poset
 from posetcodes.search import (
+    is_p_irreducible,
     orbit_codes,
     primary_decomposition,
     verify_profile_uniqueness,
@@ -65,6 +67,36 @@ def test_walk_matches_full_enumeration(index):
             verify_profile_uniqueness(code, poset).to_json_dict()
             == reference_profile_uniqueness(code, poset).to_json_dict()
         )
+
+
+def _irreducibility_cases(random_count=40, seed=7, group_cap=400):
+    """The components of every instance code on their induced subposets,
+    then seeded random full-support codes."""
+    cases = []
+    for poset, code in INSTANCES:
+        for comp in maximal_decomposition(code).components:
+            coords = sorted(comp.support())
+            cases.append((comp.restrict(coords), poset.restrict(coords)))
+    rng = random.Random(seed)
+    drawn = 0
+    while drawn < random_count:
+        n = rng.randint(1, 5)
+        q = rng.choice((2, 3))
+        poset = random_poset(rng, n)
+        code = random_code(rng, q, n)
+        if len(code.support()) == n and group_size(poset, q) <= group_cap:
+            cases.append((code, poset))
+            drawn += 1
+    return cases
+
+
+def test_irreducibility_matches_full_enumeration():
+    verdicts = set()
+    for code, poset in _irreducibility_cases():
+        verdict = is_p_irreducible(code, poset)
+        assert verdict == reference_is_p_irreducible(code, poset), (code, poset)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("orbit_budget", [1, 2, 5])
