@@ -124,12 +124,10 @@ def _admit(seen: set, image: LinearCode, orbit_budget: int) -> bool:
 
 
 def _delta_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
-    """Breadth-first walk of the code's orbit under the triangular part.
-
-    Yields each code, starting with the code itself, that ``_admit`` adds to
-    ``seen``, paired with a matrix taking the code to it: the generator that
-    first reached it times its parent's matrix.
-    """
+    """Breadth-first walk of the code's orbit under the triangular part:
+    each code that ``_admit`` adds to ``seen``, starting with the code
+    itself, with the generator that first reached it times its parent's
+    matrix."""
     q, n = code.q, code.n
     gens = _delta_generator_matrices(poset, q)
     eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -149,14 +147,10 @@ def _delta_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
 
 
 def _orbit(code: LinearCode, poset: Poset, group_budget: int, orbit_budget: int):
-    """Each distinct image of the code, in walk order, with the automorphism
-    and the triangular matrix of an isometry reaching it.
-
-    The isometry group is Aut(P) acting on the triangular part, so the orbit
-    is the union of the permuted triangular orbits: the triangular walk is
-    streamed first, under the identity, and each further automorphism, in
-    lexicographic order, then permutes it.
-    """
+    """Each distinct image of the code with the automorphism and triangular
+    matrix reaching it: the triangular walk under the identity, then that
+    walk permuted by each further automorphism in lexicographic order, since
+    the isometry group is Aut(P) acting on the triangular part."""
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
     size = group_size(poset, code.q)
@@ -185,8 +179,7 @@ def orbit_codes(
     group_budget: int = GROUP_BUDGET,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> dict:
-    """Distinct orbit codes, in walk order, mapped to the isometry that first
-    reaches each."""
+    """Distinct orbit codes in walk order, each mapped to the isometry reaching it."""
     return {
         image: PIsometry(poset, code.q, sigma, matrix)
         for image, sigma, matrix in _orbit(code, poset, group_budget, orbit_budget)
