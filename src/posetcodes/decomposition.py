@@ -100,10 +100,12 @@ def trivial_decomposition(code: LinearCode) -> Decomposition:
     return Decomposition(code, [code])
 
 
-def maximal_decomposition(code: LinearCode) -> Decomposition:
-    """The unique finest decomposition, via generator-row co-occurrence."""
-    supp = sorted(code.support())
-    parent = {j: j for j in supp}
+def _row_groups(code: LinearCode) -> list:
+    """Indices of the canonical rows grouped into the finest components by
+    union-find over coordinates, each row anchored at its pivot; groups in
+    order of their smallest coordinate, each with its deficiency (support
+    size minus row count, as canonical rows are independent)."""
+    parent = list(range(code.n))
 
     def find(j):
         while parent[j] != j:
@@ -111,19 +113,32 @@ def maximal_decomposition(code: LinearCode) -> Decomposition:
             j = parent[j]
         return j
 
+    support = set()
     for row in code.generators:
-        coords = [j + 1 for j in range(code.n) if row[j]]
+        coords = [j for j, v in enumerate(row) if v]
+        support.update(coords)
         root = find(coords[0])
         for j in coords[1:]:
             parent[find(j)] = root
     groups = {}
-    for row in code.generators:
-        anchor = find(next(j + 1 for j in range(code.n) if row[j]))
-        groups.setdefault(anchor, []).append(row)
-    components = [
-        LinearCode.from_generators(code.q, code.n, rows) for rows in groups.values()
-    ]
-    return Decomposition(code, components)
+    for index, pivot in enumerate(code.pivots):
+        groups.setdefault(find(pivot - 1), []).append(index)
+    sizes = dict.fromkeys(groups, 0)
+    for j in support:
+        sizes[find(j)] += 1
+    return [(rows, sizes[root] - len(rows)) for root, rows in groups.items()]
+
+
+def _subcode(code: LinearCode, rows) -> LinearCode:
+    """The span of some canonical rows: in pivot order they stay canonical."""
+    rows = sorted(rows)
+    gens = tuple(code.generators[i] for i in rows)
+    return LinearCode(code.q, code.n, gens, tuple(code.pivots[i] for i in rows))
+
+
+def maximal_decomposition(code: LinearCode) -> Decomposition:
+    """The unique finest decomposition, via generator-row co-occurrence."""
+    return Decomposition(code, [_subcode(code, rows) for rows, _ in _row_groups(code)])
 
 
 def min_grouping_complexity(code: LinearCode) -> int:
@@ -134,14 +149,10 @@ def min_grouping_complexity(code: LinearCode) -> int:
     positive deficiency never helps, so the minimum keeps every positive
     deficiency separate and absorbs the rest.
     """
-    q = code.q
-    deficiencies = [
-        len(c.support()) - c.k for c in maximal_decomposition(code).components
-    ]
-    positive = [d for d in deficiencies if d > 0]
+    positive = [d for _, d in _row_groups(code) if d > 0]
     if not positive:
         return 1
-    return sum(q ** d for d in positive)
+    return sum(code.q ** d for d in positive)
 
 
 def cheapest_grouping(code: LinearCode) -> Decomposition:
@@ -151,17 +162,8 @@ def cheapest_grouping(code: LinearCode) -> Decomposition:
     component (or all together when none is positive), which realizes the
     minimum with a deterministic shape.
     """
-    finest = maximal_decomposition(code)
-    positive = [c for c in finest.components if len(c.support()) - c.k > 0]
-    zero = [c for c in finest.components if len(c.support()) - c.k == 0]
-    if not positive:
-        groups = [list(finest.components)]
-    elif zero:
-        groups = [[positive[0], *zero]] + [[c] for c in positive[1:]]
-    else:
-        groups = [[c] for c in positive]
-    merged = []
-    for group in groups:
-        rows = [row for comp in group for row in comp.generators]
-        merged.append(LinearCode.from_generators(code.q, code.n, rows))
-    return Decomposition(code, merged)
+    groups = _row_groups(code)
+    positive = [rows for rows, d in groups if d > 0]
+    zero = [i for rows, d in groups if d == 0 for i in rows]
+    merged = [positive[0] + zero, *positive[1:]] if positive else [zero]
+    return Decomposition(code, [_subcode(code, rows) for rows in merged])

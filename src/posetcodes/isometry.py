@@ -20,6 +20,11 @@ GROUP_BUDGET = 10**7
 VERIFY_BUDGET = 1 << 20
 
 
+def _eye(n: int) -> tuple:
+    """The n x n identity matrix as a tuple of rows."""
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 class PIsometry:
     __slots__ = ("poset", "q", "sigma", "matrix_rows", "_hash")
 
@@ -55,23 +60,16 @@ class PIsometry:
 
     @classmethod
     def identity(cls, poset: Poset, q: int) -> "PIsometry":
-        n = poset.n
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(poset, q, tuple(range(1, n + 1)), eye)
+        return cls(poset, q, tuple(range(1, poset.n + 1)), _eye(poset.n))
 
     def is_identity(self) -> bool:
         n = self.poset.n
-        return self.sigma == tuple(range(1, n + 1)) and all(
-            self.matrix_rows[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
+        return self.sigma == tuple(range(1, n + 1)) and self.matrix_rows == _eye(n)
 
     def apply(self, x) -> tuple:
         if len(x) != self.poset.n:
             raise ValidationError(f"expected vector of length {self.poset.n}")
-        q = self.q
-        ax = [sum(a * v for a, v in zip(row, x)) % q for row in self.matrix_rows]
+        ax = apply_matrix(self.q, self.matrix_rows, x)
         return tuple(ax[s - 1] for s in self.sigma)
 
     def apply_code(self, code: LinearCode) -> LinearCode:

@@ -11,15 +11,16 @@ witnesses are reproducible.
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
-from .code import LinearCode, enumerate_codes
+from .code import LinearCode, enumerate_codes, rref
 from .decomposition import (
     Decomposition,
+    _row_groups,
     cheapest_grouping,
     maximal_decomposition,
     min_grouping_complexity,
 )
 from .errors import ResourceLimitError, ValidationError
-from .isometry import GROUP_BUDGET, PIsometry, apply_matrix, group_size
+from .isometry import GROUP_BUDGET, PIsometry, _eye, group_size
 from .poset import Poset
 
 DEFAULT_ORBIT_BUDGET = 10**5
@@ -93,23 +94,19 @@ class ProfileUniquenessReport:
         }
 
 
-def _delta_generator_matrices(poset: Poset, q: int) -> list:
-    """Generators of the triangular part: diagonal scalings, then elementary
-    additions along strict relations by column descending, row ascending,
-    coefficient ascending.  In this order the walk from the all-ones code on
-    a chain first reaches the folded code through the paper's fold map."""
+def _delta_generators(poset: Poset, q: int) -> list:
+    """Generators of the triangular part as elementary operations ``(i, j, c)``
+    on 0-based coordinates, each mapping x to x + c * x_j * e_i: diagonal
+    scalings (i = j, factor 1 + c), then additions along strict relations by
+    column descending, row ascending, coefficient ascending.  In this order
+    the walk from the all-ones code on a chain first reaches the folded code
+    through the paper's fold map."""
     n = poset.n
-
-    def with_entry(i, j, value):
-        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        rows[i - 1][j - 1] = value
-        return tuple(tuple(r) for r in rows)
-
-    gens = [with_entry(i, i, scale) for scale in range(2, q) for i in range(1, n + 1)]
-    for j in range(n, 0, -1):
-        for i in range(1, n + 1):
-            if i != j and poset.leq(i, j):
-                gens.extend(with_entry(i, j, coeff) for coeff in range(1, q))
+    gens = [(i, i, scale - 1) for scale in range(2, q) for i in range(n)]
+    for j in range(n - 1, -1, -1):
+        for i in range(n):
+            if i != j and poset.leq(i + 1, j + 1):
+                gens.extend((i, j, c) for c in range(1, q))
     return gens
 
 
@@ -129,19 +126,20 @@ def _delta_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
     itself, with the generator that first reached it times its parent's
     matrix."""
     q, n = code.q, code.n
-    gens = _delta_generator_matrices(poset, q)
-    eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    gens = _delta_generators(poset, q)
+    eye = _eye(n)
     _admit(seen, code, orbit_budget)
     yield code, eye
     queue = [(code, eye)]
     for current, matrix in queue:
-        for gen in gens:
-            image = LinearCode.from_generators(
-                q, n, [apply_matrix(q, gen, row) for row in current.generators]
-            )
+        for i, j, c in gens:
+            rows = [list(row) for row in current.generators]
+            for row in rows:
+                row[i] = (row[i] + c * row[j]) % q
+            image = LinearCode(q, n, *rref(q, n, rows))
             if _admit(seen, image, orbit_budget):
-                # gen times matrix, column by column
-                product = tuple(zip(*(apply_matrix(q, gen, col) for col in zip(*matrix))))
+                added = tuple((a + c * b) % q for a, b in zip(matrix[i], matrix[j]))
+                product = matrix[:i] + (added,) + matrix[i + 1 :]
                 yield image, product
                 queue.append((image, product))
 
@@ -166,9 +164,8 @@ def _orbit(code: LinearCode, poset: Poset, group_budget: int, orbit_budget: int)
         yield image, identity, matrix
     for sigma in others:
         for image, matrix in delta_orbit:
-            permuted = LinearCode.from_generators(
-                code.q, code.n, [[row[s - 1] for s in sigma] for row in image.generators]
-            )
+            rows = [[row[s - 1] for s in sigma] for row in image.generators]
+            permuted = LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
             if _admit(seen, permuted, orbit_budget):
                 yield permuted, sigma, matrix
 
@@ -242,7 +239,7 @@ def is_p_irreducible(code: LinearCode, poset: Poset, orbit_budget: int = DEFAULT
     if code.support() != full:
         raise ValidationError("irreducibility expects a code with full support")
     for image, _ in _delta_walk(code, poset, set(), orbit_budget):
-        if len(image.support()) < n or maximal_decomposition(image).r > 1:
+        if len(image.support()) < n or len(_row_groups(image)) > 1:
             return False
     return True
 
@@ -303,8 +300,7 @@ def strip_permutation(pd: PDecomposition) -> PDecomposition:
     inverse_sigma = [0] * n
     for i, s in enumerate(pd.witness.sigma, start=1):
         inverse_sigma[s - 1] = i
-    eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    unpermute = PIsometry(poset, q, tuple(inverse_sigma), eye)
+    unpermute = PIsometry(poset, q, tuple(inverse_sigma), _eye(n))
     new_code = unpermute.apply_code(pd.dec.code)
     new_components = [unpermute.apply_code(c) for c in pd.dec.components]
     new_dec = Decomposition(new_code, new_components)
