@@ -225,7 +225,7 @@ def minimal_complexity(
 # -- irreducibility and profile uniqueness ---------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # bounded, as a long-lived process calls it without end
 def is_p_irreducible(code: LinearCode, poset: Poset, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> bool:
     """True when no orbit code splits into several components or occupies a
     smaller support.

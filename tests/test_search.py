@@ -104,6 +104,13 @@ def test_irreducibility():
         is_p_irreducible(LinearCode.from_generators(2, 2, [(1, 0)]), Poset.antichain(2))
 
 
+def test_irreducibility_cache_is_bounded():
+    # One benchmark sweep pass fills about a hundred entries; an unbounded
+    # cache would grow without end in a long-lived process.
+    maxsize = is_p_irreducible.cache_info().maxsize
+    assert maxsize is not None and 100 < maxsize < 10**5
+
+
 def test_strip_permutation_identity_cases():
     pd = primary_decomposition(R4, Poset.chain(4))
     assert strip_permutation(pd) is pd
