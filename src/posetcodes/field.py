@@ -8,7 +8,11 @@ that nothing here requires.
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+
+# Primality is tested by trial division on every FieldSpec, about
+# sqrt(q) / 2 steps: some 500 at this maximum.
+MAX_MODULUS = 1 << 20
 
 
 def is_prime(m: int) -> bool:
@@ -35,6 +39,10 @@ class FieldSpec:
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
             raise ValidationError(f"field modulus must be an integer >= 2, got {self.q!r}")
+        if self.q > MAX_MODULUS:
+            raise ResourceLimitError(
+                f"field modulus {self.q} exceeds supported maximum {MAX_MODULUS}"
+            )
         if not is_prime(self.q):
             raise ValidationError(f"field modulus must be prime, got {self.q}")
 

@@ -1,7 +1,7 @@
 import pytest
 
-from posetcodes.errors import ValidationError
-from posetcodes.field import FieldSpec, parse_vector, vec_sub
+from posetcodes.errors import ResourceLimitError, ValidationError
+from posetcodes.field import MAX_MODULUS, FieldSpec, parse_vector, vec_sub
 
 
 def test_make_field_accepts_primes():
@@ -13,6 +13,13 @@ def test_make_field_accepts_primes():
 def test_make_field_rejects_non_primes(q):
     with pytest.raises(ValidationError):
         FieldSpec(q)
+
+
+def test_modulus_maximum():
+    assert FieldSpec(1048573).q == 1048573  # the largest prime below the maximum
+    for q in (MAX_MODULUS + 1, 2**61 - 1, 10**100):
+        with pytest.raises(ResourceLimitError):
+            FieldSpec(q)
 
 
 def test_vector_examples():
