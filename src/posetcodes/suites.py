@@ -10,7 +10,7 @@ inside the suite.
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
+from itertools import accumulate, product
 
 from .code import LinearCode
 from .errors import ResourceLimitError, ValidationError
@@ -30,6 +30,10 @@ from .search import (
 
 N_POSET_COVERS = ((1, 3), (1, 4), (2, 4))
 POSET_DRAWS = 10_000
+# Checks the metric and partition suites may make, counted from their
+# arguments before they start.  It admits every run that took a few seconds
+# (`metric --n 6`, `partition --n 6`); a pair check at n = 10 takes ~4 us.
+SUITE_CHECKS = 1 << 24
 
 
 @dataclass
@@ -60,6 +64,13 @@ def _check_sizes(n: int, q: int = 2) -> None:
     if n < 1:
         raise ValidationError(f"ground-set size must be a positive integer, got {n}")
     FieldSpec(q)
+
+
+def _check_count(suite: str, checks: int) -> None:
+    if checks > SUITE_CHECKS:
+        raise ResourceLimitError(
+            f"{suite} needs {checks} checks, above the cap of {SUITE_CHECKS}"
+        )
 
 
 def random_poset(rng: random.Random, n: int) -> Poset:
@@ -132,9 +143,11 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
     start = time.monotonic()
     rng = random.Random(seed)
     report = SuiteReport("metric", ok=True, checked=0, seed=seed)
-    catalog = distinct_random_posets(rng, n, posets)
-    catalog.extend([Poset.antichain(n), Poset.chain(n)])
+    extremes = [Poset.antichain(n), Poset.chain(n)]  # n past the maximum stops here
     size = q**n
+    triples = size**3 if q == 2 and size <= 64 else 2000
+    _check_count("metric suite", (posets + 2) * (size**2 + triples) + 2 * size**2)
+    catalog = distinct_random_posets(rng, n, posets) + extremes
     vectors = list(product(range(q), repeat=n))
 
     def diff_mask(a, b):
@@ -221,6 +234,15 @@ def partition_suite(max_n: int = 4) -> SuiteReport:
     """Closed-form refinement test against reachability over one-step moves,
     for every pointed partition pair on each ground set up to ``max_n``."""
     _check_sizes(max_n)
+    # A pointed partition of [m] is a set partition of [m + 1] (j0 joins
+    # m + 1): Bell(m + 1) of them, the last entry of row m of Bell's triangle.
+    row, pairs = [1], 0
+    for m in range(1, max_n + 1):
+        row = list(accumulate(row, initial=row[-1]))
+        pairs += row[-1] ** 2
+        if pairs > SUITE_CHECKS:
+            break
+    _check_count(f"partition suite up to n={m}", pairs)
     start = time.monotonic()
     report = SuiteReport("partition", ok=True, checked=0)
     for n in range(1, max_n + 1):

@@ -8,7 +8,8 @@ import pytest
 
 import posetcodes
 from posetcodes import cli, suites
-from posetcodes.suites import SuiteReport
+from posetcodes.field import MAX_MODULUS
+from posetcodes.suites import SUITE_CHECKS, SuiteReport
 
 
 @pytest.fixture
@@ -258,6 +259,38 @@ def test_metric_suite_stops_when_too_few_posets_exist(argv, found):
     assert result.stdout == ""
     assert result.stderr.startswith(f"budget exceeded: found {found} distinct posets")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["verify", "partition", "--n", "7"], "partition suite up to n=7 needs 17952896"),
+        (["verify", "metric", "--n", "12", "--samples", "2"], "metric suite needs 100671296"),
+        (["verify", "metric", "--n", "7", "--q", "3", "--samples", "2"], "metric suite needs 28705814"),
+    ],
+    ids=["partition-n7", "metric-n12", "metric-n7-q3"],
+)
+def test_suite_over_the_check_cap_stops_before_it_starts(argv, count):
+    result = run_process(argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"budget exceeded: {count} checks, above the cap of {SUITE_CHECKS}\n"
+
+
+def test_field_modulus_above_the_maximum_stops_before_primality(tmp_path):
+    q = 2**61 - 1  # prime; trial division would run for hours
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({"q": q, "n": 4, "generators": [[1, 1, 1, 1]]}))
+    for argv in (
+        ["analyze", "weight", "chain:4", "--x", "1,0,0,0", "--q", str(q)],
+        ["analyze", "mindist", "chain:4", str(code)],
+    ):
+        result = run_process(argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"budget exceeded: field modulus {q} exceeds supported maximum {MAX_MODULUS}\n"
+        )
 
 
 def test_verify_neighbours_does_not_clamp_n():
