@@ -146,11 +146,63 @@ def brute_force_finest_partition(code):
     return best[0]
 
 
+def reference_maximal_decomposition(code):
+    """The finest decomposition as the decomposition module first wrote it:
+    union-find over the coordinates of each row, each row's component
+    rebuilt from its generators."""
+    from posetcodes.code import LinearCode
+    from posetcodes.decomposition import Decomposition
+
+    supp = sorted(code.support())
+    parent = {j: j for j in supp}
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for row in code.generators:
+        coords = [j + 1 for j in range(code.n) if row[j]]
+        root = find(coords[0])
+        for j in coords[1:]:
+            parent[find(j)] = root
+    groups = {}
+    for row in code.generators:
+        anchor = find(next(j + 1 for j in range(code.n) if row[j]))
+        groups.setdefault(anchor, []).append(row)
+    components = [
+        LinearCode.from_generators(code.q, code.n, rows) for rows in groups.values()
+    ]
+    return Decomposition(code, components)
+
+
+def reference_cheapest_grouping(code):
+    """The cheapest grouping as first written: the finest components built,
+    then the zero-deficiency ones merged into the first positive one (or
+    all together when none is positive) and the merged codes rebuilt."""
+    from posetcodes.code import LinearCode
+    from posetcodes.decomposition import Decomposition
+
+    finest = reference_maximal_decomposition(code)
+    positive = [c for c in finest.components if len(c.support()) - c.k > 0]
+    zero = [c for c in finest.components if len(c.support()) - c.k == 0]
+    if not positive:
+        groups = [list(finest.components)]
+    elif zero:
+        groups = [[positive[0], *zero]] + [[c] for c in positive[1:]]
+    else:
+        groups = [[c] for c in positive]
+    merged = []
+    for group in groups:
+        rows = [row for comp in group for row in comp.generators]
+        merged.append(LinearCode.from_generators(code.q, code.n, rows))
+    return Decomposition(code, merged)
+
+
 def grouping_minimum(code):
     """Minimum table size over all groupings of the finest components."""
-    from posetcodes.decomposition import maximal_decomposition
-
-    comps = maximal_decomposition(code).components
+    comps = reference_maximal_decomposition(code).components
     deficiencies = [len(c.support()) - c.k for c in comps]
     best = None
     for blocks in set_partitions(range(len(comps))):
@@ -236,7 +288,6 @@ def reference_orbit_codes(code, poset, group_budget=10**7, orbit_budget=10**5):
 def reference_primary_decomposition(code, poset, group_budget=10**7, orbit_budget=10**5):
     """Minimal complexity over the orbit; ties go to the smallest generator
     matrix, then to the earliest isometry."""
-    from posetcodes.decomposition import cheapest_grouping, min_grouping_complexity
     from posetcodes.errors import ResourceLimitError
     from posetcodes.search import PDecomposition
 
@@ -251,40 +302,37 @@ def reference_primary_decomposition(code, poset, group_budget=10**7, orbit_budge
             if best is not None:
                 _, _, witness, img = best
                 partial = PDecomposition(
-                    witness, cheapest_grouping(img), best[0], proven_minimal=False
+                    witness, reference_cheapest_grouping(img), best[0], proven_minimal=False
                 )
             raise ResourceLimitError(
                 f"orbit exceeds budget of {orbit_budget} codes", partial_result=partial
             )
         seen.add(image)
-        value = min_grouping_complexity(image)
+        value = reference_cheapest_grouping(image).complexity()
         key = (value, image.generators)
         if best is None or key < (best[0], best[1]):
             best = (value, image.generators, iso, image)
     value, _, witness, image = best
-    return PDecomposition(witness, cheapest_grouping(image), value)
+    return PDecomposition(witness, reference_cheapest_grouping(image), value)
 
 
 def reference_is_p_irreducible(code, poset):
     """No image of a full-support code under the whole group occupies a
     smaller support or splits into several components."""
-    from posetcodes.decomposition import maximal_decomposition
-
     return all(
-        len(image.support()) == poset.n and maximal_decomposition(image).r == 1
+        len(image.support()) == poset.n and reference_maximal_decomposition(image).r == 1
         for image in reference_orbit_codes(code, poset)
     )
 
 
 def reference_profile_uniqueness(code, poset):
     """Profile-uniqueness report from two full walks of the orbit."""
-    from posetcodes.decomposition import maximal_decomposition
     from posetcodes.search import ProfileUniquenessReport
 
     orbit = reference_orbit_codes(code, poset)
     candidates = []
     for image in reference_orbit_codes(code, poset):
-        dec = maximal_decomposition(image)
+        dec = reference_maximal_decomposition(image)
         if all(
             reference_is_p_irreducible(
                 comp.restrict(sorted(comp.support())),

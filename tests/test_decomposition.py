@@ -6,9 +6,11 @@ import pytest
 from helpers import (
     brute_force_finest_partition,
     grouping_minimum,
+    reference_cheapest_grouping,
+    reference_maximal_decomposition,
     subcode_dimension,
 )
-from posetcodes.code import LinearCode
+from posetcodes.code import LinearCode, enumerate_codes
 from posetcodes.decomposition import (
     Decomposition,
     cheapest_grouping,
@@ -45,6 +47,19 @@ def test_maximal_matches_brute_force_on_random_codes():
         code = random_code(rng, q, n)
         dec = maximal_decomposition(code)
         assert {c.support() for c in dec.components} == brute_force_finest_partition(code)
+
+
+# Two positive-deficiency components next to a zero one need n >= 5.
+@pytest.mark.parametrize("q,max_n", [(2, 5), (3, 4)])
+def test_row_grouping_matches_the_reference_on_every_small_code(q, max_n):
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            for code in enumerate_codes(q, n, k):
+                finest = reference_maximal_decomposition(code)
+                cheapest = reference_cheapest_grouping(code)
+                assert maximal_decomposition(code).components == finest.components, code
+                assert cheapest_grouping(code).components == cheapest.components, code
+                assert min_grouping_complexity(code) == cheapest.complexity(), code
 
 
 def test_components_are_the_block_subcodes():
