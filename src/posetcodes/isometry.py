@@ -129,7 +129,7 @@ def matrix_rank(q: int, rows) -> int:
 def invert_matrix(q: int, rows) -> tuple:
     """Inverse of a square matrix over GF(q) by Gaussian elimination."""
     n = len(rows)
-    aug = [list(rows[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    aug = [list(row) + list(unit) for row, unit in zip(rows, _eye(n))]
     reduced, pivots = rref(q, 2 * n, aug)
     if len(reduced) != n or pivots != tuple(range(1, n + 1)):
         raise ValidationError("matrix is not invertible")
