@@ -8,6 +8,7 @@ the command line are comma-separated residues; coordinates are 1-based.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -362,6 +363,7 @@ def _add_common_options(parser, suppress: bool) -> None:
     parser.add_argument("--coset-budget", type=int, default=defaults)
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="posetcodes",

@@ -144,11 +144,57 @@ def _delta_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
                 queue.append((image, product))
 
 
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The automorphism acting as T_a after T_b, where T_s(v)_i = v[s(i)]."""
+    return tuple([b[i - 1] for i in a])
+
+
+def _inverse(sigma: tuple) -> tuple:
+    inverse = [0] * len(sigma)
+    for i, s in enumerate(sigma, start=1):
+        inverse[s - 1] = i
+    return tuple(inverse)
+
+
+def _extend_group(group: list, generators: list) -> list:
+    """The elements beyond ``group`` of the permutation group generated by
+    ``generators``, which include generators of ``group``: whole right
+    cosets of ``group``, found by Dimino's method from the products of
+    coset representatives and generators."""
+    members = set(group)
+    added = []
+    coset_reps = [group[0]]
+    for rep in coset_reps:
+        for gen in generators:
+            product = _compose(rep, gen)
+            if product not in members:
+                coset = [_compose(h, product) for h in group]
+                members.update(coset)
+                added += coset
+                coset_reps.append(product)
+    return added
+
+
+def _permute(code: LinearCode, sigma: tuple) -> LinearCode:
+    rows = [[row[s - 1] for s in sigma] for row in code.generators]
+    return LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
+
+
 def _orbit(code: LinearCode, poset: Poset, group_budget: int, orbit_budget: int):
     """Each distinct image of the code with the automorphism and triangular
     matrix reaching it: the triangular walk under the identity, then that
     walk permuted by each further automorphism in lexicographic order, since
-    the isometry group is Aut(P) acting on the triangular part."""
+    the isometry group is Aut(P) acting on the triangular part.
+
+    An automorphism sigma maps the triangular orbit onto a whole triangular
+    orbit, its block, which is either new or one already walked: the blocks
+    are the cosets rep * H of the stabiliser H of the triangular orbit.  The
+    walk learns H as it goes and skips every automorphism in rep * H for a
+    block representative rep.  Any other sigma costs one canonicalisation
+    of sigma(C): a new code opens a block, walked in triangular order, and a
+    code in the block of rep adds rep^-1 * sigma to H, which at least
+    doubles it.  The yielded sequence is the one that permuting every
+    triangular image by every automorphism gives."""
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
     size = group_size(poset, code.q)
@@ -156,17 +202,38 @@ def _orbit(code: LinearCode, poset: Poset, group_budget: int, orbit_budget: int)
         raise ResourceLimitError(
             f"isometry group of size {size} exceeds budget {group_budget}"
         )
-    identity, *others = poset.automorphisms()
+    automorphisms = poset.automorphisms()
+    identity = automorphisms[0]
     seen = set()
+    block_of = {}  # orbit code -> representative of its block
     delta_orbit = []
     for image, matrix in _delta_walk(code, poset, seen, orbit_budget):
         delta_orbit.append((image, matrix))
+        block_of[image] = identity
         yield image, identity, matrix
-    for sigma in others:
+    stabiliser = [identity]
+    generators = []
+    reps = [identity]
+    covered = {identity}  # the union of rep * H over the blocks found
+    for sigma in automorphisms[1:]:
+        if len(covered) == len(automorphisms):
+            break
+        if sigma in covered:
+            continue
+        first = _permute(code, sigma)
+        rep = block_of.get(first)
+        if rep is not None:
+            generators.append(_compose(_inverse(rep), sigma))
+            added = _extend_group(stabiliser, generators)
+            stabiliser += added
+            covered.update(_compose(r, h) for r in reps for h in added)
+            continue
+        reps.append(sigma)
+        covered.update(_compose(sigma, h) for h in stabiliser)
         for image, matrix in delta_orbit:
-            rows = [[row[s - 1] for s in sigma] for row in image.generators]
-            permuted = LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
+            permuted = first if image is code else _permute(image, sigma)
             if _admit(seen, permuted, orbit_budget):
+                block_of[permuted] = sigma
                 yield permuted, sigma, matrix
 
 
@@ -297,10 +364,7 @@ def strip_permutation(pd: PDecomposition) -> PDecomposition:
     identity_sigma = tuple(range(1, n + 1))
     if pd.witness.sigma == identity_sigma:
         return pd
-    inverse_sigma = [0] * n
-    for i, s in enumerate(pd.witness.sigma, start=1):
-        inverse_sigma[s - 1] = i
-    unpermute = PIsometry(poset, q, tuple(inverse_sigma), _eye(n))
+    unpermute = PIsometry(poset, q, _inverse(pd.witness.sigma), _eye(n))
     new_code = unpermute.apply_code(pd.dec.code)
     new_components = [unpermute.apply_code(c) for c in pd.dec.components]
     new_dec = Decomposition(new_code, new_components)

@@ -148,21 +148,29 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
     triples = size**3 if q == 2 and size <= 64 else 2000
     _check_count("metric suite", (posets + 2) * (size**2 + triples) + 2 * size**2)
     catalog = distinct_random_posets(rng, n, posets) + extremes
-    vectors = list(product(range(q), repeat=n))
+    # Each vector with a key whose n-bit block v - 1 masks the coordinates
+    # holding the value v != 0.  Where two vectors differ, one of them is
+    # nonzero, so some block of the XOR of their keys has that coordinate:
+    # OR-folding the q - 1 blocks onto the lowest gives the difference mask.
+    full = (1 << n) - 1
+    folds = [n << j for j in range((q - 2).bit_length())]
+    vectors = [
+        (x, sum(1 << (idx + (v - 1) * n) for idx, v in enumerate(x) if v))
+        for x in product(range(q), repeat=n)
+    ]
 
     def diff_mask(a, b):
-        mask = 0
-        for idx in range(n):
-            if a[idx] != b[idx]:
-                mask |= 1 << idx
-        return mask
+        bits = a ^ b
+        for shift in folds:
+            bits |= bits >> shift
+        return bits & full
 
     for poset in catalog:
         wt = weight_table(poset)
-        for x in vectors:
-            for y in vectors:
-                d = wt[diff_mask(x, y)]
-                if (d == 0) != (x == y) or d != wt[diff_mask(y, x)] or d < 0:
+        for x, mx in vectors:
+            for y, my in vectors:
+                d = wt[diff_mask(mx, my)]
+                if (d == 0) != (x == y) or d != wt[diff_mask(my, mx)] or d < 0:
                     report.ok = False
                     report.counterexample = {
                         "poset": poset.to_json_dict(),
@@ -191,8 +199,8 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
                     break
         else:
             for _ in range(2000):
-                x, y, z = (rng.choice(vectors) for _ in range(3))
-                if wt[diff_mask(x, y)] > wt[diff_mask(x, z)] + wt[diff_mask(z, y)]:
+                (x, mx), (y, my), (z, mz) = (rng.choice(vectors) for _ in range(3))
+                if wt[diff_mask(mx, my)] > wt[diff_mask(mx, mz)] + wt[diff_mask(mz, my)]:
                     report.ok = False
                     report.counterexample = {
                         "poset": poset.to_json_dict(),
@@ -208,16 +216,16 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
     if report.ok:
         wt = weight_table(Poset.antichain(n))
         hamming_ok = all(
-            wt[diff_mask(x, y)] == sum(a != b for a, b in zip(x, y))
-            for x in vectors
-            for y in vectors
+            wt[diff_mask(mx, my)] == sum(a != b for a, b in zip(x, y))
+            for x, mx in vectors
+            for y, my in vectors
         )
         wt = weight_table(Poset.chain(n))
         chain_ok = all(
-            wt[diff_mask(x, y)]
+            wt[diff_mask(mx, my)]
             == max((i + 1 for i in range(n) if x[i] != y[i]), default=0)
-            for x in vectors
-            for y in vectors
+            for x, mx in vectors
+            for y, my in vectors
         )
         if not hamming_ok or not chain_ok:
             report.ok = False
@@ -380,8 +388,6 @@ def neighbour_suite(n: int = 4) -> SuiteReport:
     _check_sizes(n)
     start = time.monotonic()
     report = SuiteReport("neighbours", ok=True, checked=0)
-    # all_posets first: its size guard must stop a large n before the
-    # hierarchical catalogue, which has none, is built.
     posets = list(all_posets(n))
     catalog = list(hierarchical_posets(n))
     for poset in posets:

@@ -333,3 +333,19 @@ def test_json_outputs_round_trip(files, capsys):
     data = json.loads(out)
     upper = Poset.from_json_dict(data["upper"])
     assert upper.to_json_dict() == data["upper"]
+
+
+@pytest.mark.parametrize("options_after_suite", [False, True])
+def test_parser_is_built_once_and_leaks_no_options(capsys, options_after_suite):
+    """Two calls in one process share the parser; options given to the
+    first do not carry over to the second."""
+    suite = ["verify", "metric", "--n", "2", "--samples", "2"]
+    options = ["--format", "json", "--seed", "5"]
+    first = suite + options if options_after_suite else options + suite
+    code, out, _ = run(capsys, first)
+    assert code == 0
+    assert json.loads(out)["seed"] == 5
+    code, out, _ = run(capsys, suite)
+    assert code == 0
+    assert out.splitlines()[:3] == ["suite = metric", "checked = 4", "seed = 1"]
+    assert cli.build_parser() is cli.build_parser()

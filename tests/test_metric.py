@@ -9,7 +9,7 @@ from posetcodes.errors import ValidationError
 from posetcodes.field import FieldSpec
 from posetcodes.metric import min_pdistance, pdist, pweight, support
 from posetcodes.poset import Poset
-from posetcodes.suites import random_coarsening, random_poset
+from posetcodes.suites import metric_suite, random_coarsening, random_poset
 
 
 def test_support():
@@ -114,3 +114,12 @@ def test_min_pdistance_examples():
 def test_min_pdistance_size_mismatch():
     with pytest.raises(ValidationError):
         min_pdistance(Poset.chain(3), LinearCode.from_generators(2, 4, [(1, 1, 1, 1)]))
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (2, 5), (2, 7)])
+def test_metric_suite_passes_over_larger_fields(n, q):
+    """The suite's difference masks fold one n-bit block per nonzero value,
+    so fields with two to six such values exercise one to three folds."""
+    report = metric_suite(n=n, q=q, posets=3, seed=1)
+    assert report.ok, report.counterexample
+    assert report.checked == 5

@@ -1,27 +1,32 @@
-"""The orbit walk against the full-enumeration reference in helpers.
+"""The orbit walk against the reference loops in helpers.
 
 Instances are seeded random posets and codes with n in 2..5 and q in
 {2, 3}; groups are capped at 400 elements so the reference's repeated
 walks stay cheap.  Decompositions, complexities, orbit sets and profile
-reports must equal the reference's.  Witnesses and the orbit order follow
-the walk, not the reference's enumeration order, so a witness is checked
-by the image it reaches.
+reports must equal the full enumeration's.  Witnesses and the orbit order
+follow the walk, not the full enumeration's order, so a witness is checked
+by the image it reaches; the walk's own sequence must equal the one that
+permutes every triangular image by every automorphism.
 """
 
 import random
+from itertools import permutations
+from math import floor, log2
 
 import pytest
 
 from helpers import (
     reference_is_p_irreducible,
     reference_orbit_codes,
+    reference_orbit_walk,
     reference_primary_decomposition,
     reference_profile_uniqueness,
 )
-from posetcodes.code import LinearCode
+from posetcodes import search
+from posetcodes.code import LinearCode, enumerate_codes, rref
 from posetcodes.decomposition import maximal_decomposition, min_grouping_complexity
 from posetcodes.errors import ResourceLimitError
-from posetcodes.isometry import group_size
+from posetcodes.isometry import GROUP_BUDGET, group_size
 from posetcodes.poset import Poset
 from posetcodes.search import (
     is_p_irreducible,
@@ -152,3 +157,110 @@ def test_orbit_codes_follow_walk_order():
         for image, witness in orbit_codes(code, poset).items()
     ]
     assert got == expected
+
+
+# -- the permutation step against permuting every code -------------------
+
+
+def _code_slice(q, n, per_dimension):
+    """About ``per_dimension`` codes of each dimension, spread over the
+    enumeration order."""
+    out = []
+    for k in range(1, n + 1):
+        codes = list(enumerate_codes(q, n, k))
+        out += codes[:: max(1, len(codes) // per_dimension)]
+    return out
+
+
+MANY_AUTOMORPHISMS = [
+    (Poset.antichain(n), code) for n in (4, 5, 6) for code in _code_slice(2, n, 4)
+] + [
+    (Poset.hierarchical(type_vector), code)
+    for type_vector in ((2, 2), (1, 3))
+    for code in _code_slice(3, 4, 3)
+]
+
+
+def _walk(items):
+    """The items of a walk and the budget message that stops it, if any."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except ResourceLimitError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def _cut_budgets(full):
+    """Orbit budgets that stop the walk at a permuted image: at the first,
+    a middle and the last one, preferring images inside a block."""
+    identity = full[0][1]
+    permuted = [b for b in range(1, len(full)) if full[b][1] != identity]
+    inside = [b for b in permuted if full[b - 1][1] == full[b][1]]
+    cuts = inside or permuted
+    return sorted({cuts[0], cuts[len(cuts) // 2], cuts[-1]}) if cuts else []
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [INSTANCES[:30], INSTANCES[30:], MANY_AUTOMORPHISMS],
+    ids=["seeded-1", "seeded-2", "many-automorphisms"],
+)
+def test_walk_sequence_matches_permuting_every_code(instances):
+    """The walk yields the reference's ``(image, sigma, matrix)`` items in
+    order, and a budget that cuts a permuted block stops both at the same
+    item with the same message."""
+    cuts_inside = 0
+    for poset, code in instances:
+        full, message = _walk(reference_orbit_walk(code, poset))
+        assert message is None
+        assert _walk(search._orbit(code, poset, GROUP_BUDGET, 10**5)) == (full, None)
+        for budget in _cut_budgets(full):
+            want = _walk(reference_orbit_walk(code, poset, orbit_budget=budget))
+            assert want == (full[:budget], f"orbit exceeds budget of {budget} codes")
+            assert _walk(search._orbit(code, poset, GROUP_BUDGET, budget)) == want
+            cuts_inside += full[budget - 1][1] == full[budget][1]
+    assert cuts_inside > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stabiliser_grows_to_the_generated_group(n):
+    """Extending a subgroup by one more generator yields the whole group it
+    generates, as right cosets of the subgroup: here a transposition, then
+    an n-cycle, generate the symmetric group."""
+    identity = tuple(range(1, n + 1))
+    swap = (2, 1) + identity[2:]
+    cycle = identity[1:] + (1,)
+    group = [identity] + search._extend_group([identity], [swap])
+    assert sorted(group) == sorted([identity, swap])
+    added = search._extend_group(group, [swap, cycle])
+    assert sorted(group + added) == sorted(permutations(identity))
+    assert len(added) % len(group) == 0
+
+
+def test_permutation_step_canonicalises_few_codes(monkeypatch):
+    """On a GF(2) antichain the triangular part is trivial, so each block
+    is one code; the walk canonicalises once per new block and once per
+    growth of the stabiliser, where permuting every code would take
+    |Aut| - 1 canonicalisations."""
+    calls = 0
+
+    def counting_rref(*args):
+        nonlocal calls
+        calls += 1
+        return rref(*args)
+
+    monkeypatch.setattr(search, "rref", counting_rref)
+    for n in (4, 5, 6):
+        poset = Poset.antichain(n)
+        bound = floor(log2(len(poset.automorphisms())))
+        codes = _code_slice(2, n, 40 if n == 6 else 10**6)  # every code for n < 6
+        for code in codes:
+            calls = 0
+            orbit = list(search._orbit(code, poset, GROUP_BUDGET, 10**5))
+            assert calls <= len(orbit) + bound, (code, calls, len(orbit))
+    calls = 0
+    pair = LinearCode.from_generators(2, 6, [(1, 1, 0, 0, 0, 0)])
+    orbit = list(search._orbit(pair, Poset.antichain(6), GROUP_BUDGET, 10**5))
+    assert (len(orbit), calls) == (15, 18)

@@ -273,6 +273,14 @@ def test_catalog_counts():
     assert all(p.is_hierarchical() for p in hier4)
 
 
+def test_hierarchical_catalog_is_bounded():
+    """n = 9 would build 7,087,261 posets; the first next() raises."""
+    for n in (8, 9):
+        with pytest.raises(ResourceLimitError, match="only for n <= 7"):
+            next(hierarchical_posets(n))
+    assert next(hierarchical_posets(7)).n == 7
+
+
 def test_hierarchical_subsets_of_combinations():
     # every two-subset block choice shows up in the catalog
     assert Poset.hierarchical((2, 2)) in set(hierarchical_posets(4))
