@@ -37,6 +37,7 @@ from .poset import LevelStructure, Poset, all_posets, hierarchical_posets, make_
 from .search import (
     BoundsReport,
     PDecomposition,
+    hierarchical_decomposition,
     hierarchy_bounds,
     is_p_irreducible,
     lower_neighbour,
@@ -71,6 +72,7 @@ __all__ = [
     "cheapest_grouping",
     "decode",
     "group_size",
+    "hierarchical_decomposition",
     "hierarchical_posets",
     "hierarchy_bounds",
     "is_p_irreducible",

@@ -47,8 +47,10 @@ class PDecomposition:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Minimal complexities for the hierarchical neighbours and, when
-    affordable, the poset itself."""
+    """Minimal complexities for the hierarchical neighbours, exact at every
+    supported size, and the poset's own value, None when the orbit walk
+    that finds it on a non-hierarchical poset exceeds a budget or its
+    reach."""
 
     upper_poset: Poset
     lower_poset: Poset
@@ -396,6 +398,42 @@ def lower_neighbour(poset: Poset) -> Poset:
     return Poset.from_ranks([block_of_level[h - 1] for h in heights])
 
 
+def hierarchical_decomposition(code: LinearCode, poset: Poset) -> PDecomposition:
+    """A primary decomposition on a hierarchical poset, in closed form.
+
+    With the columns ordered top level first, each canonical row r with
+    pivot p in level l has its support in the levels up to l.  The unipotent
+    map subtracting r_i * x_p from every coordinate i in a lower level, all
+    of which lie below p, projects r onto level l.  So the code is
+    equivalent to the direct sum of its level projections, whose cheapest
+    grouping realises the minimal complexity (the canonical-systematic form
+    of hierarchical poset codes).  The witness has the identity permutation.
+    """
+    if poset.n != code.n:
+        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    if not poset.is_hierarchical():
+        raise ValidationError("closed-form decomposition needs a hierarchical poset")
+    q, n = code.q, code.n
+    heights = poset.heights()
+    order = sorted(range(n), key=lambda j: -heights[j])
+    rows, pivots = rref(q, n, [[row[j] for j in order] for row in code.generators])
+    matrix = [list(row) for row in _eye(n)]
+    projected = []
+    for row, pivot in zip(rows, pivots):
+        p = order[pivot - 1]
+        level = heights[p]
+        image = [0] * n
+        for j, v in zip(order, row):
+            if heights[j] == level:
+                image[j] = v
+            elif v:
+                matrix[j][p] = -v % q
+        projected.append(image)
+    image = LinearCode(q, n, *rref(q, n, projected))
+    witness = PIsometry(poset, q, tuple(range(1, n + 1)), matrix)
+    return PDecomposition(witness, cheapest_grouping(image), min_grouping_complexity(image))
+
+
 def hierarchy_bounds(
     code: LinearCode,
     poset: Poset,
@@ -403,15 +441,25 @@ def hierarchy_bounds(
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> BoundsReport:
     """Minimal complexities for the hierarchical neighbours, sandwiching the
-    poset's own value when its orbit fits the budget."""
+    poset's own value.
+
+    Both neighbour values are exact and come from the closed form of
+    :func:`hierarchical_decomposition`, so no budget applies to them.  So
+    does the poset's own value when the poset is hierarchical; otherwise it
+    comes from the orbit walk, and it is None when the walk exceeds a
+    budget or its reach (the automorphism search stops at n = 10).
+    """
     upper = upper_neighbour(poset)
     lower = lower_neighbour(poset)
-    o_upper = minimal_complexity(code, upper, group_budget, orbit_budget)
-    o_lower = minimal_complexity(code, lower, group_budget, orbit_budget)
-    try:
-        o_p = minimal_complexity(code, poset, group_budget, orbit_budget)
-    except ResourceLimitError:
-        o_p = None
+    o_upper = hierarchical_decomposition(code, upper).complexity
+    o_lower = hierarchical_decomposition(code, lower).complexity
+    if poset == upper:
+        o_p = o_upper
+    else:
+        try:
+            o_p = minimal_complexity(code, poset, group_budget, orbit_budget)
+        except ResourceLimitError:
+            o_p = None
     return BoundsReport(upper, lower, o_upper, o_lower, o_p)
 
 

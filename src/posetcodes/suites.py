@@ -368,12 +368,27 @@ def bounds_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> Su
         code = random_code(rng, q, n)
         bounds = hierarchy_bounds(code, poset)
         report.checked += 1
+        # The neighbour values come from the closed form; the orbit walk
+        # recomputes them independently.
+        walked = [
+            minimal_complexity(code, bounds.upper_poset),
+            minimal_complexity(code, bounds.lower_poset),
+        ]
         if not bounds.sandwich_ok or bounds.o_p is None:
             report.ok = False
             report.counterexample = {
                 "poset": poset.to_json_dict(),
                 "code": code.to_json_dict(),
                 "bounds": bounds.to_json_dict(),
+            }
+            break
+        if walked != [bounds.o_upper, bounds.o_lower]:
+            report.ok = False
+            report.counterexample = {
+                "poset": poset.to_json_dict(),
+                "code": code.to_json_dict(),
+                "bounds": bounds.to_json_dict(),
+                "walked_neighbours": walked,
             }
             break
     report.elapsed = time.monotonic() - start

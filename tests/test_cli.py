@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,40 @@ def test_analyze_bounds(files, capsys):
     data = json.loads(out)["bounds"]
     assert (data["o_upper"], data["o_p"], data["o_lower"]) == (2, 2, 8)
     assert data["sandwich_ok"]
+
+
+@pytest.mark.parametrize("budget", ["--orbit-budget", "--group-budget"])
+def test_analyze_bounds_budgets_bound_only_the_poset_value(files, capsys, budget):
+    """The neighbour values come from the closed form, so a walk budget
+    leaves them exact and turns only o_p into null."""
+    code, out, err = run(
+        capsys,
+        ["--format", "json", "analyze", "bounds", files["n_poset"], files["r4"], budget, "1"],
+    )
+    assert code == 0
+    assert err == ""
+    data = json.loads(out)["bounds"]
+    assert (data["o_upper"], data["o_p"], data["o_lower"]) == (2, None, 8)
+    assert data["sandwich_ok"]
+
+
+def test_analyze_bounds_on_a_hierarchical_poset_needs_no_walk(files, capsys):
+    code, out, err = run(
+        capsys,
+        ["--format", "json", "analyze", "bounds", "hierarchical:2,2", files["r4"],
+         "--orbit-budget", "1"],
+    )
+    assert code == 0
+    assert err == ""
+    data = json.loads(out)["bounds"]
+    assert (data["o_upper"], data["o_p"], data["o_lower"]) == (2, 2, 2)
+
+
+def test_analyze_bounds_length_mismatch(files, capsys):
+    code, out, err = run(capsys, ["analyze", "bounds", "chain:5", files["r4"]])
+    assert code == 1
+    assert out == ""
+    assert err == "error: poset size 5 != code length 4\n"
 
 
 def test_decode(files, capsys):
@@ -349,3 +384,32 @@ def test_parser_is_built_once_and_leaks_no_options(capsys, options_after_suite):
     assert code == 0
     assert out.splitlines()[:3] == ["suite = metric", "checked = 4", "seed = 1"]
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_analyze_bounds_reaches_sixteen_coordinates(tmp_path):
+    """Bounds beyond the orbit walk's reach (n = 10): exact neighbours from
+    the closed form, and o_p from it too on a hierarchical poset."""
+    ones = tmp_path / "ones12.json"
+    ones.write_text(json.dumps({"q": 2, "n": 12, "generators": [[1] * 12]}))
+    result = run_process(["--format", "json", "analyze", "bounds", "chain:12", str(ones)], timeout=10)
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)["bounds"]
+    assert data["o_upper"] == data["o_p"] == data["o_lower"] == 1
+
+    from posetcodes.search import hierarchical_decomposition, lower_neighbour, upper_neighbour
+
+    rng = random.Random(16)
+    poset = suites.random_poset(rng, 16)
+    assert not poset.is_hierarchical()
+    code = suites.random_code(rng, 3, 16)
+    poset_path = tmp_path / "poset16.json"
+    poset_path.write_text(json.dumps(poset.to_json_dict()))
+    code_path = tmp_path / "code16.json"
+    code_path.write_text(json.dumps(code.to_json_dict()))
+    result = run_process(["--format", "json", "analyze", "bounds", str(poset_path), str(code_path)], timeout=10)
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)["bounds"]
+    assert data["o_p"] is None
+    assert data["o_upper"] == hierarchical_decomposition(code, upper_neighbour(poset)).complexity
+    assert data["o_lower"] == hierarchical_decomposition(code, lower_neighbour(poset)).complexity
+    assert data["sandwich_ok"]
