@@ -181,16 +181,26 @@ def table_stats(table: SyndromeTable) -> dict:
 
 def agreement_rate(table: SyndromeTable, code: LinearCode, poset: Poset) -> float:
     """Fraction of received words for which decoding attains the true minimum
-    distance, measured against the exhaustive oracle."""
+    distance, the least weight in the word's coset, found for every syndrome
+    in one pass over the space."""
+    if poset.n != code.n:
+        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
     q, n = code.q, code.n
     if q**n > ORACLE_BUDGET:
         raise ResourceLimitError("agreement measurement space exceeds budget")
+    parity = code.parity_check()
+    weights = weight_table(poset)
+    least = {}
+    for e in product(range(q), repeat=n):
+        syndrome = parity.syndrome(e)
+        w = weights[support_mask(e)]
+        if w < least.get(syndrome, n + 1):
+            least[syndrome] = w
     hits = 0
     total = 0
     for y in product(range(q), repeat=n):
         decoded, _ = decode(table, y)
-        _, best_distance = nearest_codeword_oracle(code, poset, y)
-        achieved = pweight(poset, tuple((a - b) % q for a, b in zip(y, decoded)))
-        hits += achieved == best_distance
+        achieved = weights[support_mask([(a - b) % q for a, b in zip(y, decoded)])]
+        hits += achieved == least[parity.syndrome(y)]
         total += 1
     return hits / total

@@ -389,3 +389,22 @@ def reference_orbit_walk(code, poset, group_budget=10**7, orbit_budget=10**5):
             permuted = LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
             if _admit(seen, permuted, orbit_budget):
                 yield permuted, sigma, matrix
+
+
+def reference_agreement_rate(table, code, poset):
+    """The agreement rate as the decoder module first measured it: every
+    received word decoded and compared with the exhaustive oracle's
+    distance, q^n * q^k codeword visits in total."""
+    from posetcodes.decoder import decode, nearest_codeword_oracle
+    from posetcodes.metric import pweight
+
+    q = code.q
+    hits = 0
+    total = 0
+    for y in product(range(q), repeat=code.n):
+        decoded, _ = decode(table, y)
+        _, best_distance = nearest_codeword_oracle(code, poset, y)
+        achieved = pweight(poset, tuple((a - b) % q for a, b in zip(y, decoded)))
+        hits += achieved == best_distance
+        total += 1
+    return hits / total

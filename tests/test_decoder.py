@@ -20,6 +20,8 @@ from posetcodes.poset import Poset
 from posetcodes.search import PDecomposition, primary_decomposition
 from posetcodes.suites import random_code, random_poset
 
+from helpers import reference_agreement_rate
+
 N_POSET = Poset.from_covers(4, [(1, 3), (1, 4), (2, 4)])
 R4 = LinearCode.from_generators(2, 4, [(1, 1, 1, 1)])
 
@@ -147,6 +149,49 @@ def test_componentwise_decoding_can_miss_cross_component_ideals():
 
     achieved = pweight(N_POSET, tuple((a - b) % 2 for a, b in zip((0, 0, 1, 0), word)))
     assert achieved > nearest_codeword_oracle(d_code, N_POSET, (0, 0, 1, 0))[1]
+
+
+def agreement_instances():
+    """(table, code, poset): the primary, componentwise and identity-frame
+    tables of this file and of the acceptance tests, then seeded random
+    ones over GF(2) and GF(3)."""
+    hier5 = Poset.hierarchical((2, 3))
+    code5 = LinearCode.from_generators(2, 5, [(1, 1, 0, 0, 0), (0, 0, 1, 1, 1)])
+    hier6 = Poset.hierarchical((2, 2, 2))
+    code6 = LinearCode.from_generators(
+        2, 6, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)]
+    )
+    d_code = LinearCode.from_generators(2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    for poset, code in ((hier5, code5), (hier6, code6)):
+        yield build_table(primary_decomposition(code, poset), poset), code, poset
+    pd = identity_pd(d_code, N_POSET, maximal_decomposition(d_code))
+    yield build_table(pd, N_POSET), d_code, N_POSET
+    tangled = LinearCode.from_generators(2, 5, [(1, 0, 1, 1, 0), (0, 1, 1, 0, 1)])
+    mixed = Poset.from_covers(5, [(1, 3), (2, 3), (2, 5), (4, 5)])
+    for code, poset in ((R4, N_POSET), (R4, Poset.antichain(4)), (tangled, mixed)):
+        yield build_table(identity_pd(code, poset), poset), code, poset
+    rng = random.Random(31)
+    for index in range(8):
+        q = 2 if index % 2 == 0 else 3
+        n = rng.randint(2, 4 if q == 3 else 5)
+        poset = random_poset(rng, n)
+        code = random_code(rng, q, n)
+        yield build_table(identity_pd(code, poset, maximal_decomposition(code)), poset), code, poset
+
+
+def test_agreement_rate_matches_the_oracle_reference():
+    rates = []
+    for table, code, poset in agreement_instances():
+        rate = agreement_rate(table, code, poset)
+        assert rate == reference_agreement_rate(table, code, poset)
+        rates.append(rate)
+    assert min(rates) < 1.0 == max(rates)
+
+
+def test_agreement_rate_validates_lengths():
+    table = build_table(identity_pd(R4, N_POSET), N_POSET)
+    with pytest.raises(ValidationError):
+        agreement_rate(table, R4, Poset.chain(5))
 
 
 def test_coset_budget():
