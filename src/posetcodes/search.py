@@ -10,6 +10,7 @@ witnesses are reproducible.
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
+from itertools import accumulate
 
 from .code import LinearCode, enumerate_codes, rref
 from .decomposition import (
@@ -387,50 +388,65 @@ def upper_neighbour(poset: Poset) -> Poset:
 def lower_neighbour(poset: Poset) -> Poset:
     """Hierarchical poset on level blocks delimited by the fully
     hierarchical levels; below iff strictly lower block."""
-    heights = poset.heights()
-    flags = poset.hierarchy_flags()
-    block_of_level = []
-    block = -1
-    for flag in flags:
-        if flag:
-            block += 1
-        block_of_level.append(block)
-    return Poset.from_ranks([block_of_level[h - 1] for h in heights])
+    return Poset.from_ranks(_block_ranks(poset))
+
+
+def _block_ranks(poset: Poset) -> list:
+    """Each element's level block in :func:`lower_neighbour`."""
+    block_of_level = list(accumulate(poset.hierarchy_flags()))
+    return [block_of_level[h - 1] for h in poset.heights()]
+
+
+def _level_sum(code: LinearCode, ranks) -> tuple:
+    """The direct sum of the level projections of a code on the hierarchical
+    poset of ``ranks`` (i below j iff ranks[i] < ranks[j]), and the entries
+    ``(i, p, c)`` off the diagonal of the unipotent matrix mapping the code
+    onto it.
+
+    With the columns ordered top rank first, ascending within a rank, each
+    canonical row r with pivot p of rank l has its support in the ranks up
+    to l.  Subtracting r_i * x_p from every coordinate i of lower rank, all
+    of which lie below p, projects r onto rank l.  The projected rows have
+    disjoint supports across ranks and stay reduced within one, so in pivot
+    order they are the canonical generators of the sum.
+    """
+    q, n = code.q, code.n
+    order = sorted(range(n), key=lambda j: -ranks[j])
+    rows, pivots = rref(q, n, [[row[j] for j in order] for row in code.generators])
+    entries = []
+    projected = []
+    for row, pivot in zip(rows, pivots):
+        p = order[pivot - 1]
+        image = [0] * n
+        for j, v in zip(order, row):
+            if ranks[j] == ranks[p]:
+                image[j] = v
+            elif v:
+                entries.append((j, p, -v % q))
+        projected.append((p + 1, tuple(image)))
+    projected.sort()
+    generators = tuple(image for _, image in projected)
+    return LinearCode(q, n, generators, tuple(p for p, _ in projected)), entries
 
 
 def hierarchical_decomposition(code: LinearCode, poset: Poset) -> PDecomposition:
     """A primary decomposition on a hierarchical poset, in closed form.
 
-    With the columns ordered top level first, each canonical row r with
-    pivot p in level l has its support in the levels up to l.  The unipotent
-    map subtracting r_i * x_p from every coordinate i in a lower level, all
-    of which lie below p, projects r onto level l.  So the code is
-    equivalent to the direct sum of its level projections, whose cheapest
-    grouping realises the minimal complexity (the canonical-systematic form
-    of hierarchical poset codes).  The witness has the identity permutation.
+    The code is equivalent to the direct sum of its level projections
+    (``_level_sum``), whose cheapest grouping realises the minimal
+    complexity: the canonical-systematic form of hierarchical poset codes.
+    The witness has the identity permutation and a unipotent matrix in the
+    triangular part.
     """
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
     if not poset.is_hierarchical():
         raise ValidationError("closed-form decomposition needs a hierarchical poset")
-    q, n = code.q, code.n
-    heights = poset.heights()
-    order = sorted(range(n), key=lambda j: -heights[j])
-    rows, pivots = rref(q, n, [[row[j] for j in order] for row in code.generators])
-    matrix = [list(row) for row in _eye(n)]
-    projected = []
-    for row, pivot in zip(rows, pivots):
-        p = order[pivot - 1]
-        level = heights[p]
-        image = [0] * n
-        for j, v in zip(order, row):
-            if heights[j] == level:
-                image[j] = v
-            elif v:
-                matrix[j][p] = -v % q
-        projected.append(image)
-    image = LinearCode(q, n, *rref(q, n, projected))
-    witness = PIsometry(poset, q, tuple(range(1, n + 1)), matrix)
+    image, entries = _level_sum(code, poset.heights())
+    matrix = [list(row) for row in _eye(code.n)]
+    for i, p, c in entries:
+        matrix[i][p] = c
+    witness = PIsometry(poset, code.q, tuple(range(1, code.n + 1)), matrix)
     return PDecomposition(witness, cheapest_grouping(image), min_grouping_complexity(image))
 
 
@@ -449,17 +465,19 @@ def hierarchy_bounds(
     comes from the orbit walk, and it is None when the walk exceeds a
     budget or its reach (the automorphism search stops at n = 10).
     """
+    if poset.n != code.n:
+        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    o_upper = min_grouping_complexity(_level_sum(code, poset.heights())[0])
+    if poset.is_hierarchical():  # its own upper and lower neighbour
+        return BoundsReport(poset, poset, o_upper, o_upper, o_upper)
+    blocks = _block_ranks(poset)
+    o_lower = min_grouping_complexity(_level_sum(code, blocks)[0])
     upper = upper_neighbour(poset)
-    lower = lower_neighbour(poset)
-    o_upper = hierarchical_decomposition(code, upper).complexity
-    o_lower = hierarchical_decomposition(code, lower).complexity
-    if poset == upper:
-        o_p = o_upper
-    else:
-        try:
-            o_p = minimal_complexity(code, poset, group_budget, orbit_budget)
-        except ResourceLimitError:
-            o_p = None
+    lower = Poset.from_ranks(blocks)  # lower_neighbour(poset)
+    try:
+        o_p = minimal_complexity(code, poset, group_budget, orbit_budget)
+    except ResourceLimitError:
+        o_p = None
     return BoundsReport(upper, lower, o_upper, o_lower, o_p)
 
 

@@ -33,8 +33,15 @@ def every_code(q, n):
         yield from enumerate_codes(q, n, k)
 
 
+def assert_canonical(code):
+    """The closed form builds its image without a second rref."""
+    again = LinearCode.from_generators(code.q, code.n, code.generators)
+    assert (again.generators, again.pivots) == (code.generators, code.pivots)
+
+
 def check_against_the_walk(code, poset, profile=True):
     closed = hierarchical_decomposition(code, poset)
+    assert_canonical(closed.dec.code)
     walked = primary_decomposition(code, poset)
     assert closed.complexity == walked.complexity == closed.dec.complexity()
     assert closed.witness.sigma == tuple(range(1, poset.n + 1))
@@ -166,6 +173,7 @@ def hierarchical_instances(draw):
 def test_witness_reaches_the_closed_form_image(instance):
     code, poset = instance
     closed = hierarchical_decomposition(code, poset)
+    assert_canonical(closed.dec.code)
     assert closed.witness.apply_code(code) == closed.dec.code
     assert closed.dec.complexity() == closed.complexity
     if poset.n <= 5 and group_size(poset, code.q) <= 1 << 12:
