@@ -392,7 +392,7 @@ def lower_neighbour(poset: Poset) -> Poset:
 
 
 def _block_ranks(poset: Poset) -> list:
-    """Each element's level block in :func:`lower_neighbour`."""
+    """Each element's level block: the ranks of the lower neighbour."""
     block_of_level = list(accumulate(poset.hierarchy_flags()))
     return [block_of_level[h - 1] for h in poset.heights()]
 
@@ -473,7 +473,7 @@ def hierarchy_bounds(
     blocks = _block_ranks(poset)
     o_lower = min_grouping_complexity(_level_sum(code, blocks)[0])
     upper = upper_neighbour(poset)
-    lower = Poset.from_ranks(blocks)  # lower_neighbour(poset)
+    lower = Poset.from_ranks(blocks)
     try:
         o_p = minimal_complexity(code, poset, group_budget, orbit_budget)
     except ResourceLimitError:

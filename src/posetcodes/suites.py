@@ -374,15 +374,11 @@ def bounds_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> Su
             minimal_complexity(code, bounds.upper_poset),
             minimal_complexity(code, bounds.lower_poset),
         ]
-        if not bounds.sandwich_ok or bounds.o_p is None:
-            report.ok = False
-            report.counterexample = {
-                "poset": poset.to_json_dict(),
-                "code": code.to_json_dict(),
-                "bounds": bounds.to_json_dict(),
-            }
-            break
-        if walked != [bounds.o_upper, bounds.o_lower]:
+        if (
+            not bounds.sandwich_ok
+            or bounds.o_p is None
+            or walked != [bounds.o_upper, bounds.o_lower]
+        ):
             report.ok = False
             report.counterexample = {
                 "poset": poset.to_json_dict(),

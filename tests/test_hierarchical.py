@@ -96,8 +96,7 @@ def test_cheapest_grouping_profile_can_tie_over_gf2():
 
 
 def test_witness_lies_in_the_triangular_part():
-    # 1 < 3 < 5 and 2 < 4 < 5 is not needed: a three-level poset, labelled
-    # out of order, with a code touching every level.
+    # Three levels labelled out of order, and a code touching every level.
     poset = Poset.from_ranks([2, 0, 1, 0, 2])
     code = LinearCode.from_generators(3, 5, [(1, 2, 0, 1, 1), (0, 1, 1, 2, 0)])
     closed = hierarchical_decomposition(code, poset)
