@@ -9,7 +9,6 @@ import random
 import pytest
 
 from posetcodes import suites
-
 from posetcodes.code import LinearCode, enumerate_codes
 from posetcodes.decomposition import maximal_decomposition
 from posetcodes.errors import ValidationError
@@ -20,7 +19,6 @@ from posetcodes.search import (
     primary_decomposition,
     verify_profile_uniqueness,
 )
-from posetcodes.suites import random_code
 
 # Compositions of 4: every naturally labelled type vector on four points.
 TYPE_VECTORS_4 = [
@@ -64,6 +62,8 @@ def test_every_code_on_every_labelled_hierarchical_poset(q):
 def test_every_code_on_each_natural_type_vector(type_vector):
     poset = Poset.hierarchical(type_vector)
     for code in every_code(2, 4):
+        # The profile check walks the orbit a second time; the other ranges
+        # keep it, and this one stays fast without it.
         check_against_the_walk(code, poset, profile=False)
 
 
@@ -77,7 +77,7 @@ def test_seeded_random_instances():
         poset = Poset.from_ranks([rng.randrange(height) for _ in range(n)])
         if group_size(poset, q) > 1 << 12:
             continue
-        check_against_the_walk(random_code(rng, q, n), poset)
+        check_against_the_walk(suites.random_code(rng, q, n), poset)
         checked += 1
 
 
