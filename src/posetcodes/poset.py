@@ -55,10 +55,7 @@ class Poset:
         The reflexive-transitive closure is taken; inputs whose closure
         violates antisymmetry are rejected as cyclic.
         """
-        if type(n) is not int or n < 1:
-            raise ValidationError(f"ground-set size must be a positive integer, got {n!r}")
-        if n > MAX_GROUND_SET:
-            raise ResourceLimitError(f"ground-set size {n} exceeds supported maximum {MAX_GROUND_SET}")
+        _check_size(n)
         up = [1 << i for i in range(n)]
         for pair in covers:
             try:
@@ -118,13 +115,9 @@ class Poset:
         """Hierarchical poset on [len(ranks)]: i lies below j exactly when
         ``ranks[i-1] < ranks[j-1]``."""
         n = len(ranks)
-        pairs = [
-            (a + 1, b + 1)
-            for a in range(n)
-            for b in range(n)
-            if ranks[a] < ranks[b]
-        ]
-        return cls.from_covers(n, pairs)
+        _check_size(n)
+        up = [sum(1 << b for b in range(n) if b == a or ranks[a] < ranks[b]) for a in range(n)]
+        return cls(n, up)
 
     # -- basic queries ------------------------------------------------
 
@@ -310,6 +303,13 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={self.covers()})"
+
+
+def _check_size(n) -> None:
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"ground-set size must be a positive integer, got {n!r}")
+    if n > MAX_GROUND_SET:
+        raise ResourceLimitError(f"ground-set size {n} exceeds supported maximum {MAX_GROUND_SET}")
 
 
 def _mask_to_set(mask: int) -> frozenset:

@@ -231,6 +231,16 @@ def all_binary_vectors(n):
     return list(product(range(2), repeat=n))
 
 
+def reference_from_ranks(ranks):
+    """The hierarchical poset of ``ranks`` as ``Poset.from_ranks`` first
+    built it: every rank-ordered pair sent through ``from_covers``."""
+    from posetcodes.poset import Poset
+
+    n = len(ranks)
+    pairs = [(a + 1, b + 1) for a in range(n) for b in range(n) if ranks[a] < ranks[b]]
+    return Poset.from_covers(n, pairs)
+
+
 # -- full-enumeration orbit walk ---------------------------------------
 #
 # The orbit loops as the search module first wrote them: every isometry of

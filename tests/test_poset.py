@@ -1,12 +1,18 @@
 import json
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
-from helpers import closure_pairs, longest_chain_heights
+from helpers import closure_pairs, longest_chain_heights, reference_from_ranks
 from posetcodes.errors import ResourceLimitError, ValidationError
-from posetcodes.poset import Poset, all_posets, hierarchical_posets, make_family
+from posetcodes.poset import (
+    MAX_GROUND_SET,
+    Poset,
+    all_posets,
+    hierarchical_posets,
+    make_family,
+)
 
 N_COVERS = [(1, 3), (1, 4), (2, 4)]
 
@@ -175,6 +181,16 @@ def test_make_family(n_poset):
         make_family("hierarchical", type_vector=(2, 0))
     with pytest.raises(ValidationError):
         make_family("grid", n=4)
+
+
+def test_from_ranks_matches_the_closure_of_rank_ordered_pairs():
+    for n in range(1, 6):
+        for ranks in product(range(n), repeat=n):
+            assert Poset.from_ranks(ranks) == reference_from_ranks(ranks), ranks
+    with pytest.raises(ValidationError):
+        Poset.from_ranks(())
+    with pytest.raises(ResourceLimitError):
+        Poset.from_ranks(range(MAX_GROUND_SET + 1))
 
 
 def brute_force_automorphisms(poset):
