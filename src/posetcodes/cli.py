@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 validation error, 2 resource or budget error,
 3 property violation in a verification suite.  Budgets come from flags,
-falling back to POSETCODES_GROUP_BUDGET / POSETCODES_ORBIT_BUDGET /
-POSETCODES_COSET_BUDGET and then to the built-in defaults.  Vectors on
-the command line are comma-separated residues; coordinates are 1-based.
+falling back to POSETCODES_ORBIT_BUDGET / POSETCODES_COSET_BUDGET and then
+to the built-in defaults.  The orbit budget bounds both the codes an orbit
+walk admits and its canonicalisations (20 per code of the budget).
+Vectors on the command line are comma-separated residues; coordinates are
+1-based.
 """
 
 import argparse
@@ -19,7 +21,6 @@ from .code import LinearCode
 from .decomposition import maximal_decomposition
 from .errors import ResourceLimitError, ValidationError
 from .field import parse_vector
-from .isometry import GROUP_BUDGET
 from .metric import min_pdistance, pweight
 from .poset import Poset, make_family
 
@@ -31,7 +32,6 @@ EXIT_VIOLATION = 3
 
 @dataclass
 class RunConfig:
-    group_budget: int
     orbit_budget: int
     coset_budget: int
     seed: int
@@ -39,7 +39,6 @@ class RunConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "group_budget": self.group_budget,
             "orbit_budget": self.orbit_budget,
             "coset_budget": self.coset_budget,
             "seed": self.seed,
@@ -59,9 +58,6 @@ def _env_int(name: str, fallback: int) -> int:
 
 def _config(args) -> RunConfig:
     config = RunConfig(
-        group_budget=args.group_budget
-        if args.group_budget is not None
-        else _env_int("POSETCODES_GROUP_BUDGET", GROUP_BUDGET),
         orbit_budget=args.orbit_budget
         if args.orbit_budget is not None
         else _env_int("POSETCODES_ORBIT_BUDGET", search.DEFAULT_ORBIT_BUDGET),
@@ -71,7 +67,7 @@ def _config(args) -> RunConfig:
         seed=args.seed,
         output_format=args.format,
     )
-    for name in ("group_budget", "orbit_budget", "coset_budget"):
+    for name in ("orbit_budget", "coset_budget"):
         if getattr(config, name) <= 0:
             raise ValidationError(f"{name} must be positive")
     return config
@@ -196,9 +192,7 @@ def cmd_analyze_decompose(args) -> int:
     code = load_code(args.code)
     config = _config(args)
     if args.primary:
-        pd = search.primary_decomposition(
-            code, poset, config.group_budget, config.orbit_budget
-        )
+        pd = search.primary_decomposition(code, poset, orbit_budget=config.orbit_budget)
         payload = {"config": config.to_json_dict(), "primary": pd.to_json_dict()}
         emit(
             args,
@@ -229,9 +223,7 @@ def cmd_analyze_bounds(args) -> int:
     poset = load_poset(args.poset)
     code = load_code(args.code)
     config = _config(args)
-    bounds = search.hierarchy_bounds(
-        code, poset, config.group_budget, config.orbit_budget
-    )
+    bounds = search.hierarchy_bounds(code, poset, orbit_budget=config.orbit_budget)
     payload = {"config": config.to_json_dict(), "bounds": bounds.to_json_dict()}
     emit(
         args,
@@ -253,7 +245,7 @@ def cmd_decode(args) -> int:
     poset = load_poset(args.poset)
     code = load_code(args.code)
     config = _config(args)
-    pd = search.primary_decomposition(code, poset, config.group_budget, config.orbit_budget)
+    pd = search.primary_decomposition(code, poset, orbit_budget=config.orbit_budget)
     table = decoder.build_table(pd, poset, config.coset_budget)
     stats = decoder.table_stats(table)
     if args.stats_only:
@@ -358,7 +350,6 @@ def _add_common_options(parser, suppress: bool) -> None:
         default=defaults if suppress else "text",
     )
     parser.add_argument("--seed", type=int, default=defaults if suppress else 1)
-    parser.add_argument("--group-budget", type=int, default=defaults)
     parser.add_argument("--orbit-budget", type=int, default=defaults)
     parser.add_argument("--coset-budget", type=int, default=defaults)
 

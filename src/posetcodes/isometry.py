@@ -16,7 +16,6 @@ from .field import FieldSpec
 from .metric import pweight
 from .poset import Poset
 
-GROUP_BUDGET = 10**7
 VERIFY_BUDGET = 1 << 20
 
 

@@ -21,10 +21,14 @@ from .decomposition import (
     min_grouping_complexity,
 )
 from .errors import ResourceLimitError, ValidationError
-from .isometry import GROUP_BUDGET, PIsometry, _eye, group_size
+from .isometry import PIsometry, _eye
 from .poset import Poset
 
 DEFAULT_ORBIT_BUDGET = 10**5
+# Canonicalisations a walk may spend per code of its orbit budget.  The
+# default walks of the tests and the benchmark make at most about 3,000; at
+# 10 a budget-cut walk of the tests would stop before its code count does.
+CANONICALISATIONS_PER_CODE = 20
 
 
 @dataclass(frozen=True)
@@ -97,25 +101,44 @@ class ProfileUniquenessReport:
         }
 
 
-def _delta_generators(poset: Poset, q: int) -> list:
+def _delta_generators(n: int, q: int, strict: list):
     """Generators of the triangular part as elementary operations ``(i, j, c)``
     on 0-based coordinates, each mapping x to x + c * x_j * e_i: diagonal
-    scalings (i = j, factor 1 + c), then additions along strict relations by
-    column descending, row ascending, coefficient ascending.  In this order
-    the walk from the all-ones code on a chain first reaches the folded code
-    through the paper's fold map."""
-    n = poset.n
-    gens = [(i, i, scale - 1) for scale in range(2, q) for i in range(n)]
-    for j in range(n - 1, -1, -1):
+    scalings (i = j, factor 1 + c), then additions along the ``strict``
+    relations i below j, listed by column descending and row ascending, by
+    coefficient ascending.  In this order the walk from the all-ones code on
+    a chain first reaches the folded code through the paper's fold map.
+    They are yielded, not listed: over a large field they number millions."""
+    for c in range(1, q - 1):
         for i in range(n):
-            if i != j and poset.leq(i + 1, j + 1):
-                gens.extend((i, j, c) for c in range(1, q))
-    return gens
+            yield i, i, c
+    for i, j in strict:
+        for c in range(1, q):
+            yield i, j, c
 
 
-def _admit(seen: set, image: LinearCode, orbit_budget: int) -> bool:
-    """Add an image not seen before to ``seen``; False for a repeat."""
+class _Seen(set):
+    """The codes a walk has admitted, and the number of canonicalised
+    images handed to ``_admit``, admitted or not."""
+
+    canonicalised = 0
+
+
+def _admit(seen: _Seen, image: LinearCode, orbit_budget: int) -> bool:
+    """Add an image not seen before to ``seen``; False for a repeat.
+
+    The orbit budget bounds the walk's work as well as its codes: a new
+    image past ``orbit_budget`` codes stops the walk, and so does a repeat
+    past CANONICALISATIONS_PER_CODE * ``orbit_budget`` canonicalisations.
+    """
+    seen.canonicalised += 1
     if image in seen:
+        cap = CANONICALISATIONS_PER_CODE * orbit_budget
+        if seen.canonicalised > cap:
+            raise ResourceLimitError(
+                f"orbit walk exceeds budget of {cap} canonicalisations"
+                f" after admitting {len(seen)} codes"
+            )
         return False
     if len(seen) >= orbit_budget:
         raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes")
@@ -123,19 +146,24 @@ def _admit(seen: set, image: LinearCode, orbit_budget: int) -> bool:
     return True
 
 
-def _delta_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
+def _delta_walk(code: LinearCode, poset: Poset, seen: _Seen, orbit_budget: int):
     """Breadth-first walk of the code's orbit under the triangular part:
     each code that ``_admit`` adds to ``seen``, starting with the code
     itself, with the generator that first reached it times its parent's
     matrix."""
     q, n = code.q, code.n
-    gens = _delta_generators(poset, q)
+    strict = [
+        (i, j)
+        for j in range(n - 1, -1, -1)
+        for i in range(n)
+        if i != j and poset.leq(i + 1, j + 1)
+    ]
     eye = _eye(n)
     _admit(seen, code, orbit_budget)
     yield code, eye
     queue = [(code, eye)]
     for current, matrix in queue:
-        for i, j, c in gens:
+        for i, j, c in _delta_generators(n, q, strict):
             rows = [list(row) for row in current.generators]
             for row in rows:
                 row[i] = (row[i] + c * row[j]) % q
@@ -183,7 +211,7 @@ def _permute(code: LinearCode, sigma: tuple) -> LinearCode:
     return LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
 
 
-def _orbit(code: LinearCode, poset: Poset, group_budget: int, orbit_budget: int):
+def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
     """Each distinct image of the code with the automorphism and triangular
     matrix reaching it: the triangular walk under the identity, then that
     walk permuted by each further automorphism in lexicographic order, since
@@ -197,17 +225,15 @@ def _orbit(code: LinearCode, poset: Poset, group_budget: int, orbit_budget: int)
     of sigma(C): a new code opens a block, walked in triangular order, and a
     code in the block of rep adds rep^-1 * sigma to H, which at least
     doubles it.  The yielded sequence is the one that permuting every
-    triangular image by every automorphism gives."""
+    triangular image by every automorphism gives.
+
+    The automorphisms are listed first, so a poset beyond their search
+    stops the walk before any image; ``_admit`` bounds the rest."""
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
-    size = group_size(poset, code.q)
-    if size > group_budget:
-        raise ResourceLimitError(
-            f"isometry group of size {size} exceeds budget {group_budget}"
-        )
     automorphisms = poset.automorphisms()
     identity = automorphisms[0]
-    seen = set()
+    seen = _Seen()
     block_of = {}  # orbit code -> representative of its block
     delta_orbit = []
     for image, matrix in _delta_walk(code, poset, seen, orbit_budget):
@@ -241,23 +267,17 @@ def _orbit(code: LinearCode, poset: Poset, group_budget: int, orbit_budget: int)
 
 
 def orbit_codes(
-    code: LinearCode,
-    poset: Poset,
-    group_budget: int = GROUP_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
+    code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> dict:
     """Distinct orbit codes in walk order, each mapped to the isometry reaching it."""
     return {
         image: PIsometry(poset, code.q, sigma, matrix)
-        for image, sigma, matrix in _orbit(code, poset, group_budget, orbit_budget)
+        for image, sigma, matrix in _orbit(code, poset, orbit_budget)
     }
 
 
 def primary_decomposition(
-    code: LinearCode,
-    poset: Poset,
-    group_budget: int = GROUP_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
+    code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> PDecomposition:
     """A decomposition of minimal complexity over the whole orbit.
 
@@ -272,7 +292,7 @@ def primary_decomposition(
         return PDecomposition(witness, cheapest_grouping(image), value, proven_minimal)
 
     try:
-        for image, sigma, matrix in _orbit(code, poset, group_budget, orbit_budget):
+        for image, sigma, matrix in _orbit(code, poset, orbit_budget):
             key = (min_grouping_complexity(image), image.generators)
             if best is None or key < best[0]:
                 best = (key, image, sigma, matrix)
@@ -284,19 +304,18 @@ def primary_decomposition(
 
 
 def minimal_complexity(
-    code: LinearCode,
-    poset: Poset,
-    group_budget: int = GROUP_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
+    code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> int:
-    return primary_decomposition(code, poset, group_budget, orbit_budget).complexity
+    return primary_decomposition(code, poset, orbit_budget=orbit_budget).complexity
 
 
 # -- irreducibility and profile uniqueness ---------------------------
 
 
 @lru_cache(maxsize=4096)  # bounded, as a long-lived process calls it without end
-def is_p_irreducible(code: LinearCode, poset: Poset, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> bool:
+def is_p_irreducible(
+    code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
+) -> bool:
     """True when no orbit code splits into several components or occupies a
     smaller support.
 
@@ -308,7 +327,7 @@ def is_p_irreducible(code: LinearCode, poset: Poset, orbit_budget: int = DEFAULT
     full = frozenset(range(1, n + 1))
     if code.support() != full:
         raise ValidationError("irreducibility expects a code with full support")
-    for image, _ in _delta_walk(code, poset, set(), orbit_budget):
+    for image, _ in _delta_walk(code, poset, _Seen(), orbit_budget):
         if len(image.support()) < n or len(_row_groups(image)) > 1:
             return False
     return True
@@ -325,17 +344,14 @@ def _irreducible_components(dec: Decomposition, poset: Poset) -> bool:
 
 
 def verify_profile_uniqueness(
-    code: LinearCode,
-    poset: Poset,
-    group_budget: int = GROUP_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
+    code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> ProfileUniquenessReport:
     """Scan the orbit and check that every maximal decomposition carries the
     same canonical profile."""
     orbit_size = 0
     candidates = 0
     profiles = {}
-    for image, _, _ in _orbit(code, poset, group_budget, orbit_budget):
+    for image, _, _ in _orbit(code, poset, orbit_budget):
         orbit_size += 1
         dec = maximal_decomposition(image)
         if _irreducible_components(dec, poset):
@@ -451,10 +467,7 @@ def hierarchical_decomposition(code: LinearCode, poset: Poset) -> PDecomposition
 
 
 def hierarchy_bounds(
-    code: LinearCode,
-    poset: Poset,
-    group_budget: int = GROUP_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
+    code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> BoundsReport:
     """Minimal complexities for the hierarchical neighbours, sandwiching the
     poset's own value.
@@ -475,7 +488,7 @@ def hierarchy_bounds(
     upper = upper_neighbour(poset)
     lower = Poset.from_ranks(blocks)
     try:
-        o_p = minimal_complexity(code, poset, group_budget, orbit_budget)
+        o_p = minimal_complexity(code, poset, orbit_budget=orbit_budget)
     except ResourceLimitError:
         o_p = None
     return BoundsReport(upper, lower, o_upper, o_lower, o_p)
@@ -485,26 +498,18 @@ def hierarchy_bounds(
 
 
 def monotonicity_check(
-    code: LinearCode,
-    finer: Poset,
-    coarser: Poset,
-    group_budget: int = GROUP_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
+    code: LinearCode, finer: Poset, coarser: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> bool:
     """Minimal complexity may only drop when the poset gains relations."""
     if not finer.is_finer_than(coarser):
         raise ValidationError("first poset must be finer than the second")
-    o_coarse = minimal_complexity(code, coarser, group_budget, orbit_budget)
-    o_fine = minimal_complexity(code, finer, group_budget, orbit_budget)
+    o_coarse = minimal_complexity(code, coarser, orbit_budget=orbit_budget)
+    o_fine = minimal_complexity(code, finer, orbit_budget=orbit_budget)
     return o_coarse <= o_fine
 
 
 def witness_refinement(
-    finer: Poset,
-    coarser: Poset,
-    q: int = 2,
-    group_budget: int = GROUP_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
+    finer: Poset, coarser: Poset, q: int = 2, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ):
     """First code (by dimension, then canonical generator matrix) whose
     primary decomposition strictly improves when the order grows.
@@ -517,8 +522,8 @@ def witness_refinement(
     n = finer.n
     for k in range(1, n + 1):
         for code in enumerate_codes(q, n, k):
-            pd_fine = primary_decomposition(code, finer, group_budget, orbit_budget)
-            pd_coarse = primary_decomposition(code, coarser, group_budget, orbit_budget)
+            pd_fine = primary_decomposition(code, finer, orbit_budget=orbit_budget)
+            pd_coarse = primary_decomposition(code, coarser, orbit_budget=orbit_budget)
             if pd_coarse.complexity < pd_fine.complexity:
                 return code
             part_coarse = pd_coarse.dec.partition()

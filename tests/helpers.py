@@ -370,25 +370,30 @@ def reference_profile_uniqueness(code, poset):
     )
 
 
-def reference_orbit_walk(code, poset, group_budget=10**7, orbit_budget=10**5):
+def reference_orbit_walk(code, poset, orbit_budget=10**5):
     """The orbit walk's items ``(image, sigma, matrix)`` as the search
     module first streamed them: the triangular walk, then every triangular
     image permuted by every further automorphism in lexicographic order,
-    each canonicalised and kept when new."""
+    each canonicalised and kept when new.  Only the triangular walk counts
+    canonicalisations against the budget; permuting every image takes far
+    more of them than the production walk, so the permutation step counts
+    codes alone."""
     from posetcodes.code import LinearCode, rref
     from posetcodes.errors import ResourceLimitError, ValidationError
-    from posetcodes.isometry import group_size
-    from posetcodes.search import _admit, _delta_walk
+    from posetcodes.search import _delta_walk, _Seen
+
+    def admit(seen, image):
+        if image in seen:
+            return False
+        if len(seen) >= orbit_budget:
+            raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes")
+        seen.add(image)
+        return True
 
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
-    size = group_size(poset, code.q)
-    if size > group_budget:
-        raise ResourceLimitError(
-            f"isometry group of size {size} exceeds budget {group_budget}"
-        )
     identity, *others = poset.automorphisms()
-    seen = set()
+    seen = _Seen()
     delta_orbit = []
     for image, matrix in _delta_walk(code, poset, seen, orbit_budget):
         delta_orbit.append((image, matrix))
@@ -397,7 +402,7 @@ def reference_orbit_walk(code, poset, group_budget=10**7, orbit_budget=10**5):
         for image, matrix in delta_orbit:
             rows = [[row[s - 1] for s in sigma] for row in image.generators]
             permuted = LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
-            if _admit(seen, permuted, orbit_budget):
+            if admit(seen, permuted):
                 yield permuted, sigma, matrix
 
 

@@ -132,7 +132,7 @@ def test_analyze_bounds(files, capsys):
     assert data["sandwich_ok"]
 
 
-@pytest.mark.parametrize("budget", ["--orbit-budget", "--group-budget"])
+@pytest.mark.parametrize("budget", ["--orbit-budget"])
 def test_analyze_bounds_budgets_bound_only_the_poset_value(files, capsys, budget):
     """The neighbour values come from the closed form, so a walk budget
     leaves them exact and turns only o_p into null."""
@@ -338,7 +338,7 @@ def test_verify_neighbours_does_not_clamp_n():
 def test_resource_exit_code(files, capsys):
     code, _, err = run(
         capsys,
-        ["--group-budget", "1", "analyze", "decompose", "--primary", files["chain4"], files["r4"]],
+        ["--orbit-budget", "1", "analyze", "decompose", "--primary", files["chain4"], files["r4"]],
     )
     assert code == 2
     assert "budget" in err
@@ -347,17 +347,51 @@ def test_resource_exit_code(files, capsys):
 def test_budget_validation(files, capsys):
     code, _, err = run(
         capsys,
-        ["--group-budget", "-5", "analyze", "decompose", "--primary", files["chain4"], files["r4"]],
+        ["--orbit-budget", "-5", "analyze", "decompose", "--primary", files["chain4"], files["r4"]],
     )
     assert code == 1
 
 
+def test_group_budget_option_is_gone(files):
+    result = run_process(
+        ["--group-budget", "5", "analyze", "decompose", "--primary", files["chain4"], files["r4"]]
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+
+
 def test_env_budget_override(files, capsys, monkeypatch):
-    monkeypatch.setenv("POSETCODES_GROUP_BUDGET", "1")
+    monkeypatch.setenv("POSETCODES_ORBIT_BUDGET", "1")
     code, _, err = run(
         capsys, ["analyze", "decompose", "--primary", files["chain4"], files["r4"]]
     )
     assert code == 2
+
+
+def test_walk_is_not_refused_for_its_group_size(tmp_path):
+    """|G| = 9.2e8 on chain:6 over GF(3), yet this orbit has 81 codes."""
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({"q": 3, "n": 6, "generators": [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]}))
+    result = run_process(["analyze", "decompose", "--primary", "chain:6", str(code)])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "complexity = 1"
+
+
+def test_orbit_budget_bounds_the_walks_canonicalisations(tmp_path):
+    """The full space is its own orbit, but over GF(1,048,573) its walk
+    would apply 6.3 million generators; an orbit budget of 10 codes stops
+    it after 200 canonicalisations."""
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({"q": 1048573, "n": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    result = run_process(["--orbit-budget", "10", "analyze", "decompose", "--primary", "chain:3", str(code)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[0] == (
+        "budget exceeded: orbit walk exceeds budget of 200 canonicalisations after admitting 1 codes"
+    )
+    assert not json.loads(result.stderr.split("\n", 1)[1])["partial"]["proven_minimal"]
 
 
 def test_json_outputs_round_trip(files, capsys):

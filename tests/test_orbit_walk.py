@@ -26,7 +26,7 @@ from posetcodes import search
 from posetcodes.code import LinearCode, enumerate_codes, rref
 from posetcodes.decomposition import maximal_decomposition, min_grouping_complexity
 from posetcodes.errors import ResourceLimitError
-from posetcodes.isometry import GROUP_BUDGET, group_size
+from posetcodes.isometry import group_size
 from posetcodes.poset import Poset
 from posetcodes.search import (
     is_p_irreducible,
@@ -215,11 +215,11 @@ def test_walk_sequence_matches_permuting_every_code(instances):
     for poset, code in instances:
         full, message = _walk(reference_orbit_walk(code, poset))
         assert message is None
-        assert _walk(search._orbit(code, poset, GROUP_BUDGET, 10**5)) == (full, None)
+        assert _walk(search._orbit(code, poset, 10**5)) == (full, None)
         for budget in _cut_budgets(full):
             want = _walk(reference_orbit_walk(code, poset, orbit_budget=budget))
             assert want == (full[:budget], f"orbit exceeds budget of {budget} codes")
-            assert _walk(search._orbit(code, poset, GROUP_BUDGET, budget)) == want
+            assert _walk(search._orbit(code, poset, budget)) == want
             cuts_inside += full[budget - 1][1] == full[budget][1]
     assert cuts_inside > 0
 
@@ -258,9 +258,9 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
         codes = _code_slice(2, n, 40 if n == 6 else 10**6)  # every code for n < 6
         for code in codes:
             calls = 0
-            orbit = list(search._orbit(code, poset, GROUP_BUDGET, 10**5))
+            orbit = list(search._orbit(code, poset, 10**5))
             assert calls <= len(orbit) + bound, (code, calls, len(orbit))
     calls = 0
     pair = LinearCode.from_generators(2, 6, [(1, 1, 0, 0, 0, 0)])
-    orbit = list(search._orbit(pair, Poset.antichain(6), GROUP_BUDGET, 10**5))
+    orbit = list(search._orbit(pair, Poset.antichain(6), 10**5))
     assert (len(orbit), calls) == (15, 18)

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import posetcodes
 
 from posetcodes.code import LinearCode
 from posetcodes.decomposition import maximal_decomposition
@@ -102,6 +108,47 @@ def test_irreducibility():
     assert not is_p_irreducible(split, Poset.antichain(2))
     with pytest.raises(ValidationError):
         is_p_irreducible(LinearCode.from_generators(2, 2, [(1, 0)]), Poset.antichain(2))
+
+
+def test_irreducibility_walk_is_bounded_by_its_canonicalisations():
+    """The one-point full space over GF(1,048,573) is irreducible and its
+    own orbit, but its walk would try a million scalings; an orbit budget
+    of 10 codes stops it after 200.  In a child process, so that a hang
+    fails the test instead of stalling it."""
+    script = (
+        "from posetcodes.code import LinearCode\n"
+        "from posetcodes.poset import Poset\n"
+        "from posetcodes.search import is_p_irreducible\n"
+        "code = LinearCode.from_generators(1048573, 1, [(1,)])\n"
+        "is_p_irreducible(code, Poset.chain(1), orbit_budget=10)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(posetcodes.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=20, env=env
+    )
+    assert result.returncode != 0
+    assert result.stderr.splitlines()[-1] == (
+        "posetcodes.errors.ResourceLimitError: orbit walk exceeds budget of 200"
+        " canonicalisations after admitting 1 codes"
+    )
+
+
+def test_orbit_budget_is_keyword_only():
+    """A third positional argument was once the group budget; it must fail
+    rather than become an orbit budget."""
+    chain = Poset.chain(4)
+    for function, args in [
+        (orbit_codes, (R4, chain)),
+        (primary_decomposition, (R4, chain)),
+        (minimal_complexity, (R4, chain)),
+        (is_p_irreducible, (R4, chain)),
+        (verify_profile_uniqueness, (R4, chain)),
+        (hierarchy_bounds, (R4, N_POSET)),
+        (monotonicity_check, (R4, Poset.antichain(4), chain)),
+        (witness_refinement, (Poset.antichain(2), Poset.chain(2), 2)),
+    ]:
+        with pytest.raises(TypeError):
+            function(*args, 10**7)
 
 
 def test_irreducibility_cache_is_bounded():
