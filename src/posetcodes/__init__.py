@@ -21,7 +21,6 @@ from .decoder import (
     agreement_rate,
     build_table,
     decode,
-    nearest_codeword_oracle,
     table_stats,
 )
 from .errors import ResourceLimitError, ValidationError
@@ -83,7 +82,6 @@ __all__ = [
     "min_pdistance",
     "minimal_complexity",
     "monotonicity_check",
-    "nearest_codeword_oracle",
     "orbit_codes",
     "pdist",
     "primary_decomposition",

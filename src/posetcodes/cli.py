@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 validation error, 2 resource or budget error,
 3 property violation in a verification suite.  Budgets come from flags,
 falling back to POSETCODES_ORBIT_BUDGET / POSETCODES_COSET_BUDGET and then
 to the built-in defaults.  The orbit budget bounds both the codes an orbit
-walk admits and its canonicalisations (20 per code of the budget).
+walk admits and its canonicalisations (20 per code of the budget); the
+coset budget bounds the q^(n_i) vectors a table build scans for each
+component.  ``verify`` runs its suites at their own budgets, so it refuses
+both budget flags.
 Vectors on the command line are comma-separated residues; coordinates are
 1-based.
 """
@@ -313,6 +316,8 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.orbit_budget is not None or args.coset_budget is not None:
+        raise ValidationError("verify takes no --orbit-budget or --coset-budget")
     report = VERIFY_SUITES[args.suite](args)
     payload = report.to_json_dict()
     emit(

@@ -145,8 +145,9 @@ class LinearCode:
         for row in self.generators:
             if any(row[j - 1] for j in outside):
                 raise ValidationError("code is not supported inside the given coordinates")
-        rows = [tuple(row[j - 1] for j in sub) for row in self.generators]
-        return LinearCode.from_generators(self.q, len(sub), rows)
+        rows = tuple(tuple(row[j - 1] for j in sub) for row in self.generators)
+        pivots = tuple(sub.index(p) + 1 for p in self.pivots)
+        return LinearCode(self.q, len(sub), rows, pivots)
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "n": self.n, "generators": [list(r) for r in self.generators]}

@@ -10,13 +10,11 @@ linear extension, hence invertible.
 
 from itertools import product
 
-from .code import LinearCode, rref
-from .errors import ValidationError
+from .code import ENUMERATION_BUDGET, LinearCode, rref
+from .errors import ResourceLimitError, ValidationError
 from .field import FieldSpec
 from .metric import pweight
 from .poset import Poset
-
-VERIFY_BUDGET = 1 << 20
 
 
 def _eye(n: int) -> tuple:
@@ -139,35 +137,22 @@ def apply_matrix(q: int, rows, x) -> tuple:
     return tuple(sum(a * v for a, v in zip(row, x)) % q for row in rows)
 
 
-def verify_isometry(
-    poset: Poset,
-    q: int,
-    matrix_rows,
-    budget: int = VERIFY_BUDGET,
-    samples: int = 512,
-    seed: int = 0,
-) -> bool:
-    """Check an arbitrary linear map for invertibility and weight preservation.
-
-    Exhaustive over GF(q)^n when that fits the budget, sampled otherwise.
-    """
+def verify_isometry(poset: Poset, q: int, matrix_rows) -> bool:
+    """Check an arbitrary linear map for invertibility and weight
+    preservation on every vector of GF(q)^n; a space of more than
+    ``ENUMERATION_BUDGET`` vectors is refused before the check starts."""
     field = FieldSpec(q)
     n = poset.n
     rows = tuple(tuple(field.normalize(v) for v in row) for row in matrix_rows)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValidationError(f"matrix must be {n}x{n}")
+    if q**n > ENUMERATION_BUDGET:
+        raise ResourceLimitError(
+            f"isometry check over {q}^{n} vectors exceeds budget {ENUMERATION_BUDGET}"
+        )
     if matrix_rank(q, rows) != n:
         return False
-    if q**n <= budget:
-        vectors = product(range(q), repeat=n)
-    else:
-        import random
-
-        rng = random.Random(seed)
-        vectors = (
-            tuple(rng.randrange(q) for _ in range(n)) for _ in range(samples)
-        )
-    for x in vectors:
+    for x in product(range(q), repeat=n):
         if pweight(poset, apply_matrix(q, rows, x)) != pweight(poset, x):
             return False
     return True

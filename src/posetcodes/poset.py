@@ -167,9 +167,6 @@ class Poset:
     def type_vector(self) -> tuple:
         return self.level_structure().type_vector
 
-    def height(self) -> int:
-        return len(self.level_structure().levels)
-
     def level_structure(self) -> LevelStructure:
         if self._levels is None:
             n = self.n
@@ -246,13 +243,11 @@ class Poset:
             self._check_element(i)
         if not sub:
             raise ValidationError("cannot restrict to an empty coordinate set")
-        pairs = [
-            (a + 1, b + 1)
-            for a, i in enumerate(sub)
-            for b, j in enumerate(sub)
-            if i != j and self._up[i - 1] >> (j - 1) & 1
+        up = [
+            sum(1 << b for b, j in enumerate(sub) if self._up[i - 1] >> (j - 1) & 1)
+            for i in sub
         ]
-        return Poset.from_covers(len(sub), pairs)
+        return Poset(len(sub), up)
 
     # -- Hasse diagram and serialization --------------------------------
 

@@ -231,6 +231,36 @@ def all_binary_vectors(n):
     return list(product(range(2), repeat=n))
 
 
+def reference_poset_restrict(poset, coords):
+    """The induced subposet as ``Poset.restrict`` first built it: every
+    related pair of ``coords``, relabelled, sent through ``from_covers``."""
+    from posetcodes.poset import Poset
+
+    sub = sorted(set(coords))
+    pairs = [
+        (a + 1, b + 1)
+        for a, i in enumerate(sub)
+        for b, j in enumerate(sub)
+        if i != j and poset.leq(i, j)
+    ]
+    return Poset.from_covers(len(sub), pairs)
+
+
+def reference_code_restrict(code, coords):
+    """The code on ``coords`` as ``LinearCode.restrict`` first built it: the
+    generator rows cut to ``coords`` and reduced again by ``from_generators``."""
+    from posetcodes.code import LinearCode
+    from posetcodes.errors import ValidationError
+
+    sub = sorted(set(coords))
+    outside = [j for j in range(1, code.n + 1) if j not in set(sub)]
+    for row in code.generators:
+        if any(row[j - 1] for j in outside):
+            raise ValidationError("code is not supported inside the given coordinates")
+    rows = [tuple(row[j - 1] for j in sub) for row in code.generators]
+    return LinearCode.from_generators(code.q, len(sub), rows)
+
+
 def reference_from_ranks(ranks):
     """The hierarchical poset of ``ranks`` as ``Poset.from_ranks`` first
     built it: every rank-ordered pair sent through ``from_covers``."""
@@ -345,8 +375,8 @@ def reference_profile_uniqueness(code, poset):
         dec = reference_maximal_decomposition(image)
         if all(
             reference_is_p_irreducible(
-                comp.restrict(sorted(comp.support())),
-                poset.restrict(sorted(comp.support())),
+                reference_code_restrict(comp, comp.support()),
+                reference_poset_restrict(poset, comp.support()),
             )
             for comp in dec.components
         ):
@@ -406,11 +436,65 @@ def reference_orbit_walk(code, poset, orbit_budget=10**5):
                 yield permuted, sigma, matrix
 
 
+# -- exhaustive decoding ------------------------------------------------
+
+ORACLE_BUDGET = 1 << 16
+
+
+def nearest_codeword_oracle(code, poset, y):
+    """Exact minimum-distance decoding by full enumeration; ties are broken
+    towards the lexicographically smallest error pattern.  Returns
+    (codeword, distance)."""
+    from posetcodes.errors import ResourceLimitError, ValidationError
+    from posetcodes.metric import pweight
+
+    if poset.n != code.n:
+        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    if code.size() > ORACLE_BUDGET:
+        raise ResourceLimitError(
+            f"oracle enumeration of {code.q}^{code.k} codewords exceeds budget"
+        )
+    if len(y) != code.n:
+        raise ValidationError(f"expected vector of length {code.n}, got {len(y)}")
+    q = code.q
+    best = None
+    for word in code.codewords():
+        error = tuple((v - w) % q for v, w in zip(y, word))
+        candidate = (pweight(poset, error), error, word)
+        if best is None or candidate < best:
+            best = candidate
+    distance, _, word = best
+    return word, distance
+
+
+def reference_table_leaders(pd, poset):
+    """Each component's (support, leaders) as ``build_table`` first found
+    them: every vector of the support space enumerated, the least weight
+    per syndrome kept, ties to the lexicographically smallest vector."""
+    from posetcodes.metric import support_mask, weight_table
+
+    q = pd.dec.code.q
+    out = []
+    for comp in pd.dec.components:
+        coords = tuple(sorted(comp.support()))
+        parity = reference_code_restrict(comp, coords).parity_check()
+        weights = weight_table(reference_poset_restrict(poset, coords))
+        leaders = {}
+        for vec in product(range(q), repeat=len(coords)):
+            syndrome = parity.syndrome(vec)
+            w = weights[support_mask(vec)]
+            known = leaders.get(syndrome)
+            if known is None or w < known[0]:
+                leaders[syndrome] = (w, vec)
+        out.append((coords, {syndrome: vec for syndrome, (w, vec) in leaders.items()}))
+    return out
+
+
 def reference_agreement_rate(table, code, poset):
     """The agreement rate as the decoder module first measured it: every
     received word decoded and compared with the exhaustive oracle's
     distance, q^n * q^k codeword visits in total."""
-    from posetcodes.decoder import decode, nearest_codeword_oracle
+    from posetcodes.decoder import decode
     from posetcodes.metric import pweight
 
     q = code.q

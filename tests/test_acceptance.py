@@ -13,6 +13,7 @@ from helpers import (
     brute_force_finest_partition,
     grouping_minimum,
     hierarchical_weight,
+    nearest_codeword_oracle,
 )
 from posetcodes.code import LinearCode
 from posetcodes.decomposition import (
@@ -24,7 +25,6 @@ from posetcodes.decoder import (
     agreement_rate,
     build_table,
     decode,
-    nearest_codeword_oracle,
     table_stats,
 )
 from posetcodes.isometry import PIsometry, verify_isometry

@@ -191,6 +191,27 @@ def test_decode_stats_only(files, capsys):
     assert stats["matches_complexity"]
 
 
+def test_decode_refuses_a_table_scan_above_the_coset_budget(tmp_path):
+    """One coset over GF(10007), but 10007^2 vectors to scan for it."""
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"q": 10007, "n": 2, "generators": [[1, 0], [0, 1]]}))
+    result = run_process(["decode", "chain:2", str(full), "--stats-only"], timeout=10)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("budget exceeded: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("after_suite", [False, True], ids=["before", "after"])
+@pytest.mark.parametrize("flag", ["--orbit-budget", "--coset-budget"])
+def test_verify_rejects_budget_flags(capsys, flag, after_suite):
+    suite = ["verify", "partition", "--n", "2"]
+    argv = suite + [flag, "1"] if after_suite else [flag, "1"] + suite
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_partition(capsys):
     code, out, _ = run(capsys, ["verify", "partition", "--n", "3"])
     assert code == 0

@@ -1,11 +1,13 @@
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from helpers import reference_code_restrict
 from posetcodes.code import LinearCode, enumerate_codes, rref
 from posetcodes.errors import ResourceLimitError, ValidationError
+from posetcodes.suites import random_code
 
 
 def test_from_generators_examples():
@@ -151,3 +153,19 @@ def test_enumerate_codes_counts():
     assert all(c.k == 2 for c in catalog)
     assert len(list(enumerate_codes(2, 4, 1))) == 15
     assert len(list(enumerate_codes(3, 3, 1))) == 13
+
+
+def test_restrict_matches_the_reference_on_supersets_of_the_support():
+    rng = random.Random(29)
+    for _ in range(60):
+        q = rng.choice((2, 3, 5))
+        n = rng.randint(1, 6)
+        code = random_code(rng, q, n)
+        supp = code.support()
+        rest = [j for j in range(1, n + 1) if j not in supp]
+        for size in range(len(rest) + 1):
+            for extra in combinations(rest, size):
+                coords = sorted(supp | set(extra))
+                local = code.restrict(coords)
+                expected = reference_code_restrict(code, coords)
+                assert (local, local.pivots) == (expected, expected.pivots)

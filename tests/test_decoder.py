@@ -1,4 +1,3 @@
-import json
 import random
 from itertools import product
 
@@ -10,8 +9,6 @@ from posetcodes.decoder import (
     agreement_rate,
     build_table,
     decode,
-    nearest_codeword_oracle,
-    pack_vector,
     table_stats,
 )
 from posetcodes.errors import ResourceLimitError, ValidationError
@@ -20,7 +17,13 @@ from posetcodes.poset import Poset
 from posetcodes.search import PDecomposition, primary_decomposition
 from posetcodes.suites import random_code, random_poset
 
-from helpers import reference_agreement_rate
+from helpers import (
+    nearest_codeword_oracle,
+    reference_agreement_rate,
+    reference_code_restrict,
+    reference_poset_restrict,
+    reference_table_leaders,
+)
 
 N_POSET = Poset.from_covers(4, [(1, 3), (1, 4), (2, 4)])
 R4 = LinearCode.from_generators(2, 4, [(1, 1, 1, 1)])
@@ -202,25 +205,89 @@ def test_coset_budget():
         build_table(pd, anti, coset_budget=16)
 
 
-def test_table_json_export():
-    anti = Poset.antichain(4)
-    table = build_table(identity_pd(R4, anti), anti)
-    doc = table.to_json_dict()
-    assert doc["total_entries"] == 8
-    assert len(doc["components"]) == 1
-    entries = doc["components"][0]["entries"]
-    assert len(entries) == 8
-    assert all(len(leader) == 4 for leader in entries.values())
-    json.dumps(doc)
-
-
-def test_pack_vector():
-    assert pack_vector((1, 0, 2, 11)) == "102b"
-    assert pack_vector(()) == ""
-
-
 def test_decode_length_validation():
     anti = Poset.antichain(4)
     table = build_table(identity_pd(R4, anti), anti)
     with pytest.raises(ValidationError):
         decode(table, (1, 0))
+
+
+def tier1_tables():
+    """(table, poset) for every table the tier-1 tests build: this file's,
+    the acceptance tests' and the in-process CLI tests'."""
+    chain4, anti4 = Poset.chain(4), Poset.antichain(4)
+    hier5 = Poset.hierarchical((2, 3))
+    mixed = Poset.from_covers(5, [(1, 3), (2, 3), (2, 5), (4, 5)])
+    pair = LinearCode.from_generators(2, 4, [(0, 1, 0, 0), (0, 0, 0, 1)])
+    code5 = LinearCode.from_generators(2, 5, [(1, 1, 0, 0, 0), (0, 0, 1, 1, 1)])
+    ones5 = LinearCode.from_generators(2, 5, [(1, 1, 1, 1, 1)])
+    tangled = LinearCode.from_generators(2, 5, [(1, 0, 1, 1, 0), (0, 1, 1, 0, 1)])
+    d_code = LinearCode.from_generators(2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    primaries = [(R4, chain4), (R4, anti4), (pair, chain4), (code5, hier5)]
+    rng = random.Random(51)
+    for _ in range(10):
+        poset = random_poset(rng, 4)
+        primaries.append((random_code(rng, 2, 4), poset))
+    for code, poset in primaries:
+        yield build_table(primary_decomposition(code, poset), poset), poset
+    identities = [
+        (R4, chain4),
+        (R4, anti4),
+        (R4, N_POSET),
+        (LinearCode.from_generators(2, 4, [(1, 0, 1, 1), (0, 1, 1, 0)]), N_POSET),
+        (LinearCode.from_generators(3, 2, [(1, 2)]), Poset.chain(2)),
+        (ones5, Poset.chain(5)),
+        (ones5, Poset.antichain(5)),
+        (ones5, hier5),
+        (tangled, Poset.chain(5)),
+        (tangled, mixed),
+    ]
+    for code, poset in identities:
+        yield build_table(identity_pd(code, poset), poset), poset
+    yield build_table(identity_pd(d_code, anti4, maximal_decomposition(d_code)), anti4), anti4
+    for table, _, poset in agreement_instances():
+        yield table, poset
+
+
+def random_tables():
+    """(table, poset) for seeded random codes over GF(2), GF(3) and GF(5),
+    in their finest decomposition and in their primary one."""
+    rng = random.Random(73)
+    for index in range(24):
+        q = (2, 3, 5)[index % 3]
+        n = rng.randint(2, {2: 7, 3: 5, 5: 4}[q])
+        poset = random_poset(rng, n)
+        code = random_code(rng, q, n)
+        yield build_table(identity_pd(code, poset, maximal_decomposition(code)), poset), poset
+        if q ** n <= 3**4:
+            yield build_table(primary_decomposition(code, poset), poset), poset
+
+
+def test_table_leaders_match_the_reference_scan():
+    for tables in (tier1_tables(), random_tables()):
+        for table, poset in tables:
+            leaders = [(c.support, c.leaders) for c in table.components]
+            assert leaders == reference_table_leaders(table.pd, poset)
+
+
+def test_restrictions_match_the_references_on_table_components():
+    for table, poset in tier1_tables():
+        for comp in table.pd.dec.components:
+            coords = sorted(comp.support())
+            local = comp.restrict(coords)
+            expected = reference_code_restrict(comp, coords)
+            assert (local, local.pivots) == (expected, expected.pivots)
+            assert poset.restrict(coords) == reference_poset_restrict(poset, coords)
+
+
+def test_coset_budget_bounds_the_vectors_scanned():
+    """The full space over GF(10007) on a 2-chain has a one-entry table,
+    but finding it would scan 10007^2 vectors."""
+    chain = Poset.chain(2)
+    full = LinearCode.from_generators(10007, 2, [(1, 0), (0, 1)])
+    pd = primary_decomposition(full, chain)
+    assert pd.complexity == 1
+    with pytest.raises(ResourceLimitError, match=r"10007\^2 vectors"):
+        build_table(pd, chain)
+    table = build_table(identity_pd(R4, Poset.antichain(4)), Poset.antichain(4), coset_budget=16)
+    assert table.total_entries == 8

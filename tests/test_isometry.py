@@ -182,3 +182,10 @@ def test_json_round_trip():
     iso = PIsometry(Poset.chain(3), 3, identity_sigma(3), ((2, 0, 1), (0, 1, 2), (0, 0, 1)))
     blob = json.dumps(iso.to_json_dict())
     assert PIsometry.from_json_dict(Poset.chain(3), 3, json.loads(blob)) == iso
+
+
+def test_verify_isometry_refuses_a_space_above_the_enumeration_budget():
+    """3^13 > 2^20: refused before any vector is checked."""
+    identity = tuple(tuple(1 if i == j else 0 for j in range(13)) for i in range(13))
+    with pytest.raises(ResourceLimitError):
+        verify_isometry(Poset.chain(13), 3, identity)

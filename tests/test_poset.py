@@ -4,7 +4,12 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from helpers import closure_pairs, longest_chain_heights, reference_from_ranks
+from helpers import (
+    closure_pairs,
+    longest_chain_heights,
+    reference_from_ranks,
+    reference_poset_restrict,
+)
 from posetcodes.errors import ResourceLimitError, ValidationError
 from posetcodes.poset import (
     MAX_GROUND_SET,
@@ -303,3 +308,11 @@ def test_hierarchical_subsets_of_combinations():
     assert Poset.antichain(4) in set(hierarchical_posets(4))
     assert Poset.chain(4) in set(hierarchical_posets(4))
     assert len(list(combinations(range(4), 2))) == 6
+
+
+def test_restrict_matches_the_reference_on_every_small_poset():
+    for n in range(1, 5):
+        for poset in all_posets(n):
+            for size in range(1, n + 1):
+                for coords in combinations(range(1, n + 1), size):
+                    assert poset.restrict(coords) == reference_poset_restrict(poset, coords)
