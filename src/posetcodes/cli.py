@@ -7,7 +7,7 @@ to the built-in defaults.  The orbit budget bounds both the codes an orbit
 walk admits and its canonicalisations (20 per code of the budget); the
 coset budget bounds the q^(n_i) vectors a table build scans for each
 component.  ``verify`` runs its suites at their own budgets, so it refuses
-both budget flags.
+both budget flags and both budget environment variables.
 Vectors on the command line are comma-separated residues; coordinates are
 1-based.
 """
@@ -318,6 +318,9 @@ VERIFY_SUITES = {
 def cmd_verify(args) -> int:
     if args.orbit_budget is not None or args.coset_budget is not None:
         raise ValidationError("verify takes no --orbit-budget or --coset-budget")
+    for name in ("POSETCODES_ORBIT_BUDGET", "POSETCODES_COSET_BUDGET"):
+        if name in os.environ:
+            raise ValidationError(f"verify takes no {name}; unset it to run the suites")
     report = VERIFY_SUITES[args.suite](args)
     payload = report.to_json_dict()
     emit(

@@ -217,21 +217,14 @@ class Poset:
     def is_hierarchical(self) -> bool:
         return all(self.hierarchy_flags())
 
-    # -- automorphisms and isomorphisms -------------------------------
+    # -- automorphisms -------------------------------------------------
 
     def automorphisms(self) -> list:
         """All order automorphisms, as tuples ``sigma`` with ``sigma[i-1] = sigma(i)``,
-        sorted lexicographically.  Bounded to n <= 10."""
+        in lexicographic order.  Bounded to n <= 10."""
         if self._autos is None:
-            self._autos = sorted(_order_isomorphisms(self, self, find_all=True))
+            self._autos = _automorphisms(self)
         return list(self._autos)
-
-    def isomorphism_to(self, other: "Poset"):
-        """A witnessing bijection onto ``other`` preserving order both ways, or None."""
-        if not isinstance(other, Poset) or self.n != other.n:
-            return None
-        found = _order_isomorphisms(self, other, find_all=False)
-        return found[0] if found else None
 
     # -- restriction ---------------------------------------------------
 
@@ -316,68 +309,39 @@ def _mask_to_set(mask: int) -> frozenset:
     return frozenset(out)
 
 
-def _order_isomorphisms(p: Poset, q: Poset, find_all: bool) -> list:
-    if p.n > MAX_ISO_SEARCH:
-        raise ResourceLimitError(
-            f"isomorphism search supports n <= {MAX_ISO_SEARCH}, got {p.n}"
-        )
+def _automorphisms(p: Poset) -> list:
+    """Fix sigma(1), sigma(2), ... in turn, each from the elements with the
+    same (height, |up-set|, |down-set|) in ascending order, so the list
+    comes out in lexicographic order.  A candidate m for sigma(i) is kept
+    when it is unused and its up- and down-sets among the images placed so
+    far are the images of i's up- and down-sets among the elements placed
+    so far."""
     n = p.n
-    hp = p.heights()
-    hq = q.heights()
-    if sorted(hp) != sorted(hq):
-        return []
-
-    def signature(poset, heights, i):
-        return (
-            heights[i],
-            bin(poset._up[i]).count("1"),
-            bin(poset._down[i]).count("1"),
-        )
-
-    sig_q = {}
-    for j in range(n):
-        sig_q.setdefault(signature(q, hq, j), []).append(j)
-    candidates = []
-    for i in range(n):
-        cands = sig_q.get(signature(p, hp, i), [])
-        if not cands:
-            return []
-        candidates.append(cands)
-
-    order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
-    image = [-1] * n
-    used = [False] * n
+    if n > MAX_ISO_SEARCH:
+        raise ResourceLimitError(f"automorphism search supports n <= {MAX_ISO_SEARCH}, got {n}")
+    up, down, heights = p._up, p._down, p.heights()
+    sig = [(heights[i], bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
+    candidates = [[m for m in range(n) if sig[m] == sig[i]] for i in range(n)]
+    image = [0] * n  # image[k] is the bit of sigma(k + 1) once k is placed
     found = []
 
-    def consistent(i, m, placed):
-        for k in placed:
-            mk = image[k]
-            if (p._up[i] >> k & 1) != (q._up[m] >> mk & 1):
-                return False
-            if (p._up[k] >> i & 1) != (q._up[mk] >> m & 1):
-                return False
-        return True
-
-    def dfs(pos):
-        if pos == n:
-            found.append(tuple(image[i] + 1 for i in range(n)))
-            return not find_all
-        i = order[pos]
-        placed = order[:pos]
+    def extend(i, used):
+        if i == n:
+            found.append(tuple(bit.bit_length() for bit in image))
+            return
+        want_up = want_down = 0
+        for k in range(i):
+            if up[i] >> k & 1:
+                want_up |= image[k]
+            if down[i] >> k & 1:
+                want_down |= image[k]
         for m in candidates[i]:
-            if used[m]:
-                continue
-            if not consistent(i, m, placed):
-                continue
-            image[i] = m
-            used[m] = True
-            if dfs(pos + 1):
-                return True
-            image[i] = -1
-            used[m] = False
-        return False
+            bit = 1 << m
+            if not used & bit and up[m] & used == want_up and down[m] & used == want_down:
+                image[i] = bit
+                extend(i + 1, used | bit)
 
-    dfs(0)
+    extend(0, 0)
     return found
 
 

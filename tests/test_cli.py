@@ -201,11 +201,25 @@ def test_decode_refuses_a_table_scan_above_the_coset_budget(tmp_path):
     assert result.stderr.startswith("budget exceeded: ") and result.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("after_suite", [False, True], ids=["before", "after"])
-@pytest.mark.parametrize("flag", ["--orbit-budget", "--coset-budget"])
-def test_verify_rejects_budget_flags(capsys, flag, after_suite):
+@pytest.mark.parametrize(
+    "budget, where",
+    [
+        pytest.param(flag, where, id=f"{flag}-{where}")
+        for flag in ("--orbit-budget", "--coset-budget")
+        for where in ("before", "after")
+    ]
+    + [
+        pytest.param(name, "env", id=name)
+        for name in ("POSETCODES_ORBIT_BUDGET", "POSETCODES_COSET_BUDGET")
+    ],
+)
+def test_verify_rejects_budget_flags(capsys, monkeypatch, budget, where):
     suite = ["verify", "partition", "--n", "2"]
-    argv = suite + [flag, "1"] if after_suite else [flag, "1"] + suite
+    if where == "env":
+        monkeypatch.setenv(budget, "1")
+        argv = suite
+    else:
+        argv = suite + [budget, "1"] if where == "after" else [budget, "1"] + suite
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""

@@ -134,6 +134,10 @@ def test_restrict():
     assert local.n == 2 and local.generators == ((1, 1),)
     with pytest.raises(ValidationError):
         comp.restrict([1, 2])
+    first = LinearCode.from_generators(2, 3, [(1, 0, 0)])
+    for coords in ([0, 1], [1, 4]):
+        with pytest.raises(ValidationError, match="not in \\[3\\]"):
+            first.restrict(coords)
 
 
 def test_json_round_trip():

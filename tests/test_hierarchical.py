@@ -20,6 +20,11 @@ from posetcodes.search import (
     verify_profile_uniqueness,
 )
 
+try:
+    from hypothesis import assume, given, strategies as st
+except ImportError:  # only the property test at the end needs hypothesis
+    given = None
+
 # Compositions of 4: every naturally labelled type vector on four points.
 TYPE_VECTORS_4 = [
     (4,), (1, 3), (3, 1), (2, 2), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1),
@@ -148,12 +153,8 @@ def test_bounds_suite_checks_the_neighbours_against_the_walk(monkeypatch):
     assert found["walked_neighbours"] == [found["bounds"]["o_upper"], found["bounds"]["o_lower"] - 1]
 
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-
-
-@st.composite
-def hierarchical_instances(draw):
+def hierarchical_instance(draw):
+    """A hypothesis draw: a nonzero code on a random hierarchical poset."""
     n = draw(st.integers(1, 16))
     q = draw(st.sampled_from((2, 3, 5)))
     ranks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
@@ -164,12 +165,11 @@ def hierarchical_instances(draw):
             max_size=min(n, 4),
         )
     )
-    hypothesis.assume(any(any(row) for row in rows))
+    assume(any(any(row) for row in rows))
     return LinearCode.from_generators(q, n, rows), Poset.from_ranks(ranks)
 
 
-@hypothesis.given(hierarchical_instances())
-def test_witness_reaches_the_closed_form_image(instance):
+def check_witness(instance):
     code, poset = instance
     closed = hierarchical_decomposition(code, poset)
     assert_canonical(closed.dec.code)
@@ -177,3 +177,8 @@ def test_witness_reaches_the_closed_form_image(instance):
     assert closed.dec.complexity() == closed.complexity
     if poset.n <= 5 and group_size(poset, code.q) <= 1 << 12:
         assert closed.complexity == primary_decomposition(code, poset).complexity
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_witness_reaches_the_closed_form_image():
+    given(st.composite(hierarchical_instance)())(check_witness)()
