@@ -89,13 +89,20 @@ def load_poset(spec: str) -> Poset:
             ) from exc
         n = sizes[0] if len(sizes) == 1 else None
         return make_family(kind, n=n, type_vector=sizes)
-    with open(spec, encoding="utf-8") as handle:
-        return Poset.from_json_dict(json.load(handle))
+    return Poset.from_json_dict(_read_json(spec))
 
 
 def load_code(path: str) -> LinearCode:
+    return LinearCode.from_json_dict(_read_json(path))
+
+
+def _read_json(path: str):
+    """The JSON document in a file; undecodable text is a ValidationError."""
     with open(path, encoding="utf-8") as handle:
-        return LinearCode.from_json_dict(json.load(handle))
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
+            raise ValidationError(f"{path} is not a readable JSON document: {exc}") from exc
 
 
 def emit(args, payload: dict, text_lines) -> None:
@@ -439,7 +446,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ResourceLimitError as exc:

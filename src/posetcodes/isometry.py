@@ -115,7 +115,7 @@ def group_size(poset: Poset, q: int) -> int:
         for j in range(1, poset.n + 1)
         if i != j and poset.leq(i, j)
     )
-    return len(poset.automorphisms()) * (q - 1) ** poset.n * q**strict
+    return poset.automorphisms()[1] * (q - 1) ** poset.n * q**strict
 
 
 def matrix_rank(q: int, rows) -> int:

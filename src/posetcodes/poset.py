@@ -6,7 +6,7 @@ automorphism computations simple at the small n this package targets.
 Elements are 1-based throughout the public API.
 
 A poset is immutable after construction; derived data (heights, levels,
-automorphisms) is computed lazily and cached.
+generators of the automorphism group) is computed lazily and cached.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,6 @@ from itertools import combinations
 from .errors import ResourceLimitError, ValidationError
 
 MAX_GROUND_SET = 16
-MAX_ISO_SEARCH = 10
 
 
 @dataclass(frozen=True)
@@ -219,12 +218,12 @@ class Poset:
 
     # -- automorphisms -------------------------------------------------
 
-    def automorphisms(self) -> list:
-        """All order automorphisms, as tuples ``sigma`` with ``sigma[i-1] = sigma(i)``,
-        in lexicographic order.  Bounded to n <= 10."""
+    def automorphisms(self) -> tuple:
+        """``(generators, order)`` of the order automorphisms, each a tuple
+        ``sigma`` with ``sigma[i-1] = sigma(i)``; the group is never listed."""
         if self._autos is None:
-            self._autos = _automorphisms(self)
-        return list(self._autos)
+            self._autos = _automorphism_generators(self)
+        return self._autos
 
     # -- restriction ---------------------------------------------------
 
@@ -309,40 +308,58 @@ def _mask_to_set(mask: int) -> frozenset:
     return frozenset(out)
 
 
-def _automorphisms(p: Poset) -> list:
-    """Fix sigma(1), sigma(2), ... in turn, each from the elements with the
-    same (height, |up-set|, |down-set|) in ascending order, so the list
-    comes out in lexicographic order.  A candidate m for sigma(i) is kept
-    when it is unused and its up- and down-sets among the images placed so
-    far are the images of i's up- and down-sets among the elements placed
-    so far."""
+def _automorphism_generators(p: Poset) -> tuple:
+    """For i = n down to 1, the lexicographically first automorphism fixing
+    1..i-1 and mapping i to m, for each m in ascending order that the
+    generators so far do not map i to; |Aut| is the product of i's orbit
+    lengths.  Each comes from a backtrack that fixes sigma(i+1), ... in turn
+    from the elements with the same (height, |up|, |down|), keeping m when
+    it is unused and its up- and down-sets among the images placed are the
+    images of the element's among the elements placed.  It tries one unused
+    candidate per twin class (equal strict up- and down-sets), as swapping
+    two unused twins is an automorphism that keeps every placed image."""
     n = p.n
-    if n > MAX_ISO_SEARCH:
-        raise ResourceLimitError(f"automorphism search supports n <= {MAX_ISO_SEARCH}, got {n}")
     up, down, heights = p._up, p._down, p.heights()
     sig = [(heights[i], bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
-    candidates = [[m for m in range(n) if sig[m] == sig[i]] for i in range(n)]
+    candidates = [[m for m in range(n) if sig[m] == sig[i]] for i in range(n)] + [[]]
+    strict = [(up[m] & ~(1 << m), down[m] & ~(1 << m)) for m in range(n)]
+    twin = [strict.index(strict[m]) for m in range(n)]
     image = [0] * n  # image[k] is the bit of sigma(k + 1) once k is placed
-    found = []
 
-    def extend(i, used):
+    def extend(i, used, options):
         if i == n:
-            found.append(tuple(bit.bit_length() for bit in image))
-            return
+            return True
         want_up = want_down = 0
         for k in range(i):
             if up[i] >> k & 1:
                 want_up |= image[k]
             if down[i] >> k & 1:
                 want_down |= image[k]
-        for m in candidates[i]:
+        tried = 0  # the twin classes tried at this node
+        for m in options:
             bit = 1 << m
-            if not used & bit and up[m] & used == want_up and down[m] & used == want_down:
+            if used & bit or tried >> twin[m] & 1:
+                continue
+            tried |= 1 << twin[m]
+            if up[m] & used == want_up and down[m] & used == want_down:
                 image[i] = bit
-                extend(i + 1, used | bit)
+                if extend(i + 1, used | bit, candidates[i + 1]):
+                    return True
+        return False
 
-    extend(0, 0)
-    return found
+    generators = []
+    order = 1
+    for i in range(n - 1, -1, -1):
+        image[:i] = [1 << k for k in range(i)]
+        orbit = {i}
+        for m in candidates[i]:
+            if m not in orbit and extend(i, (1 << i) - 1, [m]):
+                generators.append(tuple(bit.bit_length() for bit in image))
+                orbit = {i}
+                for _ in range(n):  # n rounds reach the closure
+                    orbit |= {g[point] - 1 for g in generators for point in orbit}
+        order *= len(orbit)
+    return tuple(generators), order
 
 
 # -- catalog helpers -------------------------------------------------

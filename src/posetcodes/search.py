@@ -3,9 +3,8 @@ uniqueness, hierarchical neighbours and the complexity sandwich bounds.
 
 The minimal complexity of a code relative to a poset is the minimum, over
 the isometry orbit of the code, of the per-code grouping minimum.  The
-orbit is walked breadth-first over generators of the triangular part and
-then permuted by the order automorphisms, in a fixed order, so reported
-witnesses are reproducible.
+orbit is walked breadth-first over generators of the triangular part, then
+over generators of Aut(P), in a fixed order, so witnesses are reproducible.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -25,9 +24,13 @@ from .isometry import PIsometry, _eye
 from .poset import Poset
 
 DEFAULT_ORBIT_BUDGET = 10**5
-# Canonicalisations a walk may spend per code of its orbit budget.  The
-# default walks of the tests and the benchmark make at most about 3,000; at
-# 10 a budget-cut walk of the tests would stop before its code count does.
+# The largest poset an orbit walk takes: the generators of Aut(P) reach 16,
+# but the bounds walk on a random 16-point poset does not yet stop quickly.
+MAX_WALK_N = 10
+# Canonicalisations a walk may spend per code of its orbit budget.  Default
+# walks make at most 30,017 in the tests (the one-code walk of the full space
+# over GF(10007) on a 2-chain) and 2,810 in a benchmark op; at 10 a
+# budget-cut walk of the tests would stop before its code count does.
 CANONICALISATIONS_PER_CODE = 20
 
 
@@ -187,25 +190,6 @@ def _inverse(sigma: tuple) -> tuple:
     return tuple(inverse)
 
 
-def _extend_group(group: list, generators: list) -> list:
-    """The elements beyond ``group`` of the permutation group generated by
-    ``generators``, which include generators of ``group``: whole right
-    cosets of ``group``, found by Dimino's method from the products of
-    coset representatives and generators."""
-    members = set(group)
-    added = []
-    coset_reps = [group[0]]
-    for rep in coset_reps:
-        for gen in generators:
-            product = _compose(rep, gen)
-            if product not in members:
-                coset = [_compose(h, product) for h in group]
-                members.update(coset)
-                added += coset
-                coset_reps.append(product)
-    return added
-
-
 def _permute(code: LinearCode, sigma: tuple) -> LinearCode:
     rows = [[row[s - 1] for s in sigma] for row in code.generators]
     return LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
@@ -213,57 +197,39 @@ def _permute(code: LinearCode, sigma: tuple) -> LinearCode:
 
 def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
     """Each distinct image of the code with the automorphism and triangular
-    matrix reaching it: the triangular walk under the identity, then that
-    walk permuted by each further automorphism in lexicographic order, since
-    the isometry group is Aut(P) acting on the triangular part.
-
-    An automorphism sigma maps the triangular orbit onto a whole triangular
-    orbit, its block, which is either new or one already walked: the blocks
-    are the cosets rep * H of the stabiliser H of the triangular orbit.  The
-    walk learns H as it goes and skips every automorphism in rep * H for a
-    block representative rep.  Any other sigma costs one canonicalisation
-    of sigma(C): a new code opens a block, walked in triangular order, and a
-    code in the block of rep adds rep^-1 * sigma to H, which at least
-    doubles it.  The yielded sequence is the one that permuting every
-    triangular image by every automorphism gives.
-
-    The automorphisms are listed first, so a poset beyond their search
-    stops the walk before any image; ``_admit`` bounds the rest."""
+    matrix reaching it, since the isometry group is Aut(P) acting on the
+    triangular part: the triangular walk under the identity, then its images
+    under Aut(P), a block at a time.  An automorphism sigma maps the
+    triangular orbit onto a whole one, its block, so sigma(C) tells a new
+    block from a walked one.  For each block's representative rep, in the
+    order found, and each generator g of Aut(P), a new image of C under g
+    after rep opens that automorphism's block, walked in triangular order:
+    at most |orbit| + blocks * generators canonicalisations.  A poset beyond
+    MAX_WALK_N stops the walk before any image; ``_admit`` bounds the rest."""
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
-    automorphisms = poset.automorphisms()
-    identity = automorphisms[0]
+    if poset.n > MAX_WALK_N:
+        raise ResourceLimitError(f"orbit walk supports n <= {MAX_WALK_N}, got {poset.n}")
+    generators, _ = poset.automorphisms()
+    identity = tuple(range(1, code.n + 1))
     seen = _Seen()
-    block_of = {}  # orbit code -> representative of its block
     delta_orbit = []
     for image, matrix in _delta_walk(code, poset, seen, orbit_budget):
         delta_orbit.append((image, matrix))
-        block_of[image] = identity
         yield image, identity, matrix
-    stabiliser = [identity]
-    generators = []
     reps = [identity]
-    covered = {identity}  # the union of rep * H over the blocks found
-    for sigma in automorphisms[1:]:
-        if len(covered) == len(automorphisms):
-            break
-        if sigma in covered:
-            continue
-        first = _permute(code, sigma)
-        rep = block_of.get(first)
-        if rep is not None:
-            generators.append(_compose(_inverse(rep), sigma))
-            added = _extend_group(stabiliser, generators)
-            stabiliser += added
-            covered.update(_compose(r, h) for r in reps for h in added)
-            continue
-        reps.append(sigma)
-        covered.update(_compose(sigma, h) for h in stabiliser)
-        for image, matrix in delta_orbit:
-            permuted = first if image is code else _permute(image, sigma)
-            if _admit(seen, permuted, orbit_budget):
-                block_of[permuted] = sigma
-                yield permuted, sigma, matrix
+    for rep in reps:
+        for g in generators:
+            sigma = _compose(g, rep)
+            first = _permute(code, sigma)
+            if not _admit(seen, first, orbit_budget):
+                continue
+            reps.append(sigma)
+            yield first, sigma, delta_orbit[0][1]
+            for image, matrix in delta_orbit[1:]:
+                permuted = _permute(image, sigma)
+                if _admit(seen, permuted, orbit_budget):
+                    yield permuted, sigma, matrix
 
 
 def orbit_codes(
@@ -476,7 +442,7 @@ def hierarchy_bounds(
     :func:`hierarchical_decomposition`, so no budget applies to them.  So
     does the poset's own value when the poset is hierarchical; otherwise it
     comes from the orbit walk, and it is None when the walk exceeds a
-    budget or its reach (the automorphism search stops at n = 10).
+    budget or its reach (MAX_WALK_N, n = 10).
     """
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")

@@ -271,6 +271,90 @@ def reference_from_ranks(ranks):
     return Poset.from_covers(n, pairs)
 
 
+# -- automorphisms by lexicographic search -----------------------------
+
+
+def reference_automorphisms(poset):
+    """Every order automorphism, in lexicographic order: sigma(1), sigma(2),
+    ... fixed in turn, each from the elements with the same (height,
+    |up-set|, |down-set|) in ascending order.  A candidate m for sigma(i) is
+    kept when it is unused and its up- and down-sets among the images placed
+    so far are the images of i's up- and down-sets among the elements placed
+    so far.  It lists the whole group, n! tuples on an antichain."""
+    n = poset.n
+    up = [sum(1 << (j - 1) for j in range(1, n + 1) if poset.leq(i, j)) for i in range(1, n + 1)]
+    down = [sum(1 << (j - 1) for j in range(1, n + 1) if poset.leq(j, i)) for i in range(1, n + 1)]
+    heights = poset.heights()
+    sig = [(heights[i], bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
+    candidates = [[m for m in range(n) if sig[m] == sig[i]] for i in range(n)]
+    image = [0] * n  # image[k] is the bit of sigma(k + 1) once k is placed
+    found = []
+
+    def extend(i, used):
+        if i == n:
+            found.append(tuple(bit.bit_length() for bit in image))
+            return
+        want_up = want_down = 0
+        for k in range(i):
+            if up[i] >> k & 1:
+                want_up |= image[k]
+            if down[i] >> k & 1:
+                want_down |= image[k]
+        for m in candidates[i]:
+            bit = 1 << m
+            if not used & bit and up[m] & used == want_up and down[m] & used == want_down:
+                image[i] = bit
+                extend(i + 1, used | bit)
+
+    extend(0, 0)
+    return found
+
+
+def reference_generators(poset):
+    """The generating set that ``Poset.automorphisms`` documents, read off
+    the lexicographic list: for i = n down to 1, the first automorphism in
+    the list that fixes 1..i-1 and maps i to m, for each m in ascending
+    order that the generators found so far do not map i to."""
+    autos = reference_automorphisms(poset)
+    n = poset.n
+    generators = []
+    for i in range(n, 0, -1):
+        for m in range(i + 1, n + 1):
+            if m in permutation_orbit(i, generators):
+                continue
+            prefix = tuple(range(1, i)) + (m,)
+            found = [sigma for sigma in autos if sigma[:i] == prefix]
+            if found:
+                generators.append(found[0])
+    return generators
+
+
+def permutation_orbit(point, generators):
+    """The points that products of the permutations reach from ``point``."""
+    orbit = {point}
+    frontier = [point]
+    for p in frontier:
+        for g in generators:
+            if g[p - 1] not in orbit:
+                orbit.add(g[p - 1])
+                frontier.append(g[p - 1])
+    return orbit
+
+
+def generated_group(generators, n):
+    """Every product of the permutations of [n], the identity included."""
+    identity = tuple(range(1, n + 1))
+    group = {identity}
+    frontier = [identity]
+    for sigma in frontier:
+        for g in generators:
+            product = tuple(sigma[g[i] - 1] for i in range(n))
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return group
+
+
 # -- full-enumeration orbit walk ---------------------------------------
 #
 # The orbit loops as the search module first wrote them: every isometry of
@@ -301,7 +385,7 @@ def enumerate_isometries(poset, q, budget=10**7):
                 slots.append(((i, j), range(q)))
     positions = [slot[0] for slot in slots]
     ranges = [slot[1] for slot in slots]
-    for sigma in poset.automorphisms():
+    for sigma in reference_automorphisms(poset):
         for values in product(*ranges):
             rows = [[0] * n for _ in range(n)]
             for (i, j), v in zip(positions, values):
@@ -401,13 +485,15 @@ def reference_profile_uniqueness(code, poset):
 
 
 def reference_orbit_walk(code, poset, orbit_budget=10**5):
-    """The orbit walk's items ``(image, sigma, matrix)`` as the search
-    module first streamed them: the triangular walk, then every triangular
-    image permuted by every further automorphism in lexicographic order,
-    each canonicalised and kept when new.  Only the triangular walk counts
-    canonicalisations against the budget; permuting every image takes far
-    more of them than the production walk, so the permutation step counts
-    codes alone."""
+    """The orbit walk's items ``(image, sigma, matrix)`` in the order the
+    search module documents: the triangular walk, then the blocks
+    breadth-first.  For each block's representative rep, in the order the
+    blocks were found, and each generator g of ``reference_generators`` in
+    turn, every triangular image is permuted by g after rep, canonicalised
+    and kept when new, and g after rep represents a new block when any image
+    was new.  Only the triangular walk counts canonicalisations against the
+    budget; permuting every image takes far more of them than the
+    production walk, so the permutation step counts codes alone."""
     from posetcodes.code import LinearCode, rref
     from posetcodes.errors import ResourceLimitError, ValidationError
     from posetcodes.search import _delta_walk, _Seen
@@ -422,18 +508,26 @@ def reference_orbit_walk(code, poset, orbit_budget=10**5):
 
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
-    identity, *others = poset.automorphisms()
+    identity = tuple(range(1, poset.n + 1))
+    generators = reference_generators(poset)
     seen = _Seen()
     delta_orbit = []
     for image, matrix in _delta_walk(code, poset, seen, orbit_budget):
         delta_orbit.append((image, matrix))
         yield image, identity, matrix
-    for sigma in others:
-        for image, matrix in delta_orbit:
-            rows = [[row[s - 1] for s in sigma] for row in image.generators]
-            permuted = LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
-            if admit(seen, permuted):
-                yield permuted, sigma, matrix
+    reps = [identity]
+    for rep in reps:
+        for g in generators:
+            sigma = tuple(rep[g[i] - 1] for i in range(poset.n))
+            new = False
+            for image, matrix in delta_orbit:
+                rows = [[row[s - 1] for s in sigma] for row in image.generators]
+                permuted = LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
+                if admit(seen, permuted):
+                    new = True
+                    yield permuted, sigma, matrix
+            if new:
+                reps.append(sigma)
 
 
 # -- exhaustive decoding ------------------------------------------------

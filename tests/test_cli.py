@@ -274,15 +274,30 @@ def test_validation_exit_code(capsys, tmp_path):
         {"n": 3, "covers": [[1, 2, 3]]},
         {"n": 3, "covers": [["a", 2]]},
         {"n": True},
+        b'{"n": 3, "covers": [[1, 2]]}\xff',
+        b'{"n": 1' + b"0" * 4999 + b"}",
     ],
-    ids=["chain-abc", "hierarchical-2-x", "chain-3-4", "triple", "string", "bool-n"],
+    ids=["chain-abc", "hierarchical-2-x", "chain-3-4", "triple", "string", "bool-n",
+         "not-utf8", "5000-digits"],
 )
 def test_bad_poset_input_is_one_error_line(spec, capsys, tmp_path):
+    path = tmp_path / "poset.json"
     if isinstance(spec, dict):
-        path = tmp_path / "poset.json"
         path.write_text(json.dumps(spec))
         spec = str(path)
+    elif isinstance(spec, bytes):
+        path.write_bytes(spec)
+        spec = str(path)
     code, out, err = run(capsys, ["poset", "info", spec])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_code_file_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "code.json"
+    path.write_bytes(b'{"q": 2, "n": 3, "generators": [[1, 1, \xe9]]}')
+    code, out, err = run(capsys, ["analyze", "decompose", "chain:3", str(path)])
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -412,6 +427,23 @@ def test_walk_is_not_refused_for_its_group_size(tmp_path):
     result = run_process(["analyze", "decompose", "--primary", "chain:6", str(code)])
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == "complexity = 1"
+
+
+def test_walk_takes_ten_coordinates_and_refuses_eleven(tmp_path):
+    """Aut(antichain:10) has 3,628,800 elements; the walk reaches the 45
+    codes of a weight-2 word from nine generators, with no list of the
+    group.  Past ten coordinates the walk stops before it starts."""
+    def decompose(n):
+        code = tmp_path / f"pair{n}.json"
+        code.write_text(json.dumps({"q": 2, "n": n, "generators": [[1, 1] + [0] * (n - 2)]}))
+        return run_process(["analyze", "decompose", "--primary", f"antichain:{n}", str(code)], timeout=10)
+
+    result = decompose(10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "complexity = 2"
+    result = decompose(11)
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[0] == "budget exceeded: orbit walk supports n <= 10, got 11"
 
 
 def test_orbit_budget_bounds_the_walks_canonicalisations(tmp_path):

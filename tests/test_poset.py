@@ -1,16 +1,21 @@
 import json
 import random
 from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
 from helpers import (
     closure_pairs,
+    generated_group,
     longest_chain_heights,
+    reference_automorphisms,
     reference_from_ranks,
+    reference_generators,
     reference_poset_restrict,
 )
 from posetcodes.errors import ResourceLimitError, ValidationError
+from posetcodes.isometry import group_size
 from posetcodes.poset import (
     MAX_GROUND_SET,
     Poset,
@@ -18,6 +23,7 @@ from posetcodes.poset import (
     hierarchical_posets,
     make_family,
 )
+from posetcodes.suites import random_poset
 
 N_COVERS = [(1, 3), (1, 4), (2, 4)]
 
@@ -211,20 +217,14 @@ def brute_force_automorphisms(poset):
 
 
 def test_automorphisms(n_poset):
-    assert n_poset.automorphisms() == [(1, 2, 3, 4)]
-    assert len(Poset.antichain(3).automorphisms()) == 6
-    hier = Poset.hierarchical((2, 2))
-    autos = hier.automorphisms()
-    assert len(autos) == 4
-    for sigma in autos:
-        assert {sigma[0], sigma[1]} == {1, 2}
-        assert {sigma[2], sigma[3]} == {3, 4}
+    assert n_poset.automorphisms() == ((), 1)
+    assert Poset.antichain(3).automorphisms() == (((1, 3, 2), (2, 1, 3)), 6)
+    assert Poset.hierarchical((2, 2)).automorphisms() == (((1, 2, 4, 3), (2, 1, 3, 4)), 4)
 
 
-def test_automorphisms_match_brute_force():
-    """The same list in the same, lexicographic, order on 12 random posets
-    on up to 5 points, every labelled poset on up to 4, and 40 randomly
-    labelled posets on 5 or 6."""
+def _automorphism_cases():
+    """12 random posets on up to 5 points, every labelled poset on up to 4,
+    and 40 randomly labelled posets on 5 or 6."""
     rng = random.Random(13)
     cases = []
     for _ in range(12):
@@ -242,27 +242,56 @@ def test_automorphisms_match_brute_force():
         pairs = [(label[a], label[b]) for a, b in combinations(range(n), 2)
                  if rng.random() < density]
         cases.append(Poset.from_covers(n, pairs))
-    for poset in cases:
-        assert poset.automorphisms() == brute_force_automorphisms(poset)
+    return cases
+
+
+def test_automorphisms_match_brute_force():
+    """The generators generate the whole group, its order is right, and they
+    are the documented ones, read off the lexicographic list."""
+    for poset in _automorphism_cases():
+        generators, order = poset.automorphisms()
+        brute = brute_force_automorphisms(poset)
+        assert generated_group(generators, poset.n) == set(brute)
+        assert order == len(brute)
+        assert list(generators) == reference_generators(poset)
+
+
+def test_reference_automorphisms_match_brute_force():
+    """The lexicographic search lists the same automorphisms in the same,
+    lexicographic, order."""
+    for poset in _automorphism_cases():
+        assert reference_automorphisms(poset) == brute_force_automorphisms(poset)
 
 
 def test_automorphism_group_closure():
+    """The automorphisms are closed under composition, and for each i the
+    generators that fix 1..i-1 generate every automorphism that does."""
     rng = random.Random(17)
     for _ in range(10):
         n = rng.randint(2, 5)
         pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
                  if a < b and rng.random() < 0.3]
         poset = Poset.from_covers(n, pairs)
-        autos = set(poset.automorphisms())
+        autos = set(reference_automorphisms(poset))
         for s in autos:
             for t in autos:
                 composed = tuple(s[t[i] - 1] for i in range(n))
                 assert composed in autos
+        generators, _ = poset.automorphisms()
+        for i in range(1, n + 1):
+            prefix = tuple(range(1, i))
+            fixing = [g for g in generators if g[: i - 1] == prefix]
+            assert generated_group(fixing, n) == {s for s in autos if s[: i - 1] == prefix}
 
 
-def test_automorphism_size_guard():
-    with pytest.raises(ResourceLimitError):
-        Poset.antichain(11).automorphisms()
+def test_automorphism_order_reaches_sixteen_points():
+    """No list of the group is built: 16! on an antichain, and the group of
+    a random 16-point poset whose search, without the twin pruning, takes
+    seconds."""
+    assert group_size(Poset.antichain(16), 2) == factorial(16)
+    rng = random.Random(7)
+    posets = [random_poset(rng, 16) for _ in range(25)]
+    assert posets[-1].automorphisms()[1] == 1_451_520
 
 
 def test_restrict(n_poset):

@@ -8,6 +8,7 @@ import pytest
 
 import posetcodes
 
+from helpers import reference_automorphisms
 from posetcodes.code import LinearCode
 from posetcodes.decomposition import maximal_decomposition
 from posetcodes.errors import ResourceLimitError, ValidationError
@@ -181,7 +182,7 @@ def test_conjugating_by_an_automorphism_preserves_complexity():
     checked = 0
     while checked < 10:
         poset = random_poset(rng, 4)
-        autos = poset.automorphisms()
+        autos = reference_automorphisms(poset)
         if len(autos) == 1:
             continue
         code = random_code(rng, 2, 4)
