@@ -17,27 +17,38 @@ ENUMERATION_BUDGET = 1 << 20
 def rref(q: int, n: int, rows):
     """Reduced row echelon form over GF(q); returns (rows, pivot columns).
 
-    Zero rows are dropped; pivot columns are 1-based and ascending.
+    Entries are reduced mod q once, on entry, so negative or unreduced
+    input is fine.  Zero rows are dropped; pivot columns are 1-based and
+    ascending.  A pivot that is already 1 is not rescaled, and only rows
+    with a non-zero entry in the pivot column are eliminated, so on a
+    matrix already in this form only the entry pass does arithmetic.
     """
-    mat = [list(r) for r in rows]
+    mat = [[v % q for v in row] for row in rows]
+    m = len(mat)
     pivots = []
     r = 0
     for col in range(n):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] % q), None)
-        if pivot_row is None:
+        if r == m:
+            break
+        for i in range(r, m):
+            if mat[i][col]:
+                break
+        else:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][col] % q, q - 2, q)
-        mat[r] = [(v * inv) % q for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] % q:
-                c = mat[i][col]
-                mat[i] = [(a - c * b) % q for a, b in zip(mat[i], mat[r])]
+        pivot_row = mat[i]
+        mat[i] = mat[r]
+        c = pivot_row[col]
+        if c != 1:
+            inv = pow(c, q - 2, q)
+            pivot_row = [(v * inv) % q for v in pivot_row]
+        mat[r] = pivot_row
+        for i in range(m):
+            c = mat[i][col]
+            if c and i != r:
+                mat[i] = [(a - c * b) % q for a, b in zip(mat[i], pivot_row)]
         pivots.append(col + 1)
         r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(v % q for v in mat[i]) for i in range(r)), tuple(pivots)
+    return tuple(map(tuple, mat[:r])), tuple(pivots)
 
 
 @dataclass(frozen=True)

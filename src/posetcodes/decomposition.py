@@ -101,32 +101,28 @@ def trivial_decomposition(code: LinearCode) -> Decomposition:
 
 
 def _row_groups(code: LinearCode) -> list:
-    """Indices of the canonical rows grouped into the finest components by
-    union-find over coordinates, each row anchored at its pivot; groups in
-    order of their smallest coordinate, each with its deficiency (support
-    size minus row count, as canonical rows are independent)."""
-    parent = list(range(code.n))
-
-    def find(j):
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    support = set()
-    for row in code.generators:
-        coords = [j for j, v in enumerate(row) if v]
-        support.update(coords)
-        root = find(coords[0])
-        for j in coords[1:]:
-            parent[find(j)] = root
-    groups = {}
-    for index, pivot in enumerate(code.pivots):
-        groups.setdefault(find(pivot - 1), []).append(index)
-    sizes = dict.fromkeys(groups, 0)
-    for j in support:
-        sizes[find(j)] += 1
-    return [(rows, sizes[root] - len(rows)) for root, rows in groups.items()]
+    """Indices of the canonical rows grouped into the finest components,
+    each row's support held as a bitmask and merged with every group whose
+    mask it meets; groups in order of their smallest coordinate (their
+    first row's pivot), each with its deficiency (support size minus row
+    count, as canonical rows are independent)."""
+    groups = []  # (support mask, row indices); the masks are pairwise disjoint
+    for index, row in enumerate(code.generators):
+        mask = 0
+        for j, v in enumerate(row):
+            if v:
+                mask |= 1 << j
+        rows = [index]
+        apart = []
+        for group in groups:
+            if group[0] & mask:
+                mask |= group[0]
+                rows += group[1]
+            else:
+                apart.append(group)
+        apart.append((mask, rows))
+        groups = apart
+    return sorted((sorted(rows), mask.bit_count() - len(rows)) for mask, rows in groups)
 
 
 def _subcode(code: LinearCode, rows) -> LinearCode:

@@ -59,10 +59,6 @@ class PIsometry:
     def identity(cls, poset: Poset, q: int) -> "PIsometry":
         return cls(poset, q, tuple(range(1, poset.n + 1)), _eye(poset.n))
 
-    def is_identity(self) -> bool:
-        n = self.poset.n
-        return self.sigma == tuple(range(1, n + 1)) and self.matrix_rows == _eye(n)
-
     def apply(self, x) -> tuple:
         if len(x) != self.poset.n:
             raise ValidationError(f"expected vector of length {self.poset.n}")

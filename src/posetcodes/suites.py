@@ -214,18 +214,24 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
         report.checked += 1
 
     if report.ok:
+        # The closed forms read a one-hot key, independent of the masks:
+        # bit idx * q + v marks x[idx] == v.  Two keys share one bit per
+        # agreeing coordinate, and the top bit of their XOR lies in the
+        # block of the last coordinate where they differ.
+        keyed = [
+            (mx, sum(1 << (idx * q + v) for idx, v in enumerate(x))) for x, mx in vectors
+        ]
         wt = weight_table(Poset.antichain(n))
         hamming_ok = all(
-            wt[diff_mask(mx, my)] == sum(a != b for a, b in zip(x, y))
-            for x, mx in vectors
-            for y, my in vectors
+            wt[diff_mask(mx, my)] == n - (kx & ky).bit_count()
+            for mx, kx in keyed
+            for my, ky in keyed
         )
         wt = weight_table(Poset.chain(n))
         chain_ok = all(
-            wt[diff_mask(mx, my)]
-            == max((i + 1 for i in range(n) if x[i] != y[i]), default=0)
-            for x, mx in vectors
-            for y, my in vectors
+            wt[diff_mask(mx, my)] == -(-(kx ^ ky).bit_length() // q)
+            for mx, kx in keyed
+            for my, ky in keyed
         )
         if not hamming_ok or not chain_ok:
             report.ok = False

@@ -62,6 +62,63 @@ def hierarchical_weight(type_vector, x):
     return sum(1 for i in levels[top] if x[i]) + sum(type_vector[:top])
 
 
+# -- canonical rows and row groups as first written ---------------------
+
+
+def reference_rref(q, n, rows):
+    """Reduced row echelon form over GF(q) as the code module first wrote
+    it: every pivot rescaled, every entry taken mod q at each step and once
+    more on return.  Returns (rows, 1-based pivot columns)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] % q), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = pow(mat[r][col] % q, q - 2, q)
+        mat[r] = [(v * inv) % q for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] % q:
+                c = mat[i][col]
+                mat[i] = [(a - c * b) % q for a, b in zip(mat[i], mat[r])]
+        pivots.append(col + 1)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(v % q for v in mat[i]) for i in range(r)), tuple(pivots)
+
+
+def reference_row_groups(code):
+    """The canonical rows grouped into the finest components as the
+    decomposition module first wrote it: union-find over coordinates, each
+    row anchored at its pivot; groups in order of their smallest
+    coordinate, each with its deficiency (support size minus row count)."""
+    parent = list(range(code.n))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    support = set()
+    for row in code.generators:
+        coords = [j for j, v in enumerate(row) if v]
+        support.update(coords)
+        root = find(coords[0])
+        for j in coords[1:]:
+            parent[find(j)] = root
+    groups = {}
+    for index, pivot in enumerate(code.pivots):
+        groups.setdefault(find(pivot - 1), []).append(index)
+    sizes = dict.fromkeys(groups, 0)
+    for j in support:
+        sizes[find(j)] += 1
+    return [(rows, sizes[root] - len(rows)) for root, rows in groups.items()]
+
+
 def set_partitions(items):
     """Every partition of ``items`` into nonempty blocks."""
     items = list(items)

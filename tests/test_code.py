@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import reference_code_restrict
+from helpers import reference_code_restrict, reference_rref
 from posetcodes.code import LinearCode, enumerate_codes, rref
 from posetcodes.errors import ResourceLimitError, ValidationError
 from posetcodes.suites import random_code
@@ -47,6 +47,30 @@ def test_rref_by_hand():
     rows, pivots = rref(3, 3, [(2, 1, 0), (1, 2, 2)])
     assert pivots == (1, 3)
     assert rows == ((1, 2, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 1_048_573])
+def test_rref_matches_the_reference(q):
+    rng = random.Random(q)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        k = rng.randint(0, n + 2)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if rows and rng.random() < 0.3:
+            rows.append([0] * n)
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        if rng.random() < 0.5:
+            # negative or unreduced entries must read as their residues
+            rows = [[v + q * rng.randint(-3, 3) for v in row] for row in rows]
+        rng.shuffle(rows)
+        before = [list(row) for row in rows]
+        expected = reference_rref(q, n, rows)
+        assert rref(q, n, rows) == expected, (q, n, rows)
+        assert rows == before
+        reduced, _ = expected
+        # an already reduced matrix comes back unchanged
+        assert rref(q, n, reduced) == expected
 
 
 def test_support_examples():

@@ -8,11 +8,13 @@ from helpers import (
     grouping_minimum,
     reference_cheapest_grouping,
     reference_maximal_decomposition,
+    reference_row_groups,
     subcode_dimension,
 )
 from posetcodes.code import LinearCode, enumerate_codes
 from posetcodes.decomposition import (
     Decomposition,
+    _row_groups,
     cheapest_grouping,
     maximal_decomposition,
     min_grouping_complexity,
@@ -60,6 +62,29 @@ def test_row_grouping_matches_the_reference_on_every_small_code(q, max_n):
                 assert maximal_decomposition(code).components == finest.components, code
                 assert cheapest_grouping(code).components == cheapest.components, code
                 assert min_grouping_complexity(code) == cheapest.complexity(), code
+
+
+def test_row_groups_match_the_reference_on_random_codes():
+    rng = random.Random(11)
+    zero_deficiency = 0
+    for _ in range(400):
+        q = rng.choice([2, 3, 5])
+        n = rng.randint(1, 12)
+        density = rng.choice([0.15, 0.3, 0.6])
+        rows = [
+            [rng.randrange(1, q) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(rng.randint(1, n))
+        ]
+        # unit rows give components of deficiency zero
+        units = rng.sample(range(n), rng.randint(0, min(2, n)))
+        rows += [[int(j == i) for j in range(n)] for i in units]
+        if not any(any(row) for row in rows):
+            continue
+        code = LinearCode.from_generators(q, n, rows)
+        groups = _row_groups(code)
+        assert groups == reference_row_groups(code), code
+        zero_deficiency += sum(1 for _, d in groups if d == 0)
+    assert zero_deficiency > 50
 
 
 def test_components_are_the_block_subcodes():

