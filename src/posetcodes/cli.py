@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 validation error, 2 resource or budget error,
 3 property violation in a verification suite.  Budgets come from flags,
 falling back to POSETCODES_ORBIT_BUDGET / POSETCODES_COSET_BUDGET and then
-to the built-in defaults.  The orbit budget bounds both the codes an orbit
-walk admits and its canonicalisations (20 per code of the budget); the
-coset budget bounds the q^(n_i) vectors a table build scans for each
+to the built-in defaults.  The orbit budget bounds the codes an orbit
+walk admits, and so its canonicalisations: at most one per strict
+relation, generator of Aut(P) and coordinate, plus one, for each code.
+The coset budget bounds the q^(n_i) vectors a table build scans for each
 component.  ``verify`` runs its suites at their own budgets, so it refuses
 both budget flags and both budget environment variables.
 Vectors on the command line are comma-separated residues; coordinates are

@@ -7,6 +7,7 @@ that nothing here requires.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -28,6 +29,14 @@ def is_prime(m: int) -> bool:
             return False
         d += 2
     return True
+
+
+def primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group of the prime field
+    GF(q): the least g with g^e != 1 for each proper divisor e of q - 1."""
+    small = [e for e in range(1, isqrt(q - 1) + 1) if (q - 1) % e == 0]
+    exponents = {f for e in small for f in (e, (q - 1) // e)} - {q - 1}
+    return next(g for g in range(1, q) if all(pow(g, e, q) != 1 for e in exponents))
 
 
 @dataclass(frozen=True)

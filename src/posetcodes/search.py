@@ -3,8 +3,10 @@ uniqueness, hierarchical neighbours and the complexity sandwich bounds.
 
 The minimal complexity of a code relative to a poset is the minimum, over
 the isometry orbit of the code, of the per-code grouping minimum.  The
-orbit is walked breadth-first over generators of the triangular part, then
-over generators of Aut(P), in a fixed order, so witnesses are reproducible.
+orbit is walked breadth-first under the unipotent part, one addition per
+strict relation, then block by block under the monomial part: by one
+scaling per coordinate, then by the generators of Aut(P), in a fixed
+order, so witnesses are reproducible.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -20,6 +22,7 @@ from .decomposition import (
     min_grouping_complexity,
 )
 from .errors import ResourceLimitError, ValidationError
+from .field import primitive_root
 from .isometry import PIsometry, _eye
 from .poset import Poset
 
@@ -27,11 +30,6 @@ DEFAULT_ORBIT_BUDGET = 10**5
 # The largest poset an orbit walk takes: the generators of Aut(P) reach 16,
 # but the bounds walk on a random 16-point poset does not yet stop quickly.
 MAX_WALK_N = 10
-# Canonicalisations a walk may spend per code of its orbit budget.  Default
-# walks make at most 30,017 in the tests (the one-code walk of the full space
-# over GF(10007) on a 2-chain) and 2,810 in a benchmark op; at 10 a
-# budget-cut walk of the tests would stop before its code count does.
-CANONICALISATIONS_PER_CODE = 20
 
 
 @dataclass(frozen=True)
@@ -104,44 +102,10 @@ class ProfileUniquenessReport:
         }
 
 
-def _delta_generators(n: int, q: int, strict: list):
-    """Generators of the triangular part as elementary operations ``(i, j, c)``
-    on 0-based coordinates, each mapping x to x + c * x_j * e_i: diagonal
-    scalings (i = j, factor 1 + c), then additions along the ``strict``
-    relations i below j, listed by column descending and row ascending, by
-    coefficient ascending.  In this order the walk from the all-ones code on
-    a chain first reaches the folded code through the paper's fold map.
-    They are yielded, not listed: over a large field they number millions."""
-    for c in range(1, q - 1):
-        for i in range(n):
-            yield i, i, c
-    for i, j in strict:
-        for c in range(1, q):
-            yield i, j, c
-
-
-class _Seen(set):
-    """The codes a walk has admitted, and the number of canonicalised
-    images handed to ``_admit``, admitted or not."""
-
-    canonicalised = 0
-
-
-def _admit(seen: _Seen, image: LinearCode, orbit_budget: int) -> bool:
-    """Add an image not seen before to ``seen``; False for a repeat.
-
-    The orbit budget bounds the walk's work as well as its codes: a new
-    image past ``orbit_budget`` codes stops the walk, and so does a repeat
-    past CANONICALISATIONS_PER_CODE * ``orbit_budget`` canonicalisations.
-    """
-    seen.canonicalised += 1
+def _admit(seen: set, image: LinearCode, orbit_budget: int) -> bool:
+    """Add an image not seen before to ``seen``; False for a repeat.  A new
+    image past ``orbit_budget`` codes stops the walk."""
     if image in seen:
-        cap = CANONICALISATIONS_PER_CODE * orbit_budget
-        if seen.canonicalised > cap:
-            raise ResourceLimitError(
-                f"orbit walk exceeds budget of {cap} canonicalisations"
-                f" after admitting {len(seen)} codes"
-            )
         return False
     if len(seen) >= orbit_budget:
         raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes")
@@ -149,30 +113,28 @@ def _admit(seen: _Seen, image: LinearCode, orbit_budget: int) -> bool:
     return True
 
 
-def _delta_walk(code: LinearCode, poset: Poset, seen: _Seen, orbit_budget: int):
-    """Breadth-first walk of the code's orbit under the triangular part:
-    each code that ``_admit`` adds to ``seen``, starting with the code
-    itself, with the generator that first reached it times its parent's
-    matrix."""
+def _unipotent_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
+    """Breadth-first walk of U.C, U the unipotent part: each code that
+    ``_admit`` adds to ``seen``, the code first, with the generator that
+    first reached it times its parent's matrix.  The generators add x_j to
+    x_i for each strict relation i below j (0-based), by column descending
+    and row ascending; adding c * x_j is the c-th power of that, and U is
+    finite, so no other coefficient is needed.  From the all-ones code on a
+    chain this order first reaches the folded code by the paper's fold map."""
     q, n = code.q, code.n
-    strict = [
-        (i, j)
-        for j in range(n - 1, -1, -1)
-        for i in range(n)
-        if i != j and poset.leq(i + 1, j + 1)
-    ]
+    pairs = ((i, j) for j in range(n - 1, -1, -1) for i in range(n) if i != j)
+    strict = [(i, j) for i, j in pairs if poset.leq(i + 1, j + 1)]
     eye = _eye(n)
     _admit(seen, code, orbit_budget)
     yield code, eye
     queue = [(code, eye)]
     for current, matrix in queue:
-        for i, j, c in _delta_generators(n, q, strict):
-            rows = [list(row) for row in current.generators]
-            for row in rows:
-                row[i] = (row[i] + c * row[j]) % q
+        for i, j in strict:
+            # rref reduces entries on entry, so the sum needs no mod here.
+            rows = [row[:i] + (row[i] + row[j],) + row[i + 1 :] for row in current.generators]
             image = LinearCode(q, n, *rref(q, n, rows))
             if _admit(seen, image, orbit_budget):
-                added = tuple((a + c * b) % q for a, b in zip(matrix[i], matrix[j]))
+                added = tuple((a + b) % q for a, b in zip(matrix[i], matrix[j]))
                 product = matrix[:i] + (added,) + matrix[i + 1 :]
                 yield image, product
                 queue.append((image, product))
@@ -190,46 +152,72 @@ def _inverse(sigma: tuple) -> tuple:
     return tuple(inverse)
 
 
-def _permute(code: LinearCode, sigma: tuple) -> LinearCode:
-    rows = [[row[s - 1] for s in sigma] for row in code.generators]
+def _monomial(code: LinearCode, sigma: tuple, scale) -> LinearCode:
+    """The code's image under x -> T_sigma(D x), D the diagonal ``scale``
+    or, when None, the identity."""
+    if scale is None:
+        rows = [[row[s - 1] for s in sigma] for row in code.generators]
+    else:
+        rows = [[scale[s - 1] * row[s - 1] for s in sigma] for row in code.generators]
     return LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
 
 
+def _blocks(code: LinearCode, walked: list, moves: list, seen: set, orbit_budget: int):
+    """The images of a walked orbit H.C under the group that ``moves``
+    generate, which normalises H, a block m(H.C) = H.m(C) at a time, where
+    ``walked`` lists each image A.C, the code's first, with its matrix A.  A
+    block map m = (sigma, D) acts as x -> T_sigma(D x); a move (g, c) is
+    the automorphism g or the primitive-root scaling of x_c.  For each
+    block's map rep, in the order found, and each move, a new image of C
+    under the move after rep opens its block, walked in the order of
+    ``walked``: the image of A.C, with witness (sigma, D.A)."""
+    q, n = code.q, code.n
+    root, ones = primitive_root(q), (1,) * n
+    reps = [(tuple(range(1, n + 1)), ones)]
+    for rep_sigma, rep_scale in reps:
+        for g, c in moves:
+            sigma, scale = _compose(g, rep_sigma), rep_scale
+            if c is not None:  # scaling x_c after rep scales D at rep_sigma(c)
+                p = rep_sigma[c] - 1
+                scale = scale[:p] + (scale[p] * root % q,) + scale[p + 1 :]
+            factor = None if scale == ones else scale
+            first = _monomial(code, sigma, factor)
+            if not _admit(seen, first, orbit_budget):
+                continue
+            reps.append((sigma, scale))
+            for index, (image, matrix) in enumerate(walked):
+                image = _monomial(image, sigma, factor) if index else first
+                if index and not _admit(seen, image, orbit_budget):
+                    continue
+                if factor is not None:
+                    matrix = tuple(tuple(d * a % q for a in row) for d, row in zip(scale, matrix))
+                yield image, sigma, matrix
+
+
 def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
-    """Each distinct image of the code with the automorphism and triangular
-    matrix reaching it, since the isometry group is Aut(P) acting on the
-    triangular part: the triangular walk under the identity, then its images
-    under Aut(P), a block at a time.  An automorphism sigma maps the
-    triangular orbit onto a whole one, its block, so sigma(C) tells a new
-    block from a walked one.  For each block's representative rep, in the
-    order found, and each generator g of Aut(P), a new image of C under g
-    after rep opens that automorphism's block, walked in triangular order:
-    at most |orbit| + blocks * generators canonicalisations.  A poset beyond
-    MAX_WALK_N stops the walk before any image; ``_admit`` bounds the rest."""
+    """Each distinct image of the code with the automorphism sigma and the
+    matrix reaching it, in three stages: U.C by ``_unipotent_walk``; its
+    blocks under the diagonal scalings, which normalise U; and the blocks
+    of that triangular orbit under Aut(P), which normalises both.  That
+    makes at most |orbit| * (strict relations + n + generators of Aut(P) +
+    1) canonicalisations.  A poset beyond MAX_WALK_N stops the walk before
+    any image; ``_admit`` bounds the rest."""
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
     if poset.n > MAX_WALK_N:
         raise ResourceLimitError(f"orbit walk supports n <= {MAX_WALK_N}, got {poset.n}")
-    generators, _ = poset.automorphisms()
-    identity = tuple(range(1, code.n + 1))
-    seen = _Seen()
-    delta_orbit = []
-    for image, matrix in _delta_walk(code, poset, seen, orbit_budget):
-        delta_orbit.append((image, matrix))
+    q, n = code.q, code.n
+    identity = tuple(range(1, n + 1))
+    seen, unipotent, scaled = set(), [], []
+    for image, matrix in _unipotent_walk(code, poset, seen, orbit_budget):
+        unipotent.append((image, matrix))
         yield image, identity, matrix
-    reps = [identity]
-    for rep in reps:
-        for g in generators:
-            sigma = _compose(g, rep)
-            first = _permute(code, sigma)
-            if not _admit(seen, first, orbit_budget):
-                continue
-            reps.append(sigma)
-            yield first, sigma, delta_orbit[0][1]
-            for image, matrix in delta_orbit[1:]:
-                permuted = _permute(image, sigma)
-                if _admit(seen, permuted, orbit_budget):
-                    yield permuted, sigma, matrix
+    scalings = [(identity, c) for c in range(n)] if q > 2 else []
+    for image, _, matrix in _blocks(code, unipotent, scalings, seen, orbit_budget):
+        scaled.append((image, matrix))
+        yield image, identity, matrix
+    automorphisms = [(g, None) for g in poset.automorphisms()[0]]
+    yield from _blocks(code, unipotent + scaled, automorphisms, seen, orbit_budget)
 
 
 def orbit_codes(
@@ -285,15 +273,15 @@ def is_p_irreducible(
     """True when no orbit code splits into several components or occupies a
     smaller support.
 
-    The permutation part of the group never changes support size or the
-    component count, so scanning the orbit under the triangular part alone
-    decides the question.
+    The monomial part of the group, a permutation or a scaling, never
+    changes support size or the component count, so scanning the orbit
+    under the unipotent part alone decides the question.
     """
     n = poset.n
     full = frozenset(range(1, n + 1))
     if code.support() != full:
         raise ValidationError("irreducibility expects a code with full support")
-    for image, _ in _delta_walk(code, poset, _Seen(), orbit_budget):
+    for image, _ in _unipotent_walk(code, poset, set(), orbit_budget):
         if len(image.support()) < n or len(_row_groups(image)) > 1:
             return False
     return True

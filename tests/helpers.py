@@ -541,21 +541,53 @@ def reference_profile_uniqueness(code, poset):
     )
 
 
+def reference_primitive_root(q):
+    """The least element of GF(q) of multiplicative order q - 1, each
+    candidate's order found by repeated multiplication."""
+
+    def order(g):
+        power, k = g, 1
+        while power != 1:
+            power, k = power * g % q, k + 1
+        return k
+
+    return next(g for g in range(1, q) if order(g) == q - 1)
+
+
 def reference_orbit_walk(code, poset, orbit_budget=10**5):
     """The orbit walk's items ``(image, sigma, matrix)`` in the order the
-    search module documents: the triangular walk, then the blocks
-    breadth-first.  For each block's representative rep, in the order the
-    blocks were found, and each generator g of ``reference_generators`` in
-    turn, every triangular image is permuted by g after rep, canonicalised
-    and kept when new, and g after rep represents a new block when any image
-    was new.  Only the triangular walk counts canonicalisations against the
-    budget; permuting every image takes far more of them than the
-    production walk, so the permutation step counts codes alone."""
-    from posetcodes.code import LinearCode, rref
+    search module documents, from whole matrices.  First the unipotent walk:
+    breadth-first from the identity, each matrix A taken to E.A for each
+    strict relation i < j by column j descending, row i ascending, where E
+    is the identity plus a 1 at (i, j), and kept when E.A.C is new.  Then
+    two block walks, each under monomial matrices: the scalings of each
+    coordinate by the least element of order q - 1 (none over GF(2)) over
+    the unipotent images, then the permutation matrices of
+    ``reference_generators`` over all images so far.  In each, for each
+    block's matrix R, in the order the blocks were found, and each
+    generator G in turn, every walked image A.C is mapped by G.R,
+    canonicalised and kept when new, and G.R represents a new block when
+    any image was new.  G.R.A = P_sigma.(D.A), where (P_sigma x)_i =
+    x_sigma(i), so the witness matrix D.A is G.R.A with its rows moved back
+    by sigma.  The budget counts codes alone."""
+    from posetcodes.code import LinearCode
     from posetcodes.errors import ResourceLimitError, ValidationError
-    from posetcodes.search import _delta_walk, _Seen
 
-    def admit(seen, image):
+    if poset.n != code.n:
+        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    q, n = code.q, code.n
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def times(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+    def image_of(w, generators=code.generators):
+        rows = [[sum(x * y for x, y in zip(row, g)) for row in w] for g in generators]
+        return LinearCode.from_generators(q, n, rows)
+
+    seen = set()
+
+    def admit(image):
         if image in seen:
             return False
         if len(seen) >= orbit_budget:
@@ -563,28 +595,58 @@ def reference_orbit_walk(code, poset, orbit_budget=10**5):
         seen.add(image)
         return True
 
-    if poset.n != code.n:
-        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
-    identity = tuple(range(1, poset.n + 1))
-    generators = reference_generators(poset)
-    seen = _Seen()
-    delta_orbit = []
-    for image, matrix in _delta_walk(code, poset, seen, orbit_budget):
-        delta_orbit.append((image, matrix))
-        yield image, identity, matrix
-    reps = [identity]
-    for rep in reps:
-        for g in generators:
-            sigma = tuple(rep[g[i] - 1] for i in range(poset.n))
-            new = False
-            for image, matrix in delta_orbit:
-                rows = [[row[s - 1] for s in sigma] for row in image.generators]
-                permuted = LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
-                if admit(seen, permuted):
-                    new = True
-                    yield permuted, sigma, matrix
-            if new:
-                reps.append(sigma)
+    def block_walk(walked, generators):
+        blocks = [eye]
+        for r in blocks:
+            for g in generators:
+                block = times(g, r)
+                sigma = tuple(1 + next(j for j in range(n) if row[j]) for row in block)
+                new = False
+                for a, walked_image in walked:
+                    image = image_of(block, walked_image.generators)
+                    if admit(image):
+                        new = True
+                        w = times(block, a)
+                        witness = [None] * n
+                        for i, s in enumerate(sigma):
+                            witness[s - 1] = w[i]
+                        yield image, sigma, witness
+                if new:
+                    blocks.append(block)
+
+    identity = tuple(range(1, n + 1))
+    strict = [
+        (i, j) for j in reversed(range(n)) for i in range(n) if i != j and poset.leq(i + 1, j + 1)
+    ]
+    unipotent = [(eye, image_of(eye))]
+    admit(unipotent[0][1])
+    yield unipotent[0][1], identity, tuple(map(tuple, eye))
+    for a, _ in unipotent:
+        for i, j in strict:
+            e = [row[:] for row in eye]
+            e[i][j] = 1
+            product_matrix = times(e, a)
+            image = image_of(product_matrix)
+            if admit(image):
+                unipotent.append((product_matrix, image))
+                yield image, identity, tuple(map(tuple, product_matrix))
+    scalings = []
+    if q > 2:
+        root = reference_primitive_root(q)
+        scalings = [
+            [[root if i == j == c else int(i == j) for j in range(n)] for i in range(n)]
+            for c in range(n)
+        ]
+    scaled = []
+    for image, sigma, witness in block_walk(unipotent, scalings):
+        scaled.append((witness, image))
+        yield image, sigma, tuple(map(tuple, witness))
+    permutations = [
+        [[int(g[i] == j + 1) for j in range(n)] for i in range(n)]
+        for g in reference_generators(poset)
+    ]
+    for image, sigma, witness in block_walk(unipotent + scaled, permutations):
+        yield image, sigma, tuple(map(tuple, witness))
 
 
 # -- exhaustive decoding ------------------------------------------------

@@ -1,7 +1,15 @@
 import pytest
 
+from helpers import reference_primitive_root
 from posetcodes.errors import ResourceLimitError, ValidationError
-from posetcodes.field import MAX_MODULUS, FieldSpec, parse_vector, vec_sub
+from posetcodes.field import (
+    MAX_MODULUS,
+    FieldSpec,
+    is_prime,
+    parse_vector,
+    primitive_root,
+    vec_sub,
+)
 
 
 def test_make_field_accepts_primes():
@@ -38,3 +46,10 @@ def test_parse_vector_normalizes():
     assert parse_vector("4,-1", 3) == (1, 2)
     with pytest.raises(ValidationError):
         parse_vector("1,x", 3)
+
+
+def test_primitive_root_matches_brute_force_order():
+    """The least element of order q - 1, for every prime below 200 and the
+    largest supported one."""
+    for q in [q for q in range(200) if is_prime(q)] + [1048573]:
+        assert primitive_root(q) == reference_primitive_root(q), q

@@ -111,27 +111,24 @@ def test_irreducibility():
         is_p_irreducible(LinearCode.from_generators(2, 2, [(1, 0)]), Poset.antichain(2))
 
 
-def test_irreducibility_walk_is_bounded_by_its_canonicalisations():
+def test_irreducibility_walk_over_a_large_field_tries_no_scaling():
     """The one-point full space over GF(1,048,573) is irreducible and its
-    own orbit, but its walk would try a million scalings; an orbit budget
-    of 10 codes stops it after 200.  In a child process, so that a hang
-    fails the test instead of stalling it."""
+    own orbit; the walk under the unipotent part has no generator on one
+    point, so an orbit budget of 10 codes is ample.  In a child process,
+    so that a hang fails the test instead of stalling it."""
     script = (
         "from posetcodes.code import LinearCode\n"
         "from posetcodes.poset import Poset\n"
         "from posetcodes.search import is_p_irreducible\n"
         "code = LinearCode.from_generators(1048573, 1, [(1,)])\n"
-        "is_p_irreducible(code, Poset.chain(1), orbit_budget=10)\n"
+        "print(is_p_irreducible(code, Poset.chain(1), orbit_budget=10))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(posetcodes.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=20, env=env
     )
-    assert result.returncode != 0
-    assert result.stderr.splitlines()[-1] == (
-        "posetcodes.errors.ResourceLimitError: orbit walk exceeds budget of 200"
-        " canonicalisations after admitting 1 codes"
-    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
 
 
 def test_orbit_budget_is_keyword_only():
