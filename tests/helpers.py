@@ -416,9 +416,9 @@ def generated_group(generators, n):
 #
 # The orbit loops as the search module first wrote them: every isometry of
 # the group enumerated, validated, applied and deduplicated, with a separate
-# walk per question.  Production walks the triangular part breadth-first
-# and permutes that orbit; these stay as the reference its decompositions,
-# orbit sets and reports must match.
+# walk per question.  Production walks the unipotent part breadth-first
+# and maps that orbit by scalings and automorphisms; these stay as the
+# reference its decompositions, orbit sets and reports must match.
 
 
 def enumerate_isometries(poset, q, budget=10**7):
