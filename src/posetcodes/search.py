@@ -3,10 +3,18 @@ uniqueness, hierarchical neighbours and the complexity sandwich bounds.
 
 The minimal complexity of a code relative to a poset is the minimum, over
 the isometry orbit of the code, of the per-code grouping minimum.  The
-orbit is walked breadth-first under the unipotent part, one addition per
+orbit is walked breadth-first under the unipotent part U, one addition per
 strict relation, then block by block under the monomial part: by one
 scaling per coordinate, then by the generators of Aut(P), in a fixed
 order, so witnesses are reproducible.
+
+A monomial map keeps a code's supports, row groups and maximal
+decomposition up to an automorphism of P, so every block has the values
+of U.C.  The searches that return only values (``minimal_complexity``,
+the ``o_p`` of ``hierarchy_bounds``, and the irreducibility tests) walk
+U.C alone; ``verify_profile_uniqueness`` decomposes U.C alone and walks
+the blocks only to count the orbit.  ``primary_decomposition`` and
+``orbit_codes`` walk the whole orbit, for their witnesses and tie-break.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -54,9 +62,9 @@ class PDecomposition:
 @dataclass(frozen=True)
 class BoundsReport:
     """Minimal complexities for the hierarchical neighbours, exact at every
-    supported size, and the poset's own value, None when the orbit walk
-    that finds it on a non-hierarchical poset exceeds a budget or its
-    reach."""
+    supported size, and the poset's own value.  That is exact too; it is
+    None only when the neighbour values differ and the walk of U.C that
+    finds it exceeds a budget or its reach."""
 
     upper_poset: Poset
     lower_poset: Poset
@@ -194,30 +202,45 @@ def _blocks(code: LinearCode, walked: list, moves: list, seen: set, orbit_budget
                 yield image, sigma, matrix
 
 
-def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
-    """Each distinct image of the code with the automorphism sigma and the
-    matrix reaching it, in three stages: U.C by ``_unipotent_walk``; its
-    blocks under the diagonal scalings, which normalise U; and the blocks
-    of that triangular orbit under Aut(P), which normalises both.  That
-    makes at most |orbit| * (strict relations + n + generators of Aut(P) +
-    1) canonicalisations.  A poset beyond MAX_WALK_N stops the walk before
-    any image; ``_admit`` bounds the rest."""
+def _check_reach(code: LinearCode, poset: Poset) -> None:
+    """Refuse a code of another length, and a poset beyond MAX_WALK_N before
+    any walk starts."""
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
     if poset.n > MAX_WALK_N:
         raise ResourceLimitError(f"orbit walk supports n <= {MAX_WALK_N}, got {poset.n}")
-    q, n = code.q, code.n
-    identity = tuple(range(1, n + 1))
-    seen, unipotent, scaled = set(), [], []
-    for image, matrix in _unipotent_walk(code, poset, seen, orbit_budget):
-        unipotent.append((image, matrix))
-        yield image, identity, matrix
-    scalings = [(identity, c) for c in range(n)] if q > 2 else []
+
+
+def _monomial_blocks(
+    code: LinearCode, poset: Poset, unipotent: list, seen: set, orbit_budget: int
+):
+    """The rest of the orbit after U.C, which ``unipotent`` lists as the
+    pairs of ``_unipotent_walk``, as ``(image, sigma, matrix)``: the blocks
+    of U.C under the diagonal scalings, which normalise U, then the blocks
+    of that triangular orbit under Aut(P), which normalises both."""
+    identity = tuple(range(1, code.n + 1))
+    scalings = [(identity, c) for c in range(code.n)] if code.q > 2 else []
+    scaled = []
     for image, _, matrix in _blocks(code, unipotent, scalings, seen, orbit_budget):
         scaled.append((image, matrix))
         yield image, identity, matrix
     automorphisms = [(g, None) for g in poset.automorphisms()[0]]
     yield from _blocks(code, unipotent + scaled, automorphisms, seen, orbit_budget)
+
+
+def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
+    """Each distinct image of the code with the automorphism sigma and the
+    matrix reaching it: U.C by ``_unipotent_walk``, then its blocks by
+    ``_monomial_blocks``.  That makes at most |orbit| * (strict relations +
+    n + generators of Aut(P) + 1) canonicalisations.  ``_check_reach``
+    stops the walk before any image; ``_admit`` bounds the rest."""
+    _check_reach(code, poset)
+    identity = tuple(range(1, code.n + 1))
+    seen, unipotent = set(), []
+    for image, matrix in _unipotent_walk(code, poset, seen, orbit_budget):
+        unipotent.append((image, matrix))
+        yield image, identity, matrix
+    yield from _monomial_blocks(code, poset, unipotent, seen, orbit_budget)
 
 
 def orbit_codes(
@@ -257,10 +280,31 @@ def primary_decomposition(
     return decomposed()
 
 
+def _least_complexity(code: LinearCode, poset: Poset, orbit_budget: int, floor: int = 0) -> int:
+    """The least grouping complexity over U.C, or the first value at most
+    ``floor`` that the walk meets."""
+    _check_reach(code, poset)
+    least = None
+    for image, _ in _unipotent_walk(code, poset, set(), orbit_budget):
+        value = min_grouping_complexity(image)
+        if least is None or value < least:
+            least = value
+            if least <= floor:
+                break
+    return least
+
+
 def minimal_complexity(
     code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> int:
-    return primary_decomposition(code, poset, orbit_budget=orbit_budget).complexity
+    """The complexity of a primary decomposition, from U.C alone.
+
+    A monomial map, an automorphism of P after a diagonal scaling, keeps a
+    code's supports and row groups up to the automorphism, so every block
+    m(U.C) of the orbit has the same grouping minima as U.C.  The orbit
+    budget counts the codes of U.C.
+    """
+    return _least_complexity(code, poset, orbit_budget)
 
 
 # -- irreducibility and profile uniqueness ---------------------------
@@ -301,21 +345,31 @@ def verify_profile_uniqueness(
     code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> ProfileUniquenessReport:
     """Scan the orbit and check that every maximal decomposition carries the
-    same canonical profile."""
-    orbit_size = 0
+    same canonical profile.
+
+    Only the codes of U.C are decomposed.  Each monomial block m(U.C) is a
+    bijective image of U.C that keeps maximal decompositions, profiles and
+    the irreducibility of components, so each block holds as many
+    candidates as U.C, and the first code with each profile lies in U.C.
+    The blocks are still walked, for the orbit size.
+    """
+    _check_reach(code, poset)
+    seen, unipotent = set(), []
     candidates = 0
     profiles = {}
-    for image, _, _ in _orbit(code, poset, orbit_budget):
-        orbit_size += 1
+    for image, matrix in _unipotent_walk(code, poset, seen, orbit_budget):
+        unipotent.append((image, matrix))
         dec = maximal_decomposition(image)
         if _irreducible_components(dec, poset):
             candidates += 1
             profiles.setdefault(dec.profile(), dec.code)
+    blocks = sum(1 for _ in _monomial_blocks(code, poset, unipotent, seen, orbit_budget))
+    orbit_size = len(unipotent) + blocks
     ok = len(profiles) == 1
     return ProfileUniquenessReport(
         ok=ok,
         profile=next(iter(profiles)) if ok else None,
-        candidates=candidates,
+        candidates=candidates * orbit_size // len(unipotent),
         orbit_size=orbit_size,
         conflicts=[] if ok else sorted(profiles.items(), key=lambda item: item[0]),
     )
@@ -428,9 +482,12 @@ def hierarchy_bounds(
 
     Both neighbour values are exact and come from the closed form of
     :func:`hierarchical_decomposition`, so no budget applies to them.  So
-    does the poset's own value when the poset is hierarchical; otherwise it
-    comes from the orbit walk, and it is None when the walk exceeds a
-    budget or its reach (MAX_WALK_N, n = 10).
+    does the poset's own value when the poset is hierarchical, or when the
+    two neighbour values are equal, since they sandwich it.  Otherwise it
+    is the least grouping complexity over U.C, as in
+    :func:`minimal_complexity`; the walk stops at the first code that
+    reaches the upper neighbour's value, which no code goes below.  It is
+    None when the walk exceeds a budget or its reach (MAX_WALK_N, n = 10).
     """
     if poset.n != code.n:
         raise ValidationError(f"poset size {poset.n} != code length {code.n}")
@@ -441,8 +498,10 @@ def hierarchy_bounds(
     o_lower = min_grouping_complexity(_level_sum(code, blocks)[0])
     upper = upper_neighbour(poset)
     lower = Poset.from_ranks(blocks)
+    if o_upper == o_lower:
+        return BoundsReport(upper, lower, o_upper, o_lower, o_upper)
     try:
-        o_p = minimal_complexity(code, poset, orbit_budget=orbit_budget)
+        o_p = _least_complexity(code, poset, orbit_budget, floor=o_upper)
     except ResourceLimitError:
         o_p = None
     return BoundsReport(upper, lower, o_upper, o_lower, o_p)

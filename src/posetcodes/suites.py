@@ -374,15 +374,18 @@ def bounds_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> Su
         code = random_code(rng, q, n)
         bounds = hierarchy_bounds(code, poset)
         report.checked += 1
-        # The neighbour values come from the closed form; the orbit walk
-        # recomputes them independently.
+        # hierarchy_bounds may take o_p from the sandwich itself, or stop its
+        # walk at o_upper, so the sandwich is checked on a full walk's o_p.
+        # The neighbour values come from the closed form; the walk recomputes
+        # them independently.
+        o_p = minimal_complexity(code, poset)
         walked = [
             minimal_complexity(code, bounds.upper_poset),
             minimal_complexity(code, bounds.lower_poset),
         ]
         if (
-            not bounds.sandwich_ok
-            or bounds.o_p is None
+            not bounds.o_upper <= o_p <= bounds.o_lower
+            or bounds.o_p != o_p
             or walked != [bounds.o_upper, bounds.o_lower]
         ):
             report.ok = False
@@ -390,6 +393,7 @@ def bounds_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> Su
                 "poset": poset.to_json_dict(),
                 "code": code.to_json_dict(),
                 "bounds": bounds.to_json_dict(),
+                "walked_o_p": o_p,
                 "walked_neighbours": walked,
             }
             break

@@ -254,6 +254,27 @@ def test_verify_reports_violations_with_exit_three(capsys, monkeypatch):
     assert "FAIL" in out and "counterexample" in out
 
 
+def test_verify_bounds_walks_its_own_o_p(capsys, monkeypatch):
+    """``analyze bounds`` may take o_p from the sandwich or stop its walk at
+    o_upper, so the suite checks the sandwich on the o_p it walks itself: a
+    skewed walk on one sample is reported."""
+    real = suites.minimal_complexity
+    skewed = []
+
+    def skew_first_sample(code, poset, **kwargs):
+        if skewed or poset.n != 5 or poset.is_hierarchical():  # not the N poset or a neighbour
+            return real(code, poset, **kwargs)
+        skewed.append(suites.hierarchy_bounds(code, poset).o_lower + 1)
+        return skewed[0]
+
+    monkeypatch.setattr(suites, "minimal_complexity", skew_first_sample)
+    argv = ["--format", "json", "verify", "bounds", "--n", "5", "--samples", "50", "--seed", "7"]
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    counterexample = json.loads(out)["counterexample"]
+    assert counterexample["walked_o_p"] == skewed[0] == counterexample["bounds"]["o_lower"] + 1
+
+
 def test_validation_exit_code(capsys, tmp_path):
     missing = str(tmp_path / "nope.json")
     code, _, err = run(capsys, ["poset", "info", missing])
@@ -510,4 +531,22 @@ def test_analyze_bounds_reaches_sixteen_coordinates(tmp_path):
     assert data["o_p"] is None
     assert data["o_upper"] == hierarchical_decomposition(code, upper_neighbour(poset)).complexity
     assert data["o_lower"] == hierarchical_decomposition(code, lower_neighbour(poset)).complexity
+    assert data["sandwich_ok"]
+
+
+def test_analyze_bounds_past_the_walks_reach_when_the_sandwich_fixes_o_p(tmp_path):
+    """Equal neighbour values fix o_p with no walk, so a non-hierarchical
+    poset past the walk's reach still gets it."""
+    rng = random.Random(1)
+    poset = suites.random_poset(rng, 12)
+    assert not poset.is_hierarchical()
+    code = suites.random_code(rng, 2, 12)
+    poset_path = tmp_path / "poset12.json"
+    poset_path.write_text(json.dumps(poset.to_json_dict()))
+    code_path = tmp_path / "code12.json"
+    code_path.write_text(json.dumps(code.to_json_dict()))
+    result = run_process(["--format", "json", "analyze", "bounds", str(poset_path), str(code_path)], timeout=10)
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)["bounds"]
+    assert data["o_upper"] == data["o_p"] == data["o_lower"] == 32
     assert data["sandwich_ok"]

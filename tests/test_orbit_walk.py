@@ -3,7 +3,9 @@
 Instances are seeded random posets and codes with n in 2..5 and q in
 {2, 3}; groups are capped at 400 elements so the reference's repeated
 walks stay cheap.  Decompositions, complexities, orbit sets and profile
-reports must equal the full enumeration's.  Witnesses and the orbit order
+reports must equal the full enumeration's, and so must the values that
+``minimal_complexity`` and ``hierarchy_bounds`` take from U.C alone, here
+also over GF(5).  Witnesses and the orbit order
 follow the walk, not the full enumeration's order, so a witness is checked
 by the image it reaches; the walk's own sequence, here also over GF(5) and
 GF(7), must equal the one that maps every walked image by each monomial
@@ -28,7 +30,9 @@ from posetcodes.errors import ResourceLimitError
 from posetcodes.isometry import group_size
 from posetcodes.poset import Poset
 from posetcodes.search import (
+    hierarchy_bounds,
     is_p_irreducible,
+    minimal_complexity,
     orbit_codes,
     primary_decomposition,
     verify_profile_uniqueness,
@@ -71,6 +75,24 @@ def test_walk_matches_full_enumeration(index):
             verify_profile_uniqueness(code, poset).to_json_dict()
             == reference_profile_uniqueness(code, poset).to_json_dict()
         )
+
+
+def test_value_searches_match_full_enumeration():
+    """``minimal_complexity`` walks U.C alone, and ``hierarchy_bounds``
+    takes o_p from equal neighbour values or stops its walk of U.C at
+    o_upper: each equals the minimum over the whole orbit, on instances of
+    all three kinds."""
+    kinds = {"fixed": 0, "stopped": 0, "walked": 0}
+    for poset, code in INSTANCES + _instances(count=30, seed=15, group_cap=2000, fields=(5,)):
+        full = reference_primary_decomposition(code, poset).complexity
+        assert minimal_complexity(code, poset) == full, (poset, code)
+        bounds = hierarchy_bounds(code, poset)
+        assert bounds.o_p == full, (poset, code)
+        if bounds.o_upper == bounds.o_lower:
+            kinds["fixed"] += 1
+        else:
+            kinds["stopped" if full == bounds.o_upper else "walked"] += 1
+    assert min(kinds.values()) > 0, kinds
 
 
 def _irreducibility_cases(random_count=40, seed=7, group_cap=400):

@@ -131,6 +131,30 @@ def test_irreducibility_walk_over_a_large_field_tries_no_scaling():
     assert result.stdout == "True\n"
 
 
+def test_profile_check_decomposes_only_the_unipotent_orbit():
+    """On this n = 7 instance over GF(3) every one of the 10,368 orbit
+    codes is one full-support candidate, and each irreducibility test
+    walks its own unipotent orbit; decomposing every orbit code took about
+    20 s, decomposing U.C well under a second.  In a child process, so
+    that a slow check fails the test instead of stalling it."""
+    script = (
+        "from posetcodes.code import LinearCode\n"
+        "from posetcodes.poset import Poset\n"
+        "from posetcodes.search import verify_profile_uniqueness\n"
+        "poset = Poset.from_covers(7, [(1, 3), (7, 1)])\n"
+        "rows = [(1, 0, 0, 0, 1, 1, 2), (0, 1, 0, 0, 2, 1, 1),\n"
+        "        (0, 0, 1, 0, 1, 0, 2), (0, 0, 0, 1, 2, 1, 1)]\n"
+        "report = verify_profile_uniqueness(LinearCode.from_generators(3, 7, rows), poset)\n"
+        "print(report.ok, report.profile, report.candidates, report.orbit_size)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(posetcodes.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True ((0, 0), (7, 4)) 10368 10368\n"
+
+
 def test_orbit_budget_is_keyword_only():
     """A third positional argument was once the group budget; it must fail
     rather than become an orbit budget."""
