@@ -5,11 +5,11 @@ Instances are seeded random posets and codes with n in 2..5 and q in
 walks stay cheap.  Decompositions, complexities, orbit sets and profile
 reports must equal the full enumeration's, and so must the values that
 ``minimal_complexity`` and ``hierarchy_bounds`` take from U.C alone, here
-also over GF(5).  Witnesses and the orbit order
-follow the walk, not the full enumeration's order, so a witness is checked
-by the image it reaches; the walk's own sequence, here also over GF(5) and
-GF(7), must equal the one that maps every walked image by each monomial
-block map the block walks try.
+also over GF(5).  Witnesses and the orbit order follow the walk, not the
+full enumeration's order, so a witness is checked by the image it
+reaches; the walk's own sequence, here also over GF(5) and GF(7), must
+equal the one that maps every walked image by each monomial block map
+the block walks try.
 """
 
 import random
