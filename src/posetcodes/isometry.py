@@ -55,10 +55,6 @@ class PIsometry:
         self.matrix_rows = rows
         self._hash = hash((poset, q, sig, rows))
 
-    @classmethod
-    def identity(cls, poset: Poset, q: int) -> "PIsometry":
-        return cls(poset, q, tuple(range(1, poset.n + 1)), _eye(poset.n))
-
     def apply(self, x) -> tuple:
         if len(x) != self.poset.n:
             raise ValidationError(f"expected vector of length {self.poset.n}")

@@ -720,3 +720,35 @@ def reference_agreement_rate(table, code, poset):
         hits += achieved == best_distance
         total += 1
     return hits / total
+
+
+def identity_isometry(poset, q):
+    """The identity map of GF(q)^n as an isometry of ``poset``."""
+    from posetcodes.isometry import PIsometry
+
+    n = poset.n
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return PIsometry(poset, q, range(1, n + 1), eye)
+
+
+def reference_decode(table, y):
+    """Decoding as the decoder module first wrote it: y transported into the
+    decomposed frame by F, each component corrected by its leader there,
+    the coordinates j0 zeroed and flagged where nonzero, and the result
+    transported back by F^-1.  F and F^-1 come from the table's witness,
+    not from anything the table itself precomputed."""
+    from posetcodes.isometry import apply_matrix, invert_matrix
+
+    pd, q = table.pd, table.q
+    frame = pd.witness.matrix()
+    z = apply_matrix(q, frame, [v % q for v in y])
+    corrected = [0] * table.n
+    for comp, comp_table in zip(pd.dec.components, table.components):
+        coords = tuple(sorted(comp.support()))
+        parity = reference_code_restrict(comp, coords).parity_check()
+        local = tuple(z[j - 1] for j in coords)
+        leader = comp_table.leaders[parity.syndrome(local)]
+        for j, zv, lv in zip(coords, local, leader):
+            corrected[j - 1] = (zv - lv) % q
+    flags = tuple(j for j in sorted(pd.dec.j0) if z[j - 1])
+    return apply_matrix(q, invert_matrix(q, frame), corrected), flags

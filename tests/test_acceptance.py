@@ -13,6 +13,7 @@ from helpers import (
     brute_force_finest_partition,
     grouping_minimum,
     hierarchical_weight,
+    identity_isometry,
     nearest_codeword_oracle,
 )
 from posetcodes.code import LinearCode
@@ -134,7 +135,7 @@ def test_criterion_8_decoder_tables_and_oracle():
         def identity_pd(code, poset, dec=None):
             dec = dec if dec is not None else trivial_decomposition(code)
             return PDecomposition(
-                PIsometry.identity(poset, code.q), dec, dec.complexity()
+                identity_isometry(poset, code.q), dec, dec.complexity()
             )
 
         def check_table(table):

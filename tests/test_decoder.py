@@ -12,18 +12,27 @@ from posetcodes.decoder import (
     table_stats,
 )
 from posetcodes.errors import ResourceLimitError, ValidationError
-from posetcodes.isometry import PIsometry
+from posetcodes.isometry import PIsometry, apply_matrix
+from posetcodes.metric import pweight
 from posetcodes.poset import Poset
 from posetcodes.search import PDecomposition, primary_decomposition
 from posetcodes.suites import random_code, random_poset
 
 from helpers import (
+    identity_isometry,
     nearest_codeword_oracle,
     reference_agreement_rate,
+    reference_automorphisms,
     reference_code_restrict,
+    reference_decode,
     reference_poset_restrict,
     reference_table_leaders,
 )
+
+try:
+    from hypothesis import assume, given, strategies as st
+except ImportError:  # only the property test needs hypothesis
+    given = None
 
 N_POSET = Poset.from_covers(4, [(1, 3), (1, 4), (2, 4)])
 R4 = LinearCode.from_generators(2, 4, [(1, 1, 1, 1)])
@@ -32,7 +41,7 @@ R4 = LinearCode.from_generators(2, 4, [(1, 1, 1, 1)])
 def identity_pd(code, poset, dec=None):
     dec = dec if dec is not None else trivial_decomposition(code)
     return PDecomposition(
-        PIsometry.identity(poset, code.q), dec, dec.complexity()
+        identity_isometry(poset, code.q), dec, dec.complexity()
     )
 
 
@@ -148,8 +157,6 @@ def test_componentwise_decoding_can_miss_cross_component_ideals():
     assert 0.0 < rate < 1.0
     # the miss: correcting {3,4} alone ignores that ideals reach level one
     word, _ = decode(table, (0, 0, 1, 0))
-    from posetcodes.metric import pweight
-
     achieved = pweight(N_POSET, tuple((a - b) % 2 for a, b in zip((0, 0, 1, 0), word)))
     assert achieved > nearest_codeword_oracle(d_code, N_POSET, (0, 0, 1, 0))[1]
 
@@ -291,3 +298,124 @@ def test_coset_budget_bounds_the_vectors_scanned():
         build_table(pd, chain)
     table = build_table(identity_pd(R4, Poset.antichain(4)), Poset.antichain(4), coset_budget=16)
     assert table.total_entries == 8
+
+
+def test_build_table_rejects_a_witness_for_another_poset():
+    """A decomposition found on the chain has leaders and a frame for the
+    chain; a table for the antichain of the same length would mix them."""
+    pd = primary_decomposition(R4, Poset.chain(4))
+    with pytest.raises(ValidationError, match="witness"):
+        build_table(pd, Poset.antichain(4))
+
+
+def random_isometry(rng, poset, q):
+    """A random automorphism with a random matrix: nonzero diagonal, zero
+    wherever the poset forbids an entry."""
+    n = poset.n
+    rows = [
+        [
+            (rng.randrange(1, q) if i == j else rng.randrange(q))
+            if poset.leq(i + 1, j + 1)
+            else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return PIsometry(poset, q, rng.choice(reference_automorphisms(poset)), rows)
+
+
+def transport_tables():
+    """(table, poset) over GF(2), GF(3) and GF(5): the finest decomposition
+    of a code's image under a random isometry, every other code with a
+    zero coordinate, and the primary decompositions of the smaller spaces."""
+    rng = random.Random(97)
+    for index in range(36):
+        q = (2, 3, 5)[index % 3]
+        n = rng.randint(2, {2: 6, 3: 4, 5: 3}[q])
+        poset = Poset.antichain(n) if index % 4 == 0 else random_poset(rng, n)
+        if index % 2:
+            gap = rng.randrange(n)
+            rows = [row[:gap] + (0,) + row[gap:] for row in random_code(rng, q, n - 1).generators]
+            code = LinearCode.from_generators(q, n, rows)
+        else:
+            code = random_code(rng, q, n)
+        witness = random_isometry(rng, poset, q)
+        dec = maximal_decomposition(witness.apply_code(code))
+        yield build_table(PDecomposition(witness, dec, dec.complexity()), poset), poset
+        if q**n <= 3**4:
+            yield build_table(primary_decomposition(code, poset), poset), poset
+
+
+def test_decode_matches_the_reference_transport():
+    """The decoder works in the received word's frame; the reference
+    transports each word into the decomposed frame and back."""
+    rng = random.Random(5)
+    seen = set()
+    for table, poset in transport_tables():
+        q, n, witness = table.q, table.n, table.pd.witness
+        seen.add(("q", q))
+        seen.add(("j0", bool(table.j0)))
+        seen.add(("permuted", witness.sigma != tuple(range(1, n + 1))))
+        seen.add(("scaled", any(witness.matrix_rows[i][i] != 1 for i in range(n))))
+        seen.add(("components", min(len(table.components), 2)))
+        for y in product(range(q), repeat=n):
+            expected = reference_decode(table, y)
+            assert decode(table, y) == expected
+            shifted = tuple(v + q * rng.randint(-3, 3) for v in y)
+            assert decode(table, shifted) == expected
+            negated = tuple(-v for v in y)
+            assert decode(table, negated) == reference_decode(table, negated)
+    assert seen == {
+        ("q", 2), ("q", 3), ("q", 5),
+        ("j0", False), ("j0", True),
+        ("permuted", False), ("permuted", True),
+        ("scaled", False), ("scaled", True),
+        ("components", 1), ("components", 2),
+    }
+
+
+def decoding_instance(draw):
+    """A hypothesis draw: a nonzero code on a random poset, n <= 5 over
+    GF(2) and n <= 4 over GF(3), so the primary search stays small."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5 if q == 2 else 4))
+    labels = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1]),
+            max_size=2 * n,
+        )
+        if n > 1
+        else st.just([])
+    )
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+            min_size=1,
+            max_size=n,
+        )
+    )
+    assume(any(any(row) for row in rows))
+    poset = Poset.from_covers(n, [(labels[a - 1], labels[b - 1]) for a, b in pairs])
+    return LinearCode.from_generators(q, n, rows), poset
+
+
+def check_decoding(instance):
+    code, poset = instance
+    pd = primary_decomposition(code, poset)
+    table = build_table(pd, poset)
+    q, frame = code.q, pd.witness.matrix()
+    exact = pd.dec.r == 1 and not pd.dec.j0
+    for y in product(range(q), repeat=code.n):
+        word, flags = decode(table, y)
+        assert code.contains(word)
+        z = apply_matrix(q, frame, y)
+        assert flags == tuple(j for j in sorted(pd.dec.j0) if z[j - 1])
+        if exact:
+            error = tuple((a - b) % q for a, b in zip(y, word))
+            assert pweight(poset, error) == nearest_codeword_oracle(code, poset, y)[1]
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_decoding_against_the_oracle():
+    given(st.composite(decoding_instance)())(check_decoding)()

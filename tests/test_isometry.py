@@ -6,7 +6,7 @@ import pytest
 
 from posetcodes.code import LinearCode
 from posetcodes.errors import ResourceLimitError, ValidationError
-from helpers import enumerate_isometries
+from helpers import enumerate_isometries, identity_isometry
 from posetcodes.isometry import (
     PIsometry,
     apply_matrix,
@@ -43,7 +43,7 @@ def test_fold_map_on_the_chain():
 
 
 def test_identity_isometry():
-    iso = PIsometry.identity(N_POSET, 2)
+    iso = identity_isometry(N_POSET, 2)
     for x in product(range(2), repeat=4):
         assert iso.apply(x) == x
 
