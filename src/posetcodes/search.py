@@ -8,6 +8,16 @@ strict relation, then block by block under the monomial part: by one
 scaling per coordinate, then by the generators of Aut(P), in a fixed
 order, so witnesses are reproducible.
 
+No walk canonicalises a move whose image it has provably seen.  A queued
+code or block representative X keeps the move g that first reached it,
+X = g.P, and skips each earlier move h that commutes with g, and g itself
+when g is an involution: h.X = g.(h.P), and h.P, or the code it repeated,
+left the queue before X, so g was applied to it or provably skipped; and
+g.X = P.  By induction on queue order, after X is processed every move's
+image of X is in ``seen``, so ``_admit`` would refuse each skipped image
+before its budget check.  The walk order, witnesses, partial results and
+budget messages are those of the walk that tries every move.
+
 A monomial map keeps a code's supports, row groups and maximal
 decomposition up to an automorphism of P, so every block has the values
 of U.C.  The searches that return only values (``minimal_complexity``,
@@ -121,6 +131,17 @@ def _admit(seen: set, image: LinearCode, orbit_budget: int) -> bool:
     return True
 
 
+def _skip_masks(moves: list, commute, involution) -> list:
+    """For each move g, the bitmask of the moves not tried from a code or
+    block that g first reached, as their images are provably seen (see the
+    module docstring): each earlier move that commutes with g, and g itself
+    when it is an involution."""
+    return [
+        sum(1 << h for h in range(k) if commute(moves[h], g)) | involution(g) << k
+        for k, g in enumerate(moves)
+    ]
+
+
 def _unipotent_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
     """Breadth-first walk of U.C, U the unipotent part: each code that
     ``_admit`` adds to ``seen``, the code first, with the generator that
@@ -128,24 +149,45 @@ def _unipotent_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int
     x_i for each strict relation i below j (0-based), by column descending
     and row ascending; adding c * x_j is the c-th power of that, and U is
     finite, so no other coefficient is needed.  From the all-ones code on a
-    chain this order first reaches the folded code by the paper's fold map."""
+    chain this order first reaches the folded code by the paper's fold map.
+
+    An addition is not tried on a code when its image is provably seen:
+    one in the ``_skip_masks`` mask of the addition that reached the code
+    (x_i += x_j and x_k += x_l commute unless j = k or l = i, and each is
+    an involution over GF(2)), or one that fixes the code, as column j is
+    zero or e_i is a canonical row.  ``_admit`` would refuse that image
+    before its budget check, so the walk is the one that tries every
+    addition."""
     q, n = code.q, code.n
     pairs = ((i, j) for j in range(n - 1, -1, -1) for i in range(n) if i != j)
     strict = [(i, j) for i, j in pairs if poset.leq(i + 1, j + 1)]
+    skips = _skip_masks(strict, lambda a, b: a[1] != b[0] and b[1] != a[0], lambda _: q == 2)
+    # By coordinate c: the additions into x_c, and those adding x_c.
+    into = [sum(1 << k for k, (i, _) in enumerate(strict) if i == c) for c in range(n)]
+    adding = [sum(1 << k for k, (_, j) in enumerate(strict) if j == c) for c in range(n)]
     eye = _eye(n)
     _admit(seen, code, orbit_budget)
     yield code, eye
-    queue = [(code, eye)]
-    for current, matrix in queue:
-        for i, j in strict:
+    queue = [(code, eye, 0)]
+    for current, matrix, skip in queue:
+        generators = current.generators
+        for c, column in enumerate(zip(*generators)):
+            if not any(column):
+                skip |= adding[c]
+        for row, p in zip(generators, current.pivots):
+            if sum(row) == 1:  # e_p, as the pivot is 1 and entries lie in 0..q-1
+                skip |= into[p - 1]
+        for k, (i, j) in enumerate(strict):
+            if skip >> k & 1:
+                continue
             # rref reduces entries on entry, so the sum needs no mod here.
-            rows = [row[:i] + (row[i] + row[j],) + row[i + 1 :] for row in current.generators]
+            rows = [row[:i] + (row[i] + row[j],) + row[i + 1 :] for row in generators]
             image = LinearCode(q, n, *rref(q, n, rows))
             if _admit(seen, image, orbit_budget):
                 added = tuple((a + b) % q for a, b in zip(matrix[i], matrix[j]))
                 product = matrix[:i] + (added,) + matrix[i + 1 :]
                 yield image, product
-                queue.append((image, product))
+                queue.append((image, product, skips[k]))
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -170,7 +212,9 @@ def _monomial(code: LinearCode, sigma: tuple, scale) -> LinearCode:
     return LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
 
 
-def _blocks(code: LinearCode, walked: list, moves: list, seen: set, orbit_budget: int):
+def _blocks(
+    code: LinearCode, walked: list, moves: list, skips: list, seen: set, orbit_budget: int
+):
     """The images of a walked orbit H.C under the group that ``moves``
     generate, which normalises H, a block m(H.C) = H.m(C) at a time, where
     ``walked`` lists each image A.C, the code's first, with its matrix A.  A
@@ -178,12 +222,18 @@ def _blocks(code: LinearCode, walked: list, moves: list, seen: set, orbit_budget
     the automorphism g or the primitive-root scaling of x_c.  For each
     block's map rep, in the order found, and each move, a new image of C
     under the move after rep opens its block, walked in the order of
-    ``walked``: the image of A.C, with witness (sigma, D.A)."""
+    ``walked``: the image of A.C, with witness (sigma, D.A).
+
+    From a block that a move reached, the moves in that move's ``skips``
+    mask are not tried: blocks are disjoint and each is admitted whole, so,
+    as in ``_unipotent_walk``, their first image is provably seen."""
     q, n = code.q, code.n
     root, ones = primitive_root(q), (1,) * n
-    reps = [(tuple(range(1, n + 1)), ones)]
-    for rep_sigma, rep_scale in reps:
-        for g, c in moves:
+    reps = [(tuple(range(1, n + 1)), ones, 0)]
+    for rep_sigma, rep_scale, skip in reps:
+        for k, (g, c) in enumerate(moves):
+            if skip >> k & 1:
+                continue
             sigma, scale = _compose(g, rep_sigma), rep_scale
             if c is not None:  # scaling x_c after rep scales D at rep_sigma(c)
                 p = rep_sigma[c] - 1
@@ -192,7 +242,7 @@ def _blocks(code: LinearCode, walked: list, moves: list, seen: set, orbit_budget
             first = _monomial(code, sigma, factor)
             if not _admit(seen, first, orbit_budget):
                 continue
-            reps.append((sigma, scale))
+            reps.append((sigma, scale, skips[k]))
             for index, (image, matrix) in enumerate(walked):
                 image = _monomial(image, sigma, factor) if index else first
                 if index and not _admit(seen, image, orbit_budget):
@@ -217,23 +267,34 @@ def _monomial_blocks(
     """The rest of the orbit after U.C, which ``unipotent`` lists as the
     pairs of ``_unipotent_walk``, as ``(image, sigma, matrix)``: the blocks
     of U.C under the diagonal scalings, which normalise U, then the blocks
-    of that triangular orbit under Aut(P), which normalises both."""
+    of that triangular orbit under Aut(P), which normalises both.  The
+    scalings commute, and each is an involution over GF(3); automorphisms
+    commute or are involutions as their compositions say."""
     identity = tuple(range(1, code.n + 1))
     scalings = [(identity, c) for c in range(code.n)] if code.q > 2 else []
+    skips = _skip_masks(scalings, lambda a, b: True, lambda _: code.q == 3)
     scaled = []
-    for image, _, matrix in _blocks(code, unipotent, scalings, seen, orbit_budget):
+    for image, _, matrix in _blocks(code, unipotent, scalings, skips, seen, orbit_budget):
         scaled.append((image, matrix))
         yield image, identity, matrix
     automorphisms = [(g, None) for g in poset.automorphisms()[0]]
-    yield from _blocks(code, unipotent + scaled, automorphisms, seen, orbit_budget)
+    skips = _skip_masks(
+        automorphisms,
+        lambda a, b: _compose(a[0], b[0]) == _compose(b[0], a[0]),
+        lambda a: _compose(a[0], a[0]) == identity,
+    )
+    yield from _blocks(code, unipotent + scaled, automorphisms, skips, seen, orbit_budget)
 
 
 def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
     """Each distinct image of the code with the automorphism sigma and the
     matrix reaching it: U.C by ``_unipotent_walk``, then its blocks by
     ``_monomial_blocks``.  That makes at most |orbit| * (strict relations +
-    n + generators of Aut(P) + 1) canonicalisations.  ``_check_reach``
-    stops the walk before any image; ``_admit`` bounds the rest."""
+    n + generators of Aut(P) + 1) canonicalisations, fewer as the walks
+    skip the moves that provably repeat a code: the all-ones code on
+    ``chain:6`` over GF(2) takes 191 for its 32 codes, not 480.
+    ``_check_reach`` stops the walk before any image; ``_admit`` bounds the
+    rest."""
     _check_reach(code, poset)
     identity = tuple(range(1, code.n + 1))
     seen, unipotent = set(), []
@@ -321,6 +382,7 @@ def is_p_irreducible(
     changes support size or the component count, so scanning the orbit
     under the unipotent part alone decides the question.
     """
+    _check_reach(code, poset)
     n = poset.n
     full = frozenset(range(1, n + 1))
     if code.support() != full:

@@ -649,6 +649,83 @@ def reference_orbit_walk(code, poset, orbit_budget=10**5):
         yield image, sigma, tuple(map(tuple, witness))
 
 
+# -- the orbit walk with every move canonicalised ------------------------
+
+
+def reference_unipotent_walk(code, poset, seen, orbit_budget):
+    """The search module's walk of U.C as first written, with the same
+    kernels (``rref``, ``_admit``): every code tries every addition
+    x_i += x_j, i below j, none skipped as a provable repeat."""
+    from posetcodes.code import LinearCode, rref
+    from posetcodes.isometry import _eye
+    from posetcodes.search import _admit
+
+    q, n = code.q, code.n
+    pairs = ((i, j) for j in range(n - 1, -1, -1) for i in range(n) if i != j)
+    strict = [(i, j) for i, j in pairs if poset.leq(i + 1, j + 1)]
+    eye = _eye(n)
+    _admit(seen, code, orbit_budget)
+    yield code, eye
+    queue = [(code, eye)]
+    for current, matrix in queue:
+        for i, j in strict:
+            rows = [row[:i] + (row[i] + row[j],) + row[i + 1 :] for row in current.generators]
+            image = LinearCode(q, n, *rref(q, n, rows))
+            if _admit(seen, image, orbit_budget):
+                added = tuple((a + b) % q for a, b in zip(matrix[i], matrix[j]))
+                product = matrix[:i] + (added,) + matrix[i + 1 :]
+                yield image, product
+                queue.append((image, product))
+
+
+def reference_blocks(code, walked, moves, seen, orbit_budget):
+    """The search module's block walk as first written, with the same
+    kernels: every block representative tries every move, none skipped as
+    a provable repeat."""
+    from posetcodes.field import primitive_root
+    from posetcodes.search import _admit, _compose, _monomial
+
+    q, n = code.q, code.n
+    root, ones = primitive_root(q), (1,) * n
+    reps = [(tuple(range(1, n + 1)), ones)]
+    for rep_sigma, rep_scale in reps:
+        for g, c in moves:
+            sigma, scale = _compose(g, rep_sigma), rep_scale
+            if c is not None:
+                p = rep_sigma[c] - 1
+                scale = scale[:p] + (scale[p] * root % q,) + scale[p + 1 :]
+            factor = None if scale == ones else scale
+            first = _monomial(code, sigma, factor)
+            if not _admit(seen, first, orbit_budget):
+                continue
+            reps.append((sigma, scale))
+            for index, (image, matrix) in enumerate(walked):
+                image = _monomial(image, sigma, factor) if index else first
+                if index and not _admit(seen, image, orbit_budget):
+                    continue
+                if factor is not None:
+                    matrix = tuple(tuple(d * a % q for a in row) for d, row in zip(scale, matrix))
+                yield image, sigma, matrix
+
+
+def reference_unskipped_orbit(code, poset, orbit_budget):
+    """The search module's ``_orbit`` items from the two walks above: U.C,
+    then its blocks under one scaling per coordinate, then those under the
+    generators of Aut(P)."""
+    n = code.n
+    identity = tuple(range(1, n + 1))
+    seen, unipotent, scaled = set(), [], []
+    for image, matrix in reference_unipotent_walk(code, poset, seen, orbit_budget):
+        unipotent.append((image, matrix))
+        yield image, identity, matrix
+    scalings = [(identity, c) for c in range(n)] if code.q > 2 else []
+    for image, _, matrix in reference_blocks(code, unipotent, scalings, seen, orbit_budget):
+        scaled.append((image, matrix))
+        yield image, identity, matrix
+    automorphisms = [(g, None) for g in poset.automorphisms()[0]]
+    yield from reference_blocks(code, unipotent + scaled, automorphisms, seen, orbit_budget)
+
+
 # -- exhaustive decoding ------------------------------------------------
 
 ORACLE_BUDGET = 1 << 16

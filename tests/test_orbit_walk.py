@@ -9,7 +9,9 @@ also over GF(5).  Witnesses and the orbit order follow the walk, not the
 full enumeration's order, so a witness is checked by the image it
 reaches; the walk's own sequence, here also over GF(5) and GF(7), must
 equal the one that maps every walked image by each monomial block map
-the block walks try.
+the block walks try.  On hypothesis draws with n <= 6 over GF(2), GF(3)
+and GF(5), the walk, which skips the moves that provably repeat a code,
+must give the items of the walk that tries every move.
 """
 
 import random
@@ -22,6 +24,8 @@ from helpers import (
     reference_orbit_walk,
     reference_primary_decomposition,
     reference_profile_uniqueness,
+    reference_unipotent_walk,
+    reference_unskipped_orbit,
 )
 from posetcodes import search
 from posetcodes.code import LinearCode, enumerate_codes, rref
@@ -38,6 +42,11 @@ from posetcodes.search import (
     verify_profile_uniqueness,
 )
 from posetcodes.suites import random_code, random_poset
+
+try:
+    from hypothesis import assume, given, strategies as st
+except ImportError:  # only the property test against the unskipped walk needs hypothesis
+    given = None
 
 
 def _instances(count=60, seed=2024, group_cap=400, fields=(2, 3)):
@@ -266,9 +275,15 @@ def test_walk_sequence_matches_permuting_every_code(instances):
 
 def test_permutation_step_canonicalises_few_codes(monkeypatch):
     """On a GF(2) antichain the unipotent part is trivial and no scaling
-    applies, so each block is one code; the walk canonicalises the image of each block under each
-    generator of Aut(P), n - 1 transpositions, where permuting every code
-    would take |Aut| - 1 canonicalisations."""
+    applies, so each block is one code; the walk canonicalises the image of
+    each block under at most each generator of Aut(P), n - 1 transpositions,
+    where permuting every code would take |Aut| - 1 canonicalisations.  A
+    block that a transposition reached skips that transposition, an
+    involution, and the earlier ones that commute with it: the pair code on
+    ``antichain:6`` takes 38 canonicalisations, not 75.  On ``chain:6`` the
+    all-ones code's 32 codes take 191, not 480: an addition is skipped when
+    it commutes with the addition that reached the code, undoes it, or
+    fixes the code."""
     calls = 0
 
     def counting_rref(*args):
@@ -284,11 +299,14 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
         for code in codes:
             calls = 0
             orbit = list(search._orbit(code, poset, 10**5))
-            assert calls == len(orbit) * (n - 1), (code, calls, len(orbit))
-    calls = 0
-    pair = LinearCode.from_generators(2, 6, [(1, 1, 0, 0, 0, 0)])
-    orbit = list(search._orbit(pair, Poset.antichain(6), 10**5))
-    assert (len(orbit), calls) == (15, 75)
+            assert calls <= len(orbit) * (n - 1), (code, calls, len(orbit))
+    for poset, generator, counts in [
+        (Poset.antichain(6), (1, 1, 0, 0, 0, 0), (15, 38)),
+        (Poset.chain(6), (1,) * 6, (32, 191)),
+    ]:
+        calls = 0
+        orbit = list(search._orbit(LinearCode.from_generators(2, 6, [generator]), poset, 10**5))
+        assert (len(orbit), calls) == counts
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -312,3 +330,81 @@ def test_canonicalisations_are_bounded_by_the_orbit(monkeypatch, q):
         calls = 0
         orbit = list(search._orbit(code, poset, 10**5))
         assert calls <= len(orbit) * (strict + len(poset.automorphisms()[0]) + n + 1)
+
+
+# -- the walk against the walk with every move canonicalised ----------------
+
+WALK_BUDGET = 600
+
+
+def walk_instance(draw):
+    """A hypothesis draw: a nonzero code of at most three rows on a random
+    poset, 3 <= n <= 6 over GF(2), GF(3) or GF(5)."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(3, 6))
+    labels = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1]),
+            max_size=2 * n,
+        )
+    )
+    rows = draw(
+        st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=1, max_size=3)
+    )
+    assume(any(any(row) for row in rows))
+    poset = Poset.from_covers(n, [(labels[a - 1], labels[b - 1]) for a, b in pairs])
+    return LinearCode.from_generators(q, n, rows), poset
+
+
+def _least(values, message, floor):
+    """What ``_least_complexity`` returns after a walk meeting ``values`` in
+    order, or the budget message that stops it."""
+    for value in values:
+        if value <= floor:
+            return value
+    return min(values) if message is None else message
+
+
+def check_against_the_unskipped_walk(instance, cuts_inside):
+    code, poset = instance
+    full = _walk(reference_unskipped_orbit(code, poset, WALK_BUDGET))
+    assert _walk(search._orbit(code, poset, WALK_BUDGET)) == full
+    for budget in _cut_budgets(full[0]):
+        want = _walk(reference_unskipped_orbit(code, poset, budget))
+        assert _walk(search._orbit(code, poset, budget)) == want
+        cuts_inside.append(_block(full[0][budget - 1]) == _block(full[0][budget]))
+    unipotent, message = _walk(reference_unipotent_walk(code, poset, set(), WALK_BUDGET))
+    assert _walk(search._unipotent_walk(code, poset, set(), WALK_BUDGET)) == (unipotent, message)
+    values = [min_grouping_complexity(image) for image, _ in unipotent]
+    for floor in (0, sorted(values)[len(values) // 2]):
+        try:
+            got = search._least_complexity(code, poset, WALK_BUDGET, floor)
+        except ResourceLimitError as exc:
+            got = str(exc)
+        assert got == _least(values, message, floor)
+
+
+# Three 2-chains and two free points: a generator of Aut(P) of order 3
+# commutes with the swap of the free points, so a walk that took every
+# automorphism for an involution would reach some blocks later.
+THREE_CYCLE = (
+    LinearCode.from_generators(
+        2, 8, [(1, 0, 1, 1, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1, 0, 0)]
+    ),
+    Poset.from_covers(8, [(1, 8), (4, 3), (7, 6)]),
+)
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_walks_match_the_unskipped_walk():
+    """``_orbit``, ``_unipotent_walk`` and ``_least_complexity`` give the
+    items, values and budget messages of the walk that canonicalises every
+    move (helpers), also under budgets that cut inside a block: every move
+    the walk skips as a provable repeat would have been refused."""
+    cuts_inside = []
+    check_against_the_unskipped_walk(THREE_CYCLE, cuts_inside)
+    given(st.composite(walk_instance)())(
+        lambda instance: check_against_the_unskipped_walk(instance, cuts_inside)
+    )()
+    assert any(cuts_inside)
