@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 from . import decoder, search, suites
@@ -216,6 +217,8 @@ def cmd_analyze_decompose(args) -> int:
             ],
         )
     else:
+        if poset.n != code.n:
+            raise ValidationError(f"poset size {poset.n} != code length {code.n}")
         dec = maximal_decomposition(code)
         payload = {"config": config.to_json_dict(), "decomposition": dec.to_json_dict()}
         emit(
@@ -329,7 +332,9 @@ def cmd_verify(args) -> int:
     for name in ("POSETCODES_ORBIT_BUDGET", "POSETCODES_COSET_BUDGET"):
         if name in os.environ:
             raise ValidationError(f"verify takes no {name}; unset it to run the suites")
+    start = time.monotonic()
     report = VERIFY_SUITES[args.suite](args)
+    report.elapsed = time.monotonic() - start
     payload = report.to_json_dict()
     emit(
         args,

@@ -71,13 +71,8 @@ class PointedPartition:
         parts[l - 1] = part - piece
         return PointedPartition(self.n, self.j0 | piece, parts)
 
-    def one_step_successors(self, include_whole_part_aggregates: bool = False) -> list:
-        """All distinct one-move refinements.
-
-        ``include_whole_part_aggregates`` admits the alternative reading in
-        which an entire part may be absorbed into j0; the default keeps
-        aggregated pieces proper.
-        """
+    def one_step_successors(self) -> list:
+        """All distinct one-move refinements; aggregated pieces stay proper."""
         if self.n > SUCCESSOR_LIMIT:
             raise ResourceLimitError(f"successor enumeration supports n <= {SUCCESSOR_LIMIT}")
         out = set()
@@ -88,9 +83,6 @@ class PointedPartition:
                 for piece in combinations(members, r):
                     out.add(self.split(l, piece))
                     out.add(self.aggregate(l, piece))
-            if include_whole_part_aggregates:
-                parts = [p for i, p in enumerate(self.parts, start=1) if i != l]
-                out.add(PointedPartition(self.n, self.j0 | part, parts))
         out.discard(self)
         return sorted(out, key=_sort_key)
 

@@ -1,16 +1,20 @@
 """Exhaustive and sampled verification suites behind the ``verify`` command.
 
-Every suite is deterministic given its seed and reports the instance
-counts it actually checked; a failing suite carries a counterexample
-dump.  These drive the same library entry points users call, with the
-leg work (reference values, reachability scans) recomputed independently
-inside the suite.
+Every suite is deterministic given its seed.  Each states its check as a
+function that returns None when the check holds and a counterexample dict
+when it fails, and one driver, ``_scan``, runs the stream of outcomes: it
+counts every instance it examines, the failing one included, and stops at
+the first counterexample.  The sampled suites (profile, monotone, bounds)
+share one entry, ``_sampled``, which checks the sizes, seeds the generator
+and makes the report.  The suites drive the same library entry points
+users call, with the leg work (reference values, reachability scans)
+recomputed independently inside the suite.  The ``verify`` command times
+each run; a report built here keeps ``elapsed`` at 0.
 """
 
 import random
-import time
 from dataclasses import dataclass, field as dataclass_field
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 
 from .code import LinearCode
 from .errors import ResourceLimitError, ValidationError
@@ -71,6 +75,30 @@ def _check_count(suite: str, checks: int) -> None:
         raise ResourceLimitError(
             f"{suite} needs {checks} checks, above the cap of {SUITE_CHECKS}"
         )
+
+
+def _scan(report: SuiteReport, outcomes) -> SuiteReport:
+    """Count every outcome, None for a check that held or a counterexample
+    dict, and stop at the first counterexample, which fails the report."""
+    for outcome in outcomes:
+        report.checked += 1
+        if outcome is not None:
+            report.ok = False
+            report.counterexample = outcome
+            break
+    return report
+
+
+def _sampled(
+    name: str, n: int, q: int, samples: int, seed: int, violation, pinned=()
+) -> SuiteReport:
+    """A sampled suite: the outcomes of the zero-argument ``pinned`` checks,
+    then of ``violation(rng)`` once per sample, under one seeded generator."""
+    _check_sizes(n, q)
+    rng = random.Random(seed)
+    report = SuiteReport(name, ok=True, checked=0, seed=seed)
+    samples_outcomes = (violation(rng) for _ in range(samples))
+    return _scan(report, chain((check() for check in pinned), samples_outcomes))
 
 
 def random_poset(rng: random.Random, n: int) -> Poset:
@@ -140,12 +168,12 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
     """Metric axioms over random posets, plus the closed forms of the two
     extreme families (Hamming for the antichain, top index for the chain)."""
     _check_sizes(n, q)
-    start = time.monotonic()
     rng = random.Random(seed)
     report = SuiteReport("metric", ok=True, checked=0, seed=seed)
     extremes = [Poset.antichain(n), Poset.chain(n)]  # n past the maximum stops here
     size = q**n
-    triples = size**3 if q == 2 and size <= 64 else 2000
+    exhaustive = q == 2 and size <= 64
+    triples = size**3 if exhaustive else 2000
     _check_count("metric suite", (posets + 2) * (size**2 + triples) + 2 * size**2)
     catalog = distinct_random_posets(rng, n, posets) + extremes
     # Each vector with a key whose n-bit block v - 1 masks the coordinates
@@ -165,55 +193,30 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
             bits |= bits >> shift
         return bits & full
 
-    for poset in catalog:
+    def violation(poset):
         wt = weight_table(poset)
         for x, mx in vectors:
             for y, my in vectors:
                 d = wt[diff_mask(mx, my)]
                 if (d == 0) != (x == y) or d != wt[diff_mask(my, mx)] or d < 0:
-                    report.ok = False
-                    report.counterexample = {
-                        "poset": poset.to_json_dict(),
-                        "x": list(x),
-                        "y": list(y),
-                    }
-                    break
-            if not report.ok:
-                break
-        if not report.ok:
-            break
-        if q == 2 and size <= 64:
-            triples = (
-                (a, b, c)
-                for a in range(size)
-                for b in range(size)
-                for c in range(size)
-            )
-            for a, b, c in triples:
+                    return {"poset": poset.to_json_dict(), "x": list(x), "y": list(y)}
+        if exhaustive:
+            for a, b, c in product(range(size), repeat=3):
                 if wt[a ^ b] > wt[a ^ c] + wt[c ^ b]:
-                    report.ok = False
-                    report.counterexample = {
-                        "poset": poset.to_json_dict(),
-                        "masks": [a, b, c],
-                    }
-                    break
-        else:
-            for _ in range(2000):
-                (x, mx), (y, my), (z, mz) = (rng.choice(vectors) for _ in range(3))
-                if wt[diff_mask(mx, my)] > wt[diff_mask(mx, mz)] + wt[diff_mask(mz, my)]:
-                    report.ok = False
-                    report.counterexample = {
-                        "poset": poset.to_json_dict(),
-                        "x": list(x),
-                        "y": list(y),
-                        "z": list(z),
-                    }
-                    break
-        if not report.ok:
-            break
-        report.checked += 1
+                    return {"poset": poset.to_json_dict(), "masks": [a, b, c]}
+            return None
+        for _ in range(2000):
+            (x, mx), (y, my), (z, mz) = (rng.choice(vectors) for _ in range(3))
+            if wt[diff_mask(mx, my)] > wt[diff_mask(mx, mz)] + wt[diff_mask(mz, my)]:
+                return {
+                    "poset": poset.to_json_dict(),
+                    "x": list(x),
+                    "y": list(y),
+                    "z": list(z),
+                }
+        return None
 
-    if report.ok:
+    if _scan(report, map(violation, catalog)).ok:
         # The closed forms read a one-hot key, independent of the masks:
         # bit idx * q + v marks x[idx] == v.  Two keys share one bit per
         # agreeing coordinate, and the top bit of their XOR lies in the
@@ -237,7 +240,6 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
             report.ok = False
             report.counterexample = {"closed_form": "extreme family mismatch"}
         report.details.append("antichain matches Hamming; chain matches top index")
-    report.elapsed = time.monotonic() - start
     return report
 
 
@@ -257,40 +259,37 @@ def partition_suite(max_n: int = 4) -> SuiteReport:
         if pairs > SUITE_CHECKS:
             break
     _check_count(f"partition suite up to n={m}", pairs)
-    start = time.monotonic()
-    report = SuiteReport("partition", ok=True, checked=0)
-    for n in range(1, max_n + 1):
-        universe = list(all_pointed_partitions(n))
-        reachable = {}
-        for part in universe:
-            seen = {part}
-            frontier = [part]
-            while frontier:
-                nxt = []
-                for current in frontier:
-                    for succ in current.one_step_successors():
-                        if succ not in seen:
-                            seen.add(succ)
-                            nxt.append(succ)
-                frontier = nxt
-            reachable[part] = seen
-        for coarse in universe:
-            for fine in universe:
-                closed = fine.is_refinement_of(coarse)
-                walked = fine in reachable[coarse]
-                report.checked += 1
-                if closed != walked:
-                    report.ok = False
-                    report.counterexample = {
+
+    def outcomes():
+        for n in range(1, max_n + 1):
+            universe = list(all_pointed_partitions(n))
+            reachable = {}
+            for part in universe:
+                seen = {part}
+                frontier = [part]
+                while frontier:
+                    nxt = []
+                    for current in frontier:
+                        for succ in current.one_step_successors():
+                            if succ not in seen:
+                                seen.add(succ)
+                                nxt.append(succ)
+                    frontier = nxt
+                reachable[part] = seen
+            for coarse in universe:
+                for fine in universe:
+                    closed = fine.is_refinement_of(coarse)
+                    walked = fine in reachable[coarse]
+                    yield None if closed == walked else {
                         "fine": fine.to_json_dict(),
                         "coarse": coarse.to_json_dict(),
                         "closed_form": closed,
                         "reachable": walked,
                     }
-                    report.elapsed = time.monotonic() - start
-                    return report
-    report.details.append(f"all pointed-partition pairs up to n={max_n}")
-    report.elapsed = time.monotonic() - start
+
+    report = _scan(SuiteReport("partition", ok=True, checked=0), outcomes())
+    if report.ok:
+        report.details.append(f"all pointed-partition pairs up to n={max_n}")
     return report
 
 
@@ -299,81 +298,59 @@ def partition_suite(max_n: int = 4) -> SuiteReport:
 
 def profile_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> SuiteReport:
     """Profile uniqueness across maximal decompositions over random instances."""
-    _check_sizes(n, q)
-    start = time.monotonic()
-    rng = random.Random(seed)
-    report = SuiteReport("profile", ok=True, checked=0, seed=seed)
-    for _ in range(samples):
+
+    def violation(rng):
         poset = random_poset(rng, n)
         code = random_code(rng, q, n)
         result = verify_profile_uniqueness(code, poset)
-        report.checked += 1
-        if not result.ok:
-            report.ok = False
-            report.counterexample = {
-                "poset": poset.to_json_dict(),
-                "code": code.to_json_dict(),
-                "report": result.to_json_dict(),
-            }
-            break
-    report.elapsed = time.monotonic() - start
-    return report
+        return None if result.ok else {
+            "poset": poset.to_json_dict(),
+            "code": code.to_json_dict(),
+            "report": result.to_json_dict(),
+        }
+
+    return _sampled("profile", n, q, samples, seed, violation)
 
 
 def monotonicity_suite(n: int = 4, q: int = 2, samples: int = 100, seed: int = 1) -> SuiteReport:
     """Minimal complexity never grows when the order gains relations."""
-    _check_sizes(n, q)
-    start = time.monotonic()
-    rng = random.Random(seed)
-    report = SuiteReport("monotone", ok=True, checked=0, seed=seed)
-    for _ in range(samples):
+
+    def violation(rng):
         finer = random_poset(rng, n)
         coarser = random_coarsening(rng, finer)
         code = random_code(rng, q, n)
         o_fine = minimal_complexity(code, finer)
         o_coarse = minimal_complexity(code, coarser)
-        report.checked += 1
-        if o_coarse > o_fine:
-            report.ok = False
-            report.counterexample = {
-                "finer": finer.to_json_dict(),
-                "coarser": coarser.to_json_dict(),
-                "code": code.to_json_dict(),
-                "o_fine": o_fine,
-                "o_coarse": o_coarse,
-            }
-            break
-    report.elapsed = time.monotonic() - start
-    return report
+        return None if o_coarse <= o_fine else {
+            "finer": finer.to_json_dict(),
+            "coarser": coarser.to_json_dict(),
+            "code": code.to_json_dict(),
+            "o_fine": o_fine,
+            "o_coarse": o_coarse,
+        }
+
+    return _sampled("monotone", n, q, samples, seed, violation)
 
 
 def bounds_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> SuiteReport:
     """Sandwich between the hierarchical neighbours, pinned on the worked
     length-4 instance and then sampled."""
-    _check_sizes(n, q)
-    start = time.monotonic()
-    rng = random.Random(seed)
-    report = SuiteReport("bounds", ok=True, checked=0, seed=seed)
 
-    n_poset = Poset.from_covers(4, N_POSET_COVERS)
-    repetition = LinearCode.from_generators(2, 4, [(1, 1, 1, 1)])
-    pinned = hierarchy_bounds(repetition, n_poset)
-    report.checked += 1
-    if (pinned.o_upper, pinned.o_p, pinned.o_lower) != (2, 2, 8):
-        report.ok = False
-        report.counterexample = {
+    def pinned_violation():
+        n_poset = Poset.from_covers(4, N_POSET_COVERS)
+        repetition = LinearCode.from_generators(2, 4, [(1, 1, 1, 1)])
+        bounds = hierarchy_bounds(repetition, n_poset)
+        got = [bounds.o_upper, bounds.o_p, bounds.o_lower]
+        return None if got == [2, 2, 8] else {
             "instance": "repetition code on the N-shaped order",
-            "got": [pinned.o_upper, pinned.o_p, pinned.o_lower],
+            "got": got,
             "expected": [2, 2, 8],
         }
-        report.elapsed = time.monotonic() - start
-        return report
 
-    for _ in range(samples):
+    def violation(rng):
         poset = random_poset(rng, n)
         code = random_code(rng, q, n)
         bounds = hierarchy_bounds(code, poset)
-        report.checked += 1
         # hierarchy_bounds may take o_p from the sandwich itself, or stop its
         # walk at o_upper, so the sandwich is checked on a full walk's o_p.
         # The neighbour values come from the closed form; the walk recomputes
@@ -384,21 +361,20 @@ def bounds_suite(n: int = 4, q: int = 2, samples: int = 50, seed: int = 1) -> Su
             minimal_complexity(code, bounds.lower_poset),
         ]
         if (
-            not bounds.o_upper <= o_p <= bounds.o_lower
-            or bounds.o_p != o_p
-            or walked != [bounds.o_upper, bounds.o_lower]
+            bounds.o_upper <= o_p <= bounds.o_lower
+            and bounds.o_p == o_p
+            and walked == [bounds.o_upper, bounds.o_lower]
         ):
-            report.ok = False
-            report.counterexample = {
-                "poset": poset.to_json_dict(),
-                "code": code.to_json_dict(),
-                "bounds": bounds.to_json_dict(),
-                "walked_o_p": o_p,
-                "walked_neighbours": walked,
-            }
-            break
-    report.elapsed = time.monotonic() - start
-    return report
+            return None
+        return {
+            "poset": poset.to_json_dict(),
+            "code": code.to_json_dict(),
+            "bounds": bounds.to_json_dict(),
+            "walked_o_p": o_p,
+            "walked_neighbours": walked,
+        }
+
+    return _sampled("bounds", n, q, samples, seed, violation, pinned=(pinned_violation,))
 
 
 def neighbour_suite(n: int = 4) -> SuiteReport:
@@ -407,11 +383,11 @@ def neighbour_suite(n: int = 4) -> SuiteReport:
     hierarchical poset sits strictly between a poset and its upper
     neighbour."""
     _check_sizes(n)
-    start = time.monotonic()
     report = SuiteReport("neighbours", ok=True, checked=0)
     posets = list(all_posets(n))
     catalog = list(hierarchical_posets(n))
-    for poset in posets:
+
+    def violation(poset):
         upper = upper_neighbour(poset)
         lower = lower_neighbour(poset)
         good = (
@@ -419,30 +395,20 @@ def neighbour_suite(n: int = 4) -> SuiteReport:
             and upper.is_hierarchical()
             and lower.is_finer_than(poset)
             and poset.is_finer_than(upper)
+            and not any(
+                (h.is_finer_than(poset) and not h.is_finer_than(lower))
+                or (poset.is_finer_than(h) and h.is_finer_than(upper) and h != upper)
+                for h in catalog
+            )
         )
-        if good:
-            for h in catalog:
-                if h.is_finer_than(poset) and not h.is_finer_than(lower):
-                    good = False
-                    break
-                if (
-                    poset.is_finer_than(h)
-                    and h.is_finer_than(upper)
-                    and h != upper
-                ):
-                    good = False
-                    break
-        report.checked += 1
-        if not good:
-            report.ok = False
-            report.counterexample = {
-                "poset": poset.to_json_dict(),
-                "upper": upper.to_json_dict(),
-                "lower": lower.to_json_dict(),
-            }
-            break
+        return None if good else {
+            "poset": poset.to_json_dict(),
+            "upper": upper.to_json_dict(),
+            "lower": lower.to_json_dict(),
+        }
+
+    _scan(report, map(violation, posets))
     report.details.append(f"{report.checked} posets against {len(catalog)} hierarchical posets")
-    report.elapsed = time.monotonic() - start
     return report
 
 
@@ -450,21 +416,15 @@ def refinement_witness_suite(finer: Poset, coarser: Poset, q: int = 2) -> SuiteR
     """Search for a code whose primary decomposition strictly improves when
     moving from the finer poset to the coarser."""
     _check_sizes(finer.n, q)
-    start = time.monotonic()
     report = SuiteReport("refinement-witness", ok=True, checked=0)
     code = witness_refinement(finer, coarser, q=q)
     if code is None:
         report.ok = False
         report.details.append("no witness within the enumeration budget")
     else:
-        pd_fine = primary_decomposition(code, finer)
-        pd_coarse = primary_decomposition(code, coarser)
         report.checked = 1
         report.details.append(
-            f"witness generators {list(code.generators)}; "
-            f"complexities {pd_fine.complexity} vs {pd_coarse.complexity}"
+            f"witness generators {list(code.generators)}; complexities"
+            f" {minimal_complexity(code, finer)} vs {minimal_complexity(code, coarser)}"
         )
-        report.counterexample = None
-    report.elapsed = time.monotonic() - start
     return report
-

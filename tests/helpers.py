@@ -270,13 +270,24 @@ def grouping_minimum(code):
 
 
 def refinement_reachable(start, include_whole_part_aggregates=False):
-    """Everything reachable from a pointed partition by one-step moves."""
+    """Everything reachable from a pointed partition by one-step moves;
+    ``include_whole_part_aggregates`` also lets a move absorb an entire part
+    into j0, the alternative reading of an aggregate."""
+    from posetcodes.partition import PointedPartition
+
+    def successors(current):
+        yield from current.one_step_successors()
+        if include_whole_part_aggregates:
+            for part in current.parts:
+                rest = [p for p in current.parts if p != part]
+                yield PointedPartition(current.n, current.j0 | part, rest)
+
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for current in frontier:
-            for succ in current.one_step_successors(include_whole_part_aggregates):
+            for succ in successors(current):
                 if succ not in seen:
                     seen.add(succ)
                     nxt.append(succ)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -11,6 +13,11 @@ import posetcodes
 from posetcodes import cli, suites
 from posetcodes.field import MAX_MODULUS
 from posetcodes.suites import SUITE_CHECKS, SuiteReport
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # only the verify fuzz test needs hypothesis
+    given = None
 
 
 @pytest.fixture
@@ -164,6 +171,14 @@ def test_analyze_bounds_length_mismatch(files, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: poset size 5 != code length 4\n"
+
+
+def test_analyze_decompose_length_mismatch(files, capsys):
+    for primary in ([], ["--primary"]):
+        code, out, err = run(capsys, ["analyze", "decompose", "chain:3", files["r4"], *primary])
+        assert code == 1
+        assert out == ""
+        assert err == "error: poset size 3 != code length 4\n"
 
 
 def test_decode(files, capsys):
@@ -550,3 +565,37 @@ def test_analyze_bounds_past_the_walks_reach_when_the_sandwich_fixes_o_p(tmp_pat
     data = json.loads(result.stdout)["bounds"]
     assert data["o_upper"] == data["o_p"] == data["o_lower"] == 32
     assert data["sandwich_ok"]
+
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_verify_fuzz_exits_cleanly():
+    """Drawn ``verify`` options end in an exit code, never a traceback; a
+    validation or budget exit prints exactly one stderr line and nothing
+    else."""
+    exits = set()
+
+    def check(suite, n, q, samples, seed):
+        argv = ["verify", suite, "--n", str(n), "--q", str(q), "--samples", str(samples),
+                "--seed", str(seed)]
+        if suite == "refinement-witness":
+            argv += ["--p", f"antichain:{n}", "--q-poset", f"chain:{n}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        exits.add(code)
+        assert code in (0, 1, 2, 3)
+        if code in (1, 2):
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+
+    given(
+        suite=st.sampled_from(tuple(cli.VERIFY_SUITES)),
+        n=st.integers(-1, 3),
+        q=st.integers(0, 4),
+        samples=st.integers(-1, 2),
+        seed=st.integers(),
+    )(check)()
+    assert {0, 1} <= exits
