@@ -21,10 +21,13 @@ budget messages are those of the walk that tries every move.
 A monomial map keeps a code's supports, row groups and maximal
 decomposition up to an automorphism of P, so every block has the values
 of U.C.  The searches that return only values (``minimal_complexity``,
-the ``o_p`` of ``hierarchy_bounds``, and the irreducibility tests) walk
-U.C alone; ``verify_profile_uniqueness`` decomposes U.C alone and walks
-the blocks only to count the orbit.  ``primary_decomposition`` and
-``orbit_codes`` walk the whole orbit, for their witnesses and tie-break.
+the ``o_p`` of ``hierarchy_bounds``, and ``is_p_irreducible``) walk U.C
+alone.  ``verify_profile_uniqueness`` reads profiles and irreducibility
+off the row groups of its one walk of U.C, walks a component's
+unipotent orbit only from a code no earlier walk of the call admitted,
+and walks the blocks only to count the orbit.  ``primary_decomposition``
+and ``orbit_codes`` walk the whole orbit, for their witnesses and
+tie-break.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -36,7 +39,6 @@ from .decomposition import (
     Decomposition,
     _row_groups,
     cheapest_grouping,
-    maximal_decomposition,
     min_grouping_complexity,
 )
 from .errors import ResourceLimitError, ValidationError
@@ -371,6 +373,17 @@ def minimal_complexity(
 # -- irreducibility and profile uniqueness ---------------------------
 
 
+def _reducible(groups: list, n: int) -> bool:
+    """True when a length-n code with the row groups ``groups`` of
+    ``_row_groups`` splits into several components or occupies fewer than
+    n coordinates; a group's support size is its row count plus its
+    deficiency."""
+    if len(groups) > 1:
+        return True
+    rows, deficiency = groups[0]
+    return len(rows) + deficiency < n
+
+
 @lru_cache(maxsize=4096)  # bounded, as a long-lived process calls it without end
 def is_p_irreducible(
     code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
@@ -387,20 +400,10 @@ def is_p_irreducible(
     full = frozenset(range(1, n + 1))
     if code.support() != full:
         raise ValidationError("irreducibility expects a code with full support")
-    for image, _ in _unipotent_walk(code, poset, set(), orbit_budget):
-        if len(image.support()) < n or len(_row_groups(image)) > 1:
-            return False
-    return True
-
-
-def _irreducible_components(dec: Decomposition, poset: Poset) -> bool:
-    """True when every component is irreducible for the subposet induced on
-    its support."""
-    for comp in dec.components:
-        coords = sorted(comp.support())
-        if not is_p_irreducible(comp.restrict(coords), poset.restrict(coords)):
-            return False
-    return True
+    return not any(
+        _reducible(_row_groups(image), n)
+        for image, _ in _unipotent_walk(code, poset, set(), orbit_budget)
+    )
 
 
 def verify_profile_uniqueness(
@@ -414,17 +417,70 @@ def verify_profile_uniqueness(
     the irreducibility of components, so each block holds as many
     candidates as U.C, and the first code with each profile lies in U.C.
     The blocks are still walked, for the orbit size.
+
+    A code of U.C is a candidate when each of its row groups, on its
+    support, is irreducible for the subposet there, and one walk of U.C
+    decides that.  A code that is one group on full support is its own
+    component, whose unipotent orbit is U.C: every such code is a candidate
+    exactly when no code of U.C is reducible, which the walk settles once it
+    ends.  A component on a support holding no strict relation of P is
+    irreducible, as the unipotent group of that subposet is trivial.  Any
+    other component's unipotent orbit on its subposet is walked, under the
+    same budget since it embeds in U.C, up to its first reducible code; the
+    verdict holds for every code that walk admitted, all of one orbit, so
+    no later component starting there is walked again in this call.
     """
     _check_reach(code, poset)
+    q, n = code.q, poset.n
+    relations = [1 << i - 1 | 1 << j - 1 for i, j in poset.strict_pairs()]
+    subposets, verdicts = {}, {}
+
+    def irreducible(image: LinearCode, rows: list) -> bool:
+        mask = 0
+        for index in rows:
+            for j, v in enumerate(image.generators[index]):
+                if v:
+                    mask |= 1 << j
+        if not any(r & mask == r for r in relations):
+            return True
+        coords = [j for j in range(n) if mask >> j & 1]
+        if mask not in subposets:
+            subposets[mask] = poset.restrict([j + 1 for j in coords])
+        subposet = subposets[mask]
+        component = LinearCode(  # the group's canonical rows stay canonical on its support
+            q,
+            len(coords),
+            tuple(tuple(image.generators[i][j] for j in coords) for i in rows),
+            tuple(coords.index(image.pivots[i] - 1) + 1 for i in rows),
+        )
+        key = (subposet, component)
+        if key not in verdicts:
+            walked = set()
+            verdict = not any(
+                _reducible(_row_groups(other), len(coords))
+                for other, _ in _unipotent_walk(component, subposet, walked, orbit_budget)
+            )
+            verdicts.update({(subposet, other): verdict for other in walked})
+        return verdicts[key]
+
     seen, unipotent = set(), []
     candidates = 0
     profiles = {}
+    pending = True  # every code so far is one group on full support
     for image, matrix in _unipotent_walk(code, poset, seen, orbit_budget):
         unipotent.append((image, matrix))
-        dec = maximal_decomposition(image)
-        if _irreducible_components(dec, poset):
+        groups = _row_groups(image)
+        if not _reducible(groups, n):
+            continue  # a candidate only if every code of U.C is one too
+        pending = False
+        if all(irreducible(image, rows) for rows, _ in groups):
             candidates += 1
-            profiles.setdefault(dec.profile(), dec.code)
+            sizes = [(len(rows) + deficiency, len(rows)) for rows, deficiency in groups]
+            j0 = n - sum(size for size, _ in sizes)
+            profiles.setdefault(((j0, j0), *sorted(sizes)), image)
+    if pending:
+        candidates = len(unipotent)
+        profiles = {((0, 0), (n, code.k)): code}
     blocks = sum(1 for _ in _monomial_blocks(code, poset, unipotent, seen, orbit_budget))
     orbit_size = len(unipotent) + blocks
     ok = len(profiles) == 1

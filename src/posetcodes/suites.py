@@ -70,6 +70,13 @@ def _check_sizes(n: int, q: int = 2) -> None:
     FieldSpec(q)
 
 
+def _check_samples(samples: int) -> None:
+    """Reject a sample count below 1, on which a sampled suite checks
+    nothing and would report a vacuous pass."""
+    if samples < 1:
+        raise ValidationError(f"sample count must be a positive integer, got {samples}")
+
+
 def _check_count(suite: str, checks: int) -> None:
     if checks > SUITE_CHECKS:
         raise ResourceLimitError(
@@ -95,6 +102,7 @@ def _sampled(
     """A sampled suite: the outcomes of the zero-argument ``pinned`` checks,
     then of ``violation(rng)`` once per sample, under one seeded generator."""
     _check_sizes(n, q)
+    _check_samples(samples)
     rng = random.Random(seed)
     report = SuiteReport(name, ok=True, checked=0, seed=seed)
     samples_outcomes = (violation(rng) for _ in range(samples))
@@ -168,6 +176,7 @@ def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> Sui
     """Metric axioms over random posets, plus the closed forms of the two
     extreme families (Hamming for the antichain, top index for the chain)."""
     _check_sizes(n, q)
+    _check_samples(posets)
     rng = random.Random(seed)
     report = SuiteReport("metric", ok=True, checked=0, seed=seed)
     extremes = [Poset.antichain(n), Poset.chain(n)]  # n past the maximum stops here

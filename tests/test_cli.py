@@ -241,6 +241,16 @@ def test_verify_rejects_budget_flags(capsys, monkeypatch, budget, where):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite", ["profile", "bounds", "monotone", "metric"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_refuses_a_sample_count_below_one(capsys, suite, samples):
+    """A suite that samples nothing would pass vacuously, so it exits 1."""
+    code, out, err = run(capsys, ["verify", suite, "--samples", samples])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: sample count must be a positive integer, got {samples}\n"
+
+
 def test_verify_partition(capsys):
     code, out, _ = run(capsys, ["verify", "partition", "--n", "3"])
     assert code == 0

@@ -5,13 +5,15 @@ Instances are seeded random posets and codes with n in 2..5 and q in
 walks stay cheap.  Decompositions, complexities, orbit sets and profile
 reports must equal the full enumeration's, and so must the values that
 ``minimal_complexity`` and ``hierarchy_bounds`` take from U.C alone, here
-also over GF(5).  Witnesses and the orbit order follow the walk, not the
-full enumeration's order, so a witness is checked by the image it
-reaches; the walk's own sequence, here also over GF(5) and GF(7), must
-equal the one that maps every walked image by each monomial block map
-the block walks try.  On hypothesis draws with n <= 6 over GF(2), GF(3)
-and GF(5), the walk, which skips the moves that provably repeat a code,
-must give the items of the walk that tries every move.
+also over GF(5), and the profile reports on instances over GF(2), GF(3)
+and GF(5) whose components need walks of their own.  Witnesses and the
+orbit order follow the walk, not the full enumeration's order, so a
+witness is checked by the image it reaches; the walk's own sequence,
+here also over GF(5) and GF(7), must equal the one that maps every
+walked image by each monomial block map the block walks try.  On
+hypothesis draws with n <= 6 over GF(2), GF(3) and GF(5), the walk,
+which skips the moves that provably repeat a code, must give the items
+of the walk that tries every move.
 """
 
 import random
@@ -132,6 +134,56 @@ def test_irreducibility_matches_full_enumeration():
         assert verdict == reference_is_p_irreducible(code, poset), (code, poset)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _component_walk_instances(per_field=12, seed=19, group_cap=400):
+    """Seeded instances over GF(2), GF(3) and GF(5) whose code has a
+    component on a smaller support that holds a strict relation, so the
+    profile check walks that component's unipotent orbit."""
+    rng = random.Random(seed)
+    drawn = {2: [], 3: [], 5: []}
+    while min(map(len, drawn.values())) < per_field:
+        q = rng.choice(tuple(drawn))
+        n = rng.randint(3, 5)
+        poset = random_poset(rng, n)
+        code = random_code(rng, q, n)
+        if len(drawn[q]) == per_field or group_size(poset, q) > group_cap:
+            continue
+        for comp in maximal_decomposition(code).components:
+            support = comp.support()
+            if len(support) < n and any(
+                poset.leq(i, j) for i in support for j in support if i != j
+            ):
+                drawn[q].append((poset, code))
+                break
+    return [instance for instances in drawn.values() for instance in instances]
+
+
+def test_profile_check_walks_no_component_code_twice(monkeypatch):
+    """The profile check settles components by its own walks, and each
+    matches the full enumeration.  No component walk runs on a subposet
+    with no strict relation, nor starts at a code that an earlier walk of
+    the same call admitted on the same subposet."""
+    walks = []
+    walk = search._unipotent_walk
+
+    def logged(code, poset, seen, orbit_budget):
+        walks.append((poset, code, seen))
+        return walk(code, poset, seen, orbit_budget)
+
+    monkeypatch.setattr(search, "_unipotent_walk", logged)
+    component_walks = 0
+    for poset, code in _component_walk_instances():
+        walks.clear()
+        report = verify_profile_uniqueness(code, poset).to_json_dict()
+        assert report == reference_profile_uniqueness(code, poset).to_json_dict(), (poset, code)
+        assert walks[0][0] == poset and walks[0][1] == code
+        for index, (subposet, start, _) in enumerate(walks[1:], start=1):
+            assert subposet.n < poset.n and subposet.strict_pairs()
+            for earlier, _, admitted in walks[1:index]:
+                assert earlier != subposet or start not in admitted, (poset, code, start)
+        component_walks += len(walks) - 1
+    assert component_walks > 0
 
 
 @pytest.mark.parametrize("orbit_budget", [1, 2, 5])

@@ -144,10 +144,9 @@ def test_irreducibility_walk_over_a_large_field_tries_no_scaling():
 
 def test_profile_check_decomposes_only_the_unipotent_orbit():
     """On this n = 7 instance over GF(3) every one of the 10,368 orbit
-    codes is one full-support candidate, and each irreducibility test
-    walks its own unipotent orbit; decomposing every orbit code took about
-    20 s, decomposing U.C well under a second.  In a child process, so
-    that a slow check fails the test instead of stalling it."""
+    codes is one full-support candidate; decomposing every orbit code took
+    about 20 s, decomposing U.C well under a second.  In a child process,
+    so that a slow check fails the test instead of stalling it."""
     script = (
         "from posetcodes.code import LinearCode\n"
         "from posetcodes.poset import Poset\n"
@@ -164,6 +163,47 @@ def test_profile_check_decomposes_only_the_unipotent_orbit():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "True ((0, 0), (7, 4)) 10368 10368\n"
+
+
+def test_profile_check_settles_full_support_codes_once():
+    """On 1 < 2 over GF(2), U.C = {(1, 1), (0, 1)}: (1, 1) is one
+    component on full support, but (0, 1) occupies a smaller support, so
+    (1, 1) is reducible and only (0, 1) is a candidate."""
+    code = LinearCode.from_generators(2, 2, [(1, 1)])
+    report = verify_profile_uniqueness(code, Poset.chain(2))
+    assert report.ok
+    assert report.profile == ((1, 1), (1, 1))
+    assert report.candidates == 1
+    assert report.orbit_size == 2
+
+
+def test_profile_check_stops_at_its_budget_on_a_large_unipotent_orbit():
+    """15,500 of the 15,625 codes of this n = 7 GF(5) instance's U.C are
+    one component on full support, whose own unipotent orbit is U.C.  The
+    one walk of U.C settles them all, where a walk of U.C per code would
+    take about 10 minutes, so the check reaches its orbit budget in about
+    a second.  In a child process, so that a slow check fails the test
+    instead of stalling it."""
+    script = (
+        "from posetcodes.code import LinearCode\n"
+        "from posetcodes.errors import ResourceLimitError\n"
+        "from posetcodes.poset import Poset\n"
+        "from posetcodes.search import verify_profile_uniqueness\n"
+        "poset = Poset.from_covers(7, [(1, 3), (3, 6), (6, 7)])\n"
+        "rows = [(1, 0, 0, 3, 3, 4, 4), (0, 1, 0, 2, 4, 1, 2), (0, 0, 1, 2, 3, 4, 1)]\n"
+        "try:\n"
+        "    verify_profile_uniqueness(\n"
+        "        LinearCode.from_generators(5, 7, rows), poset, orbit_budget=20_000\n"
+        "    )\n"
+        "except ResourceLimitError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(posetcodes.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "orbit exceeds budget of 20000 codes\n"
 
 
 def test_orbit_budget_is_keyword_only():
