@@ -4,10 +4,13 @@ Exit codes: 0 success, 1 validation error, 2 resource or budget error,
 3 property violation in a verification suite.  Budgets come from flags,
 falling back to POSETCODES_ORBIT_BUDGET / POSETCODES_COSET_BUDGET and then
 to the built-in defaults.  The orbit budget bounds the codes an orbit
-walk admits, and so its canonicalisations: at most one per strict
-relation, generator of Aut(P) and coordinate, plus one, for each code.
+walk admits, and so its canonicalisations: the walk of U.C, U the
+unipotent part, takes at most one per code plus one per strict relation,
+and each later code at most one per generator of Aut(P) and coordinate,
+plus one.
 The coset budget bounds the q^(n_i) vectors a table build scans for each
-component.  ``verify`` runs its suites at their own budgets, so it refuses
+component.  Every command but ``verify`` checks both budgets before it
+starts; ``verify`` runs its suites at their own budgets, so it refuses
 both budget flags and both budget environment variables.
 Vectors on the command line are comma-separated residues; coordinates are
 1-based.
@@ -202,7 +205,7 @@ def cmd_analyze_mindist(args) -> int:
 def cmd_analyze_decompose(args) -> int:
     poset = load_poset(args.poset)
     code = load_code(args.code)
-    config = _config(args)
+    config = args.config
     if args.primary:
         pd = search.primary_decomposition(code, poset, orbit_budget=config.orbit_budget)
         payload = {"config": config.to_json_dict(), "primary": pd.to_json_dict()}
@@ -236,7 +239,7 @@ def cmd_analyze_decompose(args) -> int:
 def cmd_analyze_bounds(args) -> int:
     poset = load_poset(args.poset)
     code = load_code(args.code)
-    config = _config(args)
+    config = args.config
     bounds = search.hierarchy_bounds(code, poset, orbit_budget=config.orbit_budget)
     payload = {"config": config.to_json_dict(), "bounds": bounds.to_json_dict()}
     emit(
@@ -258,7 +261,7 @@ def cmd_analyze_bounds(args) -> int:
 def cmd_decode(args) -> int:
     poset = load_poset(args.poset)
     code = load_code(args.code)
-    config = _config(args)
+    config = args.config
     pd = search.primary_decomposition(code, poset, orbit_budget=config.orbit_budget)
     table = decoder.build_table(pd, poset, config.coset_budget)
     stats = decoder.table_stats(table)
@@ -451,6 +454,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "verify":  # verify refuses budgets; see cmd_verify
+            args.config = _config(args)
         return args.handler(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,20 +3,22 @@ uniqueness, hierarchical neighbours and the complexity sandwich bounds.
 
 The minimal complexity of a code relative to a poset is the minimum, over
 the isometry orbit of the code, of the per-code grouping minimum.  The
-orbit is walked breadth-first under the unipotent part U, one addition per
-strict relation, then block by block under the monomial part: by one
-scaling per coordinate, then by the generators of Aut(P), in a fixed
-order, so witnesses are reproducible.
+orbit is walked first under the unipotent part U, one root subgroup at a
+time along a normal series of U, which reaches each code of U.C once and
+tests each strict relation once; then block by block under the monomial
+part: by one scaling per coordinate, then by the generators of Aut(P), in
+a fixed order, so witnesses are reproducible.
 
-No walk canonicalises a move whose image it has provably seen.  A queued
-code or block representative X keeps the move g that first reached it,
+No block walk canonicalises a move whose image it has provably seen.  A
+queued block representative X keeps the move g that first reached it,
 X = g.P, and skips each earlier move h that commutes with g, and g itself
-when g is an involution: h.X = g.(h.P), and h.P, or the code it repeated,
-left the queue before X, so g was applied to it or provably skipped; and
-g.X = P.  By induction on queue order, after X is processed every move's
-image of X is in ``seen``, so ``_admit`` would refuse each skipped image
-before its budget check.  The walk order, witnesses, partial results and
-budget messages are those of the walk that tries every move.
+when g is an involution: h.X = g.(h.P), and h.P, or the block it
+repeated, left the queue before X, so g was applied to it or provably
+skipped; and g.X = P.  By induction on queue order, after X is processed
+every move's image of X is in ``seen``, so ``_admit`` would refuse each
+skipped image before its budget check.  The block order, witnesses,
+partial results and budget messages are those of the block walk that
+tries every move from the same walk of U.C.
 
 A monomial map keeps a code's supports, row groups and maximal
 decomposition up to an automorphism of P, so every block has the values
@@ -25,7 +27,8 @@ the ``o_p`` of ``hierarchy_bounds``, and ``is_p_irreducible``) walk U.C
 alone.  ``verify_profile_uniqueness`` reads profiles and irreducibility
 off the row groups of its one walk of U.C, walks a component's
 unipotent orbit only from a code no earlier walk of the call admitted,
-and walks the blocks only to count the orbit.  ``primary_decomposition``
+and counts the blocks by walking the images of the codes of U.C of one
+row-group shape.  ``primary_decomposition``
 and ``orbit_codes`` walk the whole orbit, for their witnesses and
 tie-break.
 """
@@ -145,51 +148,69 @@ def _skip_masks(moves: list, commute, involution) -> list:
 
 
 def _unipotent_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
-    """Breadth-first walk of U.C, U the unipotent part: each code that
-    ``_admit`` adds to ``seen``, the code first, with the generator that
-    first reached it times its parent's matrix.  The generators add x_j to
-    x_i for each strict relation i below j (0-based), by column descending
-    and row ascending; adding c * x_j is the c-th power of that, and U is
-    finite, so no other coefficient is needed.  From the all-ones code on a
-    chain this order first reaches the folded code by the paper's fold map.
+    """U.C, U the unipotent part, walked one root subgroup at a time: each
+    code that ``_admit`` adds to ``seen``, the code first, with its matrix.
 
-    An addition is not tried on a code when its image is provably seen:
-    one in the ``_skip_masks`` mask of the addition that reached the code
-    (x_i += x_j and x_k += x_l commute unless j = k or l = i, and each is
-    an involution over GF(2)), or one that fixes the code, as column j is
-    zero or e_i is a canonical row.  ``_admit`` would refuse that image
-    before its budget check, so the walk is the one that tries every
-    addition."""
+    The root subgroup of a strict relation i below j (0-based) is generated
+    by the addition g of x_j to x_i, of prime order q: adding c * x_j is
+    g^c.  The relations are taken by height gap h(j) - h(i), largest first,
+    then by column descending and row ascending.  Additions along (i, j)
+    and (k, l) commute unless j = k or l = i, when their commutator adds
+    along the composite relation, whose gap is larger than both, as heights
+    rise strictly along a relation.  So the additions taken so far generate
+    a subgroup H that the next one, g, normalises, and the walk keeps the
+    orbit O = H.C in order.  When g.C lies in O, O is g-stable.  Otherwise
+    g.O = H.g.C is an H-orbit disjoint from O, and so are g^2.O, ...,
+    g^(q-1).O: the walk appends them in O's order, each image the code of
+    the previous translate under g, with that code's matrix after "row i
+    += row j".  Every appended image is new, so each code after C is
+    canonicalised once, g.C as the first of its translates, and each other
+    strict relation costs one test of g.C: at most |U.C| - 1 + r
+    canonicalisations for r strict relations, and none for an addition
+    that fixes C, as column j is zero or e_i is a canonical row.  ``_admit``
+    admits one code at a time, so the walk stops exactly when |U.C| exceeds
+    the budget.  From the all-ones code on a chain the first code with one
+    nonzero coordinate is reached by the paper's fold map."""
     q, n = code.q, code.n
+    height = poset.heights()
     pairs = ((i, j) for j in range(n - 1, -1, -1) for i in range(n) if i != j)
     strict = [(i, j) for i, j in pairs if poset.leq(i + 1, j + 1)]
-    skips = _skip_masks(strict, lambda a, b: a[1] != b[0] and b[1] != a[0], lambda _: q == 2)
-    # By coordinate c: the additions into x_c, and those adding x_c.
-    into = [sum(1 << k for k, (i, _) in enumerate(strict) if i == c) for c in range(n)]
-    adding = [sum(1 << k for k, (_, j) in enumerate(strict) if j == c) for c in range(n)]
+    strict.sort(key=lambda pair: height[pair[0]] - height[pair[1]])  # stable for ties
+    zero = {j for j, column in enumerate(zip(*code.generators)) if not any(column)}
+    # e_p, as the pivot is 1 and entries lie in 0..q-1
+    unit = {p - 1 for row, p in zip(code.generators, code.pivots) if sum(row) == 1}
     eye = _eye(n)
     _admit(seen, code, orbit_budget)
     yield code, eye
-    queue = [(code, eye, 0)]
-    for current, matrix, skip in queue:
-        generators = current.generators
-        for c, column in enumerate(zip(*generators)):
-            if not any(column):
-                skip |= adding[c]
-        for row, p in zip(generators, current.pivots):
-            if sum(row) == 1:  # e_p, as the pivot is 1 and entries lie in 0..q-1
-                skip |= into[p - 1]
-        for k, (i, j) in enumerate(strict):
-            if skip >> k & 1:
-                continue
-            # rref reduces entries on entry, so the sum needs no mod here.
-            rows = [row[:i] + (row[i] + row[j],) + row[i + 1 :] for row in generators]
-            image = LinearCode(q, n, *rref(q, n, rows))
-            if _admit(seen, image, orbit_budget):
+    orbit, members = [(code, eye)], {code}
+    for i, j in strict:
+        if j in zero or i in unit:
+            continue
+        image = _add(code, i, j)
+        if image in members:
+            continue
+        translate, translates = orbit, []
+        for _ in range(q - 1):
+            translate, previous = [], translate
+            for current, matrix in previous:
+                if image is None:
+                    image = _add(current, i, j)
+                _admit(seen, image, orbit_budget)
+                members.add(image)
                 added = tuple((a + b) % q for a, b in zip(matrix[i], matrix[j]))
                 product = matrix[:i] + (added,) + matrix[i + 1 :]
                 yield image, product
-                queue.append((image, product, skips[k]))
+                translate.append((image, product))
+                image = None
+            translates += translate
+        orbit += translates
+
+
+def _add(code: LinearCode, i: int, j: int) -> LinearCode:
+    """The code's image under the addition of x_j to x_i (0-based)."""
+    # rref reduces entries on entry, so the sum needs no mod here.
+    rows = [row[:i] + (row[i] + row[j],) + row[i + 1 :] for row in code.generators]
+    return LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -227,8 +248,8 @@ def _blocks(
     ``walked``: the image of A.C, with witness (sigma, D.A).
 
     From a block that a move reached, the moves in that move's ``skips``
-    mask are not tried: blocks are disjoint and each is admitted whole, so,
-    as in ``_unipotent_walk``, their first image is provably seen."""
+    mask are not tried: blocks are disjoint and each is admitted whole, so
+    their first image is provably seen (see the module docstring)."""
     q, n = code.q, code.n
     root, ones = primitive_root(q), (1,) * n
     reps = [(tuple(range(1, n + 1)), ones, 0)]
@@ -291,12 +312,13 @@ def _monomial_blocks(
 def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
     """Each distinct image of the code with the automorphism sigma and the
     matrix reaching it: U.C by ``_unipotent_walk``, then its blocks by
-    ``_monomial_blocks``.  That makes at most |orbit| * (strict relations +
-    n + generators of Aut(P) + 1) canonicalisations, fewer as the walks
-    skip the moves that provably repeat a code: the all-ones code on
-    ``chain:6`` over GF(2) takes 191 for its 32 codes, not 480.
-    ``_check_reach`` stops the walk before any image; ``_admit`` bounds the
-    rest."""
+    ``_monomial_blocks``.  That makes at most |U.C| - 1 + r
+    canonicalisations for U.C, r the number of strict relations, and at
+    most n + generators of Aut(P) + 1 for each later code, fewer as the
+    block walks skip the moves that provably repeat a code: the all-ones
+    code on ``chain:6`` over GF(2) takes 41 for its 32 codes, where trying
+    every move from every code takes 480.  ``_check_reach`` stops the walk
+    before any image; ``_admit`` bounds the rest."""
     _check_reach(code, poset)
     identity = tuple(range(1, code.n + 1))
     seen, unipotent = set(), []
@@ -416,7 +438,11 @@ def verify_profile_uniqueness(
     bijective image of U.C that keeps maximal decompositions, profiles and
     the irreducibility of components, so each block holds as many
     candidates as U.C, and the first code with each profile lies in U.C.
-    The blocks are still walked, for the orbit size.
+    The orbit size is |U.C| times the number of blocks.  A monomial map
+    keeps a code's shape, the sorted row count and deficiency of each row
+    group, so each block holds the image of the codes X of U.C of one
+    shape; the blocks are counted by walking X alone, for the shape with
+    fewest codes, under the part of the budget that X's images may take.
 
     A code of U.C is a candidate when each of its row groups, on its
     support, is irreducible for the subposet there, and one walk of U.C
@@ -463,13 +489,15 @@ def verify_profile_uniqueness(
             verdicts.update({(subposet, other): verdict for other in walked})
         return verdicts[key]
 
-    seen, unipotent = set(), []
+    unipotent, shapes = [], {}
     candidates = 0
     profiles = {}
     pending = True  # every code so far is one group on full support
-    for image, matrix in _unipotent_walk(code, poset, seen, orbit_budget):
+    for image, matrix in _unipotent_walk(code, poset, set(), orbit_budget):
         unipotent.append((image, matrix))
         groups = _row_groups(image)
+        shape = tuple(sorted((len(rows), deficiency) for rows, deficiency in groups))
+        shapes.setdefault(shape, []).append((image, matrix))
         if not _reducible(groups, n):
             continue  # a candidate only if every code of U.C is one too
         pending = False
@@ -481,8 +509,18 @@ def verify_profile_uniqueness(
     if pending:
         candidates = len(unipotent)
         profiles = {((0, 0), (n, code.k)): code}
-    blocks = sum(1 for _ in _monomial_blocks(code, poset, unipotent, seen, orbit_budget))
-    orbit_size = len(unipotent) + blocks
+    # A monomial map m keeps a code's shape, so the orbit's codes of U.C's
+    # rarest shape are the images m(X) of its codes X of that shape, |X|
+    # per block: their count passes this limit exactly when the orbit
+    # passes the budget.
+    _, rarest = min(shapes.items(), key=lambda item: (len(item[1]), item[0]))
+    limit = orbit_budget // len(unipotent) * len(rarest)
+    seen = {image for image, _ in rarest}
+    try:
+        images = sum(1 for _ in _monomial_blocks(rarest[0][0], poset, rarest, seen, limit))
+    except ResourceLimitError:
+        raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes") from None
+    orbit_size = len(unipotent) * (1 + images // len(rarest))
     ok = len(profiles) == 1
     return ProfileUniquenessReport(
         ok=ok,

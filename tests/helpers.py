@@ -565,15 +565,16 @@ def reference_primitive_root(q):
     return next(g for g in range(1, q) if order(g) == q - 1)
 
 
-def reference_orbit_walk(code, poset, orbit_budget=10**5):
+def reference_orbit_walk(code, poset, orbit_budget=10**5, unipotent=None):
     """The orbit walk's items ``(image, sigma, matrix)`` in the order the
     search module documents, from whole matrices.  First the unipotent walk:
-    breadth-first from the identity, each matrix A taken to E.A for each
-    strict relation i < j by column j descending, row i ascending, where E
-    is the identity plus a 1 at (i, j), and kept when E.A.C is new.  Then
-    two block walks, each under monomial matrices: the scalings of each
-    coordinate by the least element of order q - 1 (none over GF(2)) over
-    the unipotent images, then the permutation matrices of
+    the matrices of ``unipotent`` in their order, each image computed here,
+    or when that is None, breadth-first from the identity, each matrix A
+    taken to E.A for each strict relation i < j by column j descending, row
+    i ascending, where E is the identity plus a 1 at (i, j), and kept when
+    E.A.C is new.  Then two block walks, each under monomial matrices: the
+    scalings of each coordinate by the least element of order q - 1 (none
+    over GF(2)) over the unipotent images, then the permutation matrices of
     ``reference_generators`` over all images so far.  In each, for each
     block's matrix R, in the order the blocks were found, and each
     generator G in turn, every walked image A.C is mapped by G.R,
@@ -629,18 +630,24 @@ def reference_orbit_walk(code, poset, orbit_budget=10**5):
     strict = [
         (i, j) for j in reversed(range(n)) for i in range(n) if i != j and poset.leq(i + 1, j + 1)
     ]
-    unipotent = [(eye, image_of(eye))]
-    admit(unipotent[0][1])
-    yield unipotent[0][1], identity, tuple(map(tuple, eye))
-    for a, _ in unipotent:
-        for i, j in strict:
-            e = [row[:] for row in eye]
-            e[i][j] = 1
-            product_matrix = times(e, a)
-            image = image_of(product_matrix)
-            if admit(image):
-                unipotent.append((product_matrix, image))
-                yield image, identity, tuple(map(tuple, product_matrix))
+    if unipotent is not None:
+        unipotent = [([list(row) for row in a], image_of(a)) for a in unipotent]
+        for a, image in unipotent:
+            admit(image)
+            yield image, identity, tuple(map(tuple, a))
+    else:
+        unipotent = [(eye, image_of(eye))]
+        admit(unipotent[0][1])
+        yield unipotent[0][1], identity, tuple(map(tuple, eye))
+        for a, _ in unipotent:
+            for i, j in strict:
+                e = [row[:] for row in eye]
+                e[i][j] = 1
+                product_matrix = times(e, a)
+                image = image_of(product_matrix)
+                if admit(image):
+                    unipotent.append((product_matrix, image))
+                    yield image, identity, tuple(map(tuple, product_matrix))
     scalings = []
     if q > 2:
         root = reference_primitive_root(q)
@@ -664,9 +671,10 @@ def reference_orbit_walk(code, poset, orbit_budget=10**5):
 
 
 def reference_unipotent_walk(code, poset, seen, orbit_budget):
-    """The search module's walk of U.C as first written, with the same
-    kernels (``rref``, ``_admit``): every code tries every addition
-    x_i += x_j, i below j, none skipped as a provable repeat."""
+    """The breadth-first walk of U.C that the search module first used,
+    with the same kernels (``rref``, ``_admit``): every code tries every
+    addition x_i += x_j, i below j, none skipped as a provable repeat.  It
+    reaches the codes of the search module's walk in another order."""
     from posetcodes.code import LinearCode, rref
     from posetcodes.isometry import _eye
     from posetcodes.search import _admit
@@ -719,15 +727,18 @@ def reference_blocks(code, walked, moves, seen, orbit_budget):
                 yield image, sigma, matrix
 
 
-def reference_unskipped_orbit(code, poset, orbit_budget):
-    """The search module's ``_orbit`` items from the two walks above: U.C,
-    then its blocks under one scaling per coordinate, then those under the
+def reference_unskipped_orbit(code, poset, orbit_budget, unipotent):
+    """The search module's ``_orbit`` items from the block walk above: the
+    items ``(image, matrix)`` of ``unipotent``, a walk of U.C, then their
+    blocks under one scaling per coordinate, then those under the
     generators of Aut(P)."""
+    from posetcodes.search import _admit
+
     n = code.n
     identity = tuple(range(1, n + 1))
-    seen, unipotent, scaled = set(), [], []
-    for image, matrix in reference_unipotent_walk(code, poset, seen, orbit_budget):
-        unipotent.append((image, matrix))
+    seen, scaled = set(), []
+    for image, matrix in unipotent:
+        _admit(seen, image, orbit_budget)
         yield image, identity, matrix
     scalings = [(identity, c) for c in range(n)] if code.q > 2 else []
     for image, _, matrix in reference_blocks(code, unipotent, scalings, seen, orbit_budget):

@@ -448,6 +448,52 @@ def test_budget_validation(files, capsys):
     assert code == 1
 
 
+NON_VERIFY_COMMANDS = {
+    "poset info": ["poset", "info", "chain:3"],
+    "poset neighbours": ["poset", "neighbours", "chain:3"],
+    "poset dot": ["poset", "dot", "chain:3"],
+    "poset compare": ["poset", "compare", "chain:3", "antichain:3"],
+    "analyze weight": ["analyze", "weight", "chain:3", "--x", "1,1,1"],
+    "analyze mindist": ["analyze", "mindist", "chain:4", "{r4}"],
+    "analyze decompose": ["analyze", "decompose", "chain:4", "{r4}"],
+    "analyze decompose --primary": ["analyze", "decompose", "chain:4", "{r4}", "--primary"],
+    "analyze bounds": ["analyze", "bounds", "chain:4", "{r4}"],
+    "decode": ["decode", "chain:4", "{r4}", "--stats-only"],
+}
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        ["--orbit-budget", "0"],
+        ["--orbit-budget", "-5"],
+        ["--coset-budget", "0"],
+        {"POSETCODES_ORBIT_BUDGET": "abc"},
+        {"POSETCODES_COSET_BUDGET": "0"},
+    ],
+    ids=["orbit-0", "orbit-negative", "coset-0", "orbit-env-text", "coset-env-0"],
+)
+@pytest.mark.parametrize("command", tuple(NON_VERIFY_COMMANDS))
+def test_every_command_but_verify_validates_its_budgets(files, capsys, monkeypatch, command, setting):
+    """A budget that is not a positive integer, from a flag or from the
+    environment, ends every command but ``verify`` in one ``error:`` line
+    and exit 1, whether or not the command walks an orbit or builds a
+    table; ``verify`` refuses budgets of its own accord."""
+    argv = [arg.format(**files) for arg in NON_VERIFY_COMMANDS[command]]
+    if isinstance(setting, dict):
+        for name, value in setting.items():
+            monkeypatch.setenv(name, value)
+    else:
+        argv += setting
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    monkeypatch.delenv("POSETCODES_ORBIT_BUDGET", raising=False)
+    monkeypatch.delenv("POSETCODES_COSET_BUDGET", raising=False)
+    assert run(capsys, [arg.format(**files) for arg in NON_VERIFY_COMMANDS[command]])[0] == 0
+
+
 def test_group_budget_option_is_gone(files):
     result = run_process(
         ["--group-budget", "5", "analyze", "decompose", "--primary", files["chain4"], files["r4"]]

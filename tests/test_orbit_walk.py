@@ -8,12 +8,14 @@ reports must equal the full enumeration's, and so must the values that
 also over GF(5), and the profile reports on instances over GF(2), GF(3)
 and GF(5) whose components need walks of their own.  Witnesses and the
 orbit order follow the walk, not the full enumeration's order, so a
-witness is checked by the image it reaches; the walk's own sequence,
-here also over GF(5) and GF(7), must equal the one that maps every
-walked image by each monomial block map the block walks try.  On
-hypothesis draws with n <= 6 over GF(2), GF(3) and GF(5), the walk,
-which skips the moves that provably repeat a code, must give the items
-of the walk that tries every move.
+witness is checked by the image it reaches.  The walk of U.C must reach
+the codes of the breadth-first walk that tries every addition, each once,
+with a unipotent matrix mapping C onto it; fed that U.C list, the walk's
+own sequence, here also over GF(5) and GF(7), must equal the one that
+maps every walked image by each monomial block map the block walks try.
+On hypothesis draws with n <= 6 over GF(2), GF(3) and GF(5), the block
+walks, which skip the moves that provably repeat a code, must give the
+items of the block walk that tries every move.
 """
 
 import random
@@ -186,6 +188,24 @@ def test_profile_check_walks_no_component_code_twice(monkeypatch):
     assert component_walks > 0
 
 
+def test_profile_check_stops_exactly_past_its_budget():
+    """The profile check counts the blocks from the codes of U.C of one
+    shape, under a part of the budget, yet it stops exactly when the orbit
+    exceeds the budget: at |orbit| - 1 codes with the caller's message, and
+    at |orbit| with the report of the default budget."""
+    past_unipotent = 0
+    for poset, code in INSTANCES + _instances(count=10, seed=5, group_cap=20000, fields=(5,)):
+        report = verify_profile_uniqueness(code, poset)
+        size = report.orbit_size
+        assert verify_profile_uniqueness(code, poset, orbit_budget=size) == report
+        if size > 1:
+            with pytest.raises(ResourceLimitError) as stop:
+                verify_profile_uniqueness(code, poset, orbit_budget=size - 1)
+            assert str(stop.value) == f"orbit exceeds budget of {size - 1} codes"
+        past_unipotent += size > len(list(search._unipotent_walk(code, poset, set(), size)))
+    assert past_unipotent > 0
+
+
 @pytest.mark.parametrize("orbit_budget", [1, 2, 5])
 def test_orbit_budget_partial_matches_full_enumeration(orbit_budget):
     """The budget error matches the reference; the partial result is the
@@ -246,6 +266,22 @@ def test_orbit_codes_follow_walk_order():
     assert got == expected
 
 
+def test_unipotent_walk_takes_the_largest_height_gap_first():
+    """On 1 < 2 < 4 over GF(2) the walk takes the relation 1 < 4, of height
+    gap 2, before the covers: x_1 += x_4 doubles {C}, x_2 += x_4 doubles
+    that, and x_1 += x_2 maps C into the orbit.  Taking the covers first,
+    x_1 += x_2 would not normalise the subgroup that x_2 += x_4 generates,
+    and its translate of the orbit would repeat a code."""
+    poset = Poset.from_covers(5, [(1, 2), (2, 4)])
+    code = LinearCode.from_generators(2, 5, [(0, 1, 0, 1, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1)])
+    unipotent, message = _unipotent_stage(code, poset, 10**5)
+    assert message is None
+    assert [image for image, _ in unipotent] == [
+        LinearCode.from_generators(2, 5, [row, (0, 0, 1, 0, 0), (0, 0, 0, 0, 1)])
+        for row in [(0, 1, 0, 1, 0), (1, 1, 0, 1, 0), (0, 0, 0, 1, 0), (1, 0, 0, 1, 0)]
+    ]
+
+
 # -- the block step against mapping every code ----------------------------
 
 
@@ -279,6 +315,39 @@ def _walk(items):
     return got, None
 
 
+def _unipotent_stage(code, poset, orbit_budget):
+    """The items of the walk of U.C and its budget message, checked against
+    the breadth-first walk that tries every addition: the same codes, none
+    twice, each matrix unit upper triangular on P and mapping C onto its
+    image; and, when the walk ends, the same items cut after |U.C| - 1
+    codes, with the budget message, under a budget one code smaller."""
+    q, n = code.q, code.n
+    items, message = _walk(search._unipotent_walk(code, poset, set(), orbit_budget))
+    codes = [image for image, _ in items]
+    assert len(set(codes)) == len(codes), (poset, code)
+    for image, matrix in items:
+        assert all(
+            matrix[i][j] == 1 if i == j else not matrix[i][j] or poset.leq(i + 1, j + 1)
+            for i in range(n)
+            for j in range(n)
+        ), (poset, code, matrix)
+        rows = [[sum(a * v for a, v in zip(row, word)) for row in matrix] for word in code.generators]
+        assert LinearCode.from_generators(q, n, rows) == image, (poset, code, matrix)
+    want, want_message = _walk(reference_unipotent_walk(code, poset, set(), orbit_budget))
+    assert message == want_message
+    if message is None:
+        assert set(codes) == {image for image, _ in want}, (poset, code)
+        cut = len(items) - 1
+        if cut:
+            assert _walk(search._unipotent_walk(code, poset, set(), cut)) == (
+                items[:cut],
+                f"orbit exceeds budget of {cut} codes",
+            )
+    else:
+        assert len(items) == orbit_budget
+    return items, message
+
+
 def _block(item):
     """The block map (sigma, D) of a walk item: its witness matrix is D.A
     with A unipotent, so D is that matrix's diagonal."""
@@ -308,17 +377,25 @@ def _cut_budgets(full):
     ids=["seeded-1", "seeded-2", "many-automorphisms", "gf5", "gf7"],
 )
 def test_walk_sequence_matches_permuting_every_code(instances):
-    """The walk yields the reference's ``(image, sigma, matrix)`` items in
-    order, though it canonicalises only the first image of a block it has
-    already walked, and a budget that cuts a block past the unipotent walk
-    stops both at the same item with the same message."""
+    """The walk of U.C reaches the breadth-first walk's codes, and the
+    whole walk reaches the reference's orbit.  Fed the same U.C list, the
+    walk yields the reference's ``(image, sigma, matrix)`` items in order,
+    though it canonicalises only the first image of a block it has already
+    walked, and a budget that cuts a block past the unipotent walk stops
+    both at the same item with the same message."""
     cuts_inside = 0
     for poset, code in instances:
-        full, message = _walk(reference_orbit_walk(code, poset))
+        unipotent, message = _unipotent_stage(code, poset, 10**5)
         assert message is None
+        own, message = _walk(reference_orbit_walk(code, poset))
+        assert message is None
+        fed = [matrix for _, matrix in unipotent]
+        full, message = _walk(reference_orbit_walk(code, poset, unipotent=fed))
+        assert message is None
+        assert len(full) == len(own) and {i[0] for i in full} == {i[0] for i in own}
         assert _walk(search._orbit(code, poset, 10**5)) == (full, None)
         for budget in _cut_budgets(full):
-            want = _walk(reference_orbit_walk(code, poset, orbit_budget=budget))
+            want = _walk(reference_orbit_walk(code, poset, orbit_budget=budget, unipotent=fed))
             assert want == (full[:budget], f"orbit exceeds budget of {budget} codes")
             assert _walk(search._orbit(code, poset, budget)) == want
             cuts_inside += _block(full[budget - 1]) == _block(full[budget])
@@ -333,9 +410,9 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
     block that a transposition reached skips that transposition, an
     involution, and the earlier ones that commute with it: the pair code on
     ``antichain:6`` takes 38 canonicalisations, not 75.  On ``chain:6`` the
-    all-ones code's 32 codes take 191, not 480: an addition is skipped when
-    it commutes with the addition that reached the code, undoes it, or
-    fixes the code."""
+    all-ones code's 32 codes take 41, not 480: the walk of U.C canonicalises
+    each code after the first once, five of them as the test of an addition
+    that doubles the orbit, and tests the ten other additions once each."""
     calls = 0
 
     def counting_rref(*args):
@@ -354,20 +431,22 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
             assert calls <= len(orbit) * (n - 1), (code, calls, len(orbit))
     for poset, generator, counts in [
         (Poset.antichain(6), (1, 1, 0, 0, 0, 0), (15, 38)),
-        (Poset.chain(6), (1,) * 6, (32, 191)),
+        (Poset.chain(6), (1,) * 6, (32, 41)),
     ]:
         calls = 0
         orbit = list(search._orbit(LinearCode.from_generators(2, 6, [generator]), poset, 10**5))
         assert (len(orbit), calls) == counts
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_canonicalisations_are_bounded_by_the_orbit(monkeypatch, q):
-    """Each code of the unipotent walk tries one addition per strict
-    relation, each block's representative one move per generator of Aut(P)
-    and per coordinate, and every other image of a block is canonicalised
-    once: at most |orbit| * (strict relations + generators + n + 1)
-    canonicalisations, with no bound of their own."""
+    """The walk of U.C canonicalises each code after the first once, plus
+    one test per strict relation: at most |U.C| - 1 + r canonicalisations
+    for r strict relations.  Each block's representative tries one move per
+    generator of Aut(P) and per coordinate, and every other image of a
+    block is canonicalised once: at most |orbit| * (strict relations +
+    generators + n + 1) canonicalisations in all, with no bound of their
+    own."""
     calls = 0
 
     def counting_rref(*args):
@@ -379,6 +458,9 @@ def test_canonicalisations_are_bounded_by_the_orbit(monkeypatch, q):
     for poset, code in _instances(count=40, seed=q, group_cap=10**5, fields=(q,)):
         n = poset.n
         strict = sum(poset.leq(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+        calls = 0
+        unipotent = list(search._unipotent_walk(code, poset, set(), 10**5))
+        assert calls <= len(unipotent) - 1 + strict, (poset, code)
         calls = 0
         orbit = list(search._orbit(code, poset, 10**5))
         assert calls <= len(orbit) * (strict + len(poset.automorphisms()[0]) + n + 1)
@@ -420,14 +502,17 @@ def _least(values, message, floor):
 
 def check_against_the_unskipped_walk(instance, cuts_inside):
     code, poset = instance
-    full = _walk(reference_unskipped_orbit(code, poset, WALK_BUDGET))
+    unipotent, message = _unipotent_stage(code, poset, WALK_BUDGET)
+    if message is None:
+        full = _walk(reference_unskipped_orbit(code, poset, WALK_BUDGET, unipotent))
+    else:
+        identity = tuple(range(1, code.n + 1))
+        full = ([(image, identity, matrix) for image, matrix in unipotent], message)
     assert _walk(search._orbit(code, poset, WALK_BUDGET)) == full
     for budget in _cut_budgets(full[0]):
-        want = _walk(reference_unskipped_orbit(code, poset, budget))
+        want = _walk(reference_unskipped_orbit(code, poset, budget, unipotent))
         assert _walk(search._orbit(code, poset, budget)) == want
         cuts_inside.append(_block(full[0][budget - 1]) == _block(full[0][budget]))
-    unipotent, message = _walk(reference_unipotent_walk(code, poset, set(), WALK_BUDGET))
-    assert _walk(search._unipotent_walk(code, poset, set(), WALK_BUDGET)) == (unipotent, message)
     values = [min_grouping_complexity(image) for image, _ in unipotent]
     for floor in (0, sorted(values)[len(values) // 2]):
         try:
@@ -450,10 +535,13 @@ THREE_CYCLE = (
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
 def test_walks_match_the_unskipped_walk():
-    """``_orbit``, ``_unipotent_walk`` and ``_least_complexity`` give the
-    items, values and budget messages of the walk that canonicalises every
-    move (helpers), also under budgets that cut inside a block: every move
-    the walk skips as a provable repeat would have been refused."""
+    """``_unipotent_walk`` reaches the codes of the breadth-first walk that
+    tries every addition (helpers), each once.  From the same U.C list,
+    ``_orbit`` gives the items and budget messages of the block walk that
+    canonicalises every move, also under budgets that cut inside a block,
+    so every move it skips as a provable repeat would have been refused;
+    ``_least_complexity`` gives the first value at most its floor in the
+    walk's order, or the least."""
     cuts_inside = []
     check_against_the_unskipped_walk(THREE_CYCLE, cuts_inside)
     given(st.composite(walk_instance)())(
