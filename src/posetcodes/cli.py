@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 from . import decoder, search, suites
-from .code import LinearCode
+from .code import LinearCode, _check_length
 from .decomposition import maximal_decomposition
 from .errors import ResourceLimitError, ValidationError
 from .field import parse_vector
@@ -102,11 +102,12 @@ def load_code(path: str) -> LinearCode:
 
 
 def _read_json(path: str):
-    """The JSON document in a file; undecodable text is a ValidationError."""
+    """The JSON document in a file; text that is not UTF-8, not JSON, holds
+    an int past the digit limit or nests too deeply is a ValidationError."""
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"{path} is not a readable JSON document: {exc}") from exc
 
 
@@ -220,8 +221,7 @@ def cmd_analyze_decompose(args) -> int:
             ],
         )
     else:
-        if poset.n != code.n:
-            raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+        _check_length(code, poset)
         dec = maximal_decomposition(code)
         payload = {"config": config.to_json_dict(), "decomposition": dec.to_json_dict()}
         emit(

@@ -77,15 +77,20 @@ class LinearCode:
 
     @classmethod
     def from_generators(cls, q: int, n: int, rows) -> "LinearCode":
-        field = FieldSpec(q)
-        if not isinstance(n, int) or n < 1:
+        """The code the rows span; the length and every entry must be an
+        ``int`` (not a bool or a float), and ``rref`` reduces the entries."""
+        FieldSpec(q)
+        if type(n) is not int or n < 1:
             raise ValidationError(f"code length must be a positive integer, got {n!r}")
-        row_list = [tuple(field.normalize(v) for v in row) for row in rows]
+        row_list = [tuple(row) for row in rows]
         if not row_list:
             raise ValidationError("no generators given")
         for row in row_list:
             if len(row) != n:
                 raise ValidationError(f"generator length {len(row)} != code length {n}")
+            for v in row:
+                if type(v) is not int:
+                    raise ValidationError(f"generator entry {v!r} is not an integer")
         reduced, pivots = rref(q, n, row_list)
         if not reduced:
             raise ValidationError("generators span only the zero code")
@@ -186,6 +191,12 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(q={self.q}, n={self.n}, generators={list(self.generators)})"
+
+
+def _check_length(code: LinearCode, poset) -> None:
+    """Refuse a poset whose size is not the code's length."""
+    if poset.n != code.n:
+        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
 
 
 def enumerate_codes(q: int, n: int, k: int):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import mul, sub
 
-from .code import LinearCode, ParityData
+from .code import LinearCode, ParityData, _check_length
 from .errors import ResourceLimitError, ValidationError
 from .isometry import invert_matrix
 from .metric import support_mask, weight_table
@@ -107,8 +107,7 @@ def build_table(pd: PDecomposition, poset: Poset, coset_budget: int = COSET_BUDG
     """Scan every component's support space for the least-weight leader of
     each coset; ``coset_budget`` bounds the vectors scanned per component."""
     code = pd.dec.code
-    if poset.n != code.n:
-        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    _check_length(code, poset)
     if pd.witness.poset != poset:
         raise ValidationError("the decomposition's witness acts on a different poset")
     q, n = code.q, code.n
@@ -178,8 +177,7 @@ def agreement_rate(table: SyndromeTable, code: LinearCode, poset: Poset) -> floa
     distance, the least weight in the word's coset, from the same scan as a
     table build over the whole space of at most ``AGREEMENT_BUDGET``
     vectors."""
-    if poset.n != code.n:
-        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    _check_length(code, poset)
     parity = code.parity_check()
     least = _least_weight_vectors(parity, poset, AGREEMENT_BUDGET)
     weights = weight_table(poset)

@@ -101,13 +101,7 @@ class PIsometry:
 def group_size(poset: Poset, q: int) -> int:
     """|Aut(P)| * (q-1)^n * q^(number of strict pairs)."""
     FieldSpec(q)
-    strict = sum(
-        1
-        for i in range(1, poset.n + 1)
-        for j in range(1, poset.n + 1)
-        if i != j and poset.leq(i, j)
-    )
-    return poset.automorphisms()[1] * (q - 1) ** poset.n * q**strict
+    return poset.automorphisms()[1] * (q - 1) ** poset.n * q ** len(poset.strict_pairs())
 
 
 def matrix_rank(q: int, rows) -> int:

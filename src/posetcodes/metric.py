@@ -5,7 +5,7 @@ its support; closed-form shortcuts for special poset families exist only
 in the test oracles so that production has a single code path.
 """
 
-from .code import LinearCode
+from .code import LinearCode, _check_length
 from .errors import ValidationError
 from .field import FieldSpec, vec_sub
 from .poset import Poset
@@ -53,8 +53,7 @@ def weight_table(poset: Poset) -> list:
 
 def min_pdistance(poset: Poset, code: LinearCode) -> int:
     """Minimal weight over the nonzero codewords."""
-    if poset.n != code.n:
-        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    _check_length(code, poset)
     best = None
     for word in code.codewords():
         if not any(word):

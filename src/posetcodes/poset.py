@@ -35,10 +35,7 @@ class Poset:
         self._up = tuple(up_masks)
         down = [0] * n
         for i in range(n):
-            bits = self._up[i]
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
+            for j in _bits(self._up[i]):
                 down[j] |= 1 << i
         self._down = tuple(down)
         self._hash = hash((n, self._up))
@@ -66,24 +63,13 @@ class Poset:
             if a == b:
                 raise ValidationError(f"relation {pair!r} relates an element to itself")
             up[a - 1] |= 1 << (b - 1)
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # Warshall: whatever reaches k reaches all k reaches
+            bit, reach = 1 << k, up[k]
             for i in range(n):
-                acc = up[i]
-                bits = acc
-                while bits:
-                    j = (bits & -bits).bit_length() - 1
-                    bits &= bits - 1
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+                if up[i] & bit:
+                    up[i] |= reach
         for i in range(n):
-            bits = up[i] & ~(1 << i)
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
+            for j in _bits(up[i] & ~(1 << i)):
                 if up[j] >> i & 1:
                     raise ValidationError(
                         f"not a partial order: elements {i + 1} and {j + 1} lie on a cycle"
@@ -127,10 +113,7 @@ class Poset:
 
     def strict_pairs(self) -> frozenset:
         return frozenset(
-            (i + 1, j + 1)
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and self._up[i] >> j & 1
+            (i + 1, j + 1) for i in range(self.n) for j in _bits(self._up[i] & ~(1 << i))
         )
 
     def ideal(self, elements) -> frozenset:
@@ -144,10 +127,7 @@ class Poset:
     def ideal_mask(self, mask: int) -> int:
         """Bitmask variant of :meth:`ideal` (bit k stands for element k+1)."""
         out = 0
-        bits = mask
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
+        for j in _bits(mask):
             out |= self._down[j]
         return out
 
@@ -172,11 +152,7 @@ class Poset:
             order = sorted(range(n), key=lambda i: bin(self._down[i]).count("1"))
             h = [1] * n
             for i in order:
-                below = self._down[i] & ~(1 << i)
-                bits = below
-                while bits:
-                    j = (bits & -bits).bit_length() - 1
-                    bits &= bits - 1
+                for j in _bits(self._down[i] & ~(1 << i)):
                     if h[j] + 1 > h[i]:
                         h[i] = h[j] + 1
             top = max(h)
@@ -248,10 +224,7 @@ class Poset:
         out = []
         for i in range(self.n):
             strict_up = self._up[i] & ~(1 << i)
-            bits = strict_up
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
+            for j in _bits(strict_up):
                 between = strict_up & self._down[j] & ~(1 << j)
                 if between == 0:
                     out.append((i + 1, j + 1))
@@ -299,13 +272,15 @@ def _check_size(n) -> None:
         raise ResourceLimitError(f"ground-set size {n} exceeds supported maximum {MAX_GROUND_SET}")
 
 
-def _mask_to_set(mask: int) -> frozenset:
-    out = []
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
     while mask:
-        j = (mask & -mask).bit_length() - 1
+        yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
-        out.append(j + 1)
-    return frozenset(out)
+
+
+def _mask_to_set(mask: int) -> frozenset:
+    return frozenset(j + 1 for j in _bits(mask))
 
 
 def _automorphism_generators(p: Poset) -> tuple:
@@ -391,12 +366,7 @@ def all_posets(n: int):
         raise ResourceLimitError("full poset catalog supported only for n <= 4")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     for chosen in range(1 << len(pairs)):
-        rel = set()
-        bits = chosen
-        while bits:
-            k = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            rel.add(pairs[k])
+        rel = {pairs[k] for k in _bits(chosen)}
         if any((b, a) in rel for a, b in rel):
             continue
         if any(

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import accumulate
 
-from .code import LinearCode, enumerate_codes, rref
+from .code import LinearCode, _check_length, enumerate_codes, rref
 from .decomposition import (
     Decomposition,
     _row_groups,
@@ -50,9 +50,6 @@ from .isometry import PIsometry, _eye
 from .poset import Poset
 
 DEFAULT_ORBIT_BUDGET = 10**5
-# The largest poset an orbit walk takes: the generators of Aut(P) reach 16,
-# but the bounds walk on a random 16-point poset does not yet stop quickly.
-MAX_WALK_N = 10
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ class BoundsReport:
     """Minimal complexities for the hierarchical neighbours, exact at every
     supported size, and the poset's own value.  That is exact too; it is
     None only when the neighbour values differ and the walk of U.C that
-    finds it exceeds a budget or its reach."""
+    finds it exceeds the orbit budget."""
 
     upper_poset: Poset
     lower_poset: Poset
@@ -173,9 +170,10 @@ def _unipotent_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int
     nonzero coordinate is reached by the paper's fold map."""
     q, n = code.q, code.n
     height = poset.heights()
-    pairs = ((i, j) for j in range(n - 1, -1, -1) for i in range(n) if i != j)
-    strict = [(i, j) for i, j in pairs if poset.leq(i + 1, j + 1)]
-    strict.sort(key=lambda pair: height[pair[0]] - height[pair[1]])  # stable for ties
+    strict = sorted(
+        ((i - 1, j - 1) for i, j in poset.strict_pairs()),
+        key=lambda pair: (height[pair[0]] - height[pair[1]], -pair[1], pair[0]),
+    )
     zero = {j for j, column in enumerate(zip(*code.generators)) if not any(column)}
     # e_p, as the pivot is 1 and entries lie in 0..q-1
     unit = {p - 1 for row, p in zip(code.generators, code.pivots) if sum(row) == 1}
@@ -275,15 +273,6 @@ def _blocks(
                 yield image, sigma, matrix
 
 
-def _check_reach(code: LinearCode, poset: Poset) -> None:
-    """Refuse a code of another length, and a poset beyond MAX_WALK_N before
-    any walk starts."""
-    if poset.n != code.n:
-        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
-    if poset.n > MAX_WALK_N:
-        raise ResourceLimitError(f"orbit walk supports n <= {MAX_WALK_N}, got {poset.n}")
-
-
 def _monomial_blocks(
     code: LinearCode, poset: Poset, unipotent: list, seen: set, orbit_budget: int
 ):
@@ -317,9 +306,9 @@ def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
     most n + generators of Aut(P) + 1 for each later code, fewer as the
     block walks skip the moves that provably repeat a code: the all-ones
     code on ``chain:6`` over GF(2) takes 41 for its 32 codes, where trying
-    every move from every code takes 480.  ``_check_reach`` stops the walk
-    before any image; ``_admit`` bounds the rest."""
-    _check_reach(code, poset)
+    every move from every code takes 480.  A poset of another length is
+    refused before any image; ``_admit``'s orbit budget bounds the rest."""
+    _check_length(code, poset)
     identity = tuple(range(1, code.n + 1))
     seen, unipotent = set(), []
     for image, matrix in _unipotent_walk(code, poset, seen, orbit_budget):
@@ -368,7 +357,7 @@ def primary_decomposition(
 def _least_complexity(code: LinearCode, poset: Poset, orbit_budget: int, floor: int = 0) -> int:
     """The least grouping complexity over U.C, or the first value at most
     ``floor`` that the walk meets."""
-    _check_reach(code, poset)
+    _check_length(code, poset)
     least = None
     for image, _ in _unipotent_walk(code, poset, set(), orbit_budget):
         value = min_grouping_complexity(image)
@@ -417,7 +406,7 @@ def is_p_irreducible(
     changes support size or the component count, so scanning the orbit
     under the unipotent part alone decides the question.
     """
-    _check_reach(code, poset)
+    _check_length(code, poset)
     n = poset.n
     full = frozenset(range(1, n + 1))
     if code.support() != full:
@@ -456,7 +445,7 @@ def verify_profile_uniqueness(
     verdict holds for every code that walk admitted, all of one orbit, so
     no later component starting there is walked again in this call.
     """
-    _check_reach(code, poset)
+    _check_length(code, poset)
     q, n = code.q, poset.n
     relations = [1 << i - 1 | 1 << j - 1 for i, j in poset.strict_pairs()]
     subposets, verdicts = {}, {}
@@ -618,8 +607,7 @@ def hierarchical_decomposition(code: LinearCode, poset: Poset) -> PDecomposition
     The witness has the identity permutation and a unipotent matrix in the
     triangular part.
     """
-    if poset.n != code.n:
-        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    _check_length(code, poset)
     if not poset.is_hierarchical():
         raise ValidationError("closed-form decomposition needs a hierarchical poset")
     image, entries = _level_sum(code, poset.heights())
@@ -643,10 +631,9 @@ def hierarchy_bounds(
     is the least grouping complexity over U.C, as in
     :func:`minimal_complexity`; the walk stops at the first code that
     reaches the upper neighbour's value, which no code goes below.  It is
-    None when the walk exceeds a budget or its reach (MAX_WALK_N, n = 10).
+    None when the walk exceeds the orbit budget.
     """
-    if poset.n != code.n:
-        raise ValidationError(f"poset size {poset.n} != code length {code.n}")
+    _check_length(code, poset)
     o_upper = min_grouping_complexity(_level_sum(code, poset.heights())[0])
     if poset.is_hierarchical():  # its own upper and lower neighbour
         return BoundsReport(poset, poset, o_upper, o_upper, o_upper)

@@ -494,6 +494,38 @@ def test_every_command_but_verify_validates_its_budgets(files, capsys, monkeypat
     assert run(capsys, [arg.format(**files) for arg in NON_VERIFY_COMMANDS[command]])[0] == 0
 
 
+DEEP_DOCUMENT = "[" * 100_000 + "]" * 100_000
+BAD_CODES = {  # a bad code document -> a poset of the length it claims
+    DEEP_DOCUMENT: "chain:4",
+    json.dumps({"q": 2, "n": True, "generators": [[1]]}): "chain:1",
+    json.dumps({"q": 2, "n": 4, "generators": [[1.0, 1, 0, 0], [0, 0, 1.0, 1]]}): "chain:4",
+}
+
+
+@pytest.mark.parametrize("command", tuple(NON_VERIFY_COMMANDS))
+def test_every_command_but_verify_refuses_a_bad_document(capsys, tmp_path, command):
+    """A document nested too deeply, a code length that is a bool and
+    generator entries that are floats end every command but ``verify`` in
+    one ``error:`` line and exit 1.  A command that reads a code reads
+    each as its code, on a poset of the length it claims; the others read
+    the deep document as their poset."""
+    template = NON_VERIFY_COMMANDS[command]
+    path = tmp_path / "bad.json"
+    if "{r4}" in template:
+        cases = [
+            (text, [{"chain:4": poset, "{r4}": str(path)}.get(arg, arg) for arg in template])
+            for text, poset in BAD_CODES.items()
+        ]
+    else:  # the poset is the third argument
+        cases = [(DEEP_DOCUMENT, template[:2] + [str(path)] + template[3:])]
+    for text, argv in cases:
+        path.write_text(text)
+        code, out, err = run(capsys, argv)
+        assert code == 1, (text[:40], err)
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_group_budget_option_is_gone(files):
     result = run_process(
         ["--group-budget", "5", "analyze", "decompose", "--primary", files["chain4"], files["r4"]]
@@ -521,21 +553,18 @@ def test_walk_is_not_refused_for_its_group_size(tmp_path):
     assert result.stdout.splitlines()[0] == "complexity = 1"
 
 
-def test_walk_takes_ten_coordinates_and_refuses_eleven(tmp_path):
+def test_walk_takes_ten_to_sixteen_coordinates(tmp_path):
     """Aut(antichain:10) has 3,628,800 elements; the walk reaches the 45
     codes of a weight-2 word from nine generators, with no list of the
-    group.  Past ten coordinates the walk stops before it starts."""
-    def decompose(n):
+    group.  The orbit budget is the walk's one bound, so eleven and
+    sixteen coordinates, 55 and 120 codes, are walked the same way."""
+    for n in (10, 11, 16):
         code = tmp_path / f"pair{n}.json"
         code.write_text(json.dumps({"q": 2, "n": n, "generators": [[1, 1] + [0] * (n - 2)]}))
-        return run_process(["analyze", "decompose", "--primary", f"antichain:{n}", str(code)], timeout=10)
-
-    result = decompose(10)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[0] == "complexity = 2"
-    result = decompose(11)
-    assert result.returncode == 2
-    assert result.stderr.splitlines()[0] == "budget exceeded: orbit walk supports n <= 10, got 11"
+        argv = ["analyze", "decompose", "--primary", f"antichain:{n}", str(code)]
+        result = run_process(argv, timeout=10)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == "complexity = 2"
 
 
 def test_full_space_over_a_large_field_walks_a_few_generators(tmp_path):
@@ -577,8 +606,10 @@ def test_parser_is_built_once_and_leaks_no_options(capsys, options_after_suite):
 
 
 def test_analyze_bounds_reaches_sixteen_coordinates(tmp_path):
-    """Bounds beyond the orbit walk's reach (n = 10): exact neighbours from
-    the closed form, and o_p from it too on a hierarchical poset."""
+    """Bounds at twelve and sixteen coordinates: exact neighbours from the
+    closed form, and o_p from it too on a hierarchical poset.  On the
+    random 16-point poset the neighbours differ, and the walk of U.C for
+    o_p passes the default orbit budget, so o_p is null."""
     ones = tmp_path / "ones12.json"
     ones.write_text(json.dumps({"q": 2, "n": 12, "generators": [[1] * 12]}))
     result = run_process(["--format", "json", "analyze", "bounds", "chain:12", str(ones)], timeout=10)
@@ -605,9 +636,32 @@ def test_analyze_bounds_reaches_sixteen_coordinates(tmp_path):
     assert data["sandwich_ok"]
 
 
+def test_primary_search_at_sixteen_coordinates_stops_at_the_budget(tmp_path, capsys):
+    """The random 16-point poset and GF(3) code of the bounds test above:
+    a primary search past a budget of 1,000 codes exits 2 with one budget
+    line, then the best decomposition the walk had found."""
+    rng = random.Random(16)
+    poset = suites.random_poset(rng, 16)
+    code = suites.random_code(rng, 3, 16)
+    poset_path = tmp_path / "poset16.json"
+    poset_path.write_text(json.dumps(poset.to_json_dict()))
+    code_path = tmp_path / "code16.json"
+    code_path.write_text(json.dumps(code.to_json_dict()))
+    argv = ["--orbit-budget", "1000", "analyze", "decompose", "--primary", str(poset_path), str(code_path)]
+    status, out, err = run(capsys, argv)
+    assert status == 2
+    assert out == ""
+    first, _, rest = err.partition("\n")
+    assert first == "budget exceeded: orbit exceeds budget of 1000 codes"
+    assert "budget exceeded" not in rest
+    partial = json.loads(rest)["partial"]
+    assert partial["complexity"] == 59049
+    assert partial["proven_minimal"] is False
+
+
 def test_analyze_bounds_past_the_walks_reach_when_the_sandwich_fixes_o_p(tmp_path):
     """Equal neighbour values fix o_p with no walk, so a non-hierarchical
-    poset past the walk's reach still gets it."""
+    12-point poset gets it at no orbit cost."""
     rng = random.Random(1)
     poset = suites.random_poset(rng, 12)
     assert not poset.is_hierarchical()
