@@ -55,6 +55,19 @@ class PIsometry:
         self.matrix_rows = rows
         self._hash = hash((poset, q, sig, rows))
 
+    @classmethod
+    def _trusted(cls, poset: Poset, q: int, sigma: tuple, matrix_rows: tuple) -> "PIsometry":
+        """An isometry from parts the orbit walk built, with no check: sigma
+        an automorphism of P as a tuple, and matrix_rows a tuple of tuples of
+        residues mod q with a nonzero diagonal and the pattern of P."""
+        isometry = cls.__new__(cls)
+        isometry.poset = poset
+        isometry.q = q
+        isometry.sigma = sigma
+        isometry.matrix_rows = matrix_rows
+        isometry._hash = hash((poset, q, sigma, matrix_rows))
+        return isometry
+
     def apply(self, x) -> tuple:
         if len(x) != self.poset.n:
             raise ValidationError(f"expected vector of length {self.poset.n}")

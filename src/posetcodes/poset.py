@@ -235,12 +235,15 @@ class Poset:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Poset":
+        """A poset from ``{"n": ..., "covers": [...]}``; a document with
+        another key, or without either, is refused."""
+        if not isinstance(data, dict) or data.keys() != {"n", "covers"}:
+            raise ValidationError(f"malformed poset document: {data!r}")
         try:
-            n = data["n"]
-            covers = [tuple(pair) for pair in data.get("covers", [])]
-        except (KeyError, TypeError) as exc:
+            covers = [tuple(pair) for pair in data["covers"]]
+        except TypeError as exc:
             raise ValidationError(f"malformed poset document: {data!r}") from exc
-        return cls.from_covers(n, covers)
+        return cls.from_covers(data["n"], covers)
 
     def to_dot(self) -> str:
         """Hasse diagram in DOT format, drawn upward by height."""

@@ -28,9 +28,11 @@ alone.  ``verify_profile_uniqueness`` reads profiles and irreducibility
 off the row groups of its one walk of U.C, walks a component's
 unipotent orbit only from a code no earlier walk of the call admitted,
 and counts the blocks by walking the images of the codes of U.C of one
-row-group shape.  ``primary_decomposition``
-and ``orbit_codes`` walk the whole orbit, for their witnesses and
-tie-break.
+row-group shape.  ``primary_decomposition`` values U.C and walks the
+blocks only for the images of its codes of least value, the only codes
+its tie-break can choose, each with the witness the whole walk gives it
+(``_block_images``, which both share).  ``orbit_codes`` walks the whole
+orbit.  The witnesses the walk builds are trusted, not validated again.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -298,6 +300,25 @@ def _monomial_blocks(
     yield from _blocks(code, unipotent + scaled, automorphisms, skips, seen, orbit_budget)
 
 
+def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
+    """The images in the blocks after U.C, as ``_monomial_blocks`` yields
+    them, of ``codes``: the pairs of ``_unipotent_walk`` for the codes X of
+    a walked U.C of ``size`` codes that share a value monomial maps keep.
+
+    A block m(U.C) is new exactly when m(X[0]) is, and its codes of that
+    value are m(X), so the blocks open in the order and with the maps of the
+    whole walk, and each image keeps its witness.  With b blocks opened,
+    |X| * b images are admitted, which reaches |X| * (budget // |U.C|)
+    exactly when the orbit, |U.C| per block, passes the budget: the walk
+    stops then, with the message of a walk of the whole orbit."""
+    limit = orbit_budget // size * len(codes)
+    seen = {image for image, _ in codes}
+    try:
+        yield from _monomial_blocks(codes[0][0], poset, codes, seen, limit)
+    except ResourceLimitError:
+        raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes") from None
+
+
 def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
     """Each distinct image of the code with the automorphism sigma and the
     matrix reaching it: U.C by ``_unipotent_walk``, then its blocks by
@@ -322,7 +343,7 @@ def orbit_codes(
 ) -> dict:
     """Distinct orbit codes in walk order, each mapped to the isometry reaching it."""
     return {
-        image: PIsometry(poset, code.q, sigma, matrix)
+        image: PIsometry._trusted(poset, code.q, sigma, matrix)
         for image, sigma, matrix in _orbit(code, poset, orbit_budget)
     }
 
@@ -333,23 +354,46 @@ def primary_decomposition(
     """A decomposition of minimal complexity over the whole orbit.
 
     Ties are broken by the lexicographically smallest canonical generator
-    matrix; the witness is the first isometry of the walk reaching it.
+    matrix; the witness is the isometry that the walk of ``_orbit`` reaches
+    it by.  Every block m(U.C) has the values of U.C, so U.C is walked and
+    valued, and the blocks are walked only for the codes X of U.C of least
+    value, whose images are the orbit's codes of that value, each with the
+    witness of the whole walk (``_block_images``).  The orbit budget stops
+    the search exactly when the orbit exceeds it.  The error's partial
+    result is the best code admitted before the stop: past U.C, a code of
+    the least value, so it is ``proven_minimal`` though its code and witness
+    may not be the tie-break's; inside U.C, the best of the codes walked,
+    not proven minimal.
     """
+    _check_length(code, poset)
+    identity = tuple(range(1, code.n + 1))
     best = None  # ((complexity, generator matrix), image, sigma, matrix)
 
     def decomposed(proven_minimal=True):
         (value, _), image, sigma, matrix = best
-        witness = PIsometry(poset, code.q, sigma, matrix)
+        witness = PIsometry._trusted(poset, code.q, sigma, matrix)
         return PDecomposition(witness, cheapest_grouping(image), value, proven_minimal)
 
+    unipotent, values = [], []
     try:
-        for image, sigma, matrix in _orbit(code, poset, orbit_budget):
-            key = (min_grouping_complexity(image), image.generators)
+        for image, matrix in _unipotent_walk(code, poset, set(), orbit_budget):
+            unipotent.append((image, matrix))
+            values.append(min_grouping_complexity(image))
+            key = (values[-1], image.generators)
             if best is None or key < best[0]:
-                best = (key, image, sigma, matrix)
+                best = (key, image, identity, matrix)
     except ResourceLimitError as exc:
         if best is not None:
             exc.partial_result = decomposed(proven_minimal=False)
+        raise
+    least = best[0][0]
+    ties = [item for item, value in zip(unipotent, values) if value == least]
+    try:
+        for image, sigma, matrix in _block_images(ties, len(unipotent), poset, orbit_budget):
+            if image.generators < best[0][1]:
+                best = ((least, image.generators), image, sigma, matrix)
+    except ResourceLimitError as exc:
+        exc.partial_result = decomposed()
         raise
     return decomposed()
 
@@ -500,15 +544,9 @@ def verify_profile_uniqueness(
         profiles = {((0, 0), (n, code.k)): code}
     # A monomial map m keeps a code's shape, so the orbit's codes of U.C's
     # rarest shape are the images m(X) of its codes X of that shape, |X|
-    # per block: their count passes this limit exactly when the orbit
-    # passes the budget.
+    # per block.
     _, rarest = min(shapes.items(), key=lambda item: (len(item[1]), item[0]))
-    limit = orbit_budget // len(unipotent) * len(rarest)
-    seen = {image for image, _ in rarest}
-    try:
-        images = sum(1 for _ in _monomial_blocks(rarest[0][0], poset, rarest, seen, limit))
-    except ResourceLimitError:
-        raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes") from None
+    images = sum(1 for _ in _block_images(rarest, len(unipotent), poset, orbit_budget))
     orbit_size = len(unipotent) * (1 + images // len(rarest))
     ok = len(profiles) == 1
     return ProfileUniquenessReport(

@@ -340,6 +340,18 @@ def test_bad_poset_input_is_one_error_line(spec, capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_code_document_given_as_a_poset_is_refused(capsys, tmp_path):
+    """A code document has no ``covers`` and keys a poset does not take,
+    so ``poset info`` on it exits 1 with one error line instead of
+    describing an antichain."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"q": 2, "n": 4, "generators": [[1, 1, 0, 0]]}))
+    code, out, err = run(capsys, ["poset", "info", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed poset document") and err.count("\n") == 1
+
+
 def test_bad_code_file_is_one_error_line(capsys, tmp_path):
     path = tmp_path / "code.json"
     path.write_bytes(b'{"q": 2, "n": 3, "generators": [[1, 1, \xe9]]}')
@@ -438,6 +450,25 @@ def test_resource_exit_code(files, capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+def test_primary_search_stopped_past_the_unipotent_orbit_is_proven_minimal(capsys, tmp_path):
+    """On ``antichain:6`` the unipotent orbit of the pair code is the code
+    alone, so a budget of 5 of its 15 orbit codes stops the search inside
+    the blocks: exit 2, one budget line, and a partial result of the
+    minimal complexity, marked proven."""
+    path = tmp_path / "pair6.json"
+    path.write_text(json.dumps({"q": 2, "n": 6, "generators": [[1, 1, 0, 0, 0, 0]]}))
+    argv = ["analyze", "decompose", "antichain:6", str(path), "--primary", "--orbit-budget", "5"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    first, _, rest = err.partition("\n")
+    assert first == "budget exceeded: orbit exceeds budget of 5 codes"
+    assert "budget exceeded" not in rest
+    partial = json.loads(rest)["partial"]
+    assert partial["proven_minimal"] is True
+    assert partial["complexity"] == 2
 
 
 def test_budget_validation(files, capsys):

@@ -35,7 +35,7 @@ from posetcodes import search
 from posetcodes.code import LinearCode, enumerate_codes, rref
 from posetcodes.decomposition import maximal_decomposition, min_grouping_complexity
 from posetcodes.errors import ResourceLimitError
-from posetcodes.isometry import group_size
+from posetcodes.isometry import PIsometry, group_size
 from posetcodes.poset import Poset
 from posetcodes.search import (
     hierarchy_bounds,
@@ -84,6 +84,8 @@ def test_walk_matches_full_enumeration(index):
         assert orbit.keys() == reference_orbit_codes(code, poset).keys()
         for image, witness in orbit.items():
             assert witness.apply_code(code) == image
+            checked = PIsometry(poset, code.q, witness.sigma, witness.matrix_rows)
+            assert witness == checked and hash(witness) == hash(checked)
         assert (
             verify_profile_uniqueness(code, poset).to_json_dict()
             == reference_profile_uniqueness(code, poset).to_json_dict()
@@ -227,6 +229,60 @@ def test_orbit_budget_partial_matches_full_enumeration(orbit_budget):
     with pytest.raises(ResourceLimitError) as got:
         orbit_codes(code, poset, orbit_budget=orbit_budget)
     assert str(got.value) == str(want.value)
+
+
+def _blocked_instances(q, count, seed, orbit_cap=150):
+    """Seeded instances over GF(q) with a strict relation whose orbit has
+    more than one block, with the size of U.C and the orbit in walk order."""
+    out = []
+    for poset, code in _instances(count=20 * count, seed=seed, group_cap=3000, fields=(q,)):
+        unipotent = list(search._unipotent_walk(code, poset, set(), 10**5))
+        orbit = orbit_codes(code, poset)
+        if 1 < len(unipotent) < len(orbit) <= orbit_cap:
+            out.append((poset, code, len(unipotent), orbit))
+            if len(out) == count:
+                return out
+    raise AssertionError(f"fewer than {count} instances with blocks over GF({q})")
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_primary_search_under_every_budget(q):
+    """Under every budget B from 1 to |orbit|, the search stops iff the
+    orbit exceeds B, with the message of a walk of the whole orbit.  A stop
+    inside U.C returns the best of the first B codes, not proven minimal.
+    A stop past it returns the least-value code of least generator matrix
+    among the blocks admitted whole, B // |U.C| of them, with that code's
+    witness from the whole walk and the minimal complexity, proven.  At
+    B = |orbit| the search gives the full enumeration's decomposition and
+    the default budget's result."""
+    for poset, code, unipotent, orbit in _blocked_instances(q, count=5, seed=22 + q):
+        least = minimal_complexity(code, poset)
+        walk = list(orbit)
+        full = primary_decomposition(code, poset)
+        for budget in range(1, len(walk) + 1):
+            try:
+                got = primary_decomposition(code, poset, orbit_budget=budget)
+            except ResourceLimitError as stop:
+                assert budget < len(walk)
+                assert str(stop) == f"orbit exceeds budget of {budget} codes"
+                partial = stop.partial_result
+            else:
+                assert budget == len(walk)
+                assert got.to_json_dict() == full.to_json_dict()
+                continue
+            admitted = walk[:budget] if budget < unipotent else walk[: budget // unipotent * unipotent]
+            best = min(admitted, key=lambda image: (min_grouping_complexity(image), image.generators))
+            assert partial.dec.code == best, (poset, code, budget)
+            assert partial.witness == orbit[best]
+            assert partial.witness.apply_code(code) == partial.dec.code
+            assert partial.witness == PIsometry(poset, q, partial.witness.sigma, partial.witness.matrix_rows)
+            assert partial.proven_minimal == (budget >= unipotent)
+            if budget >= unipotent:
+                assert partial.complexity == least
+        ref = reference_primary_decomposition(code, poset)
+        assert full.dec.code == ref.dec.code and full.dec.components == ref.dec.components
+        assert full.complexity == ref.complexity == least
+        assert full.proven_minimal
 
 
 def test_orbit_codes_follow_walk_order():

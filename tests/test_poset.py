@@ -318,6 +318,23 @@ def test_json_round_trip(n_poset):
         Poset.from_json_dict({"covers": [[1, 2]]})
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"n": 4},
+        {"q": 2, "n": 4, "generators": [[1, 1, 0, 0]]},
+        {"n": 2, "covers": [[1, 2]], "name": "chain"},
+        [["n", 2], ["covers", []]],
+    ],
+    ids=["no-covers", "code-document", "unknown-key", "pair-list"],
+)
+def test_json_document_needs_exactly_n_and_covers(document):
+    """A poset document holds ``n`` and ``covers`` and nothing else, so
+    an antichain is never read from a document that lacks its covers."""
+    with pytest.raises(ValidationError, match="^malformed poset document"):
+        Poset.from_json_dict(document)
+
+
 def test_catalog_counts():
     assert sum(1 for _ in all_posets(3)) == 19
     assert sum(1 for _ in all_posets(4)) == 219
