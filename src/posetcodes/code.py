@@ -173,6 +173,9 @@ class LinearCode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LinearCode":
+        """A code from a document with exactly the keys q, n and generators."""
+        if not isinstance(data, dict) or data.keys() != {"q", "n", "generators"}:
+            raise ValidationError(f"malformed code document: {data!r}")
         try:
             return cls.from_generators(data["q"], data["n"], data["generators"])
         except (KeyError, TypeError) as exc:

@@ -90,6 +90,9 @@ class PIsometry:
 
     @classmethod
     def from_json_dict(cls, poset: Poset, q: int, data: dict) -> "PIsometry":
+        """An isometry of ``poset`` from a document with exactly the keys sigma and A."""
+        if not isinstance(data, dict) or data.keys() != {"sigma", "A"}:
+            raise ValidationError(f"malformed isometry document: {data!r}")
         try:
             return cls(poset, q, data["sigma"], data["A"])
         except (KeyError, TypeError) as exc:

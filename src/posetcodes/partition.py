@@ -20,20 +20,14 @@ class PointedPartition:
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"ground-set size must be a positive integer, got {n!r}")
         self.n = n
-        self.j0 = frozenset(j0)
-        normalized = [frozenset(p) for p in parts]
-        if any(not p for p in normalized):
+        j0, parts = list(j0), [list(p) for p in parts]
+        if any(not p for p in parts):
             raise ValidationError("parts other than j0 must be nonempty")
-        self.parts = tuple(sorted(normalized, key=min))
-        seen = set(self.j0)
-        if len(self.j0) != len(frozenset(j0)):
-            raise ValidationError("duplicate elements in j0")
-        for part in self.parts:
-            if part & seen:
-                raise ValidationError("parts must be pairwise disjoint")
-            seen |= part
-        if seen != set(range(1, n + 1)):
-            raise ValidationError(f"parts and j0 must cover [{n}] exactly")
+        elements = j0 + [e for p in parts for e in p]
+        if len(elements) != n or set(elements) != set(range(1, n + 1)):
+            raise ValidationError(f"j0 and the parts must hold each element of [{n}] once")
+        self.j0 = frozenset(j0)
+        self.parts = tuple(sorted(map(frozenset, parts), key=min))
         self._hash = hash((n, self.j0, self.parts))
 
     @property
@@ -114,6 +108,9 @@ class PointedPartition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PointedPartition":
+        """A partition from a document with exactly the keys n, j0 and parts."""
+        if not isinstance(data, dict) or data.keys() != {"n", "j0", "parts"}:
+            raise ValidationError(f"malformed partition document: {data!r}")
         try:
             return cls(data["n"], data["j0"], data["parts"])
         except (KeyError, TypeError) as exc:

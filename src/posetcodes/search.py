@@ -16,9 +16,9 @@ when g is an involution: h.X = g.(h.P), and h.P, or the block it
 repeated, left the queue before X, so g was applied to it or provably
 skipped; and g.X = P.  By induction on queue order, after X is processed
 every move's image of X is in ``seen``, so ``_admit`` would refuse each
-skipped image before its budget check.  The block order, witnesses,
-partial results and budget messages are those of the block walk that
-tries every move from the same walk of U.C.
+skipped image before its budget check.  The block order, witnesses and
+budget messages are those of the block walk that tries every move from
+the same walk of U.C.
 
 A monomial map keeps a code's supports, row groups and maximal
 decomposition up to an automorphism of P, so every block has the values
@@ -30,9 +30,11 @@ unipotent orbit only from a code no earlier walk of the call admitted,
 and counts the blocks by walking the images of the codes of U.C of one
 row-group shape.  ``primary_decomposition`` values U.C and walks the
 blocks only for the images of its codes of least value, the only codes
-its tie-break can choose, each with the witness the whole walk gives it
-(``_block_images``, which both share).  ``orbit_codes`` walks the whole
-orbit.  The witnesses the walk builds are trusted, not validated again.
+its tie-break can choose, each with the witness the whole walk gives it.
+``_block_images`` is the one walk of the blocks: both searches share it,
+and ``orbit_codes`` feeds it all of U.C to list the whole orbit.  It
+stops only at a block boundary.  The witnesses the walk builds are
+trusted, not validated again.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -146,9 +148,10 @@ def _skip_masks(moves: list, commute, involution) -> list:
     ]
 
 
-def _unipotent_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int):
+def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
     """U.C, U the unipotent part, walked one root subgroup at a time: each
-    code that ``_admit`` adds to ``seen``, the code first, with its matrix.
+    code that ``_admit`` admits, the code first, with its matrix, yielded
+    as soon as it is admitted.
 
     The root subgroup of a strict relation i below j (0-based) is generated
     by the addition g of x_j to x_i, of prime order q: adding c * x_j is
@@ -180,9 +183,10 @@ def _unipotent_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int
     # e_p, as the pivot is 1 and entries lie in 0..q-1
     unit = {p - 1 for row, p in zip(code.generators, code.pivots) if sum(row) == 1}
     eye = _eye(n)
-    _admit(seen, code, orbit_budget)
+    members = set()
+    _admit(members, code, orbit_budget)
     yield code, eye
-    orbit, members = [(code, eye)], {code}
+    orbit = [(code, eye)]
     for i, j in strict:
         if j in zero or i in unit:
             continue
@@ -195,8 +199,7 @@ def _unipotent_walk(code: LinearCode, poset: Poset, seen: set, orbit_budget: int
             for current, matrix in previous:
                 if image is None:
                     image = _add(current, i, j)
-                _admit(seen, image, orbit_budget)
-                members.add(image)
+                _admit(members, image, orbit_budget)
                 added = tuple((a + b) % q for a, b in zip(matrix[i], matrix[j]))
                 product = matrix[:i] + (added,) + matrix[i + 1 :]
                 yield image, product
@@ -275,77 +278,68 @@ def _blocks(
                 yield image, sigma, matrix
 
 
-def _monomial_blocks(
-    code: LinearCode, poset: Poset, unipotent: list, seen: set, orbit_budget: int
-):
-    """The rest of the orbit after U.C, which ``unipotent`` lists as the
-    pairs of ``_unipotent_walk``, as ``(image, sigma, matrix)``: the blocks
-    of U.C under the diagonal scalings, which normalise U, then the blocks
-    of that triangular orbit under Aut(P), which normalises both.  The
-    scalings commute, and each is an involution over GF(3); automorphisms
-    commute or are involutions as their compositions say."""
-    identity = tuple(range(1, code.n + 1))
-    scalings = [(identity, c) for c in range(code.n)] if code.q > 2 else []
-    skips = _skip_masks(scalings, lambda a, b: True, lambda _: code.q == 3)
-    scaled = []
-    for image, _, matrix in _blocks(code, unipotent, scalings, skips, seen, orbit_budget):
-        scaled.append((image, matrix))
-        yield image, identity, matrix
-    automorphisms = [(g, None) for g in poset.automorphisms()[0]]
-    skips = _skip_masks(
-        automorphisms,
-        lambda a, b: _compose(a[0], b[0]) == _compose(b[0], a[0]),
-        lambda a: _compose(a[0], a[0]) == identity,
-    )
-    yield from _blocks(code, unipotent + scaled, automorphisms, skips, seen, orbit_budget)
-
-
 def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
-    """The images in the blocks after U.C, as ``_monomial_blocks`` yields
-    them, of ``codes``: the pairs of ``_unipotent_walk`` for the codes X of
-    a walked U.C of ``size`` codes that share a value monomial maps keep.
+    """The images of ``codes`` in the blocks after U.C, as ``(image, sigma,
+    matrix)``, where ``codes`` are the pairs of ``_unipotent_walk`` for the
+    codes X of a walked U.C of ``size`` codes that share a value monomial
+    maps keep, or for all of U.C: the blocks of X under the diagonal
+    scalings, which normalise U, then the blocks of those under Aut(P),
+    which normalises both.  The scalings commute, and each is an involution
+    over GF(3); automorphisms commute or are involutions as their
+    compositions say.
 
     A block m(U.C) is new exactly when m(X[0]) is, and its codes of that
     value are m(X), so the blocks open in the order and with the maps of the
     whole walk, and each image keeps its witness.  With b blocks opened,
     |X| * b images are admitted, which reaches |X| * (budget // |U.C|)
     exactly when the orbit, |U.C| per block, passes the budget: the walk
-    stops then, with the message of a walk of the whole orbit."""
+    stops then, at a block boundary, with the message of a walk of the
+    whole orbit."""
+    code = codes[0][0]
     limit = orbit_budget // size * len(codes)
     seen = {image for image, _ in codes}
+    identity = tuple(range(1, code.n + 1))
+    scalings = [(identity, c) for c in range(code.n)] if code.q > 2 else []
+    scaling_skips = _skip_masks(scalings, lambda a, b: True, lambda _: code.q == 3)
+    automorphisms = [(g, None) for g in poset.automorphisms()[0]]
+    automorphism_skips = _skip_masks(
+        automorphisms,
+        lambda a, b: _compose(a[0], b[0]) == _compose(b[0], a[0]),
+        lambda a: _compose(a[0], a[0]) == identity,
+    )
+    scaled = []
     try:
-        yield from _monomial_blocks(codes[0][0], poset, codes, seen, limit)
+        for image, _, matrix in _blocks(code, codes, scalings, scaling_skips, seen, limit):
+            scaled.append((image, matrix))
+            yield image, identity, matrix
+        yield from _blocks(code, codes + scaled, automorphisms, automorphism_skips, seen, limit)
     except ResourceLimitError:
         raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes") from None
-
-
-def _orbit(code: LinearCode, poset: Poset, orbit_budget: int):
-    """Each distinct image of the code with the automorphism sigma and the
-    matrix reaching it: U.C by ``_unipotent_walk``, then its blocks by
-    ``_monomial_blocks``.  That makes at most |U.C| - 1 + r
-    canonicalisations for U.C, r the number of strict relations, and at
-    most n + generators of Aut(P) + 1 for each later code, fewer as the
-    block walks skip the moves that provably repeat a code: the all-ones
-    code on ``chain:6`` over GF(2) takes 41 for its 32 codes, where trying
-    every move from every code takes 480.  A poset of another length is
-    refused before any image; ``_admit``'s orbit budget bounds the rest."""
-    _check_length(code, poset)
-    identity = tuple(range(1, code.n + 1))
-    seen, unipotent = set(), []
-    for image, matrix in _unipotent_walk(code, poset, seen, orbit_budget):
-        unipotent.append((image, matrix))
-        yield image, identity, matrix
-    yield from _monomial_blocks(code, poset, unipotent, seen, orbit_budget)
 
 
 def orbit_codes(
     code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> dict:
-    """Distinct orbit codes in walk order, each mapped to the isometry reaching it."""
-    return {
-        image: PIsometry._trusted(poset, code.q, sigma, matrix)
-        for image, sigma, matrix in _orbit(code, poset, orbit_budget)
+    """Distinct orbit codes in walk order, each mapped to the isometry
+    reaching it: U.C by ``_unipotent_walk``, then its blocks by
+    ``_block_images`` with X all of U.C.
+
+    That makes at most |U.C| - 1 + r canonicalisations for U.C, r the
+    number of strict relations, and at most n + generators of Aut(P) + 1
+    for each later code, fewer as the block walks skip the moves that
+    provably repeat a code: the all-ones code on ``chain:6`` over GF(2)
+    takes 41 for its 32 codes, where trying every move from every code
+    takes 480.  A poset of another length is refused before any image; the
+    orbit budget stops the walk exactly when the orbit exceeds it."""
+    _check_length(code, poset)
+    identity = tuple(range(1, code.n + 1))
+    unipotent = list(_unipotent_walk(code, poset, orbit_budget))
+    orbit = {
+        image: PIsometry._trusted(poset, code.q, identity, matrix) for image, matrix in unipotent
     }
+    for image, sigma, matrix in _block_images(unipotent, len(unipotent), poset, orbit_budget):
+        orbit[image] = PIsometry._trusted(poset, code.q, sigma, matrix)
+    return orbit
 
 
 def primary_decomposition(
@@ -354,11 +348,11 @@ def primary_decomposition(
     """A decomposition of minimal complexity over the whole orbit.
 
     Ties are broken by the lexicographically smallest canonical generator
-    matrix; the witness is the isometry that the walk of ``_orbit`` reaches
-    it by.  Every block m(U.C) has the values of U.C, so U.C is walked and
-    valued, and the blocks are walked only for the codes X of U.C of least
-    value, whose images are the orbit's codes of that value, each with the
-    witness of the whole walk (``_block_images``).  The orbit budget stops
+    matrix; the witness is the isometry that the walk of ``orbit_codes``
+    reaches it by.  Every block m(U.C) has the values of U.C, so U.C is
+    walked and valued, and the blocks are walked only for the codes X of
+    U.C of least value, whose images are the orbit's codes of that value,
+    each with the witness of the whole walk (``_block_images``).  The orbit budget stops
     the search exactly when the orbit exceeds it.  The error's partial
     result is the best code admitted before the stop: past U.C, a code of
     the least value, so it is ``proven_minimal`` though its code and witness
@@ -376,7 +370,7 @@ def primary_decomposition(
 
     unipotent, values = [], []
     try:
-        for image, matrix in _unipotent_walk(code, poset, set(), orbit_budget):
+        for image, matrix in _unipotent_walk(code, poset, orbit_budget):
             unipotent.append((image, matrix))
             values.append(min_grouping_complexity(image))
             key = (values[-1], image.generators)
@@ -403,7 +397,7 @@ def _least_complexity(code: LinearCode, poset: Poset, orbit_budget: int, floor: 
     ``floor`` that the walk meets."""
     _check_length(code, poset)
     least = None
-    for image, _ in _unipotent_walk(code, poset, set(), orbit_budget):
+    for image, _ in _unipotent_walk(code, poset, orbit_budget):
         value = min_grouping_complexity(image)
         if least is None or value < least:
             least = value
@@ -457,7 +451,7 @@ def is_p_irreducible(
         raise ValidationError("irreducibility expects a code with full support")
     return not any(
         _reducible(_row_groups(image), n)
-        for image, _ in _unipotent_walk(code, poset, set(), orbit_budget)
+        for image, _ in _unipotent_walk(code, poset, orbit_budget)
     )
 
 
@@ -486,7 +480,7 @@ def verify_profile_uniqueness(
     irreducible, as the unipotent group of that subposet is trivial.  Any
     other component's unipotent orbit on its subposet is walked, under the
     same budget since it embeds in U.C, up to its first reducible code; the
-    verdict holds for every code that walk admitted, all of one orbit, so
+    verdict holds for every code that walk yielded, all of one orbit, so
     no later component starting there is walked again in this call.
     """
     _check_length(code, poset)
@@ -514,11 +508,12 @@ def verify_profile_uniqueness(
         )
         key = (subposet, component)
         if key not in verdicts:
-            walked = set()
-            verdict = not any(
-                _reducible(_row_groups(other), len(coords))
-                for other, _ in _unipotent_walk(component, subposet, walked, orbit_budget)
-            )
+            walked, verdict = [], True
+            for other, _ in _unipotent_walk(component, subposet, orbit_budget):
+                walked.append(other)
+                if _reducible(_row_groups(other), len(coords)):
+                    verdict = False
+                    break
             verdicts.update({(subposet, other): verdict for other in walked})
         return verdicts[key]
 
@@ -526,7 +521,7 @@ def verify_profile_uniqueness(
     candidates = 0
     profiles = {}
     pending = True  # every code so far is one group on full support
-    for image, matrix in _unipotent_walk(code, poset, set(), orbit_budget):
+    for image, matrix in _unipotent_walk(code, poset, orbit_budget):
         unipotent.append((image, matrix))
         groups = _row_groups(image)
         shape = tuple(sorted((len(rows), deficiency) for rows, deficiency in groups))

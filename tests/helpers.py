@@ -667,7 +667,7 @@ def reference_orbit_walk(code, poset, orbit_budget=10**5, unipotent=None):
         yield image, sigma, tuple(map(tuple, witness))
 
 
-# -- the orbit walk with every move canonicalised ------------------------
+# -- the walk of U.C with every addition canonicalised --------------------
 
 
 def reference_unipotent_walk(code, poset, seen, orbit_budget):
@@ -695,57 +695,6 @@ def reference_unipotent_walk(code, poset, seen, orbit_budget):
                 product = matrix[:i] + (added,) + matrix[i + 1 :]
                 yield image, product
                 queue.append((image, product))
-
-
-def reference_blocks(code, walked, moves, seen, orbit_budget):
-    """The search module's block walk as first written, with the same
-    kernels: every block representative tries every move, none skipped as
-    a provable repeat."""
-    from posetcodes.field import primitive_root
-    from posetcodes.search import _admit, _compose, _monomial
-
-    q, n = code.q, code.n
-    root, ones = primitive_root(q), (1,) * n
-    reps = [(tuple(range(1, n + 1)), ones)]
-    for rep_sigma, rep_scale in reps:
-        for g, c in moves:
-            sigma, scale = _compose(g, rep_sigma), rep_scale
-            if c is not None:
-                p = rep_sigma[c] - 1
-                scale = scale[:p] + (scale[p] * root % q,) + scale[p + 1 :]
-            factor = None if scale == ones else scale
-            first = _monomial(code, sigma, factor)
-            if not _admit(seen, first, orbit_budget):
-                continue
-            reps.append((sigma, scale))
-            for index, (image, matrix) in enumerate(walked):
-                image = _monomial(image, sigma, factor) if index else first
-                if index and not _admit(seen, image, orbit_budget):
-                    continue
-                if factor is not None:
-                    matrix = tuple(tuple(d * a % q for a in row) for d, row in zip(scale, matrix))
-                yield image, sigma, matrix
-
-
-def reference_unskipped_orbit(code, poset, orbit_budget, unipotent):
-    """The search module's ``_orbit`` items from the block walk above: the
-    items ``(image, matrix)`` of ``unipotent``, a walk of U.C, then their
-    blocks under one scaling per coordinate, then those under the
-    generators of Aut(P)."""
-    from posetcodes.search import _admit
-
-    n = code.n
-    identity = tuple(range(1, n + 1))
-    seen, scaled = set(), []
-    for image, matrix in unipotent:
-        _admit(seen, image, orbit_budget)
-        yield image, identity, matrix
-    scalings = [(identity, c) for c in range(n)] if code.q > 2 else []
-    for image, _, matrix in reference_blocks(code, unipotent, scalings, seen, orbit_budget):
-        scaled.append((image, matrix))
-        yield image, identity, matrix
-    automorphisms = [(g, None) for g in poset.automorphisms()[0]]
-    yield from reference_blocks(code, unipotent + scaled, automorphisms, seen, orbit_budget)
 
 
 # -- exhaustive decoding ------------------------------------------------

@@ -352,6 +352,18 @@ def test_code_document_given_as_a_poset_is_refused(capsys, tmp_path):
     assert err.startswith("error: malformed poset document") and err.count("\n") == 1
 
 
+def test_poset_document_mixed_into_a_code_is_refused(capsys, tmp_path):
+    """A code document with a poset's ``covers`` key is refused, so
+    ``analyze mindist`` on it exits 1 with one error line instead of
+    ignoring the key."""
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"q": 2, "n": 4, "generators": [[1, 1, 0, 0]], "covers": [[1, 2]]}))
+    code, out, err = run(capsys, ["analyze", "mindist", "chain:4", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed code document") and err.count("\n") == 1
+
+
 def test_bad_code_file_is_one_error_line(capsys, tmp_path):
     path = tmp_path / "code.json"
     path.write_bytes(b'{"q": 2, "n": 3, "generators": [[1, 1, \xe9]]}')

@@ -170,6 +170,8 @@ def test_json_round_trip():
     assert LinearCode.from_json_dict(json.loads(blob)) == code
     with pytest.raises(ValidationError):
         LinearCode.from_json_dict({"q": 2, "generators": [[1]]})
+    with pytest.raises(ValidationError, match="^malformed code document"):
+        LinearCode.from_json_dict({**code.to_json_dict(), "covers": [[1, 2]]})
 
 
 def test_enumerate_codes_counts():

@@ -181,6 +181,8 @@ def test_json_round_trip():
     iso = PIsometry(Poset.chain(3), 3, identity_sigma(3), ((2, 0, 1), (0, 1, 2), (0, 0, 1)))
     blob = json.dumps(iso.to_json_dict())
     assert PIsometry.from_json_dict(Poset.chain(3), 3, json.loads(blob)) == iso
+    with pytest.raises(ValidationError, match="^malformed isometry document"):
+        PIsometry.from_json_dict(Poset.chain(3), 3, {**iso.to_json_dict(), "q": 3})
 
 
 def test_verify_isometry_refuses_a_space_above_the_enumeration_budget():

@@ -12,10 +12,11 @@ witness is checked by the image it reaches.  The walk of U.C must reach
 the codes of the breadth-first walk that tries every addition, each once,
 with a unipotent matrix mapping C onto it; fed that U.C list, the walk's
 own sequence, here also over GF(5) and GF(7), must equal the one that
-maps every walked image by each monomial block map the block walks try.
-On hypothesis draws with n <= 6 over GF(2), GF(3) and GF(5), the block
+maps every walked image by each monomial block map the block walks try,
+and a budget that cuts the orbit must stop it with the same message.  On
+hypothesis draws with n <= 6 over GF(2), GF(3) and GF(5), the block
 walks, which skip the moves that provably repeat a code, must give the
-items of the block walk that tries every move.
+items of that walk, which tries every move.
 """
 
 import random
@@ -29,7 +30,6 @@ from helpers import (
     reference_primary_decomposition,
     reference_profile_uniqueness,
     reference_unipotent_walk,
-    reference_unskipped_orbit,
 )
 from posetcodes import search
 from posetcodes.code import LinearCode, enumerate_codes, rref
@@ -167,13 +167,16 @@ def test_profile_check_walks_no_component_code_twice(monkeypatch):
     """The profile check settles components by its own walks, and each
     matches the full enumeration.  No component walk runs on a subposet
     with no strict relation, nor starts at a code that an earlier walk of
-    the same call admitted on the same subposet."""
+    the same call yielded on the same subposet."""
     walks = []
     walk = search._unipotent_walk
 
-    def logged(code, poset, seen, orbit_budget):
-        walks.append((poset, code, seen))
-        return walk(code, poset, seen, orbit_budget)
+    def logged(code, poset, orbit_budget):
+        yielded = set()
+        walks.append((poset, code, yielded))
+        for item in walk(code, poset, orbit_budget):
+            yielded.add(item[0])
+            yield item
 
     monkeypatch.setattr(search, "_unipotent_walk", logged)
     component_walks = 0
@@ -184,8 +187,8 @@ def test_profile_check_walks_no_component_code_twice(monkeypatch):
         assert walks[0][0] == poset and walks[0][1] == code
         for index, (subposet, start, _) in enumerate(walks[1:], start=1):
             assert subposet.n < poset.n and subposet.strict_pairs()
-            for earlier, _, admitted in walks[1:index]:
-                assert earlier != subposet or start not in admitted, (poset, code, start)
+            for earlier, _, yielded in walks[1:index]:
+                assert earlier != subposet or start not in yielded, (poset, code, start)
         component_walks += len(walks) - 1
     assert component_walks > 0
 
@@ -204,7 +207,7 @@ def test_profile_check_stops_exactly_past_its_budget():
             with pytest.raises(ResourceLimitError) as stop:
                 verify_profile_uniqueness(code, poset, orbit_budget=size - 1)
             assert str(stop.value) == f"orbit exceeds budget of {size - 1} codes"
-        past_unipotent += size > len(list(search._unipotent_walk(code, poset, set(), size)))
+        past_unipotent += size > len(list(search._unipotent_walk(code, poset, size)))
     assert past_unipotent > 0
 
 
@@ -236,7 +239,7 @@ def _blocked_instances(q, count, seed, orbit_cap=150):
     more than one block, with the size of U.C and the orbit in walk order."""
     out = []
     for poset, code in _instances(count=20 * count, seed=seed, group_cap=3000, fields=(q,)):
-        unipotent = list(search._unipotent_walk(code, poset, set(), 10**5))
+        unipotent = list(search._unipotent_walk(code, poset, 10**5))
         orbit = orbit_codes(code, poset)
         if 1 < len(unipotent) < len(orbit) <= orbit_cap:
             out.append((poset, code, len(unipotent), orbit))
@@ -254,12 +257,22 @@ def test_primary_search_under_every_budget(q):
     among the blocks admitted whole, B // |U.C| of them, with that code's
     witness from the whole walk and the minimal complexity, proven.  At
     B = |orbit| the search gives the full enumeration's decomposition and
-    the default budget's result."""
+    the default budget's result.  ``orbit_codes`` stops iff the orbit
+    exceeds B, with the same message, and otherwise gives the default
+    budget's orbit."""
     for poset, code, unipotent, orbit in _blocked_instances(q, count=5, seed=22 + q):
         least = minimal_complexity(code, poset)
         walk = list(orbit)
         full = primary_decomposition(code, poset)
         for budget in range(1, len(walk) + 1):
+            try:
+                walked = orbit_codes(code, poset, orbit_budget=budget)
+            except ResourceLimitError as stop:
+                assert budget < len(walk)
+                assert str(stop) == f"orbit exceeds budget of {budget} codes"
+            else:
+                assert budget == len(walk)
+                assert list(walked.items()) == list(orbit.items())
             try:
                 got = primary_decomposition(code, poset, orbit_budget=budget)
             except ResourceLimitError as stop:
@@ -378,7 +391,7 @@ def _unipotent_stage(code, poset, orbit_budget):
     image; and, when the walk ends, the same items cut after |U.C| - 1
     codes, with the budget message, under a budget one code smaller."""
     q, n = code.q, code.n
-    items, message = _walk(search._unipotent_walk(code, poset, set(), orbit_budget))
+    items, message = _walk(search._unipotent_walk(code, poset, orbit_budget))
     codes = [image for image, _ in items]
     assert len(set(codes)) == len(codes), (poset, code)
     for image, matrix in items:
@@ -395,13 +408,23 @@ def _unipotent_stage(code, poset, orbit_budget):
         assert set(codes) == {image for image, _ in want}, (poset, code)
         cut = len(items) - 1
         if cut:
-            assert _walk(search._unipotent_walk(code, poset, set(), cut)) == (
+            assert _walk(search._unipotent_walk(code, poset, cut)) == (
                 items[:cut],
                 f"orbit exceeds budget of {cut} codes",
             )
     else:
         assert len(items) == orbit_budget
     return items, message
+
+
+def _orbit_walk(code, poset, orbit_budget):
+    """``orbit_codes`` as walk items ``(image, sigma, matrix)`` with no
+    message, or as no items and the budget message that stops it."""
+    try:
+        orbit = orbit_codes(code, poset, orbit_budget=orbit_budget)
+    except ResourceLimitError as exc:
+        return [], str(exc)
+    return [(image, w.sigma, w.matrix_rows) for image, w in orbit.items()], None
 
 
 def _block(item):
@@ -438,7 +461,7 @@ def test_walk_sequence_matches_permuting_every_code(instances):
     walk yields the reference's ``(image, sigma, matrix)`` items in order,
     though it canonicalises only the first image of a block it has already
     walked, and a budget that cuts a block past the unipotent walk stops
-    both at the same item with the same message."""
+    both with the same message."""
     cuts_inside = 0
     for poset, code in instances:
         unipotent, message = _unipotent_stage(code, poset, 10**5)
@@ -449,11 +472,11 @@ def test_walk_sequence_matches_permuting_every_code(instances):
         full, message = _walk(reference_orbit_walk(code, poset, unipotent=fed))
         assert message is None
         assert len(full) == len(own) and {i[0] for i in full} == {i[0] for i in own}
-        assert _walk(search._orbit(code, poset, 10**5)) == (full, None)
+        assert _orbit_walk(code, poset, 10**5) == (full, None)
         for budget in _cut_budgets(full):
             want = _walk(reference_orbit_walk(code, poset, orbit_budget=budget, unipotent=fed))
             assert want == (full[:budget], f"orbit exceeds budget of {budget} codes")
-            assert _walk(search._orbit(code, poset, budget)) == want
+            assert _orbit_walk(code, poset, budget) == ([], want[1])
             cuts_inside += _block(full[budget - 1]) == _block(full[budget])
     assert cuts_inside > 0
 
@@ -483,14 +506,14 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
         codes = _code_slice(2, n, 40 if n == 6 else 10**6)  # every code for n < 6
         for code in codes:
             calls = 0
-            orbit = list(search._orbit(code, poset, 10**5))
+            orbit = orbit_codes(code, poset)
             assert calls <= len(orbit) * (n - 1), (code, calls, len(orbit))
     for poset, generator, counts in [
         (Poset.antichain(6), (1, 1, 0, 0, 0, 0), (15, 38)),
         (Poset.chain(6), (1,) * 6, (32, 41)),
     ]:
         calls = 0
-        orbit = list(search._orbit(LinearCode.from_generators(2, 6, [generator]), poset, 10**5))
+        orbit = orbit_codes(LinearCode.from_generators(2, 6, [generator]), poset)
         assert (len(orbit), calls) == counts
 
 
@@ -515,10 +538,10 @@ def test_canonicalisations_are_bounded_by_the_orbit(monkeypatch, q):
         n = poset.n
         strict = sum(poset.leq(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
         calls = 0
-        unipotent = list(search._unipotent_walk(code, poset, set(), 10**5))
+        unipotent = list(search._unipotent_walk(code, poset, 10**5))
         assert calls <= len(unipotent) - 1 + strict, (poset, code)
         calls = 0
-        orbit = list(search._orbit(code, poset, 10**5))
+        orbit = orbit_codes(code, poset)
         assert calls <= len(orbit) * (strict + len(poset.automorphisms()[0]) + n + 1)
 
 
@@ -559,16 +582,15 @@ def _least(values, message, floor):
 def check_against_the_unskipped_walk(instance, cuts_inside):
     code, poset = instance
     unipotent, message = _unipotent_stage(code, poset, WALK_BUDGET)
+    fed = [matrix for _, matrix in unipotent]
+    full, stop = [], message
     if message is None:
-        full = _walk(reference_unskipped_orbit(code, poset, WALK_BUDGET, unipotent))
-    else:
-        identity = tuple(range(1, code.n + 1))
-        full = ([(image, identity, matrix) for image, matrix in unipotent], message)
-    assert _walk(search._orbit(code, poset, WALK_BUDGET)) == full
-    for budget in _cut_budgets(full[0]):
-        want = _walk(reference_unskipped_orbit(code, poset, budget, unipotent))
-        assert _walk(search._orbit(code, poset, budget)) == want
-        cuts_inside.append(_block(full[0][budget - 1]) == _block(full[0][budget]))
+        full, stop = _walk(reference_orbit_walk(code, poset, WALK_BUDGET, unipotent=fed))
+    assert _orbit_walk(code, poset, WALK_BUDGET) == ([] if stop else full, stop)
+    for budget in _cut_budgets(full):
+        _, want = _walk(reference_orbit_walk(code, poset, budget, unipotent=fed))
+        assert _orbit_walk(code, poset, budget) == ([], want)
+        cuts_inside.append(_block(full[budget - 1]) == _block(full[budget]))
     values = [min_grouping_complexity(image) for image, _ in unipotent]
     for floor in (0, sorted(values)[len(values) // 2]):
         try:
@@ -593,11 +615,11 @@ THREE_CYCLE = (
 def test_walks_match_the_unskipped_walk():
     """``_unipotent_walk`` reaches the codes of the breadth-first walk that
     tries every addition (helpers), each once.  From the same U.C list,
-    ``_orbit`` gives the items and budget messages of the block walk that
-    canonicalises every move, also under budgets that cut inside a block,
-    so every move it skips as a provable repeat would have been refused;
-    ``_least_complexity`` gives the first value at most its floor in the
-    walk's order, or the least."""
+    ``orbit_codes`` gives the items of ``reference_orbit_walk``, which
+    canonicalises every move, so every move it skips as a provable repeat
+    would have been refused, and that walk's budget messages, also under
+    budgets that cut inside a block; ``_least_complexity`` gives the first
+    value at most its floor in the walk's order, or the least."""
     cuts_inside = []
     check_against_the_unskipped_walk(THREE_CYCLE, cuts_inside)
     given(st.composite(walk_instance)())(

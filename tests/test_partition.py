@@ -25,6 +25,10 @@ def test_construction_validation():
         pp(3, [], {1, 2})  # does not cover
     with pytest.raises(ValidationError):
         pp(3, [], {1, 2, 3}, set())  # empty part
+    with pytest.raises(ValidationError, match="each element of \\[3\\] once"):
+        pp(3, [1, 1], [2, 3])  # repeated in j0
+    with pytest.raises(ValidationError, match="each element of \\[2\\] once"):
+        pp(2, [], [1, 2, 2])  # repeated in a part
 
 
 def test_refinement_walk_from_the_whole_set():
@@ -134,3 +138,5 @@ def test_json_round_trip():
     part = pp(4, [1, 3], {2}, {4})
     blob = json.dumps(part.to_json_dict())
     assert PointedPartition.from_json_dict(json.loads(blob)) == part
+    with pytest.raises(ValidationError, match="^malformed partition document"):
+        PointedPartition.from_json_dict({**part.to_json_dict(), "covers": []})
