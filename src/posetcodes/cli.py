@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 validation error, 2 resource or budget error,
 3 property violation in a verification suite.  Budgets come from flags,
 falling back to POSETCODES_ORBIT_BUDGET / POSETCODES_COSET_BUDGET and then
 to the built-in defaults.  The orbit budget bounds the codes an orbit
-walk admits, and so its canonicalisations: the walk of U.C, U the
-unipotent part, takes at most one per code plus one per strict relation,
-and each later code at most one per generator of Aut(P) and coordinate,
-plus one.
+walk admits, and so its work: the walk of U.C, U the unipotent part,
+takes at most one canonicalisation per code plus one per strict
+relation, and each later code at most one monomial image per generator
+of Aut(P) and coordinate, plus one.
 The coset budget bounds the q^(n_i) vectors a table build scans for each
 component.  Every command but ``verify`` checks both budgets before it
 starts; ``verify`` runs its suites at their own budgets, so it refuses

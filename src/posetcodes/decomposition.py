@@ -44,6 +44,17 @@ class Decomposition:
         self.components = comps
         self.j0 = frozenset(range(1, code.n + 1)) - code.support()
 
+    @classmethod
+    def _trusted(cls, code: LinearCode, components: list) -> "Decomposition":
+        """A decomposition from spans of the code's own row groups, with no
+        check: the groups partition the canonical rows, their supports are
+        disjoint and their smallest coordinates are their first pivots."""
+        dec = cls.__new__(cls)
+        dec.code = code
+        dec.components = tuple(sorted(components, key=lambda c: c.pivots[0]))
+        dec.j0 = frozenset(range(1, code.n + 1)) - code.support()
+        return dec
+
     @property
     def r(self) -> int:
         return len(self.components)
@@ -134,7 +145,7 @@ def _subcode(code: LinearCode, rows) -> LinearCode:
 
 def maximal_decomposition(code: LinearCode) -> Decomposition:
     """The unique finest decomposition, via generator-row co-occurrence."""
-    return Decomposition(code, [_subcode(code, rows) for rows, _ in _row_groups(code)])
+    return Decomposition._trusted(code, [_subcode(code, rows) for rows, _ in _row_groups(code)])
 
 
 def min_grouping_complexity(code: LinearCode) -> int:
@@ -162,4 +173,4 @@ def cheapest_grouping(code: LinearCode) -> Decomposition:
     positive = [rows for rows, d in groups if d > 0]
     zero = [i for rows, d in groups if d == 0 for i in rows]
     merged = [positive[0] + zero, *positive[1:]] if positive else [zero]
-    return Decomposition(code, [_subcode(code, rows) for rows in merged])
+    return Decomposition._trusted(code, [_subcode(code, rows) for rows in merged])

@@ -333,9 +333,10 @@ def _automorphism_generators(p: Poset) -> tuple:
         for m in candidates[i]:
             if m not in orbit and extend(i, (1 << i) - 1, [m]):
                 generators.append(tuple(bit.bit_length() for bit in image))
-                orbit = {i}
-                for _ in range(n):  # n rounds reach the closure
-                    orbit |= {g[point] - 1 for g in generators for point in orbit}
+                orbit, frontier = {i}, [i]
+                while frontier:  # the closure: images of the points new last round
+                    frontier = {g[point] - 1 for g in generators for point in frontier} - orbit
+                    orbit |= frontier
         order *= len(orbit)
     return tuple(generators), order
 

@@ -670,11 +670,12 @@ def reference_orbit_walk(code, poset, orbit_budget=10**5, unipotent=None):
 # -- the walk of U.C with every addition canonicalised --------------------
 
 
-def reference_unipotent_walk(code, poset, seen, orbit_budget):
+def reference_unipotent_walk(code, poset, orbit_budget):
     """The breadth-first walk of U.C that the search module first used,
-    with the same kernels (``rref``, ``_admit``): every code tries every
-    addition x_i += x_j, i below j, none skipped as a provable repeat.  It
-    reaches the codes of the search module's walk in another order."""
+    with the same kernels (``rref``, ``_admit``) and a set of codes of its
+    own: every code tries every addition x_i += x_j, i below j, none
+    skipped as a provable repeat.  It reaches the codes of the search
+    module's walk in another order."""
     from posetcodes.code import LinearCode, rref
     from posetcodes.isometry import _eye
     from posetcodes.search import _admit
@@ -683,6 +684,7 @@ def reference_unipotent_walk(code, poset, seen, orbit_budget):
     pairs = ((i, j) for j in range(n - 1, -1, -1) for i in range(n) if i != j)
     strict = [(i, j) for i, j in pairs if poset.leq(i + 1, j + 1)]
     eye = _eye(n)
+    seen = set()
     _admit(seen, code, orbit_budget)
     yield code, eye
     queue = [(code, eye)]

@@ -59,8 +59,16 @@ def test_row_grouping_matches_the_reference_on_every_small_code(q, max_n):
             for code in enumerate_codes(q, n, k):
                 finest = reference_maximal_decomposition(code)
                 cheapest = reference_cheapest_grouping(code)
-                assert maximal_decomposition(code).components == finest.components, code
-                assert cheapest_grouping(code).components == cheapest.components, code
+                # built unchecked, each must equal the validated reference
+                for got, want in [
+                    (maximal_decomposition(code), finest),
+                    (cheapest_grouping(code), cheapest),
+                ]:
+                    assert (got.code, got.components, got.j0) == (
+                        want.code,
+                        want.components,
+                        want.j0,
+                    ), code
                 assert min_grouping_complexity(code) == cheapest.complexity(), code
 
 

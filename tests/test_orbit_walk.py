@@ -16,7 +16,10 @@ maps every walked image by each monomial block map the block walks try,
 and a budget that cuts the orbit must stop it with the same message.  On
 hypothesis draws with n <= 6 over GF(2), GF(3) and GF(5), the block
 walks, which skip the moves that provably repeat a code, must give the
-items of that walk, which tries every move.
+items of that walk, which tries every move.  On draws with n <= 8 over
+GF(2), GF(3), GF(5) and GF(7), a monomial image must equal the
+elimination of the permuted and scaled rows, and on seeded instances
+with n from 8 to 16 a stopped primary search must say what it proved.
 """
 
 import random
@@ -298,6 +301,39 @@ def test_primary_search_under_every_budget(q):
         assert full.proven_minimal
 
 
+def test_stopped_primary_search_at_scale_says_what_it_proved():
+    """On seeded instances with n from 8 to 16 over GF(2) and GF(3), under
+    budgets of 500 and 2,000 codes: a search that ends gives the minimal
+    complexity; a stop past U.C, which fits the budget, reports a partial
+    result of the minimal complexity, proven; a stop inside U.C, which
+    overran, reports a partial result not proven minimal."""
+    rng = random.Random(1)
+    kinds = {"ended": 0, "past U.C": 0, "inside U.C": 0}
+    for _ in range(8):
+        n = rng.randint(8, 16)
+        poset = random_poset(rng, n)
+        code = random_code(rng, rng.choice((2, 3)), n)
+        for budget in (500, 2000):
+            try:
+                least = minimal_complexity(code, poset, orbit_budget=budget)
+            except ResourceLimitError:
+                least = None  # |U.C| > budget
+            try:
+                got = primary_decomposition(code, poset, orbit_budget=budget)
+            except ResourceLimitError as stop:
+                assert str(stop) == f"orbit exceeds budget of {budget} codes"
+                partial = stop.partial_result
+                assert partial.witness.apply_code(code) == partial.dec.code
+                assert partial.proven_minimal == (least is not None), (poset, code, budget)
+                if least is not None:
+                    assert partial.complexity == least, (poset, code, budget)
+                kinds["inside U.C" if least is None else "past U.C"] += 1
+            else:
+                assert least is not None and got.complexity == least and got.proven_minimal
+                kinds["ended"] += 1
+    assert min(kinds.values()) > 0, kinds
+
+
 def test_orbit_codes_follow_walk_order():
     """On 1 < 2 plus two free points over GF(3), U is generated by the one
     addition of x_2 into x_1, so the walk lists C, then its images under
@@ -402,7 +438,7 @@ def _unipotent_stage(code, poset, orbit_budget):
         ), (poset, code, matrix)
         rows = [[sum(a * v for a, v in zip(row, word)) for row in matrix] for word in code.generators]
         assert LinearCode.from_generators(q, n, rows) == image, (poset, code, matrix)
-    want, want_message = _walk(reference_unipotent_walk(code, poset, set(), orbit_budget))
+    want, want_message = _walk(reference_unipotent_walk(code, poset, orbit_budget))
     assert message == want_message
     if message is None:
         assert set(codes) == {image for image, _ in want}, (poset, code)
@@ -483,38 +519,51 @@ def test_walk_sequence_matches_permuting_every_code(instances):
 
 def test_permutation_step_canonicalises_few_codes(monkeypatch):
     """On a GF(2) antichain the unipotent part is trivial and no scaling
-    applies, so each block is one code; the walk canonicalises the image of
-    each block under at most each generator of Aut(P), n - 1 transpositions,
-    where permuting every code would take |Aut| - 1 canonicalisations.  A
-    block that a transposition reached skips that transposition, an
-    involution, and the earlier ones that commute with it: the pair code on
-    ``antichain:6`` takes 38 canonicalisations, not 75.  On ``chain:6`` the
-    all-ones code's 32 codes take 41, not 480: the walk of U.C canonicalises
-    each code after the first once, five of them as the test of an addition
-    that doubles the orbit, and tests the ten other additions once each."""
-    calls = 0
+    applies, so each block is one code; the walk takes the image of each
+    block under at most each generator of Aut(P), n - 1 transpositions,
+    where permuting every code would take |Aut| - 1 images.  A block that a
+    transposition reached skips that transposition, an involution, and the
+    earlier ones that commute with it, and no move that arranges the code's
+    columns as a move tried before is taken: the pair code on
+    ``antichain:6`` reaches its 14 other codes with 14 images, not 75
+    canonicalisations, and none of them needs an elimination, where the
+    walk that reduced every image took 38.  On ``chain:6`` the all-ones
+    code's 32 codes take 41 eliminations, not 480, and no image: the walk
+    of U.C canonicalises each code after the first once, five of them as
+    the test of an addition that doubles the orbit, and tests the ten other
+    additions once each."""
+    images = eliminations = 0
 
     def counting_rref(*args):
-        nonlocal calls
-        calls += 1
+        nonlocal eliminations
+        eliminations += 1
         return rref(*args)
 
+    monomial = search._monomial
+
+    def counting_monomial(*args):
+        nonlocal images
+        images += 1
+        return monomial(*args)
+
     monkeypatch.setattr(search, "rref", counting_rref)
+    monkeypatch.setattr(search, "_monomial", counting_monomial)
     for n in (4, 5, 6):
         poset = Poset.antichain(n)
         assert len(poset.automorphisms()[0]) == n - 1
         codes = _code_slice(2, n, 40 if n == 6 else 10**6)  # every code for n < 6
         for code in codes:
-            calls = 0
+            images = eliminations = 0
             orbit = orbit_codes(code, poset)
-            assert calls <= len(orbit) * (n - 1), (code, calls, len(orbit))
+            assert images <= len(orbit) * (n - 1), (code, images, len(orbit))
+            assert eliminations <= images, (code, eliminations, images)
     for poset, generator, counts in [
-        (Poset.antichain(6), (1, 1, 0, 0, 0, 0), (15, 38)),
-        (Poset.chain(6), (1,) * 6, (32, 41)),
+        (Poset.antichain(6), (1, 1, 0, 0, 0, 0), (15, 14, 0)),
+        (Poset.chain(6), (1,) * 6, (32, 0, 41)),
     ]:
-        calls = 0
+        images = eliminations = 0
         orbit = orbit_codes(LinearCode.from_generators(2, 6, [generator]), poset)
-        assert (len(orbit), calls) == counts
+        assert (len(orbit), images, eliminations) == counts
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -626,3 +675,61 @@ def test_walks_match_the_unskipped_walk():
         lambda instance: check_against_the_unskipped_walk(instance, cuts_inside)
     )()
     assert any(cuts_inside)
+
+
+# -- monomial images against elimination ------------------------------------
+
+
+def monomial_instance(draw):
+    """A hypothesis draw: a nonzero code over GF(2), GF(3), GF(5) or GF(7)
+    with n <= 8 whose columns are multiples of a few drawn columns, so zero,
+    repeated and parallel columns are common, and a map (sigma, D), D the
+    identity (None) or a diagonal of nonzero scalars."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(n, 4)))
+    vector = st.lists(st.integers(0, q - 1), min_size=k, max_size=k)
+    bases = draw(st.lists(vector, min_size=1, max_size=n))
+    columns = [
+        [c * v for v in draw(st.sampled_from(bases))]
+        for c in draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    ]
+    rows = [list(row) for row in zip(*columns)]
+    assume(any(any(row) for row in rows))
+    sigma = tuple(draw(st.permutations(range(1, n + 1))))
+    scale = draw(st.none() | st.lists(st.integers(1, q - 1), min_size=n, max_size=n).map(tuple))
+    return LinearCode.from_generators(q, n, rows), sigma, scale
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_monomial_image_equals_elimination(monkeypatch):
+    """``_monomial`` gives the canonical code, with its pivots, that ``rref``
+    makes of the permuted and scaled rows, both when each pivot stays its
+    row's first entry and no elimination runs, and when it does not."""
+    eliminations = 0
+
+    def counting_rref(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return rref(*args)
+
+    monkeypatch.setattr(search, "rref", counting_rref)
+    paths = set()
+
+    def check(instance):
+        nonlocal eliminations
+        code, sigma, scale = instance
+        q, n = code.q, code.n
+        d = scale or (1,) * n
+        rows = [[d[s - 1] * row[s - 1] for s in sigma] for row in code.generators]
+        want = LinearCode(q, n, *rref(q, n, rows))
+        eliminations = 0
+        image = search._monomial(code, sigma, scale)
+        assert (image.generators, image.pivots) == (want.generators, want.pivots), instance
+        paths.add(eliminations)
+
+    # a pivot that moves behind its row's first entry, then pivots that stay first
+    check((LinearCode.from_generators(3, 4, [(1, 2, 0, 2), (0, 0, 1, 1)]), (2, 1, 4, 3), (2, 1, 1, 2)))
+    check((LinearCode.from_generators(2, 3, [(1, 1, 0), (0, 0, 1)]), (3, 1, 2), None))
+    given(st.composite(monomial_instance)())(check)()
+    assert paths == {0, 1}
