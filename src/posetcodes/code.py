@@ -100,10 +100,6 @@ class LinearCode:
     def k(self) -> int:
         return len(self.generators)
 
-    @property
-    def field(self) -> FieldSpec:
-        return FieldSpec(self.q)
-
     def support(self) -> frozenset:
         return frozenset(
             j + 1 for j in range(self.n) if any(row[j] for row in self.generators)
@@ -178,7 +174,7 @@ class LinearCode:
             raise ValidationError(f"malformed code document: {data!r}")
         try:
             return cls.from_generators(data["q"], data["n"], data["generators"])
-        except (KeyError, TypeError) as exc:
+        except TypeError as exc:
             raise ValidationError(f"malformed code document: {data!r}") from exc
 
     def __eq__(self, other):

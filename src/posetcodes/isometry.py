@@ -95,7 +95,7 @@ class PIsometry:
             raise ValidationError(f"malformed isometry document: {data!r}")
         try:
             return cls(poset, q, data["sigma"], data["A"])
-        except (KeyError, TypeError) as exc:
+        except TypeError as exc:
             raise ValidationError(f"malformed isometry document: {data!r}") from exc
 
     def __eq__(self, other):

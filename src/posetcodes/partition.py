@@ -113,7 +113,7 @@ class PointedPartition:
             raise ValidationError(f"malformed partition document: {data!r}")
         try:
             return cls(data["n"], data["j0"], data["parts"])
-        except (KeyError, TypeError) as exc:
+        except TypeError as exc:
             raise ValidationError(f"malformed partition document: {data!r}") from exc
 
     def __eq__(self, other):

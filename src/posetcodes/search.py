@@ -9,14 +9,17 @@ tests each strict relation once; then block by block under the monomial
 part: by one scaling per coordinate, then by the generators of Aut(P), in
 a fixed order, so witnesses are reproducible.
 
-No block walk canonicalises a move whose image it has provably seen.  A
-queued block representative X keeps the move g that first reached it,
-X = g.P, and skips each earlier move h that commutes with g, and g itself
-when g is an involution: h.X = g.(h.P), and h.P, or the block it
-repeated, left the queue before X, so g was applied to it or provably
-skipped; and g.X = P.  By induction on queue order, after X is processed
-every move's image of X is in ``seen``, so ``_admit`` would refuse each
-skipped image before its budget check.  Nor does a block walk take the
+The block walk does not canonicalise a move whose image it has provably
+seen.  Each stage's table lists its moves, each with a skip mask: a
+queued block representative X keeps the mask of the move g that first
+reached it, X = g.P, which holds each earlier move h that commutes with
+g, and g itself when g is an involution: h.X = g.(h.P), and h.P, or the
+block it repeated, left the queue before X, so g was applied to it or
+provably skipped; and g.X = P.  By induction on queue order, after X is
+processed every move's image of X is in ``seen``, so ``_admit`` would
+refuse each skipped image before its budget check.  The scalings commute,
+and each is an involution over GF(3); generators of Aut(P) commute or
+are involutions as their compositions say.  Nor does a stage take the
 image of a move whose map arranges the code's columns, each a multiple of
 its projective class, as a map it tried before: equal arrangements give
 equal generator matrices.  The block order, witnesses and budget
@@ -141,17 +144,6 @@ def _admit(seen: set, image: LinearCode, orbit_budget: int) -> bool:
     return True
 
 
-def _skip_masks(moves: list, commute, involution) -> list:
-    """For each move g, the bitmask of the moves not tried from a code or
-    block that g first reached, as their images are provably seen (see the
-    module docstring): each earlier move that commutes with g, and g itself
-    when it is an involution."""
-    return [
-        sum(1 << h for h in range(k) if commute(moves[h], g)) | involution(g) << k
-        for k, g in enumerate(moves)
-    ]
-
-
 def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
     """U.C, U the unipotent part, walked one root subgroup at a time: each
     code that ``_admit`` admits, the code first, with its matrix, yielded
@@ -262,33 +254,45 @@ def _monomial(code: LinearCode, sigma: tuple, scale) -> LinearCode:
     return LinearCode(q, n, tuple(reduced), tuple(t + 1 for t, _ in led))
 
 
-def _blocks(
-    code: LinearCode, walked: list, moves: list, skips: list, seen: set, orbit_budget: int
-):
-    """The images of a walked orbit H.C under the group that ``moves``
-    generate, which normalises H, a block m(H.C) = H.m(C) at a time, where
-    ``walked`` lists each image A.C, the code's first, with its matrix A.  A
-    block map m = (sigma, D) acts as x -> T_sigma(D x); a move (g, c) is
-    the automorphism g or the primitive-root scaling of x_c.  For each
-    block's map rep, in the order found, and each move, a new image of C
-    under the move after rep opens its block, walked in the order of
-    ``walked``: the image of A.C, with witness (sigma, D.A).
+def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
+    """The images of ``codes`` in the blocks after U.C, as ``(image, sigma,
+    matrix)``, where ``codes`` are the pairs of ``_unipotent_walk`` for the
+    codes X of a walked U.C of ``size`` codes that share a value monomial
+    maps keep, or for all of U.C.
 
-    From a block that a move reached, the moves in that move's ``skips``
-    mask are not tried: blocks are disjoint and each is admitted whole, so
-    their first image is provably seen (see the module docstring).
+    A block map m = (sigma, D) acts as x -> T_sigma(D x).  The walk has two
+    stages, each with its table of moves (g, c, skip): first the
+    primitive-root scaling of each x_c (g the identity), as the scalings
+    normalise U, then each generator g of Aut(P) (c None), which normalises
+    both, walking X and its scaled images.  A move's ``skip`` masks the
+    moves not tried from a block that the move first reached (see the
+    module docstring): for a scaling, every earlier scaling, and itself
+    over GF(3); for a generator, each earlier generator it commutes with,
+    and itself when it is an involution.  For each block's map rep, in the
+    order found, and each move outside rep's mask, a new image of X[0]
+    under the move after rep opens its block, walked in the order of the
+    stage's codes: the image of A.C, with witness (sigma, D.A).
 
-    Nor is a move tried whose map arranges C's columns as the identity or a
-    map tried before did.  Column j of C is mult[j] times the representative
-    of its projective class, so the column that (sigma, D) puts at place t
-    is D[sigma(t)] * mult[sigma(t)] times the representative of the class
-    of column sigma(t): one int per place.  Equal arrangements give equal
-    generator matrices, so ``_admit`` would refuse the image before its
-    budget check."""
-    if not moves:
-        return
+    Nor is a move tried whose map arranges X[0]'s columns as the identity or
+    a map tried before in the stage did.  Column j of X[0] is mult[j] times
+    the representative of its projective class, so the column that (sigma,
+    D) puts at place t is D[sigma(t)] * mult[sigma(t)] times the
+    representative of the class of column sigma(t): one int per place.
+    Equal arrangements give equal generator matrices, so ``_admit`` would
+    refuse the image before its budget check.
+
+    A block m(U.C) is new exactly when m(X[0]) is, and its codes of that
+    value are m(X), so the blocks open in the order and with the maps of the
+    whole walk, each image keeps its witness, and every image in a new
+    block is new.  With b blocks opened, |X| * b images are admitted, which
+    reaches |X| * (budget // |U.C|) exactly when the orbit, |U.C| per block,
+    passes the budget: the walk stops then, at a block boundary, with the
+    message of a walk of the whole orbit."""
+    code = codes[0][0]
     q, n = code.q, code.n
-    root, ones = primitive_root(q), (1,) * n
+    limit = orbit_budget // size * len(codes)
+    seen = {image for image, _ in codes}
+    identity, ones, root = tuple(range(1, n + 1)), (1,) * n, primitive_root(q)
     classes, base, mult = {}, [], []
     for column in zip(*code.generators):
         lead = next(filter(None, column), 0)
@@ -297,72 +301,49 @@ def _blocks(
             column = tuple([v * inv % q for v in column])
         base.append(classes.setdefault(column, len(classes)) * q)
         mult.append(lead)
-    tried = {tuple(b + m for b, m in zip(base, mult))}
-    reps = [(tuple(range(1, n + 1)), ones, 0)]
-    for rep_sigma, rep_scale, skip in reps:
-        # column j's entry of the arrangement under rep's D, at index j + 1
-        rep_word = [0] + [b + d * m % q for b, d, m in zip(base, rep_scale, mult)]
-        for k, (g, c) in enumerate(moves):
-            if skip >> k & 1:
-                continue
-            sigma, scale, word = _compose(g, rep_sigma), rep_scale, rep_word
-            if c is not None:  # scaling x_c after rep scales D at rep_sigma(c)
-                p = rep_sigma[c] - 1
-                scale = scale[:p] + (scale[p] * root % q,) + scale[p + 1 :]
-                word = word[: p + 1] + [base[p] + scale[p] * mult[p] % q] + word[p + 2 :]
-            arrangement = tuple([word[s] for s in sigma])
-            if arrangement in tried:
-                continue
-            tried.add(arrangement)
-            factor = None if scale == ones else scale
-            first = _monomial(code, sigma, factor)
-            if not _admit(seen, first, orbit_budget):
-                continue
-            reps.append((sigma, scale, skips[k]))
-            for index, (image, matrix) in enumerate(walked):
-                image = _monomial(image, sigma, factor) if index else first
-                if index and not _admit(seen, image, orbit_budget):
-                    continue
-                if factor is not None:
-                    matrix = tuple(tuple(d * a % q for a in row) for d, row in zip(scale, matrix))
-                yield image, sigma, matrix
-
-
-def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
-    """The images of ``codes`` in the blocks after U.C, as ``(image, sigma,
-    matrix)``, where ``codes`` are the pairs of ``_unipotent_walk`` for the
-    codes X of a walked U.C of ``size`` codes that share a value monomial
-    maps keep, or for all of U.C: the blocks of X under the diagonal
-    scalings, which normalise U, then the blocks of those under Aut(P),
-    which normalises both.  The scalings commute, and each is an involution
-    over GF(3); automorphisms commute or are involutions as their
-    compositions say.
-
-    A block m(U.C) is new exactly when m(X[0]) is, and its codes of that
-    value are m(X), so the blocks open in the order and with the maps of the
-    whole walk, and each image keeps its witness.  With b blocks opened,
-    |X| * b images are admitted, which reaches |X| * (budget // |U.C|)
-    exactly when the orbit, |U.C| per block, passes the budget: the walk
-    stops then, at a block boundary, with the message of a walk of the
-    whole orbit."""
-    code = codes[0][0]
-    limit = orbit_budget // size * len(codes)
-    seen = {image for image, _ in codes}
-    identity = tuple(range(1, code.n + 1))
-    scalings = [(identity, c) for c in range(code.n)] if code.q > 2 else []
-    scaling_skips = _skip_masks(scalings, lambda a, b: True, lambda _: code.q == 3)
-    automorphisms = [(g, None) for g in poset.automorphisms()[0]]
-    automorphism_skips = _skip_masks(
-        automorphisms,
-        lambda a, b: _compose(a[0], b[0]) == _compose(b[0], a[0]),
-        lambda a: _compose(a[0], a[0]) == identity,
-    )
-    scaled = []
+    scalings = [(identity, c, (1 << c) - 1 | (q == 3) << c) for c in range(n)] if q > 2 else []
+    gens, automorphisms = poset.automorphisms()[0], []
+    for k, g in enumerate(gens):
+        mask = sum(1 << h for h, f in enumerate(gens[:k]) if _compose(f, g) == _compose(g, f))
+        automorphisms.append((g, None, mask | (_compose(g, g) == identity) << k))
+    scaled = []  # the scaling stage's images, which the Aut(P) stage walks too
     try:
-        for image, _, matrix in _blocks(code, codes, scalings, scaling_skips, seen, limit):
-            scaled.append((image, matrix))
-            yield image, identity, matrix
-        yield from _blocks(code, codes + scaled, automorphisms, automorphism_skips, seen, limit)
+        for moves in (scalings, automorphisms):
+            walked, reps = codes + scaled, [(identity, ones, 0)]
+            tried = {tuple(b + m for b, m in zip(base, mult))}
+            for rep_sigma, rep_scale, skip in reps:
+                # column j's entry of the arrangement under rep's D, at index j + 1
+                rep_word = [0] + [b + d * m % q for b, d, m in zip(base, rep_scale, mult)]
+                for k, (g, c, mask) in enumerate(moves):
+                    if skip >> k & 1:
+                        continue
+                    sigma, scale, word = _compose(g, rep_sigma), rep_scale, rep_word
+                    if c is not None:  # scaling x_c after rep scales D at rep_sigma(c)
+                        p = rep_sigma[c] - 1
+                        scale = scale[:p] + (scale[p] * root % q,) + scale[p + 1 :]
+                        word = word[: p + 1] + [base[p] + scale[p] * mult[p] % q] + word[p + 2 :]
+                    arrangement = tuple([word[s] for s in sigma])
+                    if arrangement in tried:
+                        continue
+                    tried.add(arrangement)
+                    factor = None if scale == ones else scale
+                    first = _monomial(code, sigma, factor)
+                    if not _admit(seen, first, limit):
+                        continue
+                    reps.append((sigma, scale, mask))
+                    for index, (image, matrix) in enumerate(walked):
+                        if index:  # every image in a new block is new
+                            image = _monomial(image, sigma, factor)
+                            _admit(seen, image, limit)
+                        else:
+                            image = first
+                        # only the scaling stage scales; its D = 1 is X[0]'s own arrangement
+                        if factor is not None:
+                            matrix = tuple(
+                                tuple(d * a % q for a in row) for d, row in zip(scale, matrix)
+                            )
+                            scaled.append((image, matrix))
+                        yield image, sigma, matrix
     except ResourceLimitError:
         raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes") from None
 

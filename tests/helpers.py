@@ -295,10 +295,6 @@ def refinement_reachable(start, include_whole_part_aggregates=False):
     return seen
 
 
-def all_binary_vectors(n):
-    return list(product(range(2), repeat=n))
-
-
 def reference_poset_restrict(poset, coords):
     """The induced subposet as ``Poset.restrict`` first built it: every
     related pair of ``coords``, relabelled, sent through ``from_covers``."""

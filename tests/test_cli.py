@@ -266,6 +266,23 @@ def test_verify_refinement_witness(files, capsys):
     assert "witness generators [(1, 1)]" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decode", "antichain:4", "r4"], "decode needs --y RECEIVED or --stats-only"),
+        (["verify", "refinement-witness"], "refinement-witness needs --p and --q-poset"),
+        (["verify", "refinement-witness", "--p", "anti2"], "refinement-witness needs --p and --q-poset"),
+    ],
+    ids=["decode-without-y", "witness-without-posets", "witness-without-q-poset"],
+)
+def test_a_command_missing_its_required_option_is_one_error_line(files, capsys, argv, message):
+    argv = [files.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_reports_violations_with_exit_three(capsys, monkeypatch):
     def failing_suite(**kwargs):
         return SuiteReport(
