@@ -152,11 +152,12 @@ class LinearCode:
     def restrict(self, coords) -> "LinearCode":
         """The same code viewed on the coordinate set ``coords`` (ascending),
         valid only when every generator vanishes off ``coords``."""
-        sub = sorted(set(coords))
+        inside = set(coords)
+        sub = sorted(inside)
         for j in sub:
             if not isinstance(j, int) or not 1 <= j <= self.n:
                 raise ValidationError(f"coordinate {j!r} not in [{self.n}]")
-        outside = [j for j in range(1, self.n + 1) if j not in set(sub)]
+        outside = [j for j in range(1, self.n + 1) if j not in inside]
         for row in self.generators:
             if any(row[j - 1] for j in outside):
                 raise ValidationError("code is not supported inside the given coordinates")

@@ -9,8 +9,8 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed its configured budget.
 
     ``partial_result`` carries a best-so-far answer when the computation
-    produced one before hitting the limit (it is then explicitly flagged
-    as not proven optimal).
+    produced one before hitting the limit.  A partial primary decomposition
+    says in ``proven_minimal`` whether its complexity is the least one.
     """
 
     def __init__(self, message, partial_result=None):

@@ -467,6 +467,18 @@ def _reducible(groups: list, n: int) -> bool:
     return len(rows) + deficiency < n
 
 
+def _irreducible(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
+    """Walk the unipotent orbit of a full-support code up to its first
+    reducible code: the verdict, True when there is none, and the codes
+    walked, all of one orbit and so all of that verdict."""
+    walked = []
+    for image, _ in _unipotent_walk(code, poset, orbit_budget):
+        walked.append(image)
+        if _reducible(_row_groups(image), poset.n):
+            return False, walked
+    return True, walked
+
+
 @lru_cache(maxsize=4096)  # bounded, as a long-lived process calls it without end
 def is_p_irreducible(
     code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
@@ -479,14 +491,9 @@ def is_p_irreducible(
     under the unipotent part alone decides the question.
     """
     _check_length(code, poset)
-    n = poset.n
-    full = frozenset(range(1, n + 1))
-    if code.support() != full:
+    if code.support() != frozenset(range(1, poset.n + 1)):
         raise ValidationError("irreducibility expects a code with full support")
-    return not any(
-        _reducible(_row_groups(image), n)
-        for image, _ in _unipotent_walk(code, poset, orbit_budget)
-    )
+    return _irreducible(code, poset, orbit_budget)[0]
 
 
 def verify_profile_uniqueness(
@@ -542,12 +549,7 @@ def verify_profile_uniqueness(
         )
         key = (subposet, component)
         if key not in verdicts:
-            walked, verdict = [], True
-            for other, _ in _unipotent_walk(component, subposet, orbit_budget):
-                walked.append(other)
-                if _reducible(_row_groups(other), len(coords)):
-                    verdict = False
-                    break
+            verdict, walked = _irreducible(component, subposet, orbit_budget)
             verdicts.update({(subposet, other): verdict for other in walked})
         return verdicts[key]
 

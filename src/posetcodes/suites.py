@@ -14,7 +14,7 @@ each run; a report built here keeps ``elapsed`` at 0.
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 
 from .code import LinearCode
 from .errors import ResourceLimitError, ValidationError
@@ -35,8 +35,9 @@ from .search import (
 N_POSET_COVERS = ((1, 3), (1, 4), (2, 4))
 POSET_DRAWS = 10_000
 # Checks the metric and partition suites may make, counted from their
-# arguments before they start.  It admits every run that took a few seconds
-# (`metric --n 6`, `partition --n 6`); a pair check at n = 10 takes ~4 us.
+# arguments before they start: (samples + 2) * 4^n support pairs for the
+# metric suite, so every field up to n = 9 at 50 samples (under a second),
+# and the pointed-partition pairs up to n = 6 (a few seconds).
 SUITE_CHECKS = 1 << 24
 
 
@@ -174,80 +175,41 @@ def distinct_random_posets(rng: random.Random, n: int, count: int) -> list:
 
 def metric_suite(n: int = 4, q: int = 2, posets: int = 50, seed: int = 1) -> SuiteReport:
     """Metric axioms over random posets, plus the closed forms of the two
-    extreme families (Hamming for the antichain, top index for the chain)."""
+    extreme families (Hamming for the antichain, top index for the chain).
+
+    Each weight table is checked on every support: d(x, y) weighs
+    supp(x - y) = supp(y - x), inside supp(x - z) | supp(z - y), so a weight
+    0 only on the empty support, monotone and subadditive on unions is a
+    metric over every GF(q), and the only kind over q >= 3 (all unions occur).
+    """
     _check_sizes(n, q)
     _check_samples(posets)
-    rng = random.Random(seed)
-    report = SuiteReport("metric", ok=True, checked=0, seed=seed)
-    extremes = [Poset.antichain(n), Poset.chain(n)]  # n past the maximum stops here
-    size = q**n
-    exhaustive = q == 2 and size <= 64
-    triples = size**3 if exhaustive else 2000
-    _check_count("metric suite", (posets + 2) * (size**2 + triples) + 2 * size**2)
-    catalog = distinct_random_posets(rng, n, posets) + extremes
-    # Each vector with a key whose n-bit block v - 1 masks the coordinates
-    # holding the value v != 0.  Where two vectors differ, one of them is
-    # nonzero, so some block of the XOR of their keys has that coordinate:
-    # OR-folding the q - 1 blocks onto the lowest gives the difference mask.
-    full = (1 << n) - 1
-    folds = [n << j for j in range((q - 2).bit_length())]
-    vectors = [
-        (x, sum(1 << (idx + (v - 1) * n) for idx, v in enumerate(x) if v))
-        for x in product(range(q), repeat=n)
+    extremes = [  # n past the maximum stops here
+        (Poset.antichain(n), "Hamming", int.bit_count),
+        (Poset.chain(n), "top index", int.bit_length),
     ]
+    masks, bits = range(1 << n), [1 << j for j in range(n)]
+    _check_count("metric suite", (posets + 2) * len(masks) ** 2)
+    randoms = distinct_random_posets(random.Random(seed), n, posets)
 
-    def diff_mask(a, b):
-        bits = a ^ b
-        for shift in folds:
-            bits |= bits >> shift
-        return bits & full
-
-    def violation(poset):
+    def violation(poset, family=None, closed_form=None):
         wt = weight_table(poset)
-        for x, mx in vectors:
-            for y, my in vectors:
-                d = wt[diff_mask(mx, my)]
-                if (d == 0) != (x == y) or d != wt[diff_mask(my, mx)] or d < 0:
-                    return {"poset": poset.to_json_dict(), "x": list(x), "y": list(y)}
-        if exhaustive:
-            for a, b, c in product(range(size), repeat=3):
-                if wt[a ^ b] > wt[a ^ c] + wt[c ^ b]:
-                    return {"poset": poset.to_json_dict(), "masks": [a, b, c]}
-            return None
-        for _ in range(2000):
-            (x, mx), (y, my), (z, mz) = (rng.choice(vectors) for _ in range(3))
-            if wt[diff_mask(mx, my)] > wt[diff_mask(mx, mz)] + wt[diff_mask(mz, my)]:
-                return {
-                    "poset": poset.to_json_dict(),
-                    "x": list(x),
-                    "y": list(y),
-                    "z": list(z),
-                }
-        return None
+        broken = chain(
+            (("identity", b) for b in masks if (wt[b] == 0) != (b == 0)),
+            (("monotone", b, b | a) for b in masks for a in bits if wt[b | a] < wt[b]),
+            (("union", b, c) for b in masks for c in masks[b:] if wt[b | c] > wt[b] + wt[c]),
+            ((family, b) for b in masks if family and wt[b] != closed_form(b)),
+        )
+        axiom, *supports = next(broken, (None,))
+        return None if axiom is None else {
+            "poset": poset.to_json_dict(),
+            "axiom": axiom,
+            "supports": [[j + 1 for j in range(n) if b >> j & 1] for b in supports],
+        }
 
-    if _scan(report, map(violation, catalog)).ok:
-        # The closed forms read a one-hot key, independent of the masks:
-        # bit idx * q + v marks x[idx] == v.  Two keys share one bit per
-        # agreeing coordinate, and the top bit of their XOR lies in the
-        # block of the last coordinate where they differ.
-        keyed = [
-            (mx, sum(1 << (idx * q + v) for idx, v in enumerate(x))) for x, mx in vectors
-        ]
-        wt = weight_table(Poset.antichain(n))
-        hamming_ok = all(
-            wt[diff_mask(mx, my)] == n - (kx & ky).bit_count()
-            for mx, kx in keyed
-            for my, ky in keyed
-        )
-        wt = weight_table(Poset.chain(n))
-        chain_ok = all(
-            wt[diff_mask(mx, my)] == -(-(kx ^ ky).bit_length() // q)
-            for mx, kx in keyed
-            for my, ky in keyed
-        )
-        if not hamming_ok or not chain_ok:
-            report.ok = False
-            report.counterexample = {"closed_form": "extreme family mismatch"}
+    outcomes = chain(map(violation, randoms), (violation(*extreme) for extreme in extremes))
+    report = _scan(SuiteReport("metric", ok=True, checked=0, seed=seed), outcomes)
+    if report.ok:
         report.details.append("antichain matches Hamming; chain matches top index")
     return report
 

@@ -437,10 +437,10 @@ def test_metric_suite_stops_when_too_few_posets_exist(argv, found):
     "argv,count",
     [
         (["verify", "partition", "--n", "7"], "partition suite up to n=7 needs 17952896"),
-        (["verify", "metric", "--n", "12", "--samples", "2"], "metric suite needs 100671296"),
-        (["verify", "metric", "--n", "7", "--q", "3", "--samples", "2"], "metric suite needs 28705814"),
+        (["verify", "metric", "--n", "12", "--samples", "2"], "metric suite needs 67108864"),
+        (["verify", "metric", "--n", "10"], "metric suite needs 54525952"),
     ],
-    ids=["partition-n7", "metric-n12", "metric-n7-q3"],
+    ids=["partition-n7", "metric-n12", "metric-n10"],
 )
 def test_suite_over_the_check_cap_stops_before_it_starts(argv, count):
     result = run_process(argv)

@@ -1,9 +1,10 @@
 import dataclasses
 import itertools
+import json
 
 import pytest
 
-from posetcodes import suites
+from posetcodes import cli, suites
 from posetcodes.partition import PointedPartition
 from posetcodes.poset import Poset
 
@@ -27,7 +28,7 @@ CASES = {
         lambda: suites.metric_suite(n=3, q=2, posets=5, seed=1),
         (suites, "weight_table", 3, lambda table: [0] * len(table)),
         3,
-        {"poset", "x", "y"},
+        {"poset", "axiom", "supports"},
     ),
     "partition": (
         lambda: suites.partition_suite(3),
@@ -90,3 +91,39 @@ def test_a_failing_instance_is_counted_and_stops_the_suite(monkeypatch, case):
         assert report.counterexample is None
     else:
         assert set(report.counterexample) == keys
+
+
+def with_entry(mask, value):
+    """Break a weight table at one support: ``value`` in place of its weight."""
+    return lambda table: table[:mask] + [value] + table[mask + 1 :]
+
+
+# weight_table call to break (random posets 1 to 5 of seed 1, then the
+# antichain, then the chain), its broken entry, the field, and the expected
+# checked count, poset covers, axiom and supports
+BROKEN_TABLES = {
+    "identity": (2, with_entry(0b100, 0), "2", 2, [[1, 2]], "identity", [[3]]),
+    "monotone": (6, with_entry(0b111, 1), "2", 6, [], "monotone", [[1, 2], [1, 2, 3]]),
+    "union": (6, with_entry(0b011, 3), "3", 6, [], "union", [[1], [2]]),
+    "hamming": (6, with_entry(0b111, 2), "2", 6, [], "Hamming", [[1, 2, 3]]),
+    "top-index": (7, with_entry(0b001, 2), "2", 7, [[1, 2], [2, 3]], "top index", [[1]]),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_TABLES)
+def test_a_weight_table_broken_at_one_support_fails_verify_metric(monkeypatch, capsys, case):
+    """Each axiom the metric suite checks on supports, and each extreme
+    family's closed form, fails on a table broken at one entry; the
+    counterexample names the axiom and its supports as sorted 1-based
+    coordinates, and ``verify metric`` exits 3."""
+    call, broken, q, checked, covers, axiom, supports = BROKEN_TABLES[case]
+    fail_on_call(monkeypatch, suites, "weight_table", call, broken)
+    argv = ["verify", "metric", "--n", "3", "--q", q, "--samples", "5", "--format", "json"]
+    assert cli.main(argv) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert (report["ok"], report["checked"]) == (False, checked)
+    assert report["counterexample"] == {
+        "poset": {"n": 3, "covers": covers},
+        "axiom": axiom,
+        "supports": supports,
+    }
