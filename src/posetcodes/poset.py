@@ -27,7 +27,7 @@ class LevelStructure:
 
 
 class Poset:
-    __slots__ = ("n", "_up", "_down", "_hash", "_levels", "_autos")
+    __slots__ = ("n", "_up", "_down", "_hash", "_levels", "_autos", "_strict")
 
     def __init__(self, n: int, up_masks):
         """Internal constructor; use :meth:`from_covers` or a family builder."""
@@ -41,6 +41,7 @@ class Poset:
         self._hash = hash((n, self._up))
         self._levels = None
         self._autos = None
+        self._strict = None
 
     # -- construction -------------------------------------------------
 
@@ -112,9 +113,11 @@ class Poset:
         return bool(self._up[i - 1] >> (j - 1) & 1)
 
     def strict_pairs(self) -> frozenset:
-        return frozenset(
-            (i + 1, j + 1) for i in range(self.n) for j in _bits(self._up[i] & ~(1 << i))
-        )
+        if self._strict is None:
+            self._strict = frozenset(
+                (i + 1, j + 1) for i in range(self.n) for j in _bits(self._up[i] & ~(1 << i))
+            )
+        return self._strict
 
     def ideal(self, elements) -> frozenset:
         """Smallest ideal containing the given subset of [n]."""

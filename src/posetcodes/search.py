@@ -25,7 +25,9 @@ its projective class, as a map it tried before: equal arrangements give
 equal generator matrices.  The block order, witnesses and budget
 messages are those of the block walk that tries every move from the same
 walk of U.C.  A monomial image of a canonical code needs no elimination
-when each row's pivot stays its row's first entry (``_monomial``).
+when each row's pivot stays its row's first entry (``_monomial``), nor
+does the image under an addition along a relation that leaves every
+pivot first and every pivot column a unit column (``_add``).
 
 A monomial map keeps a code's supports, row groups and maximal
 decomposition up to an automorphism of P, so every block has the values
@@ -35,9 +37,11 @@ alone.  ``verify_profile_uniqueness`` reads profiles and irreducibility
 off the row groups of its one walk of U.C, walks a component's
 unipotent orbit only from a code no earlier walk of the call admitted,
 and counts the blocks by walking the images of the codes of U.C of one
-row-group shape.  ``primary_decomposition`` values U.C and walks the
-blocks only for the images of its codes of least value, the only codes
-its tie-break can choose, each with the witness the whole walk gives it.
+row-group shape.  ``primary_decomposition`` values the codes of U.C that
+can be least, those zero at every coordinate whose column lies in the
+span of the columns above it (``_zeroable``), and walks the blocks only
+for the images of its codes of least value, the only codes its tie-break
+can choose, each with the witness the whole walk gives it.
 ``_block_images`` is the one walk of the blocks: both searches share it,
 and ``orbit_codes`` feeds it all of U.C to list the whole orbit.  It
 stops only at a block boundary.  The witnesses the walk builds are
@@ -206,10 +210,24 @@ def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
 
 
 def _add(code: LinearCode, i: int, j: int) -> LinearCode:
-    """The code's image under the addition of x_j to x_i (0-based)."""
-    # rref reduces entries on entry, so the sum needs no mod here.
-    rows = [row[:i] + (row[i] + row[j],) + row[i + 1 :] for row in code.generators]
-    return LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
+    """The canonical code's image under the addition of x_j to x_i
+    (0-based).
+
+    Only the rows with a nonzero entry at j change, and only at i.  When i
+    is not a pivot column and each of those rows has its pivot left of i,
+    every pivot stays its row's first entry and every pivot column a unit
+    column, so the summed rows are already reduced, with the same pivots:
+    no elimination is needed.  Otherwise ``rref`` reduces the image."""
+    q, n = code.q, code.n
+    rows = [
+        row[:i] + ((row[i] + row[j]) % q,) + row[i + 1 :] if row[j] else row
+        for row in code.generators
+    ]
+    if i + 1 not in code.pivots and all(
+        p <= i for row, p in zip(code.generators, code.pivots) if row[j]
+    ):
+        return LinearCode(q, n, tuple(rows), code.pivots)
+    return LinearCode(q, n, *rref(q, n, rows))
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -360,8 +378,9 @@ def orbit_codes(
     monomial images for each later code, fewer as the block walks skip the
     moves that provably repeat a code, and an image needs an elimination
     only when a pivot does not stay its row's first entry: the all-ones
-    code on ``chain:6`` over GF(2) takes 41 canonicalisations for its 32
-    codes, where trying every move from every code takes 480, and the pair
+    code on ``chain:6`` over GF(2) takes 41 canonicalisations, 9 of them
+    eliminations (``_add``), for its 32 codes, where trying every move from
+    every code takes 480, and the pair
     code on ``antichain:6`` takes 14 images and no elimination for its 15.
     A poset of another length is refused before any image; the orbit
     budget stops the walk exactly when the orbit exceeds it."""
@@ -376,6 +395,50 @@ def orbit_codes(
     return orbit
 
 
+def _zeroable(code: LinearCode, poset: Poset) -> tuple:
+    """The coordinates i (0-based) whose column col_i of the code's
+    canonical generator matrix lies in W_i, the span of the columns col_j
+    with i below j in P: a zero column too.  A nonzero column with columns
+    above it takes one elimination: col_i reduced against an echelon basis
+    of W_i.
+
+    Column i of u.C, u in U, is col_i plus a combination of the columns
+    above i, so W_i and col_i + W_i are U-invariant and every code of U.C
+    has the same zeroable coordinates.  A code of U.C nonzero at one is
+    never of least value there: the addition that zeroes that column keeps
+    the rank and splits the column's row group, the component of its
+    column matroid, of deficiency d >= 1, into parts whose deficiencies sum
+    to d - 1, and q^a + q^b <= q^(a+b) for a, b >= 1, so the grouping
+    minimum strictly drops."""
+    q, k = code.q, code.k
+    columns = list(zip(*code.generators))
+    above = [[] for _ in columns]
+    for i, j in poset.strict_pairs():
+        above[i - 1].append(columns[j - 1])
+    return tuple(
+        i
+        for i, column in enumerate(columns)
+        if not any(column) or above[i] and LinearCode(q, k, *rref(q, k, above[i])).contains(column)
+    )
+
+
+def _valued_walk(code: LinearCode, poset: Poset, orbit_budget: int):
+    """``_unipotent_walk``'s items, each with its code's grouping minimum,
+    or None for a code that is nonzero at a coordinate of ``_zeroable``
+    and so never of least value in U.C: every such code is walked, admitted
+    and counted by the budget, but not valued.  The first code is always
+    valued, and the zeroable coordinates are found only once a second
+    code comes."""
+    zeroable = ()
+    for index, (image, matrix) in enumerate(_unipotent_walk(code, poset, orbit_budget)):
+        if index == 1:
+            zeroable = _zeroable(code, poset)
+        if any(row[i] for row in image.generators for i in zeroable):
+            yield image, matrix, None
+        else:
+            yield image, matrix, min_grouping_complexity(image)
+
+
 def primary_decomposition(
     code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> PDecomposition:
@@ -386,12 +449,16 @@ def primary_decomposition(
     reaches it by.  Every block m(U.C) has the values of U.C, so U.C is
     walked and valued, and the blocks are walked only for the codes X of
     U.C of least value, whose images are the orbit's codes of that value,
-    each with the witness of the whole walk (``_block_images``).  The orbit budget stops
-    the search exactly when the orbit exceeds it.  The error's partial
-    result is the best code admitted before the stop: past U.C, a code of
-    the least value, so it is ``proven_minimal`` though its code and witness
-    may not be the tie-break's; inside U.C, the best of the codes walked,
-    not proven minimal.
+    each with the witness of the whole walk (``_block_images``).  A code of
+    U.C nonzero at a zeroable coordinate, one whose column lies in the span
+    of the columns above it, is walked and counted but not valued, as an
+    addition that zeroes that column strictly lowers the value, so it is
+    never least (``_zeroable``).  The orbit budget stops the search exactly
+    when the orbit exceeds it.  The error's partial result is the best code
+    admitted before the stop: past U.C, a code of the least value, so it is
+    ``proven_minimal`` though its code and witness may not be the
+    tie-break's; inside U.C, the best of the codes walked, the unvalued
+    ones valued then, not proven minimal.
     """
     _check_length(code, poset)
     identity = tuple(range(1, code.n + 1))
@@ -404,14 +471,18 @@ def primary_decomposition(
 
     unipotent, values = [], []
     try:
-        for image, matrix in _unipotent_walk(code, poset, orbit_budget):
+        for image, matrix, value in _valued_walk(code, poset, orbit_budget):
             unipotent.append((image, matrix))
-            values.append(min_grouping_complexity(image))
-            key = (values[-1], image.generators)
-            if best is None or key < best[0]:
-                best = (key, image, identity, matrix)
+            values.append(value)
+            if value is not None and (best is None or (value, image.generators) < best[0]):
+                best = ((value, image.generators), image, identity, matrix)
     except ResourceLimitError as exc:
-        if best is not None:
+        if best is not None:  # the best of the codes walked, the unvalued ones too
+            for (image, matrix), value in zip(unipotent, values):
+                if value is None:
+                    key = (min_grouping_complexity(image), image.generators)
+                    if key < best[0]:
+                        best = (key, image, identity, matrix)
             exc.partial_result = decomposed(proven_minimal=False)
         raise
     least = best[0][0]
@@ -428,15 +499,35 @@ def primary_decomposition(
 
 def _least_complexity(code: LinearCode, poset: Poset, orbit_budget: int, floor: int = 0) -> int:
     """The least grouping complexity over U.C, or the first value at most
-    ``floor`` that the walk meets."""
+    ``floor`` that the walk meets.
+
+    A code nonzero at a zeroable coordinate is walked and counted by the
+    budget but not valued as it comes (``_valued_walk``): it is never
+    least, but above the least value it can be the first at most the
+    floor.  So the skipped codes are valued, in walk order, only when the
+    walk meets a value at most the floor or stops at the budget.  Every
+    value is at least 1, so a floor of 0 keeps none of them."""
     _check_length(code, poset)
-    least = None
-    for image, _ in _unipotent_walk(code, poset, orbit_budget):
-        value = min_grouping_complexity(image)
-        if least is None or value < least:
-            least = value
-            if least <= floor:
-                break
+    least, skipped = None, []
+
+    def first_skipped_at_most_floor():
+        return next((v for v in map(min_grouping_complexity, skipped) if v <= floor), None)
+
+    try:
+        for image, _, value in _valued_walk(code, poset, orbit_budget):
+            if value is None:
+                if floor:
+                    skipped.append(image)
+            elif value <= floor:
+                earlier = first_skipped_at_most_floor()
+                return value if earlier is None else earlier
+            elif least is None or value < least:
+                least = value
+    except ResourceLimitError:
+        earlier = first_skipped_at_most_floor()
+        if earlier is None:
+            raise
+        return earlier
     return least
 
 
@@ -448,7 +539,10 @@ def minimal_complexity(
     A monomial map, an automorphism of P after a diagonal scaling, keeps a
     code's supports and row groups up to the automorphism, so every block
     m(U.C) of the orbit has the same grouping minima as U.C.  The orbit
-    budget counts the codes of U.C.
+    budget counts the codes of U.C.  A code of U.C nonzero at a coordinate
+    whose column lies in the span of the columns above it is walked and
+    counted but not valued: zeroing that column by an addition strictly
+    lowers the value, so such a code is never least (``_zeroable``).
     """
     return _least_complexity(code, poset, orbit_budget)
 
@@ -698,9 +792,10 @@ def hierarchy_bounds(
     does the poset's own value when the poset is hierarchical, or when the
     two neighbour values are equal, since they sandwich it.  Otherwise it
     is the least grouping complexity over U.C, as in
-    :func:`minimal_complexity`; the walk stops at the first code that
-    reaches the upper neighbour's value, which no code goes below.  It is
-    None when the walk exceeds the orbit budget.
+    :func:`minimal_complexity`, which values a code nonzero at a zeroable
+    coordinate only when the walk stops, as no such code is least; the walk
+    stops at the first code that reaches the upper neighbour's value, which
+    no code goes below.  It is None when the walk exceeds the orbit budget.
     """
     _check_length(code, poset)
     o_upper = min_grouping_complexity(_level_sum(code, poset.heights())[0])

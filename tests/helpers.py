@@ -695,6 +695,25 @@ def reference_unipotent_walk(code, poset, orbit_budget):
                 queue.append((image, product))
 
 
+def reference_zeroable(code, poset):
+    """The coordinates i (0-based) whose column of the canonical generator
+    matrix lies in the span of the columns above i in P, that span listed
+    whole: a zero column too."""
+    q = code.q
+    columns = list(zip(*code.generators))
+    out = []
+    for i, column in enumerate(columns):
+        span = {(0,) * code.k}
+        for j, other in enumerate(columns):
+            if j != i and poset.leq(i + 1, j + 1):
+                span = {
+                    tuple((v + c * w) % q for v, w in zip(s, other)) for s in span for c in range(q)
+                }
+        if column in span:
+            out.append(i)
+    return tuple(out)
+
+
 # -- exhaustive decoding ------------------------------------------------
 
 ORACLE_BUDGET = 1 << 16

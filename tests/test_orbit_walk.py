@@ -20,6 +20,10 @@ items of that walk, which tries every move.  On draws with n <= 8 over
 GF(2), GF(3), GF(5) and GF(7), a monomial image must equal the
 elimination of the permuted and scaled rows, and on seeded instances
 with n from 8 to 16 a stopped primary search must say what it proved.
+On draws with n <= 7 over GF(2), GF(3) and GF(5), an addition must equal
+the elimination of the summed rows, and the zeroable coordinates must be
+those of the listed spans, the same on every code of U.C, and zero on
+every code of least value.
 """
 
 import random
@@ -33,6 +37,7 @@ from helpers import (
     reference_primary_decomposition,
     reference_profile_uniqueness,
     reference_unipotent_walk,
+    reference_zeroable,
 )
 from posetcodes import search
 from posetcodes.code import LinearCode, enumerate_codes, rref
@@ -528,10 +533,11 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
     ``antichain:6`` reaches its 14 other codes with 14 images, not 75
     canonicalisations, and none of them needs an elimination, where the
     walk that reduced every image took 38.  On ``chain:6`` the all-ones
-    code's 32 codes take 41 eliminations, not 480, and no image: the walk
+    code's 32 codes take 9 eliminations, not 480, and no image: the walk
     of U.C canonicalises each code after the first once, five of them as
     the test of an addition that doubles the orbit, and tests the ten other
-    additions once each."""
+    additions once each, 41 canonicalisations, and only the 9 whose
+    addition moves a row's leading entry or meets a pivot column eliminate."""
     images = eliminations = 0
 
     def counting_rref(*args):
@@ -559,7 +565,7 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
             assert eliminations <= images, (code, eliminations, images)
     for poset, generator, counts in [
         (Poset.antichain(6), (1, 1, 0, 0, 0, 0), (15, 14, 0)),
-        (Poset.chain(6), (1,) * 6, (32, 0, 41)),
+        (Poset.chain(6), (1,) * 6, (32, 0, 9)),
     ]:
         images = eliminations = 0
         orbit = orbit_codes(LinearCode.from_generators(2, 6, [generator]), poset)
@@ -597,6 +603,7 @@ def test_canonicalisations_are_bounded_by_the_orbit(monkeypatch, q):
 # -- the walk against the walk with every move canonicalised ----------------
 
 WALK_BUDGET = 600
+WHOLE_BUDGET = 2400
 
 
 def walk_instance(draw):
@@ -628,7 +635,7 @@ def _least(values, message, floor):
     return min(values) if message is None else message
 
 
-def check_against_the_unskipped_walk(instance, cuts_inside):
+def check_against_the_unskipped_walk(instance, cuts_inside, outcomes):
     code, poset = instance
     unipotent, message = _unipotent_stage(code, poset, WALK_BUDGET)
     fed = [matrix for _, matrix in unipotent]
@@ -647,6 +654,33 @@ def check_against_the_unskipped_walk(instance, cuts_inside):
         except ResourceLimitError as exc:
             got = str(exc)
         assert got == _least(values, message, floor)
+    check_least_value_floor_under_cuts(code, poset, outcomes)
+
+
+def check_least_value_floor_under_cuts(code, poset, outcomes):
+    """Given the least value of the whole U.C as its floor, as
+    ``hierarchy_bounds`` gives the upper neighbour's, ``_least_complexity``
+    under a budget that cuts the walk before its end gives that value if
+    the cut walk reaches a code of it, or else the budget message."""
+    try:
+        whole = [image for image, _ in reference_unipotent_walk(code, poset, WHOLE_BUDGET)]
+    except ResourceLimitError:
+        return
+    least = min(map(min_grouping_complexity, whole))
+    walk = search._unipotent_walk(code, poset, len(whole))
+    walked = [min_grouping_complexity(image) for image, _ in walk]
+    first = walked.index(least)
+    for budget in {first, first + 1, len(walked) - 1}:
+        if not 0 < budget < len(walked):
+            continue
+        items, message = _walk(search._unipotent_walk(code, poset, budget))
+        want = _least([min_grouping_complexity(image) for image, _ in items], message, least)
+        try:
+            got = search._least_complexity(code, poset, budget, least)
+        except ResourceLimitError as exc:
+            got = str(exc)
+        assert got == want, (code, poset, budget)
+        outcomes.add(got == message)
 
 
 # Three 2-chains and two free points: a generator of Aut(P) of order 3
@@ -668,25 +702,46 @@ def test_walks_match_the_unskipped_walk():
     canonicalises every move, so every move it skips as a provable repeat
     would have been refused, and that walk's budget messages, also under
     budgets that cut inside a block; ``_least_complexity`` gives the first
-    value at most its floor in the walk's order, or the least."""
-    cuts_inside = []
-    check_against_the_unskipped_walk(THREE_CYCLE, cuts_inside)
+    value at most its floor in the walk's order, or the least, also with
+    the least value as its floor under budgets that cut U.C."""
+    cuts_inside, outcomes = [], set()
+    check_against_the_unskipped_walk(THREE_CYCLE, cuts_inside, outcomes)
     given(st.composite(walk_instance)())(
-        lambda instance: check_against_the_unskipped_walk(instance, cuts_inside)
+        lambda instance: check_against_the_unskipped_walk(instance, cuts_inside, outcomes)
     )()
     assert any(cuts_inside)
+    assert outcomes == {False, True}
+
+
+def test_least_complexity_values_skipped_codes_under_a_floor():
+    """The all-ones code on ``chain:3`` over GF(2) meets the values 4, 2, 2,
+    1 in the walk of U.C, and its codes of value 2 are nonzero at a
+    zeroable coordinate, so the walk does not value them as they come.
+    Under the floor 2 ``_least_complexity`` still gives the first of them,
+    with the whole walk and with a walk cut after it; under the floor 1 it
+    gives the last code, and a walk cut before it gives the budget
+    message."""
+    code, poset = LinearCode.from_generators(2, 3, [(1, 1, 1)]), Poset.chain(3)
+    walk = list(search._valued_walk(code, poset, WALK_BUDGET))
+    assert [min_grouping_complexity(image) for image, _, _ in walk] == [4, 2, 2, 1]
+    assert [value for _, _, value in walk] == [4, None, None, 1]
+    assert search._least_complexity(code, poset, WALK_BUDGET, 2) == 2
+    assert search._least_complexity(code, poset, 2, 2) == 2
+    assert search._least_complexity(code, poset, WALK_BUDGET, 1) == 1
+    assert search._least_complexity(code, poset, WALK_BUDGET) == 1
+    with pytest.raises(ResourceLimitError, match="budget of 3 codes"):
+        search._least_complexity(code, poset, 3, 1)
 
 
 # -- monomial images against elimination ------------------------------------
 
 
-def monomial_instance(draw):
-    """A hypothesis draw: a nonzero code over GF(2), GF(3), GF(5) or GF(7)
-    with n <= 8 whose columns are multiples of a few drawn columns, so zero,
-    repeated and parallel columns are common, and a map (sigma, D), D the
-    identity (None) or a diagonal of nonzero scalars."""
-    q = draw(st.sampled_from((2, 3, 5, 7)))
-    n = draw(st.integers(1, 8))
+def column_code(draw, fields, least_n, most_n):
+    """A hypothesis draw: a nonzero code over one of ``fields`` with n from
+    ``least_n`` to ``most_n`` whose columns are multiples of a few drawn
+    columns, so zero, repeated and parallel columns are common."""
+    q = draw(st.sampled_from(fields))
+    n = draw(st.integers(least_n, most_n))
     k = draw(st.integers(1, min(n, 4)))
     vector = st.lists(st.integers(0, q - 1), min_size=k, max_size=k)
     bases = draw(st.lists(vector, min_size=1, max_size=n))
@@ -696,9 +751,18 @@ def monomial_instance(draw):
     ]
     rows = [list(row) for row in zip(*columns)]
     assume(any(any(row) for row in rows))
+    return LinearCode.from_generators(q, n, rows)
+
+
+def monomial_instance(draw):
+    """A hypothesis draw: a ``column_code`` over GF(2), GF(3), GF(5) or
+    GF(7) with n <= 8, and a map (sigma, D), D the identity (None) or a
+    diagonal of nonzero scalars."""
+    code = column_code(draw, (2, 3, 5, 7), 1, 8)
+    q, n = code.q, code.n
     sigma = tuple(draw(st.permutations(range(1, n + 1))))
     scale = draw(st.none() | st.lists(st.integers(1, q - 1), min_size=n, max_size=n).map(tuple))
-    return LinearCode.from_generators(q, n, rows), sigma, scale
+    return code, sigma, scale
 
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
@@ -733,3 +797,108 @@ def test_monomial_image_equals_elimination(monkeypatch):
     check((LinearCode.from_generators(2, 3, [(1, 1, 0), (0, 0, 1)]), (3, 1, 2), None))
     given(st.composite(monomial_instance)())(check)()
     assert paths == {0, 1}
+
+
+# -- additions against elimination ------------------------------------------
+
+
+def addition_instance(draw):
+    """A hypothesis draw: a ``column_code`` over GF(2), GF(3) or GF(5) with
+    2 <= n <= 7."""
+    return column_code(draw, (2, 3, 5), 2, 7)
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_addition_equals_elimination(monkeypatch):
+    """For every ordered pair i != j, ``_add`` gives the canonical code, with
+    its pivots, of the rows after x_i += x_j: with no elimination when i is
+    not a pivot column and every row nonzero at j has its pivot left of i,
+    and with one when i is a pivot column or a row's leading entry moves
+    to i."""
+    eliminations = 0
+
+    def counting_rref(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return rref(*args)
+
+    monkeypatch.setattr(search, "rref", counting_rref)
+    paths = set()
+
+    def check(code):
+        nonlocal eliminations
+        q, n = code.q, code.n
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                rows = [row[:i] + (row[i] + row[j],) + row[i + 1 :] for row in code.generators]
+                want = LinearCode.from_generators(q, n, rows)
+                eliminations = 0
+                image = search._add(code, i, j)
+                got = (image.generators, image.pivots)
+                assert got == (want.generators, want.pivots), (code, i, j)
+                if i + 1 in code.pivots:
+                    case = "pivot column"
+                elif any(row[j] and p > i + 1 for row, p in zip(code.generators, code.pivots)):
+                    case = "leading entry moves"
+                else:
+                    case = "pivots stay"
+                assert eliminations == (case != "pivots stay"), (code, i, j)
+                paths.add(case)
+
+    given(st.composite(addition_instance)())(check)()
+    assert paths == {"pivot column", "leading entry moves", "pivots stay"}
+
+
+# -- zeroable coordinates ------------------------------------------------------
+
+ZEROABLE_BUDGET = 2000
+
+
+def zeroable_instance(draw):
+    """A hypothesis draw: a code as for the additions, n <= 7 over GF(2),
+    GF(3) or GF(5), on a poset of random relations."""
+    code = addition_instance(draw)
+    n = code.n
+    labels = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1]),
+            max_size=2 * n,
+        )
+    )
+    return code, Poset.from_covers(n, [(labels[a - 1], labels[b - 1]) for a, b in pairs])
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_zeroable_coordinates_hold_no_least_code():
+    """``_zeroable`` gives the coordinates i whose column lies in the listed
+    span of the columns above i (helpers), a zero column among them; every
+    code of U.C has the same ones; and every code of least value in U.C is
+    zero at each of them, so the searches need not value a code that is
+    not."""
+    seen = {"zero column": 0, "nonzero zeroable": 0, "U.C walked": 0}
+
+    def check(instance):
+        code, poset = instance
+        zeroable = reference_zeroable(code, poset)
+        assert search._zeroable(code, poset) == zeroable, (code, poset)
+        columns = list(zip(*code.generators))
+        seen["zero column"] += any(not any(columns[i]) for i in zeroable)
+        seen["nonzero zeroable"] += any(any(columns[i]) for i in zeroable)
+        try:
+            walk = reference_unipotent_walk(code, poset, ZEROABLE_BUDGET)
+            unipotent = [image for image, _ in walk]
+        except ResourceLimitError:
+            return
+        seen["U.C walked"] += 1
+        values = [min_grouping_complexity(image) for image in unipotent]
+        for image, value in zip(unipotent, values):
+            assert reference_zeroable(image, poset) == zeroable, (code, poset, image)
+            if value == min(values):
+                nonzero = [i for i in zeroable if any(row[i] for row in image.generators)]
+                assert not nonzero, (code, poset, image)
+
+    given(st.composite(zeroable_instance)())(check)()
+    assert min(seen.values()) > 0, seen
