@@ -83,14 +83,17 @@ class Poset:
 
     @classmethod
     def chain(cls, n: int) -> "Poset":
+        _check_size(n)  # before the n - 1 covers are built
         return cls.from_covers(n, [(i, i + 1) for i in range(1, n)])
 
     @classmethod
     def hierarchical(cls, type_vector) -> "Poset":
-        """Hierarchical poset with naturally labelled consecutive level blocks."""
+        """Hierarchical poset with naturally labelled consecutive level blocks;
+        a type vector past the size limit is refused before any list is built."""
         tv = tuple(type_vector)
         if not tv or any(not isinstance(m, int) or m < 1 for m in tv):
             raise ValidationError(f"type vector must be nonempty with positive entries, got {tv!r}")
+        _check_size(sum(tv))
         block = []
         for idx, size in enumerate(tv):
             block.extend([idx] * size)

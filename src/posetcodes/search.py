@@ -7,7 +7,9 @@ orbit is walked first under the unipotent part U, one root subgroup at a
 time along a normal series of U, which reaches each code of U.C once and
 tests each strict relation once; then block by block under the monomial
 part: by one scaling per coordinate, then by the generators of Aut(P), in
-a fixed order, so witnesses are reproducible.
+a fixed order, so witnesses are reproducible.  Witness matrices are
+built on demand: ``_matrices`` replays the walk's steps only for the
+codes a caller reports.
 
 The block walk does not canonicalise a move whose image it has provably
 seen.  Each stage's table lists its moves, each with a skip mask: a
@@ -24,33 +26,33 @@ image of a move whose map arranges the code's columns, each a multiple of
 its projective class, as a map it tried before: equal arrangements give
 equal generator matrices.  The block order, witnesses and budget
 messages are those of the block walk that tries every move from the same
-walk of U.C.  A monomial image of a canonical code needs no elimination
-when each row's pivot stays its row's first entry (``_monomial``), nor
-does the image under an addition along a relation that leaves every
-pivot first and every pivot column a unit column (``_add``).
+walk of U.C.  Each image is one move from its representative's image: it
+needs no elimination when each row's pivot stays its row's first entry
+(``_monomial``), as under a scaling, nor does the image under an addition
+that leaves every pivot first and every pivot column a unit column
+(``_add``).
 
 A monomial map keeps a code's supports, row groups and maximal
 decomposition up to an automorphism of P, so every block has the values
 of U.C.  The searches that return only values (``minimal_complexity``,
 the ``o_p`` of ``hierarchy_bounds``, and ``is_p_irreducible``) walk U.C
-alone.  ``verify_profile_uniqueness`` reads profiles and irreducibility
-off the row groups of its one walk of U.C, walks a component's
-unipotent orbit only from a code no earlier walk of the call admitted,
-and counts the blocks by walking the images of the codes of U.C of one
-row-group shape.  ``primary_decomposition`` values the codes of U.C that
-can be least, those zero at every coordinate whose column lies in the
-span of the columns above it (``_zeroable``), and walks the blocks only
-for the images of its codes of least value, the only codes its tie-break
-can choose, each with the witness the whole walk gives it.
-``_block_images`` is the one walk of the blocks: both searches share it,
-and ``orbit_codes`` feeds it all of U.C to list the whole orbit.  It
-stops only at a block boundary.  The witnesses the walk builds are
-trusted, not validated again.
+alone and build no matrix.  ``verify_profile_uniqueness`` reads profiles
+and irreducibility off the row groups of its one walk of U.C, walks a
+component's unipotent orbit only from a code no earlier walk of the call
+admitted, and counts the blocks from the codes of U.C of one row-group
+shape.  ``primary_decomposition`` values the codes of U.C that can be
+least, those zero at every coordinate whose column lies in the span of
+the columns above it (``_zeroable``), and walks the blocks only for the
+images of its codes of least value, the only codes its tie-break can
+choose.  ``_block_images`` is the one walk of the blocks, which
+``orbit_codes`` feeds all of U.C.  It stops only at a block boundary.
+The witnesses the walk builds are trusted, not validated again.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
+from operator import itemgetter
 
 from .code import LinearCode, _check_length, enumerate_codes, rref
 from .decomposition import (
@@ -150,8 +152,10 @@ def _admit(seen: set, image: LinearCode, orbit_budget: int) -> bool:
 
 def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
     """U.C, U the unipotent part, walked one root subgroup at a time: each
-    code that ``_admit`` admits, the code first, with its matrix, yielded
-    as soon as it is admitted.
+    code that ``_admit`` admits, the code first, yielded as soon as it is
+    admitted with its step: None for the code, else ``(parent, i, j)`` when
+    the code is the image of the code at index ``parent`` in walk order
+    under "row i += row j", which ``_matrices`` replays.
 
     The root subgroup of a strict relation i below j (0-based) is generated
     by the addition g of x_j to x_i, of prime order q: adding c * x_j is
@@ -164,16 +168,16 @@ def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
     orbit O = H.C in order.  When g.C lies in O, O is g-stable.  Otherwise
     g.O = H.g.C is an H-orbit disjoint from O, and so are g^2.O, ...,
     g^(q-1).O: the walk appends them in O's order, each image the code of
-    the previous translate under g, with that code's matrix after "row i
-    += row j".  Every appended image is new, so each code after C is
-    canonicalised once, g.C as the first of its translates, and each other
-    strict relation costs one test of g.C: at most |U.C| - 1 + r
-    canonicalisations for r strict relations, and none for an addition
-    that fixes C, as column j is zero or e_i is a canonical row.  ``_admit``
-    admits one code at a time, so the walk stops exactly when |U.C| exceeds
-    the budget.  From the all-ones code on a chain the first code with one
-    nonzero coordinate is reached by the paper's fold map."""
-    q, n = code.q, code.n
+    the previous translate under g.  Every appended image is new, so each
+    code after C is canonicalised once, g.C as the first of its
+    translates, and each other strict relation costs one test of g.C: at
+    most |U.C| - 1 + r canonicalisations for r strict relations, and none
+    for an addition that fixes C, as column j is zero or e_i is a canonical
+    row.  ``_admit`` admits one code at a time, so the walk stops exactly
+    when |U.C| exceeds the budget.  From the all-ones code on a chain the
+    first code with one nonzero coordinate is reached by the paper's fold
+    map."""
+    q = code.q
     height = poset.heights()
     strict = sorted(
         ((i - 1, j - 1) for i, j in poset.strict_pairs()),
@@ -182,11 +186,10 @@ def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
     zero = {j for j, column in enumerate(zip(*code.generators)) if not any(column)}
     # e_p, as the pivot is 1 and entries lie in 0..q-1
     unit = {p - 1 for row, p in zip(code.generators, code.pivots) if sum(row) == 1}
-    eye = _eye(n)
     members = set()
     _admit(members, code, orbit_budget)
-    yield code, eye
-    orbit = [(code, eye)]
+    yield code, None
+    orbit = [(code, 0)]  # (code, its index in walk order)
     for i, j in strict:
         if j in zero or i in unit:
             continue
@@ -196,17 +199,33 @@ def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
         translate, translates = orbit, []
         for _ in range(q - 1):
             translate, previous = [], translate
-            for current, matrix in previous:
+            for current, parent in previous:
                 if image is None:
                     image = _add(current, i, j)
                 _admit(members, image, orbit_budget)
-                added = tuple((a + b) % q for a, b in zip(matrix[i], matrix[j]))
-                product = matrix[:i] + (added,) + matrix[i + 1 :]
-                yield image, product
-                translate.append((image, product))
+                yield image, (parent, i, j)
+                translate.append((image, len(members) - 1))
                 image = None
             translates += translate
         orbit += translates
+
+
+def _matrices(walk: list, wanted) -> list:
+    """The pairs ``(code, matrix)`` at the indices ``wanted`` of ``walk``,
+    ``_unipotent_walk``'s items in order: each matrix, mapping C onto its
+    code, replayed from the identity along only the steps that reach it."""
+    code = walk[0][0]
+    needed, matrices = {0}, {0: _eye(code.n)}
+    for t in wanted:
+        while t not in needed:
+            needed.add(t)
+            t = walk[t][1][0]
+    for t in sorted(needed)[1:]:
+        parent, i, j = walk[t][1]
+        matrix = matrices[parent]
+        added = tuple((a + b) % code.q for a, b in zip(matrix[i], matrix[j]))
+        matrices[t] = matrix[:i] + (added,) + matrix[i + 1 :]
+    return [(walk[t][0], matrices[t]) for t in wanted]
 
 
 def _add(code: LinearCode, i: int, j: int) -> LinearCode:
@@ -230,11 +249,6 @@ def _add(code: LinearCode, i: int, j: int) -> LinearCode:
     return LinearCode(q, n, *rref(q, n, rows))
 
 
-def _compose(a: tuple, b: tuple) -> tuple:
-    """The automorphism acting as T_a after T_b, where T_s(v)_i = v[s(i)]."""
-    return tuple([b[i - 1] for i in a])
-
-
 def _inverse(sigma: tuple) -> tuple:
     inverse = [0] * len(sigma)
     for i, s in enumerate(sigma, start=1):
@@ -247,15 +261,20 @@ def _monomial(code: LinearCode, sigma: tuple, scale) -> LinearCode:
     ``scale`` or, when None, the identity.
 
     The map moves column p to place sigma^-1(p) and scales it, so each
-    pivot column stays a unit column.  When each row's pivot, at its new
-    place, is still the row's first nonzero entry, the rows sorted by that
-    place, each divided by its pivot entry, are already reduced: no
-    elimination is needed.  Otherwise ``rref`` reduces the image."""
+    pivot column stays a unit column; one ``itemgetter`` call takes each
+    row's permuted entries, and a scaled row is divided by D at its pivot.
+    When each row's pivot, at its new place, is still the row's first
+    nonzero entry, as under a scaling alone, the rows sorted by that place
+    are already reduced: no elimination is needed.  Otherwise ``rref``
+    reduces the image."""
     q, n = code.q, code.n
-    if scale is None:
-        rows = [[row[s - 1] for s in sigma] for row in code.generators]
-    else:  # rref, or the division below, reduces the entries
-        rows = [[scale[s - 1] * row[s - 1] for s in sigma] for row in code.generators]
+    take = itemgetter(*[s - 1 for s in sigma]) if n > 1 else tuple  # sigma is (1,)
+    rows = list(map(take, code.generators))
+    if scale is not None:
+        moved, inverses = take(scale), [pow(scale[p - 1], q - 2, q) for p in code.pivots]
+        rows = [
+            tuple([d * v * inv % q for d, v in zip(moved, row)]) for row, inv in zip(rows, inverses)
+        ]
     led = []  # (the pivot's new place, row)
     for row, p in zip(rows, code.pivots):
         t = sigma.index(p)
@@ -263,41 +282,38 @@ def _monomial(code: LinearCode, sigma: tuple, scale) -> LinearCode:
             return LinearCode(q, n, *rref(q, n, rows))
         led.append((t, row))
     led.sort()
-    reduced = []
-    for t, row in led:
-        if scale is not None:  # the pivot entry is D[p], as the code's is 1
-            inv = pow(row[t], q - 2, q)
-            row = [v * inv % q for v in row]
-        reduced.append(tuple(row))
-    return LinearCode(q, n, tuple(reduced), tuple(t + 1 for t, _ in led))
+    return LinearCode(q, n, tuple(row for _, row in led), tuple(t + 1 for t, _ in led))
 
 
 def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     """The images of ``codes`` in the blocks after U.C, as ``(image, sigma,
-    matrix)``, where ``codes`` are the pairs of ``_unipotent_walk`` for the
-    codes X of a walked U.C of ``size`` codes that share a value monomial
-    maps keep, or for all of U.C.
+    matrix)``, where ``codes`` are the pairs of ``_matrices`` for the codes
+    X of a walked U.C of ``size`` codes that share a value monomial maps
+    keep, or for all of U.C.
 
-    A block map m = (sigma, D) acts as x -> T_sigma(D x).  The walk has two
-    stages, each with its table of moves (g, c, skip): first the
+    A block map m = (sigma, D) acts as x -> T_sigma(D x), T_s(v)_i =
+    v[s(i)], and T_g after T_b is T_take(b), take the ``itemgetter`` of g.
+    Each stage has its table of moves (g, take, c, skip): first the
     primitive-root scaling of each x_c (g the identity), as the scalings
-    normalise U, then each generator g of Aut(P) (c None), which normalises
-    both, walking X and its scaled images.  A move's ``skip`` masks the
-    moves not tried from a block that the move first reached (see the
-    module docstring): for a scaling, every earlier scaling, and itself
-    over GF(3); for a generator, each earlier generator it commutes with,
-    and itself when it is an involution.  For each block's map rep, in the
-    order found, and each move outside rep's mask, a new image of X[0]
-    under the move after rep opens its block, walked in the order of the
-    stage's codes: the image of A.C, with witness (sigma, D.A).
+    normalise U, then each generator g of Aut(P), which normalises both,
+    walking X and its scaled images.  ``skip`` masks the moves not tried
+    from a block the move first reached (see the module docstring).  For
+    each block's representative rep, in the order found, and each move
+    outside rep's mask, a new image of X[0] under the move after rep opens
+    its block, walked in the order of the stage's codes: the image of A.C,
+    with witness (sigma, D.A).  The stage keeps its blocks' images in
+    order, so each image is one move from rep's: ``_monomial`` under g, or
+    under the scaling of x_c alone, as a scaling stage's sigma is the
+    identity and an Aut(P) stage's D is; a rep keeps only the other.
 
-    Nor is a move tried whose map arranges X[0]'s columns as the identity or
-    a map tried before in the stage did.  Column j of X[0] is mult[j] times
-    the representative of its projective class, so the column that (sigma,
-    D) puts at place t is D[sigma(t)] * mult[sigma(t)] times the
-    representative of the class of column sigma(t): one int per place.
-    Equal arrangements give equal generator matrices, so ``_admit`` would
-    refuse the image before its budget check.
+    Column j of X[0] is mult[j] times the representative of its projective
+    class, so a map's arrangement, one int per place t, is class * q +
+    D[sigma(t)] * mult[sigma(t)] mod q for the class of column sigma(t).  A
+    move's is rep's permuted by take, or with place c's multiple times the
+    root.  A move whose arrangement the stage has met, the identity's
+    first, is not taken, as equal arrangements give equal generator
+    matrices and ``_admit`` would refuse the image; sigma is composed only
+    for a new one.
 
     A block m(U.C) is new exactly when m(X[0]) is, and its codes of that
     value are m(X), so the blocks open in the order and with the maps of the
@@ -311,54 +327,55 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     limit = orbit_budget // size * len(codes)
     seen = {image for image, _ in codes}
     identity, ones, root = tuple(range(1, n + 1)), (1,) * n, primitive_root(q)
-    classes, base, mult = {}, [], []
+    classes, start = {}, []
     for column in zip(*code.generators):
         lead = next(filter(None, column), 0)
-        if lead > 1:
-            inv = pow(lead, q - 2, q)
-            column = tuple([v * inv % q for v in column])
-        base.append(classes.setdefault(column, len(classes)) * q)
-        mult.append(lead)
-    scalings = [(identity, c, (1 << c) - 1 | (q == 3) << c) for c in range(n)] if q > 2 else []
+        inv = pow(lead, q - 2, q) if lead > 1 else 1
+        column = tuple([v * inv % q for v in column])
+        start.append(classes.setdefault(column, len(classes)) * q + lead)
+    scalings = [(identity, None, c, (1 << c) - 1 | (q == 3) << c) for c in range(n * (q > 2))]
     gens, automorphisms = poset.automorphisms()[0], []
-    for k, g in enumerate(gens):
-        mask = sum(1 << h for h, f in enumerate(gens[:k]) if _compose(f, g) == _compose(g, f))
-        automorphisms.append((g, None, mask | (_compose(g, g) == identity) << k))
+    takes = [itemgetter(*[s - 1 for s in g]) for g in gens]
+    for k, (g, take) in enumerate(zip(gens, takes)):
+        mask = sum(1 << h for h, f in enumerate(gens[:k]) if take(f) == takes[h](g))
+        automorphisms.append((g, take, None, mask | (take(g) == identity) << k))
     scaled = []  # the scaling stage's images, which the Aut(P) stage walks too
     try:
-        for moves in (scalings, automorphisms):
-            walked, reps = codes + scaled, [(identity, ones, 0)]
-            tried = {tuple(b + m for b, m in zip(base, mult))}
-            for rep_sigma, rep_scale, skip in reps:
-                # column j's entry of the arrangement under rep's D, at index j + 1
-                rep_word = [0] + [b + d * m % q for b, d, m in zip(base, rep_scale, mult)]
-                for k, (g, c, mask) in enumerate(moves):
+        for moves, first in ((scalings, ones), (automorphisms, identity)):
+            walked = codes + scaled
+            imaged = [image for image, _ in walked]  # each block's, whole, in order
+            reps, tried = [(first, 0, tuple(start))], {tuple(start)}
+            for at, (rep_map, skip, rep_arranged) in zip(count(0, len(walked)), reps):
+                for k, (g, take, c, mask) in enumerate(moves):
                     if skip >> k & 1:
                         continue
-                    sigma, scale, word = _compose(g, rep_sigma), rep_scale, rep_word
-                    if c is not None:  # scaling x_c after rep scales D at rep_sigma(c)
-                        p = rep_sigma[c] - 1
-                        scale = scale[:p] + (scale[p] * root % q,) + scale[p + 1 :]
-                        word = word[: p + 1] + [base[p] + scale[p] * mult[p] % q] + word[p + 2 :]
-                    arrangement = tuple([word[s] for s in sigma])
-                    if arrangement in tried:
+                    if take:
+                        arranged = take(rep_arranged)
+                    else:  # the multiple at place c times the root
+                        a = rep_arranged[c]
+                        a += a % q * root % q - a % q
+                        arranged = rep_arranged[:c] + (a,) + rep_arranged[c + 1 :]
+                    if arranged in tried:
                         continue
-                    tried.add(arrangement)
-                    factor = None if scale == ones else scale
-                    first = _monomial(code, sigma, factor)
-                    if not _admit(seen, first, limit):
+                    tried.add(arranged)
+                    if take:
+                        sigma = mapped = take(rep_map)
+                        factor = None
+                    else:
+                        sigma, factor = identity, ones[:c] + (root,) + ones[c + 1 :]
+                        mapped = rep_map[:c] + (rep_map[c] * root % q,) + rep_map[c + 1 :]
+                    image = _monomial(imaged[at], g, factor)
+                    if not _admit(seen, image, limit):
                         continue
-                    reps.append((sigma, scale, mask))
-                    for index, (image, matrix) in enumerate(walked):
+                    reps.append((mapped, mask, arranged))
+                    for index, (_, matrix) in enumerate(walked):
                         if index:  # every image in a new block is new
-                            image = _monomial(image, sigma, factor)
+                            image = _monomial(imaged[at + index], g, factor)
                             _admit(seen, image, limit)
-                        else:
-                            image = first
-                        # only the scaling stage scales; its D = 1 is X[0]'s own arrangement
-                        if factor is not None:
+                        imaged.append(image)
+                        if not take:  # the scaling stage's witness is D.A
                             matrix = tuple(
-                                tuple(d * a % q for a in row) for d, row in zip(scale, matrix)
+                                tuple(d * a % q for a in row) for d, row in zip(mapped, matrix)
                             )
                             scaled.append((image, matrix))
                         yield image, sigma, matrix
@@ -370,8 +387,8 @@ def orbit_codes(
     code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> dict:
     """Distinct orbit codes in walk order, each mapped to the isometry
-    reaching it: U.C by ``_unipotent_walk``, then its blocks by
-    ``_block_images`` with X all of U.C.
+    reaching it: U.C by ``_unipotent_walk``, every code's matrix rebuilt by
+    ``_matrices``, then its blocks by ``_block_images`` with X all of U.C.
 
     That makes at most |U.C| - 1 + r canonicalisations for U.C, r the
     number of strict relations, and at most n + generators of Aut(P) + 1
@@ -380,13 +397,14 @@ def orbit_codes(
     only when a pivot does not stay its row's first entry: the all-ones
     code on ``chain:6`` over GF(2) takes 41 canonicalisations, 9 of them
     eliminations (``_add``), for its 32 codes, where trying every move from
-    every code takes 480, and the pair
-    code on ``antichain:6`` takes 14 images and no elimination for its 15.
-    A poset of another length is refused before any image; the orbit
-    budget stops the walk exactly when the orbit exceeds it."""
+    every code takes 480, and the pair code on ``antichain:6`` takes 14
+    images and no elimination for its 15.  A poset of another length is
+    refused before any image; the orbit budget stops the walk exactly when
+    the orbit exceeds it."""
     _check_length(code, poset)
     identity = tuple(range(1, code.n + 1))
-    unipotent = list(_unipotent_walk(code, poset, orbit_budget))
+    walk = list(_unipotent_walk(code, poset, orbit_budget))
+    unipotent = _matrices(walk, range(len(walk)))
     orbit = {
         image: PIsometry._trusted(poset, code.q, identity, matrix) for image, matrix in unipotent
     }
@@ -430,13 +448,13 @@ def _valued_walk(code: LinearCode, poset: Poset, orbit_budget: int):
     valued, and the zeroable coordinates are found only once a second
     code comes."""
     zeroable = ()
-    for index, (image, matrix) in enumerate(_unipotent_walk(code, poset, orbit_budget)):
+    for index, (image, step) in enumerate(_unipotent_walk(code, poset, orbit_budget)):
         if index == 1:
             zeroable = _zeroable(code, poset)
         if any(row[i] for row in image.generators for i in zeroable):
-            yield image, matrix, None
+            yield image, step, None
         else:
-            yield image, matrix, min_grouping_complexity(image)
+            yield image, step, min_grouping_complexity(image)
 
 
 def primary_decomposition(
@@ -449,52 +467,52 @@ def primary_decomposition(
     reaches it by.  Every block m(U.C) has the values of U.C, so U.C is
     walked and valued, and the blocks are walked only for the codes X of
     U.C of least value, whose images are the orbit's codes of that value,
-    each with the witness of the whole walk (``_block_images``).  A code of
-    U.C nonzero at a zeroable coordinate, one whose column lies in the span
-    of the columns above it, is walked and counted but not valued, as an
-    addition that zeroes that column strictly lowers the value, so it is
-    never least (``_zeroable``).  The orbit budget stops the search exactly
-    when the orbit exceeds it.  The error's partial result is the best code
-    admitted before the stop: past U.C, a code of the least value, so it is
-    ``proven_minimal`` though its code and witness may not be the
-    tie-break's; inside U.C, the best of the codes walked, the unvalued
-    ones valued then, not proven minimal.
+    each with the witness of the whole walk (``_block_images``); only
+    their matrices and the result's are built (``_matrices``).  A code of
+    U.C nonzero at a zeroable coordinate is walked and counted but not
+    valued, as it is never least (``_zeroable``).  The orbit budget stops
+    the search exactly when the orbit exceeds it.  The error's partial
+    result is the best code admitted before the stop: past U.C, a code of
+    the least value, so it is ``proven_minimal`` though its code and
+    witness may not be the tie-break's; inside U.C, the best of the codes
+    walked, the unvalued ones valued then, not proven minimal.
     """
     _check_length(code, poset)
     identity = tuple(range(1, code.n + 1))
-    best = None  # ((complexity, generator matrix), image, sigma, matrix)
+    walk, values = [], []
+    best = None  # ((complexity, generator matrix), index in walk order)
 
-    def decomposed(proven_minimal=True):
-        (value, _), image, sigma, matrix = best
+    def decomposed(image, sigma, matrix, proven_minimal=True):
         witness = PIsometry._trusted(poset, code.q, sigma, matrix)
-        return PDecomposition(witness, cheapest_grouping(image), value, proven_minimal)
+        return PDecomposition(witness, cheapest_grouping(image), best[0][0], proven_minimal)
 
-    unipotent, values = [], []
     try:
-        for image, matrix, value in _valued_walk(code, poset, orbit_budget):
-            unipotent.append((image, matrix))
-            values.append(value)
+        for image, step, value in _valued_walk(code, poset, orbit_budget):
             if value is not None and (best is None or (value, image.generators) < best[0]):
-                best = ((value, image.generators), image, identity, matrix)
+                best = ((value, image.generators), len(walk))
+            walk.append((image, step))
+            values.append(value)
     except ResourceLimitError as exc:
         if best is not None:  # the best of the codes walked, the unvalued ones too
-            for (image, matrix), value in zip(unipotent, values):
+            for index, ((image, _), value) in enumerate(zip(walk, values)):
                 if value is None:
                     key = (min_grouping_complexity(image), image.generators)
                     if key < best[0]:
-                        best = (key, image, identity, matrix)
-            exc.partial_result = decomposed(proven_minimal=False)
+                        best = (key, index)
+            [(image, matrix)] = _matrices(walk, [best[1]])
+            exc.partial_result = decomposed(image, identity, matrix, proven_minimal=False)
         raise
-    least = best[0][0]
-    ties = [item for item, value in zip(unipotent, values) if value == least]
+    ties = _matrices(walk, [index for index, value in enumerate(values) if value == best[0][0]])
+    image, matrix = min(ties, key=lambda tie: tie[0].generators)  # U.C's best
+    winner = (image, identity, matrix)
     try:
-        for image, sigma, matrix in _block_images(ties, len(unipotent), poset, orbit_budget):
-            if image.generators < best[0][1]:
-                best = ((least, image.generators), image, sigma, matrix)
+        for item in _block_images(ties, len(walk), poset, orbit_budget):
+            if item[0].generators < winner[0].generators:
+                winner = item
     except ResourceLimitError as exc:
-        exc.partial_result = decomposed()
+        exc.partial_result = decomposed(*winner)
         raise
-    return decomposed()
+    return decomposed(*winner)
 
 
 def _least_complexity(code: LinearCode, poset: Poset, orbit_budget: int, floor: int = 0) -> int:
@@ -647,15 +665,15 @@ def verify_profile_uniqueness(
             verdicts.update({(subposet, other): verdict for other in walked})
         return verdicts[key]
 
-    unipotent, shapes = [], {}
+    walk, shapes = [], {}
     candidates = 0
     profiles = {}
     pending = True  # every code so far is one group on full support
-    for image, matrix in _unipotent_walk(code, poset, orbit_budget):
-        unipotent.append((image, matrix))
+    for image, step in _unipotent_walk(code, poset, orbit_budget):
         groups = _row_groups(image)
         shape = tuple(sorted((len(rows), deficiency) for rows, deficiency in groups))
-        shapes.setdefault(shape, []).append((image, matrix))
+        shapes.setdefault(shape, []).append(len(walk))
+        walk.append((image, step))
         if not _reducible(groups, n):
             continue  # a candidate only if every code of U.C is one too
         pending = False
@@ -665,19 +683,20 @@ def verify_profile_uniqueness(
             j0 = n - sum(size for size, _ in sizes)
             profiles.setdefault(((j0, j0), *sorted(sizes)), image)
     if pending:
-        candidates = len(unipotent)
+        candidates = len(walk)
         profiles = {((0, 0), (n, code.k)): code}
     # A monomial map m keeps a code's shape, so the orbit's codes of U.C's
     # rarest shape are the images m(X) of its codes X of that shape, |X|
     # per block.
     _, rarest = min(shapes.items(), key=lambda item: (len(item[1]), item[0]))
-    images = sum(1 for _ in _block_images(rarest, len(unipotent), poset, orbit_budget))
-    orbit_size = len(unipotent) * (1 + images // len(rarest))
+    rarest = _matrices(walk, rarest)
+    images = sum(1 for _ in _block_images(rarest, len(walk), poset, orbit_budget))
+    orbit_size = len(walk) * (1 + images // len(rarest))
     ok = len(profiles) == 1
     return ProfileUniquenessReport(
         ok=ok,
         profile=next(iter(profiles)) if ok else None,
-        candidates=candidates * orbit_size // len(unipotent),
+        candidates=candidates * orbit_size // len(walk),
         orbit_size=orbit_size,
         conflicts=[] if ok else sorted(profiles.items(), key=lambda item: item[0]),
     )

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,12 @@ import pytest
 import posetcodes
 from posetcodes import cli, suites
 from posetcodes.field import MAX_MODULUS
+from posetcodes.poset import MAX_GROUND_SET
 from posetcodes.suites import SUITE_CHECKS, SuiteReport
 
 try:
     from hypothesis import given, strategies as st
-except ImportError:  # only the verify fuzz test needs hypothesis
+except ImportError:  # only the fuzz tests need hypothesis
     given = None
 
 
@@ -390,13 +392,13 @@ def test_bad_code_file_is_one_error_line(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def run_process(argv, timeout=20):
+def run_process(argv, timeout=20, **options):
     """The CLI in a child process, so that a hang fails the test instead of
-    stalling it."""
+    stalling it; ``options`` go to ``subprocess.run``."""
     env = dict(os.environ, PYTHONPATH=str(Path(posetcodes.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "posetcodes.cli", *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env, **options,
     )
 
 
@@ -463,6 +465,28 @@ def test_field_modulus_above_the_maximum_stops_before_primality(tmp_path):
         assert result.stderr == (
             f"budget exceeded: field modulus {q} exceeds supported maximum {MAX_MODULUS}\n"
         )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["hierarchical:99999999999", "hierarchical:20000000", "hierarchical:9,99999999999", "chain:99999999999"],
+)
+def test_an_oversized_family_spec_stops_before_it_is_built(spec):
+    """The sum of a hierarchical type vector, and a chain's length, are
+    checked against the size limit before the ranks or covers are built:
+    exit 2 with one budget line, in a child whose address space is capped
+    at 200 MB, where 20,000,000 ranks would raise a memory error."""
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    total = sum(map(int, spec.partition(":")[2].split(",")))
+    result = run_process(["poset", "info", spec], preexec_fn=cap_address_space)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"budget exceeded: ground-set size {total} exceeds supported maximum {MAX_GROUND_SET}\n"
+    )
 
 
 def test_verify_neighbours_does_not_clamp_n():
@@ -769,3 +793,63 @@ def test_verify_fuzz_exits_cleanly():
         seed=st.integers(),
     )(check)()
     assert {0, 1} <= exits
+
+
+HUGE_SIZE = 99999999999
+
+
+def _fuzz_spec(kind, sizes):
+    return f"{kind}:{','.join(map(str, sizes))}"
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_poset_and_weight_fuzz_exits_cleanly():
+    """Drawn family specs (valid chains and antichains, or chain,
+    antichain, hierarchical and unknown kinds with sizes -2 to 20 and one
+    huge size) through ``poset info``, ``neighbours``, ``dot``, ``compare``
+    and ``analyze weight`` with drawn ``--x``, often of the spec's length,
+    and ``--q`` end in an exit code from 0 to 3, never a traceback; a
+    validation or budget exit prints exactly one stderr line and nothing
+    else."""
+    exits, huge = set(), []
+
+    def check(command, first, second, x, fit, q):
+        kind, sizes = first
+        first, second = _fuzz_spec(kind, sizes), _fuzz_spec(*second)
+        if isinstance(x, list):  # residues, repeated to the spec's length when ``fit``
+            x = ",".join(map(str, (x * 20)[: sum(sizes)] if fit and sum(sizes) <= 20 else x))
+        if command == "compare":
+            argv = ["poset", "compare", first, second]
+        elif command == "weight":
+            argv = ["analyze", "weight", first, f"--x={x}", "--q", str(q)]
+        else:
+            argv = ["poset", command, first]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        exits.add(code)
+        huge.append(kind == "hierarchical" and HUGE_SIZE in sizes)
+        assert code in (0, 1, 2, 3)
+        if code in (1, 2):
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+
+    check("info", ("hierarchical", [HUGE_SIZE]), ("chain", [1]), [], False, 2)
+    spec = st.tuples(
+        st.sampled_from(("chain", "antichain")), st.lists(st.integers(1, 16), min_size=1, max_size=1)
+    ) | st.tuples(
+        st.sampled_from(("chain", "antichain", "hierarchical", "ladder", "", "Chain")),
+        st.lists(st.integers(-2, 20) | st.just(HUGE_SIZE), min_size=1, max_size=3),
+    )
+    given(
+        command=st.sampled_from(("info", "neighbours", "dot", "compare", "weight")),
+        first=spec,
+        second=spec,
+        x=st.lists(st.integers(-1, 5), min_size=1) | st.text(alphabet="0123456789,-x ", max_size=8),
+        fit=st.booleans(),
+        q=st.integers(-2, 20),
+    )(check)()
+    assert {0, 1, 2} <= exits
+    assert sum(huge) > 1

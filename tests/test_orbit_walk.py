@@ -10,10 +10,11 @@ and GF(5) whose components need walks of their own.  Witnesses and the
 orbit order follow the walk, not the full enumeration's order, so a
 witness is checked by the image it reaches.  The walk of U.C must reach
 the codes of the breadth-first walk that tries every addition, each once,
-with a unipotent matrix mapping C onto it; fed that U.C list, the walk's
-own sequence, here also over GF(5) and GF(7), must equal the one that
-maps every walked image by each monomial block map the block walks try,
-and a budget that cuts the orbit must stop it with the same message.  On
+with a unipotent matrix, rebuilt from the walk's steps, mapping C onto
+it; fed that U.C list, the walk's own sequence, here also over GF(5) and
+GF(7), must equal the one that maps every walked image by each monomial
+block map the block walks try, and a budget that cuts the orbit must stop
+it with the same message.  A scaling-stage image never eliminates.  On
 hypothesis draws with n <= 6 over GF(2), GF(3) and GF(5), the block
 walks, which skip the moves that provably repeat a code, must give the
 items of that walk, which tries every move.  On draws with n <= 8 over
@@ -392,6 +393,20 @@ def test_unipotent_walk_takes_the_largest_height_gap_first():
     ]
 
 
+def test_rebuilt_matrices_replay_the_steps_in_walk_order():
+    """On 1 < 2 < 3 plus a free point over GF(2), the walk reaches its
+    seventh code by "row 2 += row 3" and then "row 1 += row 2", two
+    additions that do not commute, so the matrix ``_matrices`` rebuilds
+    for it is E_12 E_23, with a 1 at (1, 3), not E_23 E_12."""
+    poset = Poset.from_covers(4, [(1, 2), (2, 3)])
+    code = LinearCode.from_generators(2, 4, [(0, 1, 0, 1), (0, 0, 1, 0)])
+    unipotent, message = _unipotent_stage(code, poset, 10**5)
+    assert message is None and len(unipotent) == 8
+    steps = [step for _, step in search._unipotent_walk(code, poset, 10**5)]
+    assert steps[6] == (2, 0, 1) and steps[2] == (0, 1, 2)
+    assert unipotent[6][1] == ((1, 1, 1, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 # -- the block step against mapping every code ----------------------------
 
 
@@ -426,14 +441,26 @@ def _walk(items):
 
 
 def _unipotent_stage(code, poset, orbit_budget):
-    """The items of the walk of U.C and its budget message, checked against
+    """The codes of the walk of U.C, each with the matrix that ``_matrices``
+    rebuilds from the walk's steps, and its budget message, checked against
     the breadth-first walk that tries every addition: the same codes, none
-    twice, each matrix unit upper triangular on P and mapping C onto its
-    image; and, when the walk ends, the same items cut after |U.C| - 1
-    codes, with the budget message, under a budget one code smaller."""
+    twice, each matrix unit upper triangular on P, mapping C onto its
+    image and equal to its step's elementary matrix times its parent's,
+    and the same matrices when only some codes' are rebuilt; and,
+    when the walk ends, the same steps cut after |U.C| - 1 codes, with the
+    budget message, under a budget one code smaller."""
     q, n = code.q, code.n
-    items, message = _walk(search._unipotent_walk(code, poset, orbit_budget))
+    steps, message = _walk(search._unipotent_walk(code, poset, orbit_budget))
+    items = search._matrices(steps, range(len(steps)))
     codes = [image for image, _ in items]
+    assert codes == [image for image, _ in steps]
+    for (_, step), (_, matrix) in zip(steps[1:], items[1:]):  # E times its parent's matrix
+        parent, i, j = step
+        e = [[int(r == c or (r, c) == (i, j)) for c in range(n)] for r in range(n)]
+        product = [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*items[parent][1])] for row in e]
+        assert list(map(list, matrix)) == product, (poset, code, step)
+    for wanted in ([len(items) - 1], list(range(len(items) - 1, -1, -2))):
+        assert search._matrices(steps, wanted) == [items[t] for t in wanted], (poset, code)
     assert len(set(codes)) == len(codes), (poset, code)
     for image, matrix in items:
         assert all(
@@ -450,7 +477,7 @@ def _unipotent_stage(code, poset, orbit_budget):
         cut = len(items) - 1
         if cut:
             assert _walk(search._unipotent_walk(code, poset, cut)) == (
-                items[:cut],
+                steps[:cut],
                 f"orbit exceeds budget of {cut} codes",
             )
     else:
@@ -598,6 +625,42 @@ def test_canonicalisations_are_bounded_by_the_orbit(monkeypatch, q):
         calls = 0
         orbit = orbit_codes(code, poset)
         assert calls <= len(orbit) * (strict + len(poset.automorphisms()[0]) + n + 1)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_scaling_stage_images_never_eliminate(monkeypatch, q):
+    """A scaling-stage image is its block representative's image with one
+    column scaled, a monomial image under the identity permutation, so each
+    pivot stays its row's first entry and ``_monomial`` never calls
+    ``rref`` there; the Aut(P) stage's images, under a generator, still
+    may."""
+    eliminations = 0
+    counts = {"scaling": 0, "automorphism": 0, "automorphism eliminations": 0}
+
+    def counting_rref(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return rref(*args)
+
+    monomial = search._monomial
+
+    def checked_monomial(code, sigma, scale):
+        nonlocal eliminations
+        eliminations = 0
+        image = monomial(code, sigma, scale)
+        if sigma == tuple(range(1, code.n + 1)):
+            assert scale is not None and eliminations == 0, (code, scale)
+            counts["scaling"] += 1
+        else:
+            counts["automorphism"] += 1
+            counts["automorphism eliminations"] += eliminations
+        return image
+
+    monkeypatch.setattr(search, "rref", counting_rref)
+    monkeypatch.setattr(search, "_monomial", checked_monomial)
+    for poset, code in _instances(count=30, seed=40 + q, group_cap=20000, fields=(q,)):
+        orbit_codes(code, poset)
+    assert min(counts.values()) > 0, counts
 
 
 # -- the walk against the walk with every move canonicalised ----------------
