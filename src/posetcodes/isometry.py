@@ -29,6 +29,10 @@ class PIsometry:
         field = FieldSpec(q)
         n = poset.n
         sig = tuple(sigma)
+        rows = tuple(tuple(row) for row in matrix_rows)
+        for v in sig + tuple(v for row in rows for v in row):
+            if type(v) is not int:
+                raise ValidationError(f"isometry entry {v!r} is not an integer")
         if sorted(sig) != list(range(1, n + 1)):
             raise ValidationError(f"{sig!r} is not a permutation of [{n}]")
         for i in range(1, n + 1):
@@ -37,7 +41,7 @@ class PIsometry:
                     raise ValidationError(
                         f"permutation {sig!r} is not an order automorphism"
                     )
-        rows = tuple(tuple(field.normalize(v) for v in row) for row in matrix_rows)
+        rows = tuple(tuple(field.normalize(v) for v in row) for row in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValidationError(f"matrix must be {n}x{n}")
         for i in range(n):

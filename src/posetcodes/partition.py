@@ -17,13 +17,16 @@ class PointedPartition:
     __slots__ = ("n", "j0", "parts", "_hash")
 
     def __init__(self, n: int, j0, parts):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValidationError(f"ground-set size must be a positive integer, got {n!r}")
         self.n = n
         j0, parts = list(j0), [list(p) for p in parts]
         if any(not p for p in parts):
             raise ValidationError("parts other than j0 must be nonempty")
         elements = j0 + [e for p in parts for e in p]
+        for e in elements:
+            if type(e) is not int:
+                raise ValidationError(f"partition element {e!r} is not an integer")
         if len(elements) != n or set(elements) != set(range(1, n + 1)):
             raise ValidationError(f"j0 and the parts must hold each element of [{n}] once")
         self.j0 = frozenset(j0)

@@ -7,9 +7,10 @@ orbit is walked first under the unipotent part U, one root subgroup at a
 time along a normal series of U, which reaches each code of U.C once and
 tests each strict relation once; then block by block under the monomial
 part: by one scaling per coordinate, then by the generators of Aut(P), in
-a fixed order, so witnesses are reproducible.  Witness matrices are
-built on demand: ``_matrices`` replays the walk's steps only for the
-codes a caller reports.
+a fixed order, so witnesses are reproducible.  Witnesses are built on
+demand: the walks yield each code with the step or block map that
+reaches it, and ``_matrices`` replays the steps of U.C, and ``_witness``
+applies a block map, only for the codes a caller reports.
 
 The block walk does not canonicalise a move whose image it has provably
 seen.  Each stage's table lists its moves, each with a skip mask: a
@@ -36,7 +37,8 @@ A monomial map keeps a code's supports, row groups and maximal
 decomposition up to an automorphism of P, so every block has the values
 of U.C.  The searches that return only values (``minimal_complexity``,
 the ``o_p`` of ``hierarchy_bounds``, and ``is_p_irreducible``) walk U.C
-alone and build no matrix.  ``verify_profile_uniqueness`` reads profiles
+alone and build no matrix; the first two never value a code that cannot
+be least (``_zeroable``).  ``verify_profile_uniqueness`` reads profiles
 and irreducibility off the row groups of its one walk of U.C, walks a
 component's unipotent orbit only from a code no earlier walk of the call
 admitted, and counts the blocks from the codes of U.C of one row-group
@@ -45,8 +47,9 @@ least, those zero at every coordinate whose column lies in the span of
 the columns above it (``_zeroable``), and walks the blocks only for the
 images of its codes of least value, the only codes its tie-break can
 choose.  ``_block_images`` is the one walk of the blocks, which
-``orbit_codes`` feeds all of U.C.  It stops only at a block boundary.
-The witnesses the walk builds are trusted, not validated again.
+``orbit_codes`` feeds all of U.C.  It takes plain codes, yields each
+image with its block map, and stops only at a block boundary.  The
+witnesses built from the walk are trusted, not validated again.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -285,11 +288,20 @@ def _monomial(code: LinearCode, sigma: tuple, scale) -> LinearCode:
     return LinearCode(q, n, tuple(row for _, row in led), tuple(t + 1 for t, _ in led))
 
 
+def _witness(poset: Poset, q: int, sigma: tuple, scale: tuple, matrix: tuple) -> PIsometry:
+    """The isometry (sigma, D.A), D the diagonal ``scale``, that reaches a
+    block image of the code A maps C onto."""
+    rows = tuple(tuple(d * a % q for a in row) for d, row in zip(scale, matrix))
+    return PIsometry._trusted(poset, q, sigma, rows)
+
+
 def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
-    """The images of ``codes`` in the blocks after U.C, as ``(image, sigma,
-    matrix)``, where ``codes`` are the pairs of ``_matrices`` for the codes
-    X of a walked U.C of ``size`` codes that share a value monomial maps
-    keep, or for all of U.C.
+    """The images of ``codes`` in the blocks after U.C, as ``(image, x,
+    sigma, scale)``: the image of the code x of ``codes`` under the block
+    map (sigma, D), D the diagonal ``scale``, so its witness is (sigma, D.A)
+    for the matrix A mapping C onto x (``_witness``).  ``codes`` are the
+    codes X of a walked U.C of ``size`` codes that share a value monomial
+    maps keep, or all of U.C.
 
     A block map m = (sigma, D) acts as x -> T_sigma(D x), T_s(v)_i =
     v[s(i)], and T_g after T_b is T_take(b), take the ``itemgetter`` of g.
@@ -300,11 +312,11 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     from a block the move first reached (see the module docstring).  For
     each block's representative rep, in the order found, and each move
     outside rep's mask, a new image of X[0] under the move after rep opens
-    its block, walked in the order of the stage's codes: the image of A.C,
-    with witness (sigma, D.A).  The stage keeps its blocks' images in
-    order, so each image is one move from rep's: ``_monomial`` under g, or
-    under the scaling of x_c alone, as a scaling stage's sigma is the
-    identity and an Aut(P) stage's D is; a rep keeps only the other.
+    its block, walked in the order of the stage's codes.  The stage keeps
+    its blocks' images in order, so each image is one move from rep's:
+    ``_monomial`` under g, or under the scaling of x_c alone, as a scaling
+    stage's sigma is the identity and an Aut(P) stage's D is that of the
+    scaled code it moves; a rep keeps only the other.
 
     Column j of X[0] is mult[j] times the representative of its projective
     class, so a map's arrangement, one int per place t, is class * q +
@@ -322,10 +334,10 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     reaches |X| * (budget // |U.C|) exactly when the orbit, |U.C| per block,
     passes the budget: the walk stops then, at a block boundary, with the
     message of a walk of the whole orbit."""
-    code = codes[0][0]
+    code = codes[0]
     q, n = code.q, code.n
     limit = orbit_budget // size * len(codes)
-    seen = {image for image, _ in codes}
+    seen = set(codes)
     identity, ones, root = tuple(range(1, n + 1)), (1,) * n, primitive_root(q)
     classes, start = {}, []
     for column in zip(*code.generators):
@@ -339,11 +351,11 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     for k, (g, take) in enumerate(zip(gens, takes)):
         mask = sum(1 << h for h, f in enumerate(gens[:k]) if take(f) == takes[h](g))
         automorphisms.append((g, take, None, mask | (take(g) == identity) << k))
-    scaled = []  # the scaling stage's images, which the Aut(P) stage walks too
+    scaled = []  # (image, x, D) of the scaling stage, whose images the Aut(P) stage walks too
     try:
         for moves, first in ((scalings, ones), (automorphisms, identity)):
-            walked = codes + scaled
-            imaged = [image for image, _ in walked]  # each block's, whole, in order
+            walked = [(x, x, ones) for x in codes] + scaled
+            imaged = [image for image, _, _ in walked]  # each block's, whole, in order
             reps, tried = [(first, 0, tuple(start))], {tuple(start)}
             for at, (rep_map, skip, rep_arranged) in zip(count(0, len(walked)), reps):
                 for k, (g, take, c, mask) in enumerate(moves):
@@ -368,17 +380,15 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
                     if not _admit(seen, image, limit):
                         continue
                     reps.append((mapped, mask, arranged))
-                    for index, (_, matrix) in enumerate(walked):
+                    for index, (_, x, scale) in enumerate(walked):
                         if index:  # every image in a new block is new
                             image = _monomial(imaged[at + index], g, factor)
                             _admit(seen, image, limit)
                         imaged.append(image)
-                        if not take:  # the scaling stage's witness is D.A
-                            matrix = tuple(
-                                tuple(d * a % q for a in row) for d, row in zip(mapped, matrix)
-                            )
-                            scaled.append((image, matrix))
-                        yield image, sigma, matrix
+                        if not take:  # the scaling stage's D is its block's
+                            scale = mapped
+                            scaled.append((image, x, scale))
+                        yield image, x, sigma, scale
     except ResourceLimitError:
         raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes") from None
 
@@ -388,7 +398,9 @@ def orbit_codes(
 ) -> dict:
     """Distinct orbit codes in walk order, each mapped to the isometry
     reaching it: U.C by ``_unipotent_walk``, every code's matrix rebuilt by
-    ``_matrices``, then its blocks by ``_block_images`` with X all of U.C.
+    ``_matrices``, then its blocks by ``_block_images`` with X all of U.C,
+    each image's witness its block map after its code's matrix
+    (``_witness``).
 
     That makes at most |U.C| - 1 + r canonicalisations for U.C, r the
     number of strict relations, and at most n + generators of Aut(P) + 1
@@ -402,14 +414,12 @@ def orbit_codes(
     refused before any image; the orbit budget stops the walk exactly when
     the orbit exceeds it."""
     _check_length(code, poset)
-    identity = tuple(range(1, code.n + 1))
+    identity, ones = tuple(range(1, code.n + 1)), (1,) * code.n
     walk = list(_unipotent_walk(code, poset, orbit_budget))
-    unipotent = _matrices(walk, range(len(walk)))
-    orbit = {
-        image: PIsometry._trusted(poset, code.q, identity, matrix) for image, matrix in unipotent
-    }
-    for image, sigma, matrix in _block_images(unipotent, len(unipotent), poset, orbit_budget):
-        orbit[image] = PIsometry._trusted(poset, code.q, sigma, matrix)
+    matrices = dict(_matrices(walk, range(len(walk))))
+    orbit = {x: _witness(poset, code.q, identity, ones, a) for x, a in matrices.items()}
+    for image, x, sigma, scale in _block_images(list(matrices), len(walk), poset, orbit_budget):
+        orbit[image] = _witness(poset, code.q, sigma, scale, matrices[x])
     return orbit
 
 
@@ -467,8 +477,8 @@ def primary_decomposition(
     reaches it by.  Every block m(U.C) has the values of U.C, so U.C is
     walked and valued, and the blocks are walked only for the codes X of
     U.C of least value, whose images are the orbit's codes of that value,
-    each with the witness of the whole walk (``_block_images``); only
-    their matrices and the result's are built (``_matrices``).  A code of
+    each with the block map of the whole walk (``_block_images``); only
+    the result's matrix is built (``_matrices``, ``_witness``).  A code of
     U.C nonzero at a zeroable coordinate is walked and counted but not
     valued, as it is never least (``_zeroable``).  The orbit budget stops
     the search exactly when the orbit exceeds it.  The error's partial
@@ -478,12 +488,14 @@ def primary_decomposition(
     walked, the unvalued ones valued then, not proven minimal.
     """
     _check_length(code, poset)
-    identity = tuple(range(1, code.n + 1))
+    identity, ones = tuple(range(1, code.n + 1)), (1,) * code.n
     walk, values = [], []
     best = None  # ((complexity, generator matrix), index in walk order)
 
-    def decomposed(image, sigma, matrix, proven_minimal=True):
-        witness = PIsometry._trusted(poset, code.q, sigma, matrix)
+    def decomposed(image, t, sigma=identity, scale=ones, proven_minimal=True):
+        """The result for the image under (sigma, D) of the code at index t."""
+        [(_, matrix)] = _matrices(walk, [t])
+        witness = _witness(poset, code.q, sigma, scale, matrix)
         return PDecomposition(witness, cheapest_grouping(image), best[0][0], proven_minimal)
 
     try:
@@ -499,16 +511,15 @@ def primary_decomposition(
                     key = (min_grouping_complexity(image), image.generators)
                     if key < best[0]:
                         best = (key, index)
-            [(image, matrix)] = _matrices(walk, [best[1]])
-            exc.partial_result = decomposed(image, identity, matrix, proven_minimal=False)
+            t = best[1]
+            exc.partial_result = decomposed(walk[t][0], t, proven_minimal=False)
         raise
-    ties = _matrices(walk, [index for index, value in enumerate(values) if value == best[0][0]])
-    image, matrix = min(ties, key=lambda tie: tie[0].generators)  # U.C's best
-    winner = (image, identity, matrix)
+    winner = (walk[best[1]][0], best[1])  # U.C's best
+    ties = {walk[t][0]: t for t, value in enumerate(values) if value == best[0][0]}
     try:
-        for item in _block_images(ties, len(walk), poset, orbit_budget):
-            if item[0].generators < winner[0].generators:
-                winner = item
+        for image, x, sigma, scale in _block_images(list(ties), len(walk), poset, orbit_budget):
+            if image.generators < winner[0].generators:
+                winner = (image, ties[x], sigma, scale)
     except ResourceLimitError as exc:
         exc.partial_result = decomposed(*winner)
         raise
@@ -516,36 +527,20 @@ def primary_decomposition(
 
 
 def _least_complexity(code: LinearCode, poset: Poset, orbit_budget: int, floor: int = 0) -> int:
-    """The least grouping complexity over U.C, or the first value at most
-    ``floor`` that the walk meets.
+    """The least grouping complexity over U.C, where no code of U.C has a
+    value below ``floor``: the walk stops at the first code that reaches it.
 
     A code nonzero at a zeroable coordinate is walked and counted by the
-    budget but not valued as it comes (``_valued_walk``): it is never
-    least, but above the least value it can be the first at most the
-    floor.  So the skipped codes are valued, in walk order, only when the
-    walk meets a value at most the floor or stops at the budget.  Every
-    value is at least 1, so a floor of 0 keeps none of them."""
+    budget but never valued (``_valued_walk``): its value is above the
+    least, so above the floor too.  Every value is at least 1, so a floor
+    of 0 stops no walk."""
     _check_length(code, poset)
-    least, skipped = None, []
-
-    def first_skipped_at_most_floor():
-        return next((v for v in map(min_grouping_complexity, skipped) if v <= floor), None)
-
-    try:
-        for image, _, value in _valued_walk(code, poset, orbit_budget):
-            if value is None:
-                if floor:
-                    skipped.append(image)
-            elif value <= floor:
-                earlier = first_skipped_at_most_floor()
-                return value if earlier is None else earlier
-            elif least is None or value < least:
-                least = value
-    except ResourceLimitError:
-        earlier = first_skipped_at_most_floor()
-        if earlier is None:
-            raise
-        return earlier
+    least = None
+    for _, _, value in _valued_walk(code, poset, orbit_budget):
+        if value is not None and (least is None or value < least):
+            least = value
+            if least <= floor:
+                break
     return least
 
 
@@ -559,7 +554,7 @@ def minimal_complexity(
     m(U.C) of the orbit has the same grouping minima as U.C.  The orbit
     budget counts the codes of U.C.  A code of U.C nonzero at a coordinate
     whose column lies in the span of the columns above it is walked and
-    counted but not valued: zeroing that column by an addition strictly
+    counted but never valued: zeroing that column by an addition strictly
     lowers the value, so such a code is never least (``_zeroable``).
     """
     return _least_complexity(code, poset, orbit_budget)
@@ -665,15 +660,15 @@ def verify_profile_uniqueness(
             verdicts.update({(subposet, other): verdict for other in walked})
         return verdicts[key]
 
-    walk, shapes = [], {}
+    walk, shapes = [], {}  # the codes of U.C, and those of each shape
     candidates = 0
     profiles = {}
     pending = True  # every code so far is one group on full support
-    for image, step in _unipotent_walk(code, poset, orbit_budget):
+    for image, _ in _unipotent_walk(code, poset, orbit_budget):
         groups = _row_groups(image)
         shape = tuple(sorted((len(rows), deficiency) for rows, deficiency in groups))
-        shapes.setdefault(shape, []).append(len(walk))
-        walk.append((image, step))
+        shapes.setdefault(shape, []).append(image)
+        walk.append(image)
         if not _reducible(groups, n):
             continue  # a candidate only if every code of U.C is one too
         pending = False
@@ -689,7 +684,6 @@ def verify_profile_uniqueness(
     # rarest shape are the images m(X) of its codes X of that shape, |X|
     # per block.
     _, rarest = min(shapes.items(), key=lambda item: (len(item[1]), item[0]))
-    rarest = _matrices(walk, rarest)
     images = sum(1 for _ in _block_images(rarest, len(walk), poset, orbit_budget))
     orbit_size = len(walk) * (1 + images // len(rarest))
     ok = len(profiles) == 1
@@ -811,10 +805,11 @@ def hierarchy_bounds(
     does the poset's own value when the poset is hierarchical, or when the
     two neighbour values are equal, since they sandwich it.  Otherwise it
     is the least grouping complexity over U.C, as in
-    :func:`minimal_complexity`, which values a code nonzero at a zeroable
-    coordinate only when the walk stops, as no such code is least; the walk
-    stops at the first code that reaches the upper neighbour's value, which
-    no code goes below.  It is None when the walk exceeds the orbit budget.
+    :func:`minimal_complexity`, which never values a code nonzero at a
+    zeroable coordinate, as no such code is least.  Refining the order never
+    raises the complexity, so no code of U.C goes below the upper
+    neighbour's value, and the walk stops at the first code that reaches
+    it.  It is None when the walk exceeds the orbit budget before then.
     """
     _check_length(code, poset)
     o_upper = min_grouping_complexity(_level_sum(code, poset.heights())[0])

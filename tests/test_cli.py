@@ -156,6 +156,25 @@ def test_analyze_bounds_budgets_bound_only_the_poset_value(files, capsys, budget
     assert data["sandwich_ok"]
 
 
+@pytest.mark.parametrize("budget, o_p", [("3", 1), ("2", None)])
+def test_analyze_bounds_stops_at_the_upper_neighbours_value(tmp_path, capsys, budget, o_p):
+    """No code of U.C goes below the upper neighbour's value, so the walk
+    for o_p stops at the first code that reaches it: here the third of
+    U.C's 32 codes, so a budget of 3 codes gives o_p and one of 2 does
+    not."""
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"n": 5, "covers": [[1, 2], [3, 5], [5, 2], [5, 4]]}))
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({"q": 2, "n": 5, "generators": [[1, 1, 0, 0, 0], [0, 0, 0, 1, 0]]}))
+    status, out, err = run(
+        capsys,
+        ["--format", "json", "analyze", "bounds", str(poset), str(code), "--orbit-budget", budget],
+    )
+    assert (status, err) == (0, "")
+    data = json.loads(out)["bounds"]
+    assert (data["o_upper"], data["o_p"], data["o_lower"]) == (1, o_p, 2)
+
+
 def test_analyze_bounds_on_a_hierarchical_poset_needs_no_walk(files, capsys):
     code, out, err = run(
         capsys,

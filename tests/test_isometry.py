@@ -190,3 +190,20 @@ def test_verify_isometry_refuses_a_space_above_the_enumeration_budget():
     identity = tuple(tuple(1 if i == j else 0 for j in range(13)) for i in range(13))
     with pytest.raises(ResourceLimitError):
         verify_isometry(Poset.chain(13), 3, identity)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"sigma": [1, 2], "A": [[1.5, 0], [0, 1]]},
+        {"sigma": [1, 2], "A": [[True, 0], [0, 1]]},
+        {"sigma": [True, 2], "A": [[1, 0], [0, 1]]},
+        {"sigma": [1.0, 2], "A": [[1, 0], [0, 1]]},
+    ],
+)
+def test_an_isometry_document_with_a_non_integer_entry_is_refused(document):
+    """A float or a bool in sigma or A is refused, as in a code document:
+    ``1.5`` would be kept as a residue and ``true`` written back as a
+    permutation entry."""
+    with pytest.raises(ValidationError, match="is not an integer"):
+        PIsometry.from_json_dict(Poset.antichain(2), 3, document)

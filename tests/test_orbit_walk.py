@@ -691,7 +691,8 @@ def walk_instance(draw):
 
 def _least(values, message, floor):
     """What ``_least_complexity`` returns after a walk meeting ``values`` in
-    order, or the budget message that stops it."""
+    order, or the budget message that stops it, given a ``floor`` that no
+    value of U.C goes below."""
     for value in values:
         if value <= floor:
             return value
@@ -711,7 +712,9 @@ def check_against_the_unskipped_walk(instance, cuts_inside, outcomes):
         assert _orbit_walk(code, poset, budget) == ([], want)
         cuts_inside.append(_block(full[budget - 1]) == _block(full[budget]))
     values = [min_grouping_complexity(image) for image, _ in unipotent]
-    for floor in (0, sorted(values)[len(values) // 2]):
+    # a floor is a value no code of U.C goes below: the least is known only
+    # from a whole walk, and a cut walk meets its floor in the check below
+    for floor in (0,) if message else (0, min(values)):
         try:
             got = search._least_complexity(code, poset, WALK_BUDGET, floor)
         except ResourceLimitError as exc:
@@ -764,9 +767,10 @@ def test_walks_match_the_unskipped_walk():
     ``orbit_codes`` gives the items of ``reference_orbit_walk``, which
     canonicalises every move, so every move it skips as a provable repeat
     would have been refused, and that walk's budget messages, also under
-    budgets that cut inside a block; ``_least_complexity`` gives the first
-    value at most its floor in the walk's order, or the least, also with
-    the least value as its floor under budgets that cut U.C."""
+    budgets that cut inside a block; ``_least_complexity`` gives the least
+    value, with the floor 0 and with the least value as its floor, also
+    under budgets that cut U.C, where it gives the least value only when
+    the cut walk reaches a code of it."""
     cuts_inside, outcomes = [], set()
     check_against_the_unskipped_walk(THREE_CYCLE, cuts_inside, outcomes)
     given(st.composite(walk_instance)())(
@@ -776,22 +780,28 @@ def test_walks_match_the_unskipped_walk():
     assert outcomes == {False, True}
 
 
-def test_least_complexity_values_skipped_codes_under_a_floor():
+def test_least_complexity_never_values_skipped_codes(monkeypatch):
     """The all-ones code on ``chain:3`` over GF(2) meets the values 4, 2, 2,
     1 in the walk of U.C, and its codes of value 2 are nonzero at a
-    zeroable coordinate, so the walk does not value them as they come.
-    Under the floor 2 ``_least_complexity`` still gives the first of them,
-    with the whole walk and with a walk cut after it; under the floor 1 it
-    gives the last code, and a walk cut before it gives the budget
-    message."""
+    zeroable coordinate, so they are never least.  Under the floor 1, its
+    least value, ``_least_complexity`` gives 1 and values neither skipped
+    code, nor does it under the floor 0; a walk cut before the code of
+    value 1 gives the budget message."""
     code, poset = LinearCode.from_generators(2, 3, [(1, 1, 1)]), Poset.chain(3)
     walk = list(search._valued_walk(code, poset, WALK_BUDGET))
     assert [min_grouping_complexity(image) for image, _, _ in walk] == [4, 2, 2, 1]
     assert [value for _, _, value in walk] == [4, None, None, 1]
-    assert search._least_complexity(code, poset, WALK_BUDGET, 2) == 2
-    assert search._least_complexity(code, poset, 2, 2) == 2
-    assert search._least_complexity(code, poset, WALK_BUDGET, 1) == 1
-    assert search._least_complexity(code, poset, WALK_BUDGET) == 1
+    valued = []
+
+    def counting(image):
+        valued.append(image)
+        return min_grouping_complexity(image)
+
+    monkeypatch.setattr(search, "min_grouping_complexity", counting)
+    for floor in (1, 0):
+        valued.clear()
+        assert search._least_complexity(code, poset, WALK_BUDGET, floor) == 1
+        assert valued == [walk[0][0], walk[3][0]]
     with pytest.raises(ResourceLimitError, match="budget of 3 codes"):
         search._least_complexity(code, poset, 3, 1)
 

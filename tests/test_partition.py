@@ -140,3 +140,19 @@ def test_json_round_trip():
     assert PointedPartition.from_json_dict(json.loads(blob)) == part
     with pytest.raises(ValidationError, match="^malformed partition document"):
         PointedPartition.from_json_dict({**part.to_json_dict(), "covers": []})
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"n": 2, "j0": [1.0], "parts": [[2]]},
+        {"n": 2, "j0": [], "parts": [[1, 2.0]]},
+        {"n": True, "j0": [], "parts": [[1]]},
+        {"n": 1, "j0": [True], "parts": []},
+    ],
+)
+def test_a_partition_document_with_a_non_integer_is_refused(document):
+    """A float or a bool as the size or an element is refused: ``1.0``
+    would pass as the element 1 and be written back as ``1.0``."""
+    with pytest.raises(ValidationError, match="integer"):
+        PointedPartition.from_json_dict(document)
