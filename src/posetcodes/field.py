@@ -7,6 +7,7 @@ that nothing here requires.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 from .errors import ResourceLimitError, ValidationError
@@ -31,6 +32,7 @@ def is_prime(m: int) -> bool:
     return True
 
 
+@cache  # one entry per prime field, each a trial search
 def primitive_root(q: int) -> int:
     """The least generator of the multiplicative group of the prime field
     GF(q): the least g with g^e != 1 for each proper divisor e of q - 1."""

@@ -301,14 +301,16 @@ def _automorphism_generators(p: Poset) -> tuple:
     it is unused and its up- and down-sets among the images placed are the
     images of the element's among the elements placed.  It tries one unused
     candidate per twin class (equal strict up- and down-sets), as swapping
-    two unused twins is an automorphism that keeps every placed image."""
+    two unused twins is an automorphism that keeps every placed image.
+    Only m > i is tried, as 1..i-1 are fixed.  A backtrack from i writes
+    only image[i:], so image[:i] stays the identity that it starts as."""
     n = p.n
     up, down, heights = p._up, p._down, p.heights()
     sig = [(heights[i], bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
     candidates = [[m for m in range(n) if sig[m] == sig[i]] for i in range(n)] + [[]]
     strict = [(up[m] & ~(1 << m), down[m] & ~(1 << m)) for m in range(n)]
     twin = [strict.index(strict[m]) for m in range(n)]
-    image = [0] * n  # image[k] is the bit of sigma(k + 1) once k is placed
+    image = [1 << k for k in range(n)]  # image[k] is the bit of sigma(k + 1)
 
     def extend(i, used, options):
         if i == n:
@@ -334,10 +336,9 @@ def _automorphism_generators(p: Poset) -> tuple:
     generators = []
     order = 1
     for i in range(n - 1, -1, -1):
-        image[:i] = [1 << k for k in range(i)]
         orbit = {i}
         for m in candidates[i]:
-            if m not in orbit and extend(i, (1 << i) - 1, [m]):
+            if m > i and m not in orbit and extend(i, (1 << i) - 1, [m]):
                 generators.append(tuple(bit.bit_length() for bit in image))
                 orbit, frontier = {i}, [i]
                 while frontier:  # the closure: images of the points new last round

@@ -27,11 +27,12 @@ image of a move whose map arranges the code's columns, each a multiple of
 its projective class, as a map it tried before: equal arrangements give
 equal generator matrices.  The block order, witnesses and budget
 messages are those of the block walk that tries every move from the same
-walk of U.C.  Each image is one move from its representative's image: it
-needs no elimination when each row's pivot stays its row's first entry
-(``_monomial``), as under a scaling, nor does the image under an addition
-that leaves every pivot first and every pivot column a unit column
-(``_add``).
+walk of U.C.  Each image is one move from its representative's image,
+taken by the kernel of that kind of move: ``_permuted`` under a generator
+of Aut(P) needs no elimination when each row's pivot stays its row's
+first entry, and ``_scaled``, the scaling of one coordinate, never needs
+one.  Nor does the image under an addition that leaves every pivot first
+and every pivot column a unit column (``_add``).
 
 A monomial map keeps a code's supports, row groups and maximal
 decomposition up to an automorphism of P, so every block has the values
@@ -259,33 +260,45 @@ def _inverse(sigma: tuple) -> tuple:
     return tuple(inverse)
 
 
-def _monomial(code: LinearCode, sigma: tuple, scale) -> LinearCode:
-    """The canonical code's image under x -> T_sigma(D x), D the diagonal
-    ``scale`` or, when None, the identity.
+def _permuted(code: LinearCode, take, place: tuple) -> LinearCode:
+    """The canonical code's image under x -> T_sigma(x), ``take`` the
+    ``itemgetter`` of sigma's 0-based entries and ``place`` the inverse's:
+    column p (1-based) moves to place[p - 1] (0-based), so each pivot
+    column stays a unit column.
 
-    The map moves column p to place sigma^-1(p) and scales it, so each
-    pivot column stays a unit column; one ``itemgetter`` call takes each
-    row's permuted entries, and a scaled row is divided by D at its pivot.
     When each row's pivot, at its new place, is still the row's first
-    nonzero entry, as under a scaling alone, the rows sorted by that place
-    are already reduced: no elimination is needed.  Otherwise ``rref``
-    reduces the image."""
-    q, n = code.q, code.n
-    take = itemgetter(*[s - 1 for s in sigma]) if n > 1 else tuple  # sigma is (1,)
+    nonzero entry, the rows sorted by that place are already reduced: no
+    elimination is needed.  Otherwise ``rref`` reduces the image."""
     rows = list(map(take, code.generators))
-    if scale is not None:
-        moved, inverses = take(scale), [pow(scale[p - 1], q - 2, q) for p in code.pivots]
-        rows = [
-            tuple([d * v * inv % q for d, v in zip(moved, row)]) for row, inv in zip(rows, inverses)
-        ]
-    led = []  # (the pivot's new place, row)
+    led = []  # (the pivot's new column, row)
     for row, p in zip(rows, code.pivots):
-        t = sigma.index(p)
+        t = place[p - 1]
         if any(row[:t]):
-            return LinearCode(q, n, *rref(q, n, rows))
-        led.append((t, row))
+            return LinearCode(code.q, code.n, *rref(code.q, code.n, rows))
+        led.append((t + 1, row))
     led.sort()
-    return LinearCode(q, n, tuple(row for _, row in led), tuple(t + 1 for t, _ in led))
+    pivots, generators = zip(*led)
+    return LinearCode(code.q, code.n, generators, pivots)
+
+
+def _scaled(code: LinearCode, c: int, root: int) -> LinearCode:
+    """The canonical code's image under the scaling of x_c (0-based) by
+    ``root``, with the same pivots and no elimination.
+
+    When c is a pivot column, its row, the only one nonzero there, is
+    divided by the root off its pivot.  Otherwise each row nonzero at c
+    has that entry times the root.  Every other row is kept as it is."""
+    q, generators = code.q, code.generators
+    if c + 1 in code.pivots:
+        k = code.pivots.index(c + 1)
+        row, inverse = generators[k], pow(root, q - 2, q)
+        row = row[: c + 1] + tuple([v * inverse % q for v in row[c + 1 :]])
+        generators = generators[:k] + (row,) + generators[k + 1 :]
+    else:
+        generators = tuple(
+            [row[:c] + (row[c] * root % q,) + row[c + 1 :] if row[c] else row for row in generators]
+        )
+    return LinearCode(q, code.n, generators, code.pivots)
 
 
 def _witness(poset: Poset, q: int, sigma: tuple, scale: tuple, matrix: tuple) -> PIsometry:
@@ -305,18 +318,20 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
 
     A block map m = (sigma, D) acts as x -> T_sigma(D x), T_s(v)_i =
     v[s(i)], and T_g after T_b is T_take(b), take the ``itemgetter`` of g.
-    Each stage has its table of moves (g, take, c, skip): first the
-    primitive-root scaling of each x_c (g the identity), as the scalings
+    Each stage has its table of moves (take, place, c, skip): first the
+    primitive-root scaling of each x_c (no take or place), as the scalings
     normalise U, then each generator g of Aut(P), which normalises both,
     walking X and its scaled images.  ``skip`` masks the moves not tried
     from a block the move first reached (see the module docstring).  For
     each block's representative rep, in the order found, and each move
     outside rep's mask, a new image of X[0] under the move after rep opens
     its block, walked in the order of the stage's codes.  The stage keeps
-    its blocks' images in order, so each image is one move from rep's:
-    ``_monomial`` under g, or under the scaling of x_c alone, as a scaling
-    stage's sigma is the identity and an Aut(P) stage's D is that of the
-    scaled code it moves; a rep keeps only the other.
+    its blocks' images in order, so each image is one move from rep's, as
+    a scaling stage's sigma is the identity and an Aut(P) stage's D is
+    that of the scaled code it moves; a rep keeps only the other.  A move
+    is taken by its kind's kernel: ``_permuted`` with g's ``take`` and
+    inverse ``place``, both built once per call with the move table, or
+    ``_scaled`` with c and the root.
 
     Column j of X[0] is mult[j] times the representative of its projective
     class, so a map's arrangement, one int per place t, is class * q +
@@ -325,7 +340,7 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     root.  A move whose arrangement the stage has met, the identity's
     first, is not taken, as equal arrangements give equal generator
     matrices and ``_admit`` would refuse the image; sigma is composed only
-    for a new one.
+    for a new image.
 
     A block m(U.C) is new exactly when m(X[0]) is, and its codes of that
     value are m(X), so the blocks open in the order and with the maps of the
@@ -345,12 +360,13 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
         inv = pow(lead, q - 2, q) if lead > 1 else 1
         column = tuple([v * inv % q for v in column])
         start.append(classes.setdefault(column, len(classes)) * q + lead)
-    scalings = [(identity, None, c, (1 << c) - 1 | (q == 3) << c) for c in range(n * (q > 2))]
+    scalings = [(None, None, c, (1 << c) - 1 | (q == 3) << c) for c in range(n * (q > 2))]
     gens, automorphisms = poset.automorphisms()[0], []
     takes = [itemgetter(*[s - 1 for s in g]) for g in gens]
     for k, (g, take) in enumerate(zip(gens, takes)):
         mask = sum(1 << h for h, f in enumerate(gens[:k]) if take(f) == takes[h](g))
-        automorphisms.append((g, take, None, mask | (take(g) == identity) << k))
+        place = tuple(t - 1 for t in _inverse(g))
+        automorphisms.append((take, place, None, mask | (take(g) == identity) << k))
     scaled = []  # (image, x, D) of the scaling stage, whose images the Aut(P) stage walks too
     try:
         for moves, first in ((scalings, ones), (automorphisms, identity)):
@@ -358,7 +374,7 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
             imaged = [image for image, _, _ in walked]  # each block's, whole, in order
             reps, tried = [(first, 0, tuple(start))], {tuple(start)}
             for at, (rep_map, skip, rep_arranged) in zip(count(0, len(walked)), reps):
-                for k, (g, take, c, mask) in enumerate(moves):
+                for k, (take, place, c, mask) in enumerate(moves):
                     if skip >> k & 1:
                         continue
                     if take:
@@ -371,18 +387,23 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
                         continue
                     tried.add(arranged)
                     if take:
-                        sigma = mapped = take(rep_map)
-                        factor = None
+                        image = _permuted(imaged[at], take, place)
                     else:
-                        sigma, factor = identity, ones[:c] + (root,) + ones[c + 1 :]
-                        mapped = rep_map[:c] + (rep_map[c] * root % q,) + rep_map[c + 1 :]
-                    image = _monomial(imaged[at], g, factor)
+                        image = _scaled(imaged[at], c, root)
                     if not _admit(seen, image, limit):
                         continue
+                    if take:
+                        sigma = mapped = take(rep_map)
+                    else:
+                        sigma = identity
+                        mapped = rep_map[:c] + (rep_map[c] * root % q,) + rep_map[c + 1 :]
                     reps.append((mapped, mask, arranged))
                     for index, (_, x, scale) in enumerate(walked):
                         if index:  # every image in a new block is new
-                            image = _monomial(imaged[at + index], g, factor)
+                            if take:
+                                image = _permuted(imaged[at + index], take, place)
+                            else:
+                                image = _scaled(imaged[at + index], c, root)
                             _admit(seen, image, limit)
                         imaged.append(image)
                         if not take:  # the scaling stage's D is its block's

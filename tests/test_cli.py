@@ -17,7 +17,7 @@ from posetcodes.poset import MAX_GROUND_SET
 from posetcodes.suites import SUITE_CHECKS, SuiteReport
 
 try:
-    from hypothesis import given, strategies as st
+    from hypothesis import given, settings, strategies as st
 except ImportError:  # only the fuzz tests need hypothesis
     given = None
 
@@ -872,3 +872,120 @@ def test_poset_and_weight_fuzz_exits_cleanly():
     )(check)()
     assert {0, 1, 2} <= exits
     assert sum(huge) > 1
+
+
+CODE_FLAWS = {  # a flaw's name -> the document key it spoils and the value it puts there
+    "non-prime q": ("q", 4),
+    "huge q": ("q", MAX_MODULUS + 1),
+    "huger q": ("q", 10**30),
+    "bool q": ("q", True),
+    "float q": ("q", 2.0),
+    "str q": ("q", "2"),
+    "n = 0": ("n", 0),
+    "n = 17": ("n", 17),
+    "bool n": ("n", True),
+    "float n": ("n", 3.0),
+    "str n": ("n", "3"),
+}
+
+
+@st.composite
+def _fuzz_code_document(draw):
+    """A drawn code document, valid or with one flaw, and the length its
+    rows were drawn for.  The valid ones have q in {2, 3, 5}, 1 <= n <= 6
+    and one to three rows of residues.  A flaw is a q that is not prime,
+    is huge or is not an int; an n of 0, 17 or not an int; a row of
+    another length; zero rows only; a bool, float or string entry; an
+    extra or missing key; or a document that is not an object."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    rows[0][draw(st.integers(0, n - 1))] = draw(st.integers(1, q - 1))
+    document = {"q": q, "n": n, "generators": rows}
+    flaw = draw(st.sampled_from(
+        ("none",) * 12 + tuple(CODE_FLAWS) + ("length", "zero", "entry", "extra", "missing", "list")
+    ))
+    if flaw in CODE_FLAWS:
+        key, value = CODE_FLAWS[flaw]
+        document[key] = value
+    elif flaw == "length":
+        rows[-1] = rows[-1] + [1] if draw(st.booleans()) else rows[-1][:-1]
+    elif flaw == "zero":
+        document["generators"] = [[0] * n for _ in rows]
+    elif flaw == "entry":
+        rows[0][draw(st.integers(0, n - 1))] = draw(st.sampled_from((True, 1.0, 0.5, "1")))
+    elif flaw == "extra":
+        document["extra"] = 1
+    elif flaw == "missing":
+        del document["generators"]
+    elif flaw == "list":
+        document = [document]
+    return document, n
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_code_command_fuzz_exits_cleanly(tmp_path):
+    """Drawn code documents and family specs, often of the document's
+    length, through ``analyze mindist``, ``decompose`` with and without
+    ``--primary``, ``bounds``, and ``decode`` with ``--stats-only`` or
+    ``--y``, under drawn orbit and coset budgets, end in an exit code from
+    0 to 3, never a traceback.  A nonzero exit prints nothing on stdout and
+    exactly one ``error:`` or ``budget exceeded:`` line on stderr; exit 0
+    prints nothing on stderr."""
+    path = tmp_path / "code.json"
+    exits = set()
+
+    def check(drawn, kind, fit, size, budgets, y):
+        document, n = drawn
+        path.write_text(json.dumps(document))
+        spec = f"{kind}:{n if fit else size}"
+        received = ",".join(["1"] * n) if y is None else y
+        for command in (
+            ["analyze", "mindist"],
+            ["analyze", "decompose"],
+            ["analyze", "decompose", "--primary"],
+            ["analyze", "decompose", "--primary", "--format", "json"],
+            ["analyze", "bounds"],
+            ["analyze", "bounds", "--format", "json"],
+            ["decode", "--stats-only"],
+            ["decode", f"--y={received}"],
+            ["decode", "--format", "json", f"--y={received}"],
+        ):
+            argv = [*command[:2], spec, str(path), *command[2:], *budgets]
+            if command[0] == "decode":
+                argv = [command[0], spec, str(path), *command[1:], *budgets]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            exits.add(code)
+            assert code in (0, 1, 2, 3), argv
+            if code:
+                assert out.getvalue() == "", argv
+                heads = [
+                    line for line in err.getvalue().splitlines()
+                    if line.startswith(("error: ", "budget exceeded: "))
+                ]
+                assert len(heads) == 1 and err.getvalue().startswith(heads[0]), (argv, err.getvalue())
+            else:
+                assert err.getvalue() == "", argv
+
+    check(({"q": 3, "n": 4, "generators": [[1, 2, 0, 1], [0, 0, 1, 2]]}, 4), "antichain", True, 4,
+          ["--orbit-budget", "400"], None)
+    check(({"q": 2, "n": 4, "generators": [[1, 1, 1, 1]]}, 4), "chain", True, 4,
+          ["--orbit-budget", "2"], None)
+    settings(max_examples=150)(given(
+        drawn=_fuzz_code_document(),
+        kind=st.sampled_from(("chain", "antichain", "hierarchical", "ladder")),
+        fit=st.integers(0, 3).map(lambda v: v < 3),
+        size=st.integers(-1, 17),
+        budgets=st.sampled_from((
+            ["--orbit-budget", "400"],
+            ["--orbit-budget", "400", "--coset-budget", "40"],
+            ["--orbit-budget", "9"],
+            ["--orbit-budget", "0"],
+            ["--orbit-budget", "400", "--coset-budget", "-1"],
+        )),
+        y=st.none() | st.text(alphabet="0123456789,-x ", max_size=10),
+    )(check))()
+    assert {0, 1, 2} <= exits

@@ -18,8 +18,9 @@ it with the same message.  A scaling-stage image never eliminates.  On
 hypothesis draws with n <= 6 over GF(2), GF(3) and GF(5), the block
 walks, which skip the moves that provably repeat a code, must give the
 items of that walk, which tries every move.  On draws with n <= 8 over
-GF(2), GF(3), GF(5) and GF(7), a monomial image must equal the
-elimination of the permuted and scaled rows, and on seeded instances
+GF(2), GF(3), GF(5) and GF(7), a permuted image must equal the
+elimination of the permuted rows, and a scaled image that of the rows
+with one column scaled, with the same pivots and no elimination, and on seeded instances
 with n from 8 to 16 a stopped primary search must say what it proved.
 On draws with n <= 7 over GF(2), GF(3) and GF(5), an addition must equal
 the elimination of the summed rows, and the zeroable coordinates must be
@@ -28,6 +29,7 @@ every code of least value.
 """
 
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -572,15 +574,17 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
         eliminations += 1
         return rref(*args)
 
-    monomial = search._monomial
+    def counting(kernel):
+        def counted(*args):
+            nonlocal images
+            images += 1
+            return kernel(*args)
 
-    def counting_monomial(*args):
-        nonlocal images
-        images += 1
-        return monomial(*args)
+        return counted
 
     monkeypatch.setattr(search, "rref", counting_rref)
-    monkeypatch.setattr(search, "_monomial", counting_monomial)
+    monkeypatch.setattr(search, "_permuted", counting(search._permuted))
+    monkeypatch.setattr(search, "_scaled", counting(search._scaled))
     for n in (4, 5, 6):
         poset = Poset.antichain(n)
         assert len(poset.automorphisms()[0]) == n - 1
@@ -630,10 +634,9 @@ def test_canonicalisations_are_bounded_by_the_orbit(monkeypatch, q):
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_scaling_stage_images_never_eliminate(monkeypatch, q):
     """A scaling-stage image is its block representative's image with one
-    column scaled, a monomial image under the identity permutation, so each
-    pivot stays its row's first entry and ``_monomial`` never calls
-    ``rref`` there; the Aut(P) stage's images, under a generator, still
-    may."""
+    column scaled, so ``_scaled`` keeps every pivot and never calls
+    ``rref``; the Aut(P) stage's images, by ``_permuted`` under a
+    generator, still may."""
     eliminations = 0
     counts = {"scaling": 0, "automorphism": 0, "automorphism eliminations": 0}
 
@@ -642,22 +645,27 @@ def test_scaling_stage_images_never_eliminate(monkeypatch, q):
         eliminations += 1
         return rref(*args)
 
-    monomial = search._monomial
+    scaled, permuted = search._scaled, search._permuted
 
-    def checked_monomial(code, sigma, scale):
+    def checked_scaled(code, c, root):
         nonlocal eliminations
         eliminations = 0
-        image = monomial(code, sigma, scale)
-        if sigma == tuple(range(1, code.n + 1)):
-            assert scale is not None and eliminations == 0, (code, scale)
-            counts["scaling"] += 1
-        else:
-            counts["automorphism"] += 1
-            counts["automorphism eliminations"] += eliminations
+        image = scaled(code, c, root)
+        assert eliminations == 0 and image.pivots == code.pivots, (code, c)
+        counts["scaling"] += 1
+        return image
+
+    def checked_permuted(code, take, place):
+        nonlocal eliminations
+        eliminations = 0
+        image = permuted(code, take, place)
+        counts["automorphism"] += 1
+        counts["automorphism eliminations"] += eliminations
         return image
 
     monkeypatch.setattr(search, "rref", counting_rref)
-    monkeypatch.setattr(search, "_monomial", checked_monomial)
+    monkeypatch.setattr(search, "_scaled", checked_scaled)
+    monkeypatch.setattr(search, "_permuted", checked_permuted)
     for poset, code in _instances(count=30, seed=40 + q, group_cap=20000, fields=(q,)):
         orbit_codes(code, poset)
     assert min(counts.values()) > 0, counts
@@ -806,7 +814,7 @@ def test_least_complexity_never_values_skipped_codes(monkeypatch):
         search._least_complexity(code, poset, 3, 1)
 
 
-# -- monomial images against elimination ------------------------------------
+# -- block images against elimination ---------------------------------------
 
 
 def column_code(draw, fields, least_n, most_n):
@@ -827,49 +835,85 @@ def column_code(draw, fields, least_n, most_n):
     return LinearCode.from_generators(q, n, rows)
 
 
-def monomial_instance(draw):
+def permuted_instance(draw):
     """A hypothesis draw: a ``column_code`` over GF(2), GF(3), GF(5) or
-    GF(7) with n <= 8, and a map (sigma, D), D the identity (None) or a
-    diagonal of nonzero scalars."""
+    GF(7) with 2 <= n <= 8, and a permutation sigma of its coordinates."""
+    code = column_code(draw, (2, 3, 5, 7), 2, 8)
+    return code, tuple(draw(st.permutations(range(1, code.n + 1))))
+
+
+def scaled_instance(draw):
+    """A hypothesis draw: a ``column_code`` over GF(2), GF(3), GF(5) or
+    GF(7) with n <= 8, a coordinate c (0-based) and a nonzero scalar."""
     code = column_code(draw, (2, 3, 5, 7), 1, 8)
-    q, n = code.q, code.n
-    sigma = tuple(draw(st.permutations(range(1, n + 1))))
-    scale = draw(st.none() | st.lists(st.integers(1, q - 1), min_size=n, max_size=n).map(tuple))
-    return code, sigma, scale
+    return code, draw(st.integers(0, code.n - 1)), draw(st.integers(1, code.q - 1))
 
 
-@pytest.mark.skipif(given is None, reason="needs hypothesis")
-def test_monomial_image_equals_elimination(monkeypatch):
-    """``_monomial`` gives the canonical code, with its pivots, that ``rref``
-    makes of the permuted and scaled rows, both when each pivot stays its
-    row's first entry and no elimination runs, and when it does not."""
-    eliminations = 0
+def _counting_rref(monkeypatch):
+    """Patch ``search.rref`` to count its calls; the returned list holds the
+    count."""
+    calls = [0]
 
     def counting_rref(*args):
-        nonlocal eliminations
-        eliminations += 1
+        calls[0] += 1
         return rref(*args)
 
     monkeypatch.setattr(search, "rref", counting_rref)
+    return calls
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_permuted_image_equals_elimination(monkeypatch):
+    """``_permuted`` gives the canonical code, with its pivots, that ``rref``
+    makes of the permuted rows, both when each pivot stays its row's first
+    entry and no elimination runs, and when it does not."""
+    eliminations = _counting_rref(monkeypatch)
     paths = set()
 
     def check(instance):
-        nonlocal eliminations
-        code, sigma, scale = instance
+        code, sigma = instance
         q, n = code.q, code.n
-        d = scale or (1,) * n
-        rows = [[d[s - 1] * row[s - 1] for s in sigma] for row in code.generators]
-        want = LinearCode(q, n, *rref(q, n, rows))
-        eliminations = 0
-        image = search._monomial(code, sigma, scale)
+        want = LinearCode(q, n, *rref(q, n, [[row[s - 1] for s in sigma] for row in code.generators]))
+        take = itemgetter(*[s - 1 for s in sigma])
+        place = tuple(sigma.index(p) for p in range(1, n + 1))
+        eliminations[0] = 0
+        image = search._permuted(code, take, place)
         assert (image.generators, image.pivots) == (want.generators, want.pivots), instance
-        paths.add(eliminations)
+        paths.add(eliminations[0])
 
     # a pivot that moves behind its row's first entry, then pivots that stay first
-    check((LinearCode.from_generators(3, 4, [(1, 2, 0, 2), (0, 0, 1, 1)]), (2, 1, 4, 3), (2, 1, 1, 2)))
-    check((LinearCode.from_generators(2, 3, [(1, 1, 0), (0, 0, 1)]), (3, 1, 2), None))
-    given(st.composite(monomial_instance)())(check)()
+    check((LinearCode.from_generators(3, 4, [(1, 2, 0, 2), (0, 0, 1, 1)]), (2, 1, 4, 3)))
+    check((LinearCode.from_generators(2, 3, [(1, 1, 0), (0, 0, 1)]), (3, 1, 2)))
+    given(st.composite(permuted_instance)())(check)()
     assert paths == {0, 1}
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_scaled_image_equals_elimination(monkeypatch):
+    """``_scaled`` gives the canonical code that ``rref`` makes of the rows
+    with one column scaled, with its input's pivots and no elimination,
+    whether the column is a pivot column, another nonzero column or zero."""
+    eliminations = _counting_rref(monkeypatch)
+    columns = set()
+
+    def check(instance):
+        code, c, root = instance
+        q, n = code.q, code.n
+        rows = [row[:c] + (row[c] * root,) + row[c + 1 :] for row in code.generators]
+        want = LinearCode(q, n, *rref(q, n, rows))
+        eliminations[0] = 0
+        image = search._scaled(code, c, root)
+        assert (image.generators, image.pivots) == (want.generators, code.pivots), instance
+        assert eliminations[0] == 0, instance
+        if c + 1 in code.pivots:
+            columns.add("pivot")
+        else:
+            columns.add("nonzero" if any(row[c] for row in code.generators) else "zero")
+
+    check((LinearCode.from_generators(5, 4, [(1, 2, 0, 3), (0, 0, 1, 4)]), 0, 2))
+    check((LinearCode.from_generators(7, 3, [(1, 0, 6), (0, 1, 3)]), 2, 3))
+    given(st.composite(scaled_instance)())(check)()
+    assert columns == {"pivot", "nonzero", "zero"}
 
 
 # -- additions against elimination ------------------------------------------

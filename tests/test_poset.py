@@ -224,7 +224,9 @@ def test_automorphisms(n_poset):
 
 def _automorphism_cases():
     """12 random posets on up to 5 points, every labelled poset on up to 4,
-    and 40 randomly labelled posets on 5 or 6."""
+    40 randomly labelled posets on 5 or 6, and four posets on 7 with twin
+    classes (equal strict up- and down-sets), so that most levels have
+    several candidates above them."""
     rng = random.Random(13)
     cases = []
     for _ in range(12):
@@ -242,6 +244,12 @@ def _automorphism_cases():
         pairs = [(label[a], label[b]) for a, b in combinations(range(n), 2)
                  if rng.random() < density]
         cases.append(Poset.from_covers(n, pairs))
+    cases += [
+        Poset.antichain(7),
+        Poset.hierarchical((3, 4)),
+        Poset.from_covers(7, [(1, 5), (2, 5), (3, 6), (4, 6)]),
+        Poset.from_covers(7, [(3, 1), (3, 6), (5, 1), (5, 6), (2, 4), (7, 4)]),
+    ]
     return cases
 
 
