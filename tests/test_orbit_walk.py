@@ -849,37 +849,32 @@ def scaled_instance(draw):
     return code, draw(st.integers(0, code.n - 1)), draw(st.integers(1, code.q - 1))
 
 
-def _counting_rref(monkeypatch):
-    """Patch ``search.rref`` to count its calls; the returned list holds the
-    count."""
-    calls = [0]
-
-    def counting_rref(*args):
-        calls[0] += 1
-        return rref(*args)
-
-    monkeypatch.setattr(search, "rref", counting_rref)
-    return calls
-
-
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
 def test_permuted_image_equals_elimination(monkeypatch):
     """``_permuted`` gives the canonical code, with its pivots, that ``rref``
     makes of the permuted rows, both when each pivot stays its row's first
     entry and no elimination runs, and when it does not."""
-    eliminations = _counting_rref(monkeypatch)
+    eliminations = 0
+
+    def counting_rref(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return rref(*args)
+
+    monkeypatch.setattr(search, "rref", counting_rref)
     paths = set()
 
     def check(instance):
+        nonlocal eliminations
         code, sigma = instance
         q, n = code.q, code.n
         want = LinearCode(q, n, *rref(q, n, [[row[s - 1] for s in sigma] for row in code.generators]))
         take = itemgetter(*[s - 1 for s in sigma])
         place = tuple(sigma.index(p) for p in range(1, n + 1))
-        eliminations[0] = 0
+        eliminations = 0
         image = search._permuted(code, take, place)
         assert (image.generators, image.pivots) == (want.generators, want.pivots), instance
-        paths.add(eliminations[0])
+        paths.add(eliminations)
 
     # a pivot that moves behind its row's first entry, then pivots that stay first
     check((LinearCode.from_generators(3, 4, [(1, 2, 0, 2), (0, 0, 1, 1)]), (2, 1, 4, 3)))
@@ -893,18 +888,26 @@ def test_scaled_image_equals_elimination(monkeypatch):
     """``_scaled`` gives the canonical code that ``rref`` makes of the rows
     with one column scaled, with its input's pivots and no elimination,
     whether the column is a pivot column, another nonzero column or zero."""
-    eliminations = _counting_rref(monkeypatch)
+    eliminations = 0
+
+    def counting_rref(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return rref(*args)
+
+    monkeypatch.setattr(search, "rref", counting_rref)
     columns = set()
 
     def check(instance):
+        nonlocal eliminations
         code, c, root = instance
         q, n = code.q, code.n
         rows = [row[:c] + (row[c] * root,) + row[c + 1 :] for row in code.generators]
         want = LinearCode(q, n, *rref(q, n, rows))
-        eliminations[0] = 0
+        eliminations = 0
         image = search._scaled(code, c, root)
         assert (image.generators, image.pivots) == (want.generators, code.pivots), instance
-        assert eliminations[0] == 0, instance
+        assert eliminations == 0, instance
         if c + 1 in code.pivots:
             columns.add("pivot")
         else:
