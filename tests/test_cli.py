@@ -941,20 +941,18 @@ def test_code_command_fuzz_exits_cleanly(tmp_path):
         path.write_text(json.dumps(document))
         spec = f"{kind}:{n if fit else size}"
         received = ",".join(["1"] * n) if y is None else y
-        for command in (
-            ["analyze", "mindist"],
-            ["analyze", "decompose"],
-            ["analyze", "decompose", "--primary"],
-            ["analyze", "decompose", "--primary", "--format", "json"],
-            ["analyze", "bounds"],
-            ["analyze", "bounds", "--format", "json"],
-            ["decode", "--stats-only"],
-            ["decode", f"--y={received}"],
-            ["decode", "--format", "json", f"--y={received}"],
+        for command, options in (
+            (["analyze", "mindist"], []),
+            (["analyze", "decompose"], []),
+            (["analyze", "decompose"], ["--primary"]),
+            (["analyze", "decompose"], ["--primary", "--format", "json"]),
+            (["analyze", "bounds"], []),
+            (["analyze", "bounds"], ["--format", "json"]),
+            (["decode"], ["--stats-only"]),
+            (["decode"], [f"--y={received}"]),
+            (["decode"], ["--format", "json", f"--y={received}"]),
         ):
-            argv = [*command[:2], spec, str(path), *command[2:], *budgets]
-            if command[0] == "decode":
-                argv = [command[0], spec, str(path), *command[1:], *budgets]
+            argv = [*command, spec, str(path), *options, *budgets]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
@@ -966,7 +964,8 @@ def test_code_command_fuzz_exits_cleanly(tmp_path):
                     line for line in err.getvalue().splitlines()
                     if line.startswith(("error: ", "budget exceeded: "))
                 ]
-                assert len(heads) == 1 and err.getvalue().startswith(heads[0]), (argv, err.getvalue())
+                assert len(heads) == 1, (argv, err.getvalue())
+                assert err.getvalue().startswith(heads[0]), (argv, err.getvalue())
             else:
                 assert err.getvalue() == "", argv
 

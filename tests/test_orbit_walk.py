@@ -20,8 +20,9 @@ walks, which skip the moves that provably repeat a code, must give the
 items of that walk, which tries every move.  On draws with n <= 8 over
 GF(2), GF(3), GF(5) and GF(7), a permuted image must equal the
 elimination of the permuted rows, and a scaled image that of the rows
-with one column scaled, with the same pivots and no elimination, and on seeded instances
-with n from 8 to 16 a stopped primary search must say what it proved.
+with one column scaled, with the same pivots and no elimination; on
+seeded instances with n from 8 to 16 a stopped primary search must say
+what it proved.
 On draws with n <= 7 over GF(2), GF(3) and GF(5), an addition must equal
 the elimination of the summed rows, and the zeroable coordinates must be
 those of the listed spans, the same on every code of U.C, and zero on
@@ -868,7 +869,8 @@ def test_permuted_image_equals_elimination(monkeypatch):
         nonlocal eliminations
         code, sigma = instance
         q, n = code.q, code.n
-        want = LinearCode(q, n, *rref(q, n, [[row[s - 1] for s in sigma] for row in code.generators]))
+        rows = [[row[s - 1] for s in sigma] for row in code.generators]
+        want = LinearCode(q, n, *rref(q, n, rows))
         take = itemgetter(*[s - 1 for s in sigma])
         place = tuple(sigma.index(p) for p in range(1, n + 1))
         eliminations = 0
