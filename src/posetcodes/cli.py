@@ -450,9 +450,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_vectors(argv) -> list:
+    """The arguments with ``--x`` or ``--y`` and a vector that starts with a
+    minus joined as ``--y=-1,0,1``: argparse would read such a vector after
+    a space as an unknown option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--x", "--y") and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_vectors(sys.argv[1:] if argv is None else argv))
     try:
         if args.command != "verify":  # verify refuses budgets; see cmd_verify
             args.config = _config(args)

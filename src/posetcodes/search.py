@@ -36,18 +36,20 @@ and every pivot column a unit column (``_add``).
 
 A monomial map keeps a code's supports, row groups and maximal
 decomposition up to an automorphism of P, so every block has the values
-of U.C.  The searches that return only values (``minimal_complexity``,
-the ``o_p`` of ``hierarchy_bounds``, and ``is_p_irreducible``) walk U.C
-alone and build no matrix; the first two never value a code that cannot
-be least (``_zeroable``).  ``verify_profile_uniqueness`` reads profiles
-and irreducibility off the row groups of its one walk of U.C, walks a
+of U.C.  Every code of least value in U.C is zero on Z, the coordinates
+whose column lies in the span of the columns above it, and those codes
+are U_Z.C0: C0 = u0.C is C with the columns of Z set to zero, and U_Z
+adds into no row of Z (``_zeroed_walk``).  The searches that value codes
+walk U_Z.C0 alone, value every code they walk, and count its codes per
+block against the orbit budget: ``minimal_complexity`` and the ``o_p`` of
+``hierarchy_bounds`` build no matrix, and ``primary_decomposition`` walks
+the blocks only for the images of its codes of least value, the only
+codes its tie-break can choose.  ``is_p_irreducible`` walks all of U.C
+and builds no matrix.  ``verify_profile_uniqueness`` reads profiles and
+irreducibility off the row groups of its one walk of U.C, walks a
 component's unipotent orbit only from a code no earlier walk of the call
 admitted, and counts the blocks from the codes of U.C of one row-group
-shape.  ``primary_decomposition`` values the codes of U.C that can be
-least, those zero at every coordinate whose column lies in the span of
-the columns above it (``_zeroable``), and walks the blocks only for the
-images of its codes of least value, the only codes its tie-break can
-choose.  ``_block_images`` is the one walk of the blocks, which
+shape.  ``_block_images`` is the one walk of the blocks, which
 ``orbit_codes`` feeds all of U.C.  It takes plain codes, yields each
 image with its block map, and stops only at a block boundary.  The
 witnesses built from the walk are trusted, not validated again.
@@ -96,7 +98,7 @@ class PDecomposition:
 class BoundsReport:
     """Minimal complexities for the hierarchical neighbours, exact at every
     supported size, and the poset's own value.  That is exact too; it is
-    None only when the neighbour values differ and the walk of U.C that
+    None only when the neighbour values differ and the walk of U_Z.C0 that
     finds it exceeds the orbit budget."""
 
     upper_poset: Poset
@@ -154,12 +156,15 @@ def _admit(seen: set, image: LinearCode, orbit_budget: int) -> bool:
     return True
 
 
-def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
+def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int, fixed=()):
     """U.C, U the unipotent part, walked one root subgroup at a time: each
     code that ``_admit`` admits, the code first, yielded as soon as it is
     admitted with its step: None for the code, else ``(parent, i, j)`` when
     the code is the image of the code at index ``parent`` in walk order
-    under "row i += row j", which ``_matrices`` replays.
+    under "row i += row j", which ``_matrices`` replays.  No addition goes
+    into a row of ``fixed`` (0-based): the walk is then of U_fixed.C, U_fixed
+    the subgroup that the other additions generate, as the pairs (i, j)
+    with i outside ``fixed`` are closed under composition.
 
     The root subgroup of a strict relation i below j (0-based) is generated
     by the addition g of x_j to x_i, of prime order q: adding c * x_j is
@@ -184,7 +189,7 @@ def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
     q = code.q
     height = poset.heights()
     strict = sorted(
-        ((i - 1, j - 1) for i, j in poset.strict_pairs()),
+        ((i - 1, j - 1) for i, j in poset.strict_pairs() if i - 1 not in fixed),
         key=lambda pair: (height[pair[0]] - height[pair[1]], -pair[1], pair[0]),
     )
     zero = {j for j, column in enumerate(zip(*code.generators)) if not any(column)}
@@ -214,12 +219,13 @@ def _unipotent_walk(code: LinearCode, poset: Poset, orbit_budget: int):
         orbit += translates
 
 
-def _matrices(walk: list, wanted) -> list:
+def _matrices(walk: list, wanted, start: tuple) -> list:
     """The pairs ``(code, matrix)`` at the indices ``wanted`` of ``walk``,
     ``_unipotent_walk``'s items in order: each matrix, mapping C onto its
-    code, replayed from the identity along only the steps that reach it."""
-    code = walk[0][0]
-    needed, matrices = {0}, {0: _eye(code.n)}
+    code, replayed along only the steps that reach it from ``start``, the
+    matrix mapping C onto the walk's first code."""
+    q = walk[0][0].q
+    needed, matrices = {0}, {0: start}
     for t in wanted:
         while t not in needed:
             needed.add(t)
@@ -227,7 +233,7 @@ def _matrices(walk: list, wanted) -> list:
     for t in sorted(needed)[1:]:
         parent, i, j = walk[t][1]
         matrix = matrices[parent]
-        added = tuple((a + b) % code.q for a, b in zip(matrix[i], matrix[j]))
+        added = tuple((a + b) % q for a, b in zip(matrix[i], matrix[j]))
         matrices[t] = matrix[:i] + (added,) + matrix[i + 1 :]
     return [(walk[t][0], matrices[t]) for t in wanted]
 
@@ -313,8 +319,8 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     sigma, scale)``: the image of the code x of ``codes`` under the block
     map (sigma, D), D the diagonal ``scale``, so its witness is (sigma, D.A)
     for the matrix A mapping C onto x (``_witness``).  ``codes`` are the
-    codes X of a walked U.C of ``size`` codes that share a value monomial
-    maps keep, or all of U.C.
+    codes X of one value of a walk of ``size`` codes, U_Z.C0 or U.C, or all
+    of U.C; monomial maps keep values.
 
     A block map m = (sigma, D) acts as x -> T_sigma(D x), T_s(v)_i =
     v[s(i)], and T_g after T_b is T_take(b), take the ``itemgetter`` of g.
@@ -346,8 +352,8 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     value are m(X), so the blocks open in the order and with the maps of the
     whole walk, each image keeps its witness, and every image in a new
     block is new.  With b blocks opened, |X| * b images are admitted, which
-    reaches |X| * (budget // |U.C|) exactly when the orbit, |U.C| per block,
-    passes the budget: the walk stops then, at a block boundary, with the
+    reaches |X| * (budget // size) exactly when ``size`` codes per block
+    pass the budget: the walk stops then, at a block boundary, with the
     message of a walk of the whole orbit."""
     code = codes[0]
     q, n = code.q, code.n
@@ -437,55 +443,52 @@ def orbit_codes(
     _check_length(code, poset)
     identity, ones = tuple(range(1, code.n + 1)), (1,) * code.n
     walk = list(_unipotent_walk(code, poset, orbit_budget))
-    matrices = dict(_matrices(walk, range(len(walk))))
+    matrices = dict(_matrices(walk, range(len(walk)), _eye(code.n)))
     orbit = {x: _witness(poset, code.q, identity, ones, a) for x, a in matrices.items()}
     for image, x, sigma, scale in _block_images(list(matrices), len(walk), poset, orbit_budget):
         orbit[image] = _witness(poset, code.q, sigma, scale, matrices[x])
     return orbit
 
 
-def _zeroable(code: LinearCode, poset: Poset) -> tuple:
-    """The coordinates i (0-based) whose column col_i of the code's
+def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
+    """u0, and the walk of U_Z.C0 by ``_unipotent_walk``: the codes of U.C
+    that are zero on Z, which hold every code of least value in U.C.
+
+    Z holds the coordinates i (0-based) whose column col_i of the code's
     canonical generator matrix lies in W_i, the span of the columns col_j
-    with i below j in P: a zero column too.  A nonzero column with columns
-    above it takes one elimination: col_i reduced against an echelon basis
-    of W_i.
+    with i below j in P: a zero column too.  One elimination per column
+    reduces col_i + e_i against the rows col_j + e_j of the j above i, over
+    k + n entries: col_i lies in W_i exactly when the first k reduce to
+    zero, and the last n are then e_i - sum c_ij e_j, with col_i = sum c_ij
+    col_j, row i of u0.  u0's other rows are the identity's, so u0 is in U
+    and C0 = u0.C is C with the columns of Z set to zero.
 
     Column i of u.C, u in U, is col_i plus a combination of the columns
-    above i, so W_i and col_i + W_i are U-invariant and every code of U.C
-    has the same zeroable coordinates.  A code of U.C nonzero at one is
-    never of least value there: the addition that zeroes that column keeps
-    the rank and splits the column's row group, the component of its
+    above i, so every code of U.C has the same Z.  A code of U.C nonzero on
+    Z is never of least value there: the addition that zeroes that column
+    keeps the rank and splits the column's row group, the component of its
     column matroid, of deficiency d >= 1, into parts whose deficiencies sum
     to d - 1, and q^a + q^b <= q^(a+b) for a, b >= 1, so the grouping
-    minimum strictly drops."""
-    q, k = code.q, code.k
-    columns = list(zip(*code.generators))
-    above = [[] for _ in columns]
+    minimum strictly drops.  W_i is spanned by the columns above i outside
+    Z, so U_Z, generated by the additions into the rows outside Z, maps C0
+    onto every matrix whose column i is 0 for i in Z and lies in col_i +
+    W_i otherwise: U_Z.C0 is exactly the codes of U.C zero on Z."""
+    q, k, n = code.q, code.k, code.n
+    rows = [column + unit for column, unit in zip(zip(*code.generators), _eye(n))]
+    above = [[] for _ in rows]
     for i, j in poset.strict_pairs():
-        above[i - 1].append(columns[j - 1])
-    return tuple(
-        i
-        for i, column in enumerate(columns)
-        if not any(column) or above[i] and LinearCode(q, k, *rref(q, k, above[i])).contains(column)
-    )
-
-
-def _valued_walk(code: LinearCode, poset: Poset, orbit_budget: int):
-    """``_unipotent_walk``'s items, each with its code's grouping minimum,
-    or None for a code that is nonzero at a coordinate of ``_zeroable``
-    and so never of least value in U.C: every such code is walked, admitted
-    and counted by the budget, but not valued.  The first code is always
-    valued, and the zeroable coordinates are found only once a second
-    code comes."""
-    zeroable = ()
-    for index, (image, step) in enumerate(_unipotent_walk(code, poset, orbit_budget)):
-        if index == 1:
-            zeroable = _zeroable(code, poset)
-        if any(row[i] for row in image.generators for i in zeroable):
-            yield image, step, None
-        else:
-            yield image, step, min_grouping_complexity(image)
+        above[i - 1].append(rows[j - 1])
+    u0, zeroed = list(_eye(n)), set()
+    for i, row in enumerate(rows):
+        for basis, p in zip(*rref(q, k + n, above[i])):
+            c = row[p - 1]
+            row = tuple([(a - c * b) % q for a, b in zip(row, basis)])
+        if not any(row[:k]):
+            zeroed.add(i)
+            u0[i] = row[k:]
+    c0 = [[0 if j in zeroed else v for j, v in enumerate(row)] for row in code.generators]
+    start = LinearCode(q, n, *rref(q, n, c0))
+    return tuple(u0), _unipotent_walk(start, poset, orbit_budget, zeroed)
 
 
 def primary_decomposition(
@@ -494,48 +497,44 @@ def primary_decomposition(
     """A decomposition of minimal complexity over the whole orbit.
 
     Ties are broken by the lexicographically smallest canonical generator
-    matrix; the witness is the isometry that the walk of ``orbit_codes``
-    reaches it by.  Every block m(U.C) has the values of U.C, so U.C is
-    walked and valued, and the blocks are walked only for the codes X of
-    U.C of least value, whose images are the orbit's codes of that value,
-    each with the block map of the whole walk (``_block_images``); only
-    the result's matrix is built (``_matrices``, ``_witness``).  A code of
-    U.C nonzero at a zeroable coordinate is walked and counted but not
-    valued, as it is never least (``_zeroable``).  The orbit budget stops
-    the search exactly when the orbit exceeds it.  The error's partial
-    result is the best code admitted before the stop: past U.C, a code of
-    the least value, so it is ``proven_minimal`` though its code and
-    witness may not be the tie-break's; inside U.C, the best of the codes
-    walked, the unvalued ones valued then, not proven minimal.
+    matrix; the witness is the isometry that the walk reaches it by.  Every
+    block m(U.C) has the values of U.C, whose codes of least value all lie
+    in U_Z.C0 (``_zeroed_walk``), so U_Z.C0 is walked and valued, and the
+    blocks are walked only for its codes X of least value, whose images
+    are the orbit's codes of that value, each with its block map
+    (``_block_images``); only the result's matrix is built, from u0
+    (``_matrices``, ``_witness``).  The orbit budget counts the codes of
+    U_Z.C0 per block.  The error's partial result is the best code
+    admitted before the stop: past U_Z.C0, a code of the least value, so
+    it is ``proven_minimal`` though its code and witness may not be the
+    tie-break's; inside U_Z.C0, the best of the codes walked, not proven
+    minimal.
     """
     _check_length(code, poset)
     identity, ones = tuple(range(1, code.n + 1)), (1,) * code.n
+    u0, zeroed = _zeroed_walk(code, poset, orbit_budget)
     walk, values = [], []
     best = None  # ((complexity, generator matrix), index in walk order)
 
     def decomposed(image, t, sigma=identity, scale=ones, proven_minimal=True):
         """The result for the image under (sigma, D) of the code at index t."""
-        [(_, matrix)] = _matrices(walk, [t])
+        [(_, matrix)] = _matrices(walk, [t], u0)
         witness = _witness(poset, code.q, sigma, scale, matrix)
         return PDecomposition(witness, cheapest_grouping(image), best[0][0], proven_minimal)
 
     try:
-        for image, step, value in _valued_walk(code, poset, orbit_budget):
-            if value is not None and (best is None or (value, image.generators) < best[0]):
+        for image, step in zeroed:
+            value = min_grouping_complexity(image)
+            if best is None or (value, image.generators) < best[0]:
                 best = ((value, image.generators), len(walk))
             walk.append((image, step))
             values.append(value)
     except ResourceLimitError as exc:
-        if best is not None:  # the best of the codes walked, the unvalued ones too
-            for index, ((image, _), value) in enumerate(zip(walk, values)):
-                if value is None:
-                    key = (min_grouping_complexity(image), image.generators)
-                    if key < best[0]:
-                        best = (key, index)
+        if best is not None:
             t = best[1]
             exc.partial_result = decomposed(walk[t][0], t, proven_minimal=False)
         raise
-    winner = (walk[best[1]][0], best[1])  # U.C's best
+    winner = (walk[best[1]][0], best[1])  # U_Z.C0's best
     ties = {walk[t][0]: t for t, value in enumerate(values) if value == best[0][0]}
     try:
         for image, x, sigma, scale in _block_images(list(ties), len(walk), poset, orbit_budget):
@@ -548,17 +547,15 @@ def primary_decomposition(
 
 
 def _least_complexity(code: LinearCode, poset: Poset, orbit_budget: int, floor: int = 0) -> int:
-    """The least grouping complexity over U.C, where no code of U.C has a
-    value below ``floor``: the walk stops at the first code that reaches it.
-
-    A code nonzero at a zeroable coordinate is walked and counted by the
-    budget but never valued (``_valued_walk``): its value is above the
-    least, so above the floor too.  Every value is at least 1, so a floor
-    of 0 stops no walk."""
+    """The least grouping complexity over U_Z.C0 (``_zeroed_walk``), which
+    is that of U.C, where no code has a value below ``floor``: the walk
+    stops at the first code that reaches it.  Every value is at least 1,
+    so a floor of 0 stops no walk."""
     _check_length(code, poset)
     least = None
-    for _, _, value in _valued_walk(code, poset, orbit_budget):
-        if value is not None and (least is None or value < least):
+    for image, _ in _zeroed_walk(code, poset, orbit_budget)[1]:
+        value = min_grouping_complexity(image)
+        if least is None or value < least:
             least = value
             if least <= floor:
                 break
@@ -568,15 +565,14 @@ def _least_complexity(code: LinearCode, poset: Poset, orbit_budget: int, floor: 
 def minimal_complexity(
     code: LinearCode, poset: Poset, *, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> int:
-    """The complexity of a primary decomposition, from U.C alone.
+    """The complexity of a primary decomposition, from U_Z.C0 alone.
 
     A monomial map, an automorphism of P after a diagonal scaling, keeps a
     code's supports and row groups up to the automorphism, so every block
-    m(U.C) of the orbit has the same grouping minima as U.C.  The orbit
-    budget counts the codes of U.C.  A code of U.C nonzero at a coordinate
-    whose column lies in the span of the columns above it is walked and
-    counted but never valued: zeroing that column by an addition strictly
-    lowers the value, so such a code is never least (``_zeroable``).
+    m(U.C) of the orbit has the same grouping minima as U.C, and every code
+    of least value in U.C lies in U_Z.C0, the codes of U.C zero at each
+    coordinate whose column lies in the span of the columns above it
+    (``_zeroed_walk``).  The orbit budget counts the codes of U_Z.C0.
     """
     return _least_complexity(code, poset, orbit_budget)
 
@@ -825,12 +821,11 @@ def hierarchy_bounds(
     :func:`hierarchical_decomposition`, so no budget applies to them.  So
     does the poset's own value when the poset is hierarchical, or when the
     two neighbour values are equal, since they sandwich it.  Otherwise it
-    is the least grouping complexity over U.C, as in
-    :func:`minimal_complexity`, which never values a code nonzero at a
-    zeroable coordinate, as no such code is least.  Refining the order never
-    raises the complexity, so no code of U.C goes below the upper
-    neighbour's value, and the walk stops at the first code that reaches
-    it.  It is None when the walk exceeds the orbit budget before then.
+    is the least grouping complexity over U_Z.C0, as in
+    :func:`minimal_complexity`.  Refining the order never raises the
+    complexity, so no code of U.C goes below the upper neighbour's value,
+    and the walk stops at the first code that reaches it.  It is None when
+    the walk exceeds the orbit budget before then.
     """
     _check_length(code, poset)
     o_upper = min_grouping_complexity(_level_sum(code, poset.heights())[0])

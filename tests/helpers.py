@@ -6,6 +6,7 @@ touching the production code paths it validates.
 """
 
 from itertools import combinations, product
+from math import prod
 
 
 def closure_pairs(n, pairs):
@@ -666,19 +667,19 @@ def reference_orbit_walk(code, poset, orbit_budget=10**5, unipotent=None):
 # -- the walk of U.C with every addition canonicalised --------------------
 
 
-def reference_unipotent_walk(code, poset, orbit_budget):
+def reference_unipotent_walk(code, poset, orbit_budget, fixed=()):
     """The breadth-first walk of U.C that the search module first used,
     with the same kernels (``rref``, ``_admit``) and a set of codes of its
-    own: every code tries every addition x_i += x_j, i below j, none
-    skipped as a provable repeat.  It reaches the codes of the search
-    module's walk in another order."""
+    own: every code tries every addition x_i += x_j, i below j and i not in
+    ``fixed`` (0-based), none skipped as a provable repeat.  It reaches the
+    codes of the search module's walk in another order."""
     from posetcodes.code import LinearCode, rref
     from posetcodes.isometry import _eye
     from posetcodes.search import _admit
 
     q, n = code.q, code.n
     pairs = ((i, j) for j in range(n - 1, -1, -1) for i in range(n) if i != j)
-    strict = [(i, j) for i, j in pairs if poset.leq(i + 1, j + 1)]
+    strict = [(i, j) for i, j in pairs if i not in fixed and poset.leq(i + 1, j + 1)]
     eye = _eye(n)
     seen = set()
     _admit(seen, code, orbit_budget)
@@ -695,23 +696,63 @@ def reference_unipotent_walk(code, poset, orbit_budget):
                 queue.append((image, product))
 
 
-def reference_zeroable(code, poset):
-    """The coordinates i (0-based) whose column of the canonical generator
-    matrix lies in the span of the columns above i in P, that span listed
-    whole: a zero column too."""
+def reference_spans(code, poset):
+    """W_i for each coordinate i (0-based): the span of the columns of the
+    canonical generator matrix above i in P, listed whole."""
     q = code.q
     columns = list(zip(*code.generators))
-    out = []
-    for i, column in enumerate(columns):
+    spans = []
+    for i in range(code.n):
         span = {(0,) * code.k}
         for j, other in enumerate(columns):
             if j != i and poset.leq(i + 1, j + 1):
                 span = {
                     tuple((v + c * w) % q for v, w in zip(s, other)) for s in span for c in range(q)
                 }
-        if column in span:
-            out.append(i)
-    return tuple(out)
+        spans.append(span)
+    return spans
+
+
+def reference_zeroable(code, poset):
+    """The coordinates i (0-based) whose column of the canonical generator
+    matrix lies in the span of the columns above i in P, that span listed
+    whole: a zero column too."""
+    columns = zip(*code.generators)
+    return tuple(
+        i for i, (column, span) in enumerate(zip(columns, reference_spans(code, poset))) if column in span
+    )
+
+
+def reference_zeroed_walk(code, poset, orbit_budget):
+    """``reference_unipotent_walk`` from C0, the code with the columns of
+    ``reference_zeroable`` set to zero, adding into no row of those: it
+    reaches the codes of U_Z.C0, each with a matrix mapping C0 onto it."""
+    from posetcodes.code import LinearCode
+
+    zeroable = reference_zeroable(code, poset)
+    rows = [[0 if j in zeroable else v for j, v in enumerate(row)] for row in code.generators]
+    start = LinearCode.from_generators(code.q, code.n, rows)
+    return reference_unipotent_walk(start, poset, orbit_budget, fixed=zeroable)
+
+
+def reference_zeroed_family(code, poset, limit):
+    """The codes of the zeroed column family: the matrices whose column i
+    is 0 for i in ``reference_zeroable`` and ranges over col_i + W_i
+    otherwise (``reference_spans``), every one enumerated, so these are the
+    codes of U.C zero on Z, found with no walk.  None when the family has
+    more than ``limit`` matrices."""
+    from posetcodes.code import LinearCode
+
+    q = code.q
+    choices = []
+    for column, span in zip(zip(*code.generators), reference_spans(code, poset)):
+        if column in span:  # i in Z
+            choices.append([(0,) * code.k])
+        else:
+            choices.append([tuple((a + b) % q for a, b in zip(column, w)) for w in span])
+    if prod(map(len, choices)) > limit:
+        return None
+    return {LinearCode.from_generators(q, code.n, list(zip(*columns))) for columns in product(*choices)}
 
 
 # -- exhaustive decoding ------------------------------------------------

@@ -30,6 +30,8 @@ def files(tmp_path):
     chain4.write_text(json.dumps({"n": 4, "covers": [[1, 2], [2, 3], [3, 4]]}))
     r4 = tmp_path / "r4.json"
     r4.write_text(json.dumps({"q": 2, "n": 4, "generators": [[1, 1, 1, 1]]}))
+    two4 = tmp_path / "two4.json"
+    two4.write_text(json.dumps({"q": 2, "n": 4, "generators": [[0, 1, 0, 1], [0, 0, 1, 1]]}))
     anti2 = tmp_path / "anti2.json"
     anti2.write_text(json.dumps({"n": 2, "covers": []}))
     chain2 = tmp_path / "chain2.json"
@@ -38,6 +40,7 @@ def files(tmp_path):
         "n_poset": str(n_poset),
         "chain4": str(chain4),
         "r4": str(r4),
+        "two4": str(two4),
         "anti2": str(anti2),
         "chain2": str(chain2),
     }
@@ -144,35 +147,36 @@ def test_analyze_bounds(files, capsys):
 @pytest.mark.parametrize("budget", ["--orbit-budget"])
 def test_analyze_bounds_budgets_bound_only_the_poset_value(files, capsys, budget):
     """The neighbour values come from the closed form, so a walk budget
-    leaves them exact and turns only o_p into null."""
+    leaves them exact and turns only o_p into null: here U_Z.C0 has two
+    codes, both of value 2, above the upper neighbour's 1."""
     code, out, err = run(
         capsys,
-        ["--format", "json", "analyze", "bounds", files["n_poset"], files["r4"], budget, "1"],
+        ["--format", "json", "analyze", "bounds", files["n_poset"], files["two4"], budget, "1"],
     )
     assert code == 0
     assert err == ""
     data = json.loads(out)["bounds"]
-    assert (data["o_upper"], data["o_p"], data["o_lower"]) == (2, None, 8)
+    assert (data["o_upper"], data["o_p"], data["o_lower"]) == (1, None, 2)
     assert data["sandwich_ok"]
 
 
-@pytest.mark.parametrize("budget, o_p", [("3", 1), ("2", None)])
+@pytest.mark.parametrize("budget, o_p", [("3", 6), ("2", None)])
 def test_analyze_bounds_stops_at_the_upper_neighbours_value(tmp_path, capsys, budget, o_p):
-    """No code of U.C goes below the upper neighbour's value, so the walk
-    for o_p stops at the first code that reaches it: here the third of
-    U.C's 32 codes, so a budget of 3 codes gives o_p and one of 2 does
-    not."""
+    """No code of U_Z.C0 goes below the upper neighbour's value, so the
+    walk for o_p stops at the first code that reaches it: here the third
+    of U_Z.C0's 3 codes, of the values 9, 9 and 6, so a budget of 3 codes
+    gives o_p and one of 2 does not."""
     poset = tmp_path / "poset.json"
-    poset.write_text(json.dumps({"n": 5, "covers": [[1, 2], [3, 5], [5, 2], [5, 4]]}))
+    poset.write_text(json.dumps({"n": 4, "covers": [[1, 3], [1, 4]]}))
     code = tmp_path / "code.json"
-    code.write_text(json.dumps({"q": 2, "n": 5, "generators": [[1, 1, 0, 0, 0], [0, 0, 0, 1, 0]]}))
+    code.write_text(json.dumps({"q": 3, "n": 4, "generators": [[1, 0, 1, 1], [0, 1, 1, 1]]}))
     status, out, err = run(
         capsys,
         ["--format", "json", "analyze", "bounds", str(poset), str(code), "--orbit-budget", budget],
     )
     assert (status, err) == (0, "")
     data = json.loads(out)["bounds"]
-    assert (data["o_upper"], data["o_p"], data["o_lower"]) == (1, o_p, 2)
+    assert (data["o_upper"], data["o_p"], data["o_lower"]) == (6, o_p, 9)
 
 
 def test_analyze_bounds_on_a_hierarchical_poset_needs_no_walk(files, capsys):
@@ -215,6 +219,25 @@ def test_decode_same_word(files, capsys):
     assert code == 0
     assert "codeword = 1,1,1,1" in out
     assert "flags = []" in out
+
+
+def test_a_vector_that_starts_with_a_minus_is_read_after_a_space(tmp_path, capsys):
+    """``--y -1,0,1`` decodes as ``--y=-1,0,1`` and ``--y 2,0,1`` over
+    GF(3), and ``--x -1,0,1`` weighs as ``--x 2,0,1``; argparse alone would
+    read the spaced vector as an unknown option and exit 1 with its usage."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"q": 3, "n": 3, "generators": [[1, 1, 1]]}))
+    want = run(capsys, ["decode", "chain:3", str(path), "--y", "2,0,1"])
+    assert want[0] == 0 and want[2] == ""
+    for received in (["--y", "-1,0,1"], ["--y=-1,0,1"]):
+        assert run(capsys, ["decode", "chain:3", str(path), *received]) == want
+    want = run(capsys, ["analyze", "weight", "chain:3", "--q", "3", "--x", "2,0,1"])
+    assert want[0] == 0
+    assert run(capsys, ["analyze", "weight", "chain:3", "--q", "3", "--x", "-1,0,1"]) == want
+    with pytest.raises(SystemExit) as exit_:  # an option after --y is still no vector
+        cli.main(["decode", "chain:3", str(path), "--y", "--stats-only"])
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: argument --y: expected one argument"
 
 
 def test_decode_stats_only(files, capsys):
@@ -516,12 +539,14 @@ def test_verify_neighbours_does_not_clamp_n():
 
 
 def test_resource_exit_code(files, capsys):
-    code, _, err = run(
-        capsys,
-        ["--orbit-budget", "1", "analyze", "decompose", "--primary", files["chain4"], files["r4"]],
-    )
+    """The budget counts the codes of U_Z.C0 per block: 2 here, one block,
+    where U.C has 8, so a budget of 1 code exits 2 and one of 2 ends."""
+    argv = ["analyze", "decompose", "--primary", files["n_poset"], files["two4"]]
+    code, _, err = run(capsys, ["--orbit-budget", "1", *argv])
     assert code == 2
     assert "budget" in err
+    code, _, err = run(capsys, ["--orbit-budget", "2", *argv])
+    assert (code, err) == (0, "")
 
 
 def test_primary_search_stopped_past_the_unipotent_orbit_is_proven_minimal(capsys, tmp_path):
@@ -642,7 +667,7 @@ def test_group_budget_option_is_gone(files):
 def test_env_budget_override(files, capsys, monkeypatch):
     monkeypatch.setenv("POSETCODES_ORBIT_BUDGET", "1")
     code, _, err = run(
-        capsys, ["analyze", "decompose", "--primary", files["chain4"], files["r4"]]
+        capsys, ["analyze", "decompose", "--primary", files["n_poset"], files["two4"]]
     )
     assert code == 2
 
@@ -711,8 +736,8 @@ def test_parser_is_built_once_and_leaks_no_options(capsys, options_after_suite):
 def test_analyze_bounds_reaches_sixteen_coordinates(tmp_path):
     """Bounds at twelve and sixteen coordinates: exact neighbours from the
     closed form, and o_p from it too on a hierarchical poset.  On the
-    random 16-point poset the neighbours differ, and the walk of U.C for
-    o_p passes the default orbit budget, so o_p is null."""
+    random 16-point poset the neighbours differ, and U.C has 3^36 codes,
+    but the walk for o_p takes only U_Z.C0's 19,683, so o_p is 243."""
     ones = tmp_path / "ones12.json"
     ones.write_text(json.dumps({"q": 2, "n": 12, "generators": [[1] * 12]}))
     result = run_process(["--format", "json", "analyze", "bounds", "chain:12", str(ones)], timeout=10)
@@ -733,7 +758,7 @@ def test_analyze_bounds_reaches_sixteen_coordinates(tmp_path):
     result = run_process(["--format", "json", "analyze", "bounds", str(poset_path), str(code_path)], timeout=10)
     assert result.returncode == 0, result.stderr
     data = json.loads(result.stdout)["bounds"]
-    assert data["o_p"] is None
+    assert data["o_p"] == 243
     assert data["o_upper"] == hierarchical_decomposition(code, upper_neighbour(poset)).complexity
     assert data["o_lower"] == hierarchical_decomposition(code, lower_neighbour(poset)).complexity
     assert data["sandwich_ok"]
@@ -741,8 +766,9 @@ def test_analyze_bounds_reaches_sixteen_coordinates(tmp_path):
 
 def test_primary_search_at_sixteen_coordinates_stops_at_the_budget(tmp_path, capsys):
     """The random 16-point poset and GF(3) code of the bounds test above:
-    a primary search past a budget of 1,000 codes exits 2 with one budget
-    line, then the best decomposition the walk had found."""
+    a primary search past a budget of 1,000 codes, inside U_Z.C0's 19,683,
+    exits 2 with one budget line, then the best decomposition the walk had
+    found, not proven minimal."""
     rng = random.Random(16)
     poset = suites.random_poset(rng, 16)
     code = suites.random_code(rng, 3, 16)
@@ -758,7 +784,7 @@ def test_primary_search_at_sixteen_coordinates_stops_at_the_budget(tmp_path, cap
     assert first == "budget exceeded: orbit exceeds budget of 1000 codes"
     assert "budget exceeded" not in rest
     partial = json.loads(rest)["partial"]
-    assert partial["complexity"] == 59049
+    assert partial["complexity"] == 243
     assert partial["proven_minimal"] is False
 
 

@@ -4,11 +4,12 @@ Instances are seeded random posets and codes with n in 2..5 and q in
 {2, 3}; groups are capped at 400 elements so the reference's repeated
 walks stay cheap.  Decompositions, complexities, orbit sets and profile
 reports must equal the full enumeration's, and so must the values that
-``minimal_complexity`` and ``hierarchy_bounds`` take from U.C alone, here
-also over GF(5), and the profile reports on instances over GF(2), GF(3)
-and GF(5) whose components need walks of their own.  Witnesses and the
-orbit order follow the walk, not the full enumeration's order, so a
-witness is checked by the image it reaches.  The walk of U.C must reach
+``minimal_complexity`` and ``hierarchy_bounds`` take from U_Z.C0 alone,
+the codes of U.C zero on Z, here also over GF(5), and the profile
+reports on instances over GF(2), GF(3) and GF(5) whose components need
+walks of their own.  Witnesses and the orbit order follow the walk, not
+the full enumeration's order, so a witness is checked by the image it
+reaches.  The walk of U.C must reach
 the codes of the breadth-first walk that tries every addition, each once,
 with a unipotent matrix, rebuilt from the walk's steps, mapping C onto
 it; fed that U.C list, the walk's own sequence, here also over GF(5) and
@@ -26,7 +27,8 @@ what it proved.
 On draws with n <= 7 over GF(2), GF(3) and GF(5), an addition must equal
 the elimination of the summed rows, and the zeroable coordinates must be
 those of the listed spans, the same on every code of U.C, and zero on
-every code of least value.
+every code of least value; u0 must map C onto C0, and the walk of U_Z.C0
+must reach the codes of the zeroed column family, each once.
 """
 
 import random
@@ -42,6 +44,8 @@ from helpers import (
     reference_profile_uniqueness,
     reference_unipotent_walk,
     reference_zeroable,
+    reference_zeroed_family,
+    reference_zeroed_walk,
 )
 from posetcodes import search
 from posetcodes.code import LinearCode, enumerate_codes, rref
@@ -105,8 +109,8 @@ def test_walk_matches_full_enumeration(index):
 
 
 def test_value_searches_match_full_enumeration():
-    """``minimal_complexity`` walks U.C alone, and ``hierarchy_bounds``
-    takes o_p from equal neighbour values or stops its walk of U.C at
+    """``minimal_complexity`` walks U_Z.C0 alone, and ``hierarchy_bounds``
+    takes o_p from equal neighbour values or stops its walk of U_Z.C0 at
     o_upper: each equals the minimum over the whole orbit, on instances of
     all three kinds."""
     kinds = {"fixed": 0, "stopped": 0, "walked": 0}
@@ -223,23 +227,35 @@ def test_profile_check_stops_exactly_past_its_budget():
     assert past_unipotent > 0
 
 
+# 2 < 5 < 6, 3 < 4 < 6 over GF(2): U_Z.C0 has 16 codes, of the values 8, 6,
+# 6, 6, 8, ... in walk order, and the orbit 32.
+PARTIAL_POSET = Poset.from_covers(6, [(2, 5), (3, 4), (4, 6)])
+PARTIAL_CODE = LinearCode.from_generators(
+    2, 6, [(1, 0, 0, 1, 1, 1), (0, 1, 0, 1, 0, 0), (0, 0, 1, 0, 1, 0)]
+)
+
+
 @pytest.mark.parametrize("orbit_budget", [1, 2, 5])
 def test_orbit_budget_partial_matches_full_enumeration(orbit_budget):
     """The budget error matches the reference; the partial result is the
-    best of the codes walked before it."""
-    poset = Poset.chain(4)
-    code = LinearCode.from_generators(2, 4, [(1, 1, 1, 1)])
+    best of the codes of U_Z.C0 walked before it, with the matrix that the
+    walk's steps replay from u0, not proven minimal."""
+    poset, code = PARTIAL_POSET, PARTIAL_CODE
     with pytest.raises(ResourceLimitError) as got:
         primary_decomposition(code, poset, orbit_budget=orbit_budget)
     with pytest.raises(ResourceLimitError) as want:
         reference_primary_decomposition(code, poset, orbit_budget=orbit_budget)
     assert str(got.value) == str(want.value)
+    u0, items, message = _zeroed_stage(code, poset, orbit_budget)
+    assert message == str(want.value) and len(items) == orbit_budget
     partial = got.value.partial_result
-    walked = list(orbit_codes(code, poset))[:orbit_budget]
-    best = min(walked, key=lambda image: (min_grouping_complexity(image), image.generators))
-    assert partial.dec.code == best
-    assert partial.complexity == min_grouping_complexity(best)
-    assert partial.witness.apply_code(code) == best
+    best = min(items, key=lambda item: (min_grouping_complexity(item[0]), item[0].generators))
+    assert partial.dec.code == best[0]
+    assert partial.complexity == min_grouping_complexity(best[0])
+    values = [min_grouping_complexity(image) for image, _ in items]
+    assert values == [8, 6, 6, 6, 8][:orbit_budget]
+    assert partial.witness == PIsometry(poset, 2, tuple(range(1, 7)), best[1])
+    assert partial.witness.apply_code(code) == best[0]
     assert not partial.proven_minimal
     with pytest.raises(ResourceLimitError) as got:
         orbit_codes(code, poset, orbit_budget=orbit_budget)
@@ -247,13 +263,15 @@ def test_orbit_budget_partial_matches_full_enumeration(orbit_budget):
 
 
 def _blocked_instances(q, count, seed, orbit_cap=150):
-    """Seeded instances over GF(q) with a strict relation whose orbit has
-    more than one block, with the size of U.C and the orbit in walk order."""
+    """Seeded instances over GF(q) whose U_Z.C0 has more than one code and
+    whose orbit has more than one block, with the size of U.C and the orbit
+    in walk order."""
     out = []
-    for poset, code in _instances(count=20 * count, seed=seed, group_cap=3000, fields=(q,)):
+    for poset, code in _instances(count=40 * count, seed=seed, group_cap=3000, fields=(q,)):
         unipotent = list(search._unipotent_walk(code, poset, 10**5))
+        zeroed = list(search._zeroed_walk(code, poset, 10**5)[1])
         orbit = orbit_codes(code, poset)
-        if 1 < len(unipotent) < len(orbit) <= orbit_cap:
+        if 1 < len(zeroed) and len(unipotent) < len(orbit) <= orbit_cap:
             out.append((poset, code, len(unipotent), orbit))
             if len(out) == count:
                 return out
@@ -262,19 +280,25 @@ def _blocked_instances(q, count, seed, orbit_cap=150):
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_primary_search_under_every_budget(q):
-    """Under every budget B from 1 to |orbit|, the search stops iff the
-    orbit exceeds B, with the message of a walk of the whole orbit.  A stop
-    inside U.C returns the best of the first B codes, not proven minimal.
-    A stop past it returns the least-value code of least generator matrix
-    among the blocks admitted whole, B // |U.C| of them, with that code's
-    witness from the whole walk and the minimal complexity, proven.  At
-    B = |orbit| the search gives the full enumeration's decomposition and
+    """Under every budget B from 1 to |orbit|, the search stops iff
+    |U_Z.C0| codes per block, over the orbit's blocks, exceed B, with the
+    message of a walk of the whole orbit.  A stop inside U_Z.C0 returns the
+    best of its first B codes, with the matrix replayed from u0, not proven
+    minimal.  A stop past it returns the least-value code of least
+    generator matrix among the blocks admitted whole, B // |U_Z.C0| of
+    them, with the block map of the whole walk after the replayed matrix of
+    the code of U_Z.C0 it maps there, and the minimal complexity, proven.
+    Once the search ends it gives the full enumeration's decomposition and
     the default budget's result.  ``orbit_codes`` stops iff the orbit
     exceeds B, with the same message, and otherwise gives the default
     budget's orbit."""
+    kinds = {"inside": 0, "past": 0}
     for poset, code, unipotent, orbit in _blocked_instances(q, count=5, seed=22 + q):
         least = minimal_complexity(code, poset)
         walk = list(orbit)
+        _, zeroed, message = _zeroed_stage(code, poset, 10**5)
+        assert message is None
+        reach = len(zeroed) * len(walk) // unipotent
         full = primary_decomposition(code, poset)
         for budget in range(1, len(walk) + 1):
             try:
@@ -288,36 +312,53 @@ def test_primary_search_under_every_budget(q):
             try:
                 got = primary_decomposition(code, poset, orbit_budget=budget)
             except ResourceLimitError as stop:
-                assert budget < len(walk)
+                assert budget < reach
                 assert str(stop) == f"orbit exceeds budget of {budget} codes"
                 partial = stop.partial_result
             else:
-                assert budget == len(walk)
+                assert budget >= reach
                 assert got.to_json_dict() == full.to_json_dict()
                 continue
-            admitted = walk[:budget] if budget < unipotent else walk[: budget // unipotent * unipotent]
-            best = min(admitted, key=lambda image: (min_grouping_complexity(image), image.generators))
+            identity = tuple(range(1, poset.n + 1))
+            if budget < len(zeroed):
+                kinds["inside"] += 1
+                best, matrix = min(
+                    zeroed[:budget], key=lambda item: (min_grouping_complexity(item[0]), item[0].generators)
+                )
+                witness = PIsometry(poset, q, identity, matrix)
+            else:
+                kinds["past"] += 1
+                admitted = walk[: budget // len(zeroed) * unipotent]
+                best = min(admitted, key=lambda image: (min_grouping_complexity(image), image.generators))
+                sigma, rows = orbit[best].sigma, orbit[best].matrix_rows
+                scale = [row[i] for i, row in enumerate(rows)]  # D of the block map (sigma, D)
+                maps = [
+                    PIsometry(poset, q, sigma, [[d * a % q for a in row] for d, row in zip(scale, matrix)])
+                    for x, matrix in zeroed
+                    if min_grouping_complexity(x) == least
+                ]
+                [witness] = [w for w in maps if w.apply_code(code) == best]
             assert partial.dec.code == best, (poset, code, budget)
-            assert partial.witness == orbit[best]
+            assert partial.witness == witness, (poset, code, budget)
             assert partial.witness.apply_code(code) == partial.dec.code
-            assert partial.witness == PIsometry(poset, q, partial.witness.sigma, partial.witness.matrix_rows)
-            assert partial.proven_minimal == (budget >= unipotent)
-            if budget >= unipotent:
+            assert partial.proven_minimal == (budget >= len(zeroed))
+            if budget >= len(zeroed):
                 assert partial.complexity == least
         ref = reference_primary_decomposition(code, poset)
         assert full.dec.code == ref.dec.code and full.dec.components == ref.dec.components
         assert full.complexity == ref.complexity == least
         assert full.proven_minimal
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_stopped_primary_search_at_scale_says_what_it_proved():
     """On seeded instances with n from 8 to 16 over GF(2) and GF(3), under
     budgets of 500 and 2,000 codes: a search that ends gives the minimal
-    complexity; a stop past U.C, which fits the budget, reports a partial
-    result of the minimal complexity, proven; a stop inside U.C, which
-    overran, reports a partial result not proven minimal."""
+    complexity; a stop past U_Z.C0, which fits the budget, reports a
+    partial result of the minimal complexity, proven; a stop inside
+    U_Z.C0, which overran, reports a partial result not proven minimal."""
     rng = random.Random(1)
-    kinds = {"ended": 0, "past U.C": 0, "inside U.C": 0}
+    kinds = {"ended": 0, "past U_Z.C0": 0, "inside U_Z.C0": 0}
     for _ in range(8):
         n = rng.randint(8, 16)
         poset = random_poset(rng, n)
@@ -326,7 +367,7 @@ def test_stopped_primary_search_at_scale_says_what_it_proved():
             try:
                 least = minimal_complexity(code, poset, orbit_budget=budget)
             except ResourceLimitError:
-                least = None  # |U.C| > budget
+                least = None  # |U_Z.C0| > budget
             try:
                 got = primary_decomposition(code, poset, orbit_budget=budget)
             except ResourceLimitError as stop:
@@ -336,7 +377,7 @@ def test_stopped_primary_search_at_scale_says_what_it_proved():
                 assert partial.proven_minimal == (least is not None), (poset, code, budget)
                 if least is not None:
                     assert partial.complexity == least, (poset, code, budget)
-                kinds["inside U.C" if least is None else "past U.C"] += 1
+                kinds["inside U_Z.C0" if least is None else "past U_Z.C0"] += 1
             else:
                 assert least is not None and got.complexity == least and got.proven_minimal
                 kinds["ended"] += 1
@@ -443,27 +484,26 @@ def _walk(items):
     return got, None
 
 
-def _unipotent_stage(code, poset, orbit_budget):
-    """The codes of the walk of U.C, each with the matrix that ``_matrices``
-    rebuilds from the walk's steps, and its budget message, checked against
-    the breadth-first walk that tries every addition: the same codes, none
-    twice, each matrix unit upper triangular on P, mapping C onto its
-    image and equal to its step's elementary matrix times its parent's,
-    and the same matrices when only some codes' are rebuilt; and,
-    when the walk ends, the same steps cut after |U.C| - 1 codes, with the
-    budget message, under a budget one code smaller."""
+def _replayed(code, poset, steps, start=None):
+    """The codes of a walk's ``steps``, each with the matrix that
+    ``_matrices`` replays from ``start``, or else from the identity,
+    checked: the first matrix is that start, and each later one its step's
+    elementary matrix times its parent's, the same when only some codes'
+    are replayed; each is unit upper triangular on P and maps C onto its
+    code; and no code comes twice."""
     q, n = code.q, code.n
-    steps, message = _walk(search._unipotent_walk(code, poset, orbit_budget))
-    items = search._matrices(steps, range(len(steps)))
+    start = start or tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    items = search._matrices(steps, range(len(steps)), start)
     codes = [image for image, _ in items]
     assert codes == [image for image, _ in steps]
+    assert items[0][1] == start
     for (_, step), (_, matrix) in zip(steps[1:], items[1:]):  # E times its parent's matrix
         parent, i, j = step
         e = [[int(r == c or (r, c) == (i, j)) for c in range(n)] for r in range(n)]
         product = [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*items[parent][1])] for row in e]
         assert list(map(list, matrix)) == product, (poset, code, step)
     for wanted in ([len(items) - 1], list(range(len(items) - 1, -1, -2))):
-        assert search._matrices(steps, wanted) == [items[t] for t in wanted], (poset, code)
+        assert search._matrices(steps, wanted, start) == [items[t] for t in wanted], (poset, code)
     assert len(set(codes)) == len(codes), (poset, code)
     for image, matrix in items:
         assert all(
@@ -473,6 +513,19 @@ def _unipotent_stage(code, poset, orbit_budget):
         ), (poset, code, matrix)
         rows = [[sum(a * v for a, v in zip(row, word)) for row in matrix] for word in code.generators]
         assert LinearCode.from_generators(q, n, rows) == image, (poset, code, matrix)
+    return items
+
+
+def _unipotent_stage(code, poset, orbit_budget):
+    """The codes of the walk of U.C, each with the matrix that ``_matrices``
+    rebuilds from the walk's steps (``_replayed``), and its budget message,
+    checked against the breadth-first walk that tries every addition: the
+    same codes and message, and, when the walk ends, the same steps cut
+    after |U.C| - 1 codes, with the budget message, under a budget one code
+    smaller."""
+    steps, message = _walk(search._unipotent_walk(code, poset, orbit_budget))
+    items = _replayed(code, poset, steps)
+    codes = [image for image, _ in items]
     want, want_message = _walk(reference_unipotent_walk(code, poset, orbit_budget))
     assert message == want_message
     if message is None:
@@ -486,6 +539,24 @@ def _unipotent_stage(code, poset, orbit_budget):
     else:
         assert len(items) == orbit_budget
     return items, message
+
+
+def _zeroed_stage(code, poset, orbit_budget):
+    """u0, the codes of the walk of U_Z.C0, each with the matrix that
+    ``_matrices`` replays from u0 (``_replayed``), and the walk's budget
+    message: that of the breadth-first walk of U_Z.C0 that tries every
+    addition into a row outside Z (helpers), and, when the walk ends, the
+    same codes."""
+    u0, walk = search._zeroed_walk(code, poset, orbit_budget)
+    steps, message = _walk(walk)
+    items = _replayed(code, poset, steps, u0)
+    want, want_message = _walk(reference_zeroed_walk(code, poset, orbit_budget))
+    assert message == want_message, (poset, code)
+    if message is None:
+        assert {image for image, _ in items} == {image for image, _ in want}, (poset, code)
+    else:
+        assert len(items) == orbit_budget
+    return u0, items, message
 
 
 def _orbit_walk(code, poset, orbit_budget):
@@ -701,7 +772,7 @@ def walk_instance(draw):
 def _least(values, message, floor):
     """What ``_least_complexity`` returns after a walk meeting ``values`` in
     order, or the budget message that stops it, given a ``floor`` that no
-    value of U.C goes below."""
+    value of U_Z.C0 goes below."""
     for value in values:
         if value <= floor:
             return value
@@ -720,35 +791,39 @@ def check_against_the_unskipped_walk(instance, cuts_inside, outcomes):
         _, want = _walk(reference_orbit_walk(code, poset, budget, unipotent=fed))
         assert _orbit_walk(code, poset, budget) == ([], want)
         cuts_inside.append(_block(full[budget - 1]) == _block(full[budget]))
-    values = [min_grouping_complexity(image) for image, _ in unipotent]
-    # a floor is a value no code of U.C goes below: the least is known only
-    # from a whole walk, and a cut walk meets its floor in the check below
-    for floor in (0,) if message else (0, min(values)):
+    zeroed, cut = _walk(reference_zeroed_walk(code, poset, WALK_BUDGET))
+    values = [min_grouping_complexity(image) for image, _ in zeroed]
+    if message is None:  # U.C walked whole: its least value is one of U_Z.C0
+        assert cut is None and min(values) == min(min_grouping_complexity(x) for x, _ in unipotent)
+    # a floor is a value no code of U_Z.C0 goes below: the least is known
+    # only from a whole walk, and a cut walk meets its floor in the check below
+    for floor in (0,) if cut else (0, min(values)):
         try:
             got = search._least_complexity(code, poset, WALK_BUDGET, floor)
         except ResourceLimitError as exc:
             got = str(exc)
-        assert got == _least(values, message, floor)
+        assert got == _least(values, cut, floor)
     check_least_value_floor_under_cuts(code, poset, outcomes)
 
 
 def check_least_value_floor_under_cuts(code, poset, outcomes):
-    """Given the least value of the whole U.C as its floor, as
+    """Given the least value of the whole U_Z.C0 as its floor, as
     ``hierarchy_bounds`` gives the upper neighbour's, ``_least_complexity``
-    under a budget that cuts the walk before its end gives that value if
-    the cut walk reaches a code of it, or else the budget message."""
+    under a budget that cuts the walk of U_Z.C0 before its end gives that
+    value if the cut walk reaches a code of it, or else the budget
+    message."""
     try:
-        whole = [image for image, _ in reference_unipotent_walk(code, poset, WHOLE_BUDGET)]
+        whole = [image for image, _ in reference_zeroed_walk(code, poset, WHOLE_BUDGET)]
     except ResourceLimitError:
         return
     least = min(map(min_grouping_complexity, whole))
-    walk = search._unipotent_walk(code, poset, len(whole))
+    walk = search._zeroed_walk(code, poset, len(whole))[1]
     walked = [min_grouping_complexity(image) for image, _ in walk]
     first = walked.index(least)
     for budget in {first, first + 1, len(walked) - 1}:
         if not 0 < budget < len(walked):
             continue
-        items, message = _walk(search._unipotent_walk(code, poset, budget))
+        items, message = _walk(search._zeroed_walk(code, poset, budget)[1])
         want = _least([min_grouping_complexity(image) for image, _ in items], message, least)
         try:
             got = search._least_complexity(code, poset, budget, least)
@@ -777,9 +852,10 @@ def test_walks_match_the_unskipped_walk():
     canonicalises every move, so every move it skips as a provable repeat
     would have been refused, and that walk's budget messages, also under
     budgets that cut inside a block; ``_least_complexity`` gives the least
-    value, with the floor 0 and with the least value as its floor, also
-    under budgets that cut U.C, where it gives the least value only when
-    the cut walk reaches a code of it."""
+    value of the breadth-first walk of U_Z.C0 (helpers), that of U.C, with
+    the floor 0 and with the least value as its floor, or that walk's
+    budget message, also under budgets that cut U_Z.C0, where it gives the
+    least value only when the cut walk reaches a code of it."""
     cuts_inside, outcomes = [], set()
     check_against_the_unskipped_walk(THREE_CYCLE, cuts_inside, outcomes)
     given(st.composite(walk_instance)())(
@@ -787,32 +863,6 @@ def test_walks_match_the_unskipped_walk():
     )()
     assert any(cuts_inside)
     assert outcomes == {False, True}
-
-
-def test_least_complexity_never_values_skipped_codes(monkeypatch):
-    """The all-ones code on ``chain:3`` over GF(2) meets the values 4, 2, 2,
-    1 in the walk of U.C, and its codes of value 2 are nonzero at a
-    zeroable coordinate, so they are never least.  Under the floor 1, its
-    least value, ``_least_complexity`` gives 1 and values neither skipped
-    code, nor does it under the floor 0; a walk cut before the code of
-    value 1 gives the budget message."""
-    code, poset = LinearCode.from_generators(2, 3, [(1, 1, 1)]), Poset.chain(3)
-    walk = list(search._valued_walk(code, poset, WALK_BUDGET))
-    assert [min_grouping_complexity(image) for image, _, _ in walk] == [4, 2, 2, 1]
-    assert [value for _, _, value in walk] == [4, None, None, 1]
-    valued = []
-
-    def counting(image):
-        valued.append(image)
-        return min_grouping_complexity(image)
-
-    monkeypatch.setattr(search, "min_grouping_complexity", counting)
-    for floor in (1, 0):
-        valued.clear()
-        assert search._least_complexity(code, poset, WALK_BUDGET, floor) == 1
-        assert valued == [walk[0][0], walk[3][0]]
-    with pytest.raises(ResourceLimitError, match="budget of 3 codes"):
-        search._least_complexity(code, poset, 3, 1)
 
 
 # -- block images against elimination ---------------------------------------
@@ -993,19 +1043,26 @@ def zeroable_instance(draw):
     return code, Poset.from_covers(n, [(labels[a - 1], labels[b - 1]) for a, b in pairs])
 
 
+def _zeroed(code, poset):
+    """Z as ``_zeroed_walk`` finds it: the zero columns of C0, its walk's
+    first code (0-based)."""
+    start, _ = next(search._zeroed_walk(code, poset, ZEROABLE_BUDGET)[1])
+    return tuple(j for j in range(code.n) if j + 1 not in start.support())
+
+
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
 def test_zeroable_coordinates_hold_no_least_code():
-    """``_zeroable`` gives the coordinates i whose column lies in the listed
-    span of the columns above i (helpers), a zero column among them; every
-    code of U.C has the same ones; and every code of least value in U.C is
-    zero at each of them, so the searches need not value a code that is
-    not."""
+    """``_zeroed_walk`` zeroes the coordinates i whose column lies in the
+    listed span of the columns above i (helpers), a zero column among them;
+    every code of U.C has the same ones; and every code of least value in
+    U.C is zero at each of them, so the searches need not walk a code that
+    is not."""
     seen = {"zero column": 0, "nonzero zeroable": 0, "U.C walked": 0}
 
     def check(instance):
         code, poset = instance
         zeroable = reference_zeroable(code, poset)
-        assert search._zeroable(code, poset) == zeroable, (code, poset)
+        assert _zeroed(code, poset) == zeroable, (code, poset)
         columns = list(zip(*code.generators))
         seen["zero column"] += any(not any(columns[i]) for i in zeroable)
         seen["nonzero zeroable"] += any(any(columns[i]) for i in zeroable)
@@ -1023,4 +1080,35 @@ def test_zeroable_coordinates_hold_no_least_code():
                 assert not nonzero, (code, poset, image)
 
     given(st.composite(zeroable_instance)())(check)()
+    assert min(seen.values()) > 0, seen
+
+
+FAMILY_LIMIT = 4096
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_zeroed_walk_is_the_zeroed_column_family():
+    """``_zeroed_walk`` gives u0, unit upper triangular on P, and the walk of
+    U_Z.C0 from C0 = u0.C, each code once with its matrix replayed from u0
+    (``_zeroed_stage``).  C0's zero columns are the zeroable coordinates of
+    the listed spans (helpers), and the walk's codes are those of the
+    zeroed column family (helpers), which walks no group: column i is 0
+    for i in Z and ranges over col_i + W_i otherwise.  The draws are those
+    of the zeroable coordinates, n <= 7, with their many parallel columns,
+    and those of the walks, n <= 6, with their larger orbits."""
+    seen = {"u0 not the identity": 0, "nonzero zeroable": 0, "several codes": 0}
+
+    def check(instance):
+        code, poset = instance
+        u0, items, message = _zeroed_stage(code, poset, ZEROABLE_BUDGET)
+        zeroable = reference_zeroable(code, poset)
+        assert tuple(j for j in range(code.n) if j + 1 not in items[0][0].support()) == zeroable
+        seen["u0 not the identity"] += any(v for i, row in enumerate(u0) for j, v in enumerate(row) if i != j)
+        seen["nonzero zeroable"] += any(any(row[i] for row in code.generators) for i in zeroable)
+        family = reference_zeroed_family(code, poset, FAMILY_LIMIT)
+        if message is None and family is not None:
+            assert {image for image, _ in items} == family, (code, poset)
+            seen["several codes"] += len(items) > 1
+
+    given(st.one_of(st.composite(zeroable_instance)(), st.composite(walk_instance)()))(check)()
     assert min(seen.values()) > 0, seen

@@ -79,12 +79,18 @@ def test_primary_determinism():
 
 
 def test_orbit_budget_reports_partial():
+    """On 3 < 2 and 4, 5 < 1 over GF(2) the code's U_Z.C0 has 8 codes, the
+    first five of value 8 and the least of 6, so a budget of 2 codes stops
+    the search inside U_Z.C0 with a partial result not proven minimal."""
+    poset = Poset.from_covers(5, [(3, 2), (4, 1), (5, 1)])
+    code = LinearCode.from_generators(2, 5, [(1, 0, 1, 0, 1), (0, 1, 1, 1, 1)])
     with pytest.raises(ResourceLimitError) as info:
-        primary_decomposition(R4, Poset.chain(4), orbit_budget=2)
+        primary_decomposition(code, poset, orbit_budget=2)
     partial = info.value.partial_result
     assert partial is not None
     assert not partial.proven_minimal
-    assert partial.complexity >= 1
+    assert partial.complexity == 8 > minimal_complexity(code, poset) == 6
+    assert partial.witness.apply_code(code) == partial.dec.code
 
 
 def test_profile_uniqueness_examples():
