@@ -164,12 +164,17 @@ def test_analyze_bounds_budgets_bound_only_the_poset_value(files, capsys, budget
 def test_analyze_bounds_stops_at_the_upper_neighbours_value(tmp_path, capsys, budget, o_p):
     """No code of U_Z.C0 goes below the upper neighbour's value, so the
     walk for o_p stops at the first code that reaches it: here the third
-    of U_Z.C0's 3 codes, of the values 9, 9 and 6, so a budget of 3 codes
-    gives o_p and one of 2 does not."""
+    of U_Z.C0's 9 codes, of the values 9, 9, 6, ..., so a budget of 3 codes
+    gives o_p and one of 2 does not.  The primary search, which walks all
+    of U_Z.C0, stops at either budget."""
     poset = tmp_path / "poset.json"
-    poset.write_text(json.dumps({"n": 4, "covers": [[1, 3], [1, 4]]}))
+    poset.write_text(json.dumps({"n": 5, "covers": [[3, 4], [5, 4]]}))
     code = tmp_path / "code.json"
-    code.write_text(json.dumps({"q": 3, "n": 4, "generators": [[1, 0, 1, 1], [0, 1, 1, 1]]}))
+    code.write_text(
+        json.dumps(
+            {"q": 3, "n": 5, "generators": [[1, 0, 0, 2, 2], [0, 1, 0, 0, 1], [0, 0, 1, 1, 1]]}
+        )
+    )
     status, out, err = run(
         capsys,
         ["--format", "json", "analyze", "bounds", str(poset), str(code), "--orbit-budget", budget],
@@ -177,6 +182,11 @@ def test_analyze_bounds_stops_at_the_upper_neighbours_value(tmp_path, capsys, bu
     assert (status, err) == (0, "")
     data = json.loads(out)["bounds"]
     assert (data["o_upper"], data["o_p"], data["o_lower"]) == (6, o_p, 9)
+    status, _, _ = run(
+        capsys,
+        ["analyze", "decompose", str(poset), str(code), "--primary", "--orbit-budget", budget],
+    )
+    assert status == 2
 
 
 def test_analyze_bounds_on_a_hierarchical_poset_needs_no_walk(files, capsys):

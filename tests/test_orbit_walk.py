@@ -811,7 +811,9 @@ def check_least_value_floor_under_cuts(code, poset, outcomes):
     ``hierarchy_bounds`` gives the upper neighbour's, ``_least_complexity``
     under a budget that cuts the walk of U_Z.C0 before its end gives that
     value if the cut walk reaches a code of it, or else the budget
-    message."""
+    message.  When the upper neighbour's value is that least value,
+    ``hierarchy_bounds`` gives it as o_p under a budget of the walk up to
+    its first code of it."""
     try:
         whole = [image for image, _ in reference_zeroed_walk(code, poset, WHOLE_BUDGET)]
     except ResourceLimitError:
@@ -820,6 +822,9 @@ def check_least_value_floor_under_cuts(code, poset, outcomes):
     walk = search._zeroed_walk(code, poset, len(whole))[1]
     walked = [min_grouping_complexity(image) for image, _ in walk]
     first = walked.index(least)
+    bounds = search.hierarchy_bounds(code, poset, orbit_budget=first + 1)
+    if bounds.o_upper == least:
+        assert bounds.o_p == least, (code, poset, first)
     for budget in {first, first + 1, len(walked) - 1}:
         if not 0 < budget < len(walked):
             continue
