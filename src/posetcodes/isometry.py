@@ -8,6 +8,7 @@ pattern constraint plus a nonzero diagonal makes A triangular in any
 linear extension, hence invertible.
 """
 
+from functools import cache
 from itertools import product
 
 from .code import ENUMERATION_BUDGET, LinearCode, rref
@@ -17,8 +18,10 @@ from .metric import pweight
 from .poset import Poset
 
 
+@cache
 def _eye(n: int) -> tuple:
-    """The n x n identity matrix as a tuple of rows."""
+    """The n x n identity matrix as a tuple of rows, built once per n: its
+    rows are tuples, so callers share them safely."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 

@@ -39,9 +39,12 @@ decomposition up to an automorphism of P, so every block has the values
 of U.C.  Every code of least value in U.C is zero on Z, the coordinates
 whose column lies in the span of the columns above it, and those codes
 are U_Z.C0: C0 = u0.C is C with the columns of Z set to zero, and U_Z
-adds into no row of Z (``_zeroed_walk``).  The searches that value codes
-walk U_Z.C0 alone, value every code they walk, and count its codes per
-block against the orbit budget: ``minimal_complexity`` and the ``o_p`` of
+adds into no row of Z (``_zeroed_walk``).  Z and u0 take an elimination
+only at a nonzero column whose rows the columns above it all reach: a
+zero column is in Z, and a column nonzero in a row that every column
+above it misses is not.  The searches that value codes walk U_Z.C0
+alone, value every code they walk, and count its codes per block against
+the orbit budget: ``minimal_complexity`` and the ``o_p`` of
 ``hierarchy_bounds`` build no matrix, and ``primary_decomposition`` walks
 the blocks only for the images of its codes of least value, the only
 codes its tie-break can choose.  ``is_p_irreducible`` walks all of U.C
@@ -354,9 +357,14 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     block is new.  With b blocks opened, |X| * b images are admitted, which
     reaches |X| * (budget // size) exactly when ``size`` codes per block
     pass the budget: the walk stops then, at a block boundary, with the
-    message of a walk of the whole orbit."""
+    message of a walk of the whole orbit.  With no move, over GF(2) on a
+    poset with no automorphism but the identity, every block is U.C: the
+    walk yields nothing, and builds no class and no move table."""
     code = codes[0]
     q, n = code.q, code.n
+    gens = poset.automorphisms()[0]
+    if q == 2 and not gens:  # no scaling and no automorphism: U.C is the orbit
+        return
     limit = orbit_budget // size * len(codes)
     seen = set(codes)
     identity, ones, root = tuple(range(1, n + 1)), (1,) * n, primitive_root(q)
@@ -367,7 +375,7 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
         column = tuple([v * inv % q for v in column])
         start.append(classes.setdefault(column, len(classes)) * q + lead)
     scalings = [(None, None, c, (1 << c) - 1 | (q == 3) << c) for c in range(n * (q > 2))]
-    gens, automorphisms = poset.automorphisms()[0], []
+    automorphisms = []
     takes = [itemgetter(*[s - 1 for s in g]) for g in gens]
     for k, (g, take) in enumerate(zip(gens, takes)):
         mask = sum(1 << h for h, f in enumerate(gens[:k]) if take(f) == takes[h](g))
@@ -456,12 +464,22 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
 
     Z holds the coordinates i (0-based) whose column col_i of the code's
     canonical generator matrix lies in W_i, the span of the columns col_j
-    with i below j in P: a zero column too.  One elimination per column
-    reduces col_i + e_i against the rows col_j + e_j of the j above i, over
-    k + n entries: col_i lies in W_i exactly when the first k reduce to
-    zero, and the last n are then e_i - sum c_ij e_j, with col_i = sum c_ij
-    col_j, row i of u0.  u0's other rows are the identity's, so u0 is in U
-    and C0 = u0.C is C with the columns of Z set to zero.
+    with i below j in P: a zero column too.  Row i of u0 is e_i - sum c_ij
+    e_j for i in Z, with col_i = sum c_ij col_j, and e_i otherwise, so u0
+    is in U and C0 = u0.C is C with the columns of Z set to zero.
+
+    Each column is held as the mask of its nonzero rows, and the support
+    settles most coordinates with no elimination.  A zero column is in Z
+    with row e_i.  A column nonzero in a row where every column above it is
+    zero, as at a maximal i, lies outside W_i.  Every other column is
+    reduced: col_i + e_i against the rows col_j + e_j of the j above i,
+    over k + n entries, so col_i lies in W_i exactly when the first k
+    reduce to zero, and the last n are then row i of u0, which depends on
+    that elimination when the columns above are dependent.  A zero column
+    reduces to e_i too, as every pivot of those rows lies in the first k
+    entries or at some j above i.  C0 is C when Z holds only zero columns,
+    and keeps C's pivots when Z holds no pivot column; only a pivot column
+    in Z needs C0 reduced again.
 
     Column i of u.C, u in U, is col_i plus a combination of the columns
     above i, so every code of U.C has the same Z.  A code of U.C nonzero on
@@ -474,20 +492,37 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
     onto every matrix whose column i is 0 for i in Z and lies in col_i +
     W_i otherwise: U_Z.C0 is exactly the codes of U.C zero on Z."""
     q, k, n = code.q, code.k, code.n
-    rows = [column + unit for column, unit in zip(zip(*code.generators), _eye(n))]
-    above = [[] for _ in rows]
+    columns = list(zip(*code.generators))
+    masks = [sum(1 << r for r, v in enumerate(column) if v) for column in columns]
+    above = [[] for _ in columns]
     for i, j in poset.strict_pairs():
-        above[i - 1].append(rows[j - 1])
-    u0, zeroed = list(_eye(n)), set()
-    for i, row in enumerate(rows):
-        for basis, p in zip(*rref(q, k + n, above[i])):
-            c = row[p - 1]
-            row = tuple([(a - c * b) % q for a, b in zip(row, basis)])
-        if not any(row[:k]):
-            zeroed.add(i)
+        above[i - 1].append(j - 1)
+    eye = _eye(n)
+    u0, zeroed = list(eye), set()
+    for i, mask in enumerate(masks):
+        reached = 0
+        for j in above[i]:
+            reached |= masks[j]
+        if mask & ~reached:  # a row that only col_i reaches
+            continue
+        if mask:
+            row = columns[i] + eye[i]
+            for basis, p in zip(*rref(q, k + n, [columns[j] + eye[j] for j in above[i]])):
+                c = row[p - 1]
+                row = tuple([(a - c * b) % q for a, b in zip(row, basis)])
+            if any(row[:k]):
+                continue
             u0[i] = row[k:]
-    c0 = [[0 if j in zeroed else v for j, v in enumerate(row)] for row in code.generators]
-    start = LinearCode(q, n, *rref(q, n, c0))
+        zeroed.add(i)
+    start = code
+    if any(masks[i] for i in zeroed):
+        rows = tuple(
+            tuple([0 if j in zeroed else v for j, v in enumerate(row)]) for row in code.generators
+        )
+        if any(p - 1 in zeroed for p in code.pivots):
+            start = LinearCode(q, n, *rref(q, n, rows))
+        else:
+            start = LinearCode(q, n, rows, code.pivots)
     return tuple(u0), _unipotent_walk(start, poset, orbit_budget, zeroed)
 
 

@@ -755,6 +755,33 @@ def reference_zeroed_family(code, poset, limit):
     return {LinearCode.from_generators(q, code.n, list(zip(*columns))) for columns in product(*choices)}
 
 
+def reference_zeroed_setup(code, poset):
+    """Z, u0 and C0 as the search module first found them, by one
+    elimination per coordinate i (0-based): col_i + e_i reduced against the
+    rows col_j + e_j of the j above i, over k + n entries.  i is in Z when
+    the first k reduce to zero, and the last n are then row i of u0; u0's
+    other rows are the identity's, and C0 is the code with the columns of Z
+    set to zero, reduced again.  Returns ``(Z, u0, C0)``."""
+    from posetcodes.code import LinearCode, rref
+    from posetcodes.isometry import _eye
+
+    q, k, n = code.q, code.k, code.n
+    rows = [column + unit for column, unit in zip(zip(*code.generators), _eye(n))]
+    above = [[] for _ in rows]
+    for i, j in poset.strict_pairs():
+        above[i - 1].append(rows[j - 1])
+    u0, zeroed = list(_eye(n)), []
+    for i, row in enumerate(rows):
+        for basis, p in zip(*rref(q, k + n, above[i])):
+            c = row[p - 1]
+            row = tuple((a - c * b) % q for a, b in zip(row, basis))
+        if not any(row[:k]):
+            zeroed.append(i)
+            u0[i] = row[k:]
+    c0 = [[0 if j in zeroed else v for j, v in enumerate(row)] for row in code.generators]
+    return tuple(zeroed), tuple(u0), LinearCode(q, n, *rref(q, n, c0))
+
+
 # -- exhaustive decoding ------------------------------------------------
 
 ORACLE_BUDGET = 1 << 16

@@ -28,7 +28,10 @@ On draws with n <= 7 over GF(2), GF(3) and GF(5), an addition must equal
 the elimination of the summed rows, and the zeroable coordinates must be
 those of the listed spans, the same on every code of U.C, and zero on
 every code of least value; u0 must map C onto C0, and the walk of U_Z.C0
-must reach the codes of the zeroed column family, each once.
+must reach the codes of the zeroed column family, each once.  u0 and C0
+must equal those of one elimination per coordinate, also on hierarchical
+posets, and the set-up must eliminate only where the supports leave the
+verdict open.
 """
 
 import random
@@ -45,6 +48,7 @@ from helpers import (
     reference_unipotent_walk,
     reference_zeroable,
     reference_zeroed_family,
+    reference_zeroed_setup,
     reference_zeroed_walk,
 )
 from posetcodes import search
@@ -1117,3 +1121,71 @@ def test_zeroed_walk_is_the_zeroed_column_family():
 
     given(st.one_of(st.composite(zeroable_instance)(), st.composite(walk_instance)()))(check)()
     assert min(seen.values()) > 0, seen
+
+
+def ranked_instance(draw):
+    """A hypothesis draw: a code as for the additions on a hierarchical
+    poset of up to three random ranks, so a coordinate has many columns
+    above it, often dependent, and often spanning a pivot column."""
+    code = addition_instance(draw)
+    ranks = draw(st.lists(st.integers(0, 2), min_size=code.n, max_size=code.n))
+    return code, Poset.from_ranks(ranks)
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_zeroed_setup_equals_one_elimination_per_coordinate():
+    """``_zeroed_walk``, which eliminates only the columns that their support
+    does not settle, gives the u0 and the first code C0, pivots too, of one
+    elimination per coordinate (helpers), entry for entry.  The draws hold
+    a zeroable nonzero column whose nonzero columns above are dependent, so
+    that its row of u0 is one of several and depends on the elimination,
+    and a pivot column in Z, so that C0 is reduced again."""
+    seen = {"dependent columns above": 0, "pivot column in Z": 0}
+
+    def check(instance):
+        code, poset = instance
+        zeroable, want_u0, want_c0 = reference_zeroed_setup(code, poset)
+        u0, walk = search._zeroed_walk(code, poset, ZEROABLE_BUDGET)
+        start, step = next(walk)
+        assert u0 == want_u0, (code, poset)
+        assert (start.generators, start.pivots, step) == (want_c0.generators, want_c0.pivots, None)
+        columns = list(zip(*code.generators))
+        for i in zeroable:
+            above = [c for j, c in enumerate(columns) if j != i and poset.leq(i + 1, j + 1) and any(c)]
+            if any(columns[i]) and len(rref(code.q, code.k, above)[0]) < len(above):
+                seen["dependent columns above"] += 1
+                break
+        seen["pivot column in Z"] += any(p - 1 in zeroable for p in code.pivots)
+
+    instances = (zeroable_instance, walk_instance, ranked_instance)
+    given(st.one_of(*[st.composite(instance)() for instance in instances]))(check)()
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "poset, rows, eliminations",
+    [
+        (Poset.antichain(6), [(1, 1, 0, 0, 0, 0)], 0),
+        # col_1 = col_3 = col_4 over 1 < 3 < 4 < 5 and 2 < 5: coordinates 1
+        # and 3 are reduced, and C0 again, as the pivot column 1 is in Z
+        (Poset.from_covers(5, [(1, 3), (2, 5), (3, 4), (4, 5)]), [(1, 0, 1, 1, 0)], 3),
+    ],
+)
+def test_zeroed_setup_eliminates_where_the_support_settles_nothing(
+    monkeypatch, poset, rows, eliminations
+):
+    """The set-up of ``_zeroed_walk`` calls ``rref`` once per coordinate
+    whose column is nonzero and reaches no row that the columns above it
+    miss, and once more for C0 when a pivot column is in Z: none on an
+    antichain, where Z holds the zero columns alone."""
+    calls = 0
+
+    def counting_rref(*args):
+        nonlocal calls
+        calls += 1
+        return rref(*args)
+
+    monkeypatch.setattr(search, "rref", counting_rref)
+    code = LinearCode.from_generators(2, poset.n, rows)
+    search._zeroed_walk(code, poset, ZEROABLE_BUDGET)
+    assert calls == eliminations
