@@ -478,8 +478,7 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
     that elimination when the columns above are dependent.  A zero column
     reduces to e_i too, as every pivot of those rows lies in the first k
     entries or at some j above i.  C0 is C when Z holds only zero columns,
-    and keeps C's pivots when Z holds no pivot column; only a pivot column
-    in Z needs C0 reduced again.
+    and is otherwise reduced again.
 
     Column i of u.C, u in U, is col_i plus a combination of the columns
     above i, so every code of U.C has the same Z.  A code of U.C nonzero on
@@ -516,13 +515,8 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
         zeroed.add(i)
     start = code
     if any(masks[i] for i in zeroed):
-        rows = tuple(
-            tuple([0 if j in zeroed else v for j, v in enumerate(row)]) for row in code.generators
-        )
-        if any(p - 1 in zeroed for p in code.pivots):
-            start = LinearCode(q, n, *rref(q, n, rows))
-        else:
-            start = LinearCode(q, n, rows, code.pivots)
+        rows = [[0 if j in zeroed else v for j, v in enumerate(row)] for row in code.generators]
+        start = LinearCode(q, n, *rref(q, n, rows))
     return tuple(u0), _unipotent_walk(start, poset, orbit_budget, zeroed)
 
 

@@ -1139,7 +1139,7 @@ def test_zeroed_setup_equals_one_elimination_per_coordinate():
     elimination per coordinate (helpers), entry for entry.  The draws hold
     a zeroable nonzero column whose nonzero columns above are dependent, so
     that its row of u0 is one of several and depends on the elimination,
-    and a pivot column in Z, so that C0 is reduced again."""
+    and a pivot column in Z, whose zeroing leaves C0 out of reduced form."""
     seen = {"dependent columns above": 0, "pivot column in Z": 0}
 
     def check(instance):
@@ -1166,8 +1166,11 @@ def test_zeroed_setup_equals_one_elimination_per_coordinate():
     "poset, rows, eliminations",
     [
         (Poset.antichain(6), [(1, 1, 0, 0, 0, 0)], 0),
+        # 2 < 1 and col_2 = col_1: coordinate 2 is reduced, and C0 again,
+        # though Z holds no pivot column
+        (Poset.from_covers(2, [(2, 1)]), [(1, 1)], 2),
         # col_1 = col_3 = col_4 over 1 < 3 < 4 < 5 and 2 < 5: coordinates 1
-        # and 3 are reduced, and C0 again, as the pivot column 1 is in Z
+        # and 3 are reduced, and C0 again, with the pivot column 1 in Z
         (Poset.from_covers(5, [(1, 3), (2, 5), (3, 4), (4, 5)]), [(1, 0, 1, 1, 0)], 3),
     ],
 )
@@ -1176,7 +1179,7 @@ def test_zeroed_setup_eliminates_where_the_support_settles_nothing(
 ):
     """The set-up of ``_zeroed_walk`` calls ``rref`` once per coordinate
     whose column is nonzero and reaches no row that the columns above it
-    miss, and once more for C0 when a pivot column is in Z: none on an
+    miss, and once more for C0 when a nonzero column is in Z: none on an
     antichain, where Z holds the zero columns alone."""
     calls = 0
 
