@@ -7,7 +7,9 @@ to the built-in defaults.  The orbit budget bounds the codes an orbit
 walk admits, and so its work: the walk of U.C, U the unipotent part,
 takes at most one canonicalisation per code plus one per strict
 relation, and each later code at most one monomial image per generator
-of Aut(P) and coordinate, plus one.
+of Aut(P) and coordinate, plus one.  A primary decomposition on a
+hierarchical poset is taken in closed form with no walk, so the orbit
+budget never stops it.
 The coset budget bounds the q^(n_i) vectors a table build scans for each
 component.  Every command but ``verify`` checks both budgets before it
 starts; ``verify`` runs its suites at their own budgets, so it refuses

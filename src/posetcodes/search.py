@@ -47,7 +47,12 @@ alone, value every code they walk, and count its codes per block against
 the orbit budget: ``minimal_complexity`` and the ``o_p`` of
 ``hierarchy_bounds`` build no matrix, and ``primary_decomposition`` walks
 the blocks only for the images of its codes of least value, the only
-codes its tie-break can choose.  ``is_p_irreducible`` walks all of U.C
+codes its tie-break can choose.  On a hierarchical poset
+``primary_decomposition`` walks nothing: it returns the closed form of
+``hierarchical_decomposition``, the direct sum of the code's level
+projections, whose witness is built in the triangular part and trusted.
+``minimal_complexity`` walks U_Z.C0 there too, and the tests check the
+closed form against it.  ``is_p_irreducible`` walks all of U.C
 and builds no matrix.  ``verify_profile_uniqueness`` reads profiles and
 irreducibility off the row groups of its one walk of U.C, walks a
 component's unipotent orbit only from a code no earlier walk of the call
@@ -525,8 +530,13 @@ def primary_decomposition(
 ) -> PDecomposition:
     """A decomposition of minimal complexity over the whole orbit.
 
-    Ties are broken by the lexicographically smallest canonical generator
-    matrix; the witness is the isometry that the walk reaches it by.  Every
+    On a hierarchical poset it is ``hierarchical_decomposition``: the direct
+    sum of the code's level projections, reached by a unipotent witness
+    with the identity permutation, which need not be the orbit's
+    lexicographically least code of that complexity.  No walk runs and no
+    orbit budget applies there.  On any other poset, ties are broken by the
+    lexicographically smallest canonical generator matrix; the witness is
+    the isometry that the walk reaches it by.  Every
     block m(U.C) has the values of U.C, whose codes of least value all lie
     in U_Z.C0 (``_zeroed_walk``), so U_Z.C0 is walked and valued, and the
     blocks are walked only for its codes X of least value, whose images
@@ -540,6 +550,8 @@ def primary_decomposition(
     minimal.
     """
     _check_length(code, poset)
+    if poset.is_hierarchical():
+        return hierarchical_decomposition(code, poset)
     identity, ones = tuple(range(1, code.n + 1)), (1,) * code.n
     u0, zeroed = _zeroed_walk(code, poset, orbit_budget)
     walk, values = [], []
@@ -596,8 +608,11 @@ def minimal_complexity(
 ) -> int:
     """The complexity of a primary decomposition, from U_Z.C0 alone.
 
-    A monomial map, an automorphism of P after a diagonal scaling, keeps a
-    code's supports and row groups up to the automorphism, so every block
+    It walks U_Z.C0 on every poset, hierarchical ones too, where
+    ``primary_decomposition`` takes the closed form instead; so this walk
+    is the one the closed form is checked against.  A monomial map, an
+    automorphism of P after a diagonal scaling, keeps a code's supports
+    and row groups up to the automorphism, so every block
     m(U.C) of the orbit has the same grouping minima as U.C, and every code
     of least value in U.C lies in U_Z.C0, the codes of U.C zero at each
     coordinate whose column lies in the span of the columns above it
@@ -827,7 +842,7 @@ def hierarchical_decomposition(code: LinearCode, poset: Poset) -> PDecomposition
     (``_level_sum``), whose cheapest grouping realises the minimal
     complexity: the canonical-systematic form of hierarchical poset codes.
     The witness has the identity permutation and a unipotent matrix in the
-    triangular part.
+    triangular part, built here and so not checked again.
     """
     _check_length(code, poset)
     if not poset.is_hierarchical():
@@ -836,7 +851,8 @@ def hierarchical_decomposition(code: LinearCode, poset: Poset) -> PDecomposition
     matrix = [list(row) for row in _eye(code.n)]
     for i, p, c in entries:
         matrix[i][p] = c
-    witness = PIsometry(poset, code.q, tuple(range(1, code.n + 1)), matrix)
+    matrix = tuple(map(tuple, matrix))
+    witness = PIsometry._trusted(poset, code.q, tuple(range(1, code.n + 1)), matrix)
     return PDecomposition(witness, cheapest_grouping(image), min_grouping_complexity(image))
 
 

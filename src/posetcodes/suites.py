@@ -26,7 +26,6 @@ from .search import (
     hierarchy_bounds,
     lower_neighbour,
     minimal_complexity,
-    primary_decomposition,
     upper_neighbour,
     verify_profile_uniqueness,
     witness_refinement,

@@ -560,13 +560,15 @@ def test_resource_exit_code(files, capsys):
 
 
 def test_primary_search_stopped_past_the_unipotent_orbit_is_proven_minimal(capsys, tmp_path):
-    """On ``antichain:6`` the unipotent orbit of the pair code is the code
-    alone, so a budget of 5 of its 15 orbit codes stops the search inside
-    the blocks: exit 2, one budget line, and a partial result of the
-    minimal complexity, marked proven."""
+    """On six points with 5 below 6 alone the unipotent orbit of the pair
+    code is the code alone, so a budget of 5 stops the search inside the
+    blocks: exit 2, one budget line, and a partial result of the minimal
+    complexity, marked proven."""
+    poset = tmp_path / "edge6.json"
+    poset.write_text(json.dumps({"n": 6, "covers": [[5, 6]]}))
     path = tmp_path / "pair6.json"
     path.write_text(json.dumps({"q": 2, "n": 6, "generators": [[1, 1, 0, 0, 0, 0]]}))
-    argv = ["analyze", "decompose", "antichain:6", str(path), "--primary", "--orbit-budget", "5"]
+    argv = ["analyze", "decompose", str(poset), str(path), "--primary", "--orbit-budget", "5"]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

@@ -1,21 +1,26 @@
 """The closed-form primary decomposition on hierarchical posets, checked
-against the orbit walk: complexity against ``primary_decomposition``, the
+against the orbit walk: complexity against ``minimal_complexity``, the
 canonical profile against ``verify_profile_uniqueness``, and the witness
-against the image it must reach."""
+against the image it must reach and the full ``PIsometry`` check, which
+``primary_decomposition`` skips as it returns the closed form there."""
 
 import dataclasses
+import json
 import random
+import time
 
 import pytest
 
-from posetcodes import suites
+from helpers import reference_primary_decomposition
+from posetcodes import cli, suites
 from posetcodes.code import LinearCode, enumerate_codes
 from posetcodes.decomposition import maximal_decomposition
 from posetcodes.errors import ValidationError
-from posetcodes.isometry import group_size
+from posetcodes.isometry import PIsometry, group_size
 from posetcodes.poset import Poset, hierarchical_posets
 from posetcodes.search import (
     hierarchical_decomposition,
+    minimal_complexity,
     primary_decomposition,
     verify_profile_uniqueness,
 )
@@ -42,13 +47,19 @@ def assert_canonical(code):
     assert (again.generators, again.pivots) == (code.generators, code.pivots)
 
 
+def assert_valid_witness(closed, code):
+    """The trusted witness passes the full check and reaches the image."""
+    witness = closed.witness
+    assert PIsometry(witness.poset, code.q, witness.sigma, witness.matrix_rows) == witness
+    assert witness.apply_code(code) == closed.dec.code
+
+
 def check_against_the_walk(code, poset, profile=True):
     closed = hierarchical_decomposition(code, poset)
     assert_canonical(closed.dec.code)
-    walked = primary_decomposition(code, poset)
-    assert closed.complexity == walked.complexity == closed.dec.complexity()
+    assert closed.complexity == minimal_complexity(code, poset) == closed.dec.complexity()
     assert closed.witness.sigma == tuple(range(1, poset.n + 1))
-    assert closed.witness.apply_code(code) == closed.dec.code
+    assert_valid_witness(closed, code)
     if profile:
         report = verify_profile_uniqueness(code, poset)
         assert report.ok
@@ -87,17 +98,17 @@ def test_seeded_random_instances():
 
 
 def test_cheapest_grouping_profile_can_tie_over_gf2():
-    """Over GF(2), q^1 + q^1 = q^2: the walk's lexicographic tie-break may
-    pick an orbit code of the same complexity with a coarser cheapest
-    grouping, so only the complexity and the canonical (maximal) profile
-    are compared with the walk."""
+    """Over GF(2), q^1 + q^1 = q^2: the orbit's lexicographically least code
+    may have the same complexity with a coarser cheapest grouping, so only
+    the complexity and the canonical (maximal) profile are compared with
+    the exhaustive search."""
     poset = Poset.hierarchical((2, 2))
     code = LinearCode.from_generators(2, 4, [(1, 0, 1, 1), (0, 1, 1, 1)])
     closed = hierarchical_decomposition(code, poset)
-    walked = primary_decomposition(code, poset)
-    assert closed.complexity == walked.complexity == 4
+    least = reference_primary_decomposition(code, poset)
+    assert closed.complexity == least.complexity == 4
     assert closed.dec.profile() == ((0, 0), (2, 1), (2, 1))
-    assert walked.dec.profile() == ((0, 0), (4, 2))
+    assert least.dec.profile() == ((0, 0), (4, 2))
 
 
 def test_witness_lies_in_the_triangular_part():
@@ -112,7 +123,7 @@ def test_witness_lies_in_the_triangular_part():
             if rows[i][j] and i != j:
                 assert heights[i] < heights[j]
     assert all(rows[i][i] == 1 for i in range(5))
-    assert closed.witness.apply_code(code) == closed.dec.code
+    assert_valid_witness(closed, code)
 
 
 def test_rejects_a_non_hierarchical_poset_and_a_length_mismatch():
@@ -129,7 +140,44 @@ def test_reaches_sixteen_coordinates():
     closed = hierarchical_decomposition(ones, Poset.chain(16))
     assert closed.complexity == 1
     assert closed.dec.code == LinearCode.from_generators(3, 16, [(0,) * 15 + (1,)])
-    assert closed.witness.apply_code(ones) == closed.dec.code
+    assert_valid_witness(closed, ones)
+
+
+def seeded_code(seed, n, k):
+    """A seeded random GF(2) code of length n and dimension k."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randrange(2) for _ in range(n)] for _ in range(k)]
+        code = LinearCode.from_generators(2, n, rows)
+        if code.k == k:
+            return code
+
+
+@pytest.mark.parametrize(
+    "spec, complexity", [("antichain:16", 256), ("hierarchical:8,8", 6)]
+)
+def test_primary_search_takes_the_closed_form_at_sixteen_coordinates(spec, complexity):
+    """On a hierarchical poset ``primary_decomposition`` is the closed form,
+    with no orbit budget: these orbits hold far more codes than the default
+    budget, which stopped the walk after a second or more."""
+    poset = cli.load_poset(spec)
+    code = seeded_code(16, 16, 8)
+    start = time.perf_counter()
+    pd = primary_decomposition(code, poset)
+    elapsed = time.perf_counter() - start
+    assert pd == hierarchical_decomposition(code, poset)
+    assert (pd.complexity, pd.proven_minimal) == (complexity, True)
+    assert_valid_witness(pd, code)
+    assert elapsed < 1.0
+
+
+def test_cli_primary_search_on_twelve_incomparable_coordinates(tmp_path, capsys):
+    path = tmp_path / "code12.json"
+    path.write_text(json.dumps(seeded_code(12, 12, 6).to_json_dict()))
+    argv = ["analyze", "decompose", "antichain:12", str(path), "--primary", "--format", "json"]
+    assert cli.main(argv) == 0
+    primary = json.loads(capsys.readouterr().out)["primary"]
+    assert (primary["complexity"], primary["proven_minimal"]) == (64, True)
 
 
 def test_bounds_suite_checks_the_neighbours_against_the_walk(monkeypatch):
@@ -173,10 +221,10 @@ def check_witness(instance):
     code, poset = instance
     closed = hierarchical_decomposition(code, poset)
     assert_canonical(closed.dec.code)
-    assert closed.witness.apply_code(code) == closed.dec.code
+    assert_valid_witness(closed, code)
     assert closed.dec.complexity() == closed.complexity
     if poset.n <= 5 and group_size(poset, code.q) <= 1 << 12:
-        assert closed.complexity == primary_decomposition(code, poset).complexity
+        assert closed.complexity == minimal_complexity(code, poset)
 
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")

@@ -3,7 +3,11 @@
 Instances are seeded random posets and codes with n in 2..5 and q in
 {2, 3}; groups are capped at 400 elements so the reference's repeated
 walks stay cheap.  Decompositions, complexities, orbit sets and profile
-reports must equal the full enumeration's, and so must the values that
+reports must equal the full enumeration's, but on a hierarchical poset,
+where the primary decomposition is the closed form's level sum and must
+have the least complexity and the canonical profile; a second draw, of
+posets that are not hierarchical, keeps the exact tie-break compared on
+at least 60 instances.  So must the values that
 ``minimal_complexity`` and ``hierarchy_bounds`` take from U_Z.C0 alone,
 the codes of U.C zero on Z, here also over GF(5), and the profile
 reports on instances over GF(2), GF(3) and GF(5) whose components need
@@ -73,7 +77,9 @@ except ImportError:  # only the property test against the unskipped walk needs h
     given = None
 
 
-def _instances(count=60, seed=2024, group_cap=400, fields=(2, 3)):
+def _instances(count=60, seed=2024, group_cap=400, fields=(2, 3), hierarchical=True):
+    """Seeded instances with a group of at most ``group_cap`` elements; with
+    ``hierarchical`` False, draws on a hierarchical poset are rejected."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -81,24 +87,43 @@ def _instances(count=60, seed=2024, group_cap=400, fields=(2, 3)):
         q = rng.choice(fields)
         poset = random_poset(rng, n)
         code = random_code(rng, q, n)
-        if group_size(poset, q) <= group_cap:
+        if group_size(poset, q) <= group_cap and (hierarchical or not poset.is_hierarchical()):
             out.append((poset, code))
     return out
 
 
 INSTANCES = _instances()
+# The primary search takes the closed form on a hierarchical poset, so the
+# walk's exact tie-break is compared on the instances above whose poset is not
+# hierarchical, and on these.
+NON_HIERARCHICAL = _instances(count=40, seed=33, hierarchical=False)
+
+
+def check_primary_against_full_enumeration(code, poset):
+    """On a hierarchical poset the primary search is the closed form: the
+    level sum, of the orbit's least complexity and canonical profile.  On
+    any other poset it is the orbit's lexicographically least code of that
+    complexity, with the same grouping as the exhaustive search."""
+    pd = primary_decomposition(code, poset)
+    ref = reference_primary_decomposition(code, poset)
+    assert pd.witness.apply_code(code) == pd.dec.code
+    assert pd.complexity == ref.complexity
+    assert pd.proven_minimal and ref.proven_minimal
+    if poset.is_hierarchical():
+        assert pd.dec.code == search._level_sum(code, poset.heights())[0]
+        profile = reference_profile_uniqueness(code, poset).profile
+        assert maximal_decomposition(pd.dec.code).profile() == profile
+        witness = pd.witness
+        assert PIsometry(poset, code.q, witness.sigma, witness.matrix_rows) == witness
+    else:
+        assert pd.dec.code == ref.dec.code
+        assert pd.dec.components == ref.dec.components
 
 
 @pytest.mark.parametrize("index", range(0, len(INSTANCES), 10))
 def test_walk_matches_full_enumeration(index):
     for poset, code in INSTANCES[index : index + 10]:
-        pd = primary_decomposition(code, poset)
-        ref = reference_primary_decomposition(code, poset)
-        assert pd.witness.apply_code(code) == pd.dec.code
-        assert pd.dec.code == ref.dec.code
-        assert pd.dec.components == ref.dec.components
-        assert pd.complexity == ref.complexity
-        assert pd.proven_minimal and ref.proven_minimal
+        check_primary_against_full_enumeration(code, poset)
 
         orbit = orbit_codes(code, poset)
         assert orbit.keys() == reference_orbit_codes(code, poset).keys()
@@ -110,6 +135,12 @@ def test_walk_matches_full_enumeration(index):
             verify_profile_uniqueness(code, poset).to_json_dict()
             == reference_profile_uniqueness(code, poset).to_json_dict()
         )
+
+
+@pytest.mark.parametrize("index", range(0, len(NON_HIERARCHICAL), 10))
+def test_tie_break_matches_full_enumeration_off_hierarchical_posets(index):
+    for poset, code in NON_HIERARCHICAL[index : index + 10]:
+        check_primary_against_full_enumeration(code, poset)
 
 
 def test_value_searches_match_full_enumeration():

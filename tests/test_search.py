@@ -240,15 +240,19 @@ def test_strip_permutation_identity_cases():
 
 
 def test_strip_permutation_moves_the_witness_into_the_triangular_part():
-    code = LinearCode.from_generators(2, 2, [(1, 0)])
-    pd = primary_decomposition(code, Poset.antichain(2))
-    assert pd.witness.sigma == (2, 1)  # tie-break lands on the swapped image
+    # Two chains 1 < 2 and 3 < 4, which an automorphism swaps.
+    poset = Poset.from_covers(4, [(1, 2), (3, 4)])
+    code = LinearCode.from_generators(2, 4, [(1, 1, 0, 0)])
+    pd = primary_decomposition(code, poset)
+    assert pd.witness.sigma == (3, 4, 1, 2)  # tie-break lands on the swapped image
+    assert pd.witness.matrix_rows[0] == (1, 1, 0, 0)
     stripped = strip_permutation(pd)
-    assert stripped.witness.sigma == (1, 2)
+    assert stripped.witness.sigma == (1, 2, 3, 4)
+    assert stripped.witness.matrix_rows == pd.witness.matrix_rows
     assert stripped.complexity == pd.complexity
     assert stripped.dec.code == stripped.witness.apply_code(code)
     # the stripped witness is valid for every coarser poset
-    for coarser in [Poset.chain(2), Poset.antichain(2)]:
+    for coarser in [poset, Poset.chain(4)]:
         PIsometry(coarser, 2, stripped.witness.sigma, stripped.witness.matrix_rows)
 
 
