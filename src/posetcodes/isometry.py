@@ -64,9 +64,9 @@ class PIsometry:
 
     @classmethod
     def _trusted(cls, poset: Poset, q: int, sigma: tuple, matrix_rows: tuple) -> "PIsometry":
-        """An isometry from parts the orbit walk or the closed form on a
-        hierarchical poset built, with no check: sigma
-        an automorphism of P as a tuple, and matrix_rows a tuple of tuples of
+        """An isometry from parts the library built, in the orbit walk or the
+        closed form on a hierarchical poset, with no check: sigma an
+        automorphism of P as a tuple, and matrix_rows a tuple of tuples of
         residues mod q with a nonzero diagonal and the pattern of P."""
         isometry = cls.__new__(cls)
         isometry.poset = poset

@@ -159,7 +159,7 @@ def seeded_code(seed, n, k):
 def test_primary_search_takes_the_closed_form_at_sixteen_coordinates(spec, complexity):
     """On a hierarchical poset ``primary_decomposition`` is the closed form,
     with no orbit budget: these orbits hold far more codes than the default
-    budget, which stopped the walk after a second or more."""
+    budget, so a walk would stop before it ended."""
     poset = cli.load_poset(spec)
     code = seeded_code(16, 16, 8)
     start = time.perf_counter()
@@ -172,6 +172,7 @@ def test_primary_search_takes_the_closed_form_at_sixteen_coordinates(spec, compl
 
 
 def test_cli_primary_search_on_twelve_incomparable_coordinates(tmp_path, capsys):
+    """The orbit exceeds the default budget; the closed form ends with exit 0."""
     path = tmp_path / "code12.json"
     path.write_text(json.dumps(seeded_code(12, 12, 6).to_json_dict()))
     argv = ["analyze", "decompose", "antichain:12", str(path), "--primary", "--format", "json"]

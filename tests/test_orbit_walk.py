@@ -3,15 +3,15 @@
 Instances are seeded random posets and codes with n in 2..5 and q in
 {2, 3}; groups are capped at 400 elements so the reference's repeated
 walks stay cheap.  Decompositions, complexities, orbit sets and profile
-reports must equal the full enumeration's, but on a hierarchical poset,
-where the primary decomposition is the closed form's level sum and must
-have the least complexity and the canonical profile; a second draw, of
-posets that are not hierarchical, keeps the exact tie-break compared on
-at least 60 instances.  So must the values that
+reports must equal the full enumeration's, and so must the values that
 ``minimal_complexity`` and ``hierarchy_bounds`` take from U_Z.C0 alone,
 the codes of U.C zero on Z, here also over GF(5), and the profile
 reports on instances over GF(2), GF(3) and GF(5) whose components need
-walks of their own.  Witnesses and the orbit order follow the walk, not
+walks of their own.  On a hierarchical poset the primary decomposition
+is the closed form's level sum instead, which must have the least
+complexity and the canonical profile; a second draw, of posets that are
+not hierarchical, keeps the exact tie-break compared on at least 60
+instances.  Witnesses and the orbit order follow the walk, not
 the full enumeration's order, so a witness is checked by the image it
 reaches.  The walk of U.C must reach
 the codes of the breadth-first walk that tries every addition, each once,
