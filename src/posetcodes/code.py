@@ -136,18 +136,7 @@ class LinearCode:
 
     def parity_check(self) -> ParityData:
         """H from the standard construction on the RREF complement; H c = 0 on the code."""
-        q, n = self.q, self.n
-        pivot_set = set(self.pivots)
-        rows = []
-        for free in range(1, n + 1):
-            if free in pivot_set:
-                continue
-            h = [0] * n
-            h[free - 1] = 1
-            for idx, pivot in enumerate(self.pivots):
-                h[pivot - 1] = (-self.generators[idx][free - 1]) % q
-            rows.append(tuple(h))
-        return ParityData(q, n, tuple(rows))
+        return ParityData(self.q, self.n, _parity_rows(self.q, self.n, self.generators, self.pivots))
 
     def restrict(self, coords) -> "LinearCode":
         """The same code viewed on the coordinate set ``coords`` (ascending),
@@ -191,6 +180,23 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(q={self.q}, n={self.n}, generators={list(self.generators)})"
+
+
+def _parity_rows(q: int, n: int, generators, pivots) -> tuple:
+    """The rows of H on the RREF complement of canonical ``generators`` with
+    the 1-based ``pivots``: one row per free column f, 1 at f and minus
+    each row's entry at f at that row's pivot, so H has rank n - k."""
+    pivot_set = set(pivots)
+    rows = []
+    for free in range(1, n + 1):
+        if free in pivot_set:
+            continue
+        h = [0] * n
+        h[free - 1] = 1
+        for idx, pivot in enumerate(pivots):
+            h[pivot - 1] = (-generators[idx][free - 1]) % q
+        rows.append(tuple(h))
+    return tuple(rows)
 
 
 def _check_length(code: LinearCode, poset) -> None:

@@ -52,15 +52,21 @@ codes its tie-break can choose.  On a hierarchical poset
 ``hierarchical_decomposition``, the direct sum of the code's level
 projections, whose witness is built in the triangular part and trusted.
 ``minimal_complexity`` walks U_Z.C0 there too, and the tests check the
-closed form against it.  ``is_p_irreducible`` walks all of U.C
-and builds no matrix.  ``verify_profile_uniqueness`` reads profiles and
-irreducibility off the row groups of its one walk of U.C, walks a
-component's unipotent orbit only from a code no earlier walk of the call
-admitted, and counts the blocks from the codes of U.C of one row-group
-shape.  ``_block_images`` is the one walk of the blocks, which
-``orbit_codes`` feeds all of U.C.  It takes plain codes, yields each
-image with its block map, and stops only at a block boundary.  The
-witnesses built from the walk are trusted, not validated again.
+closed form against it.  Irreducibility is settled first by a
+zeroable column on either side (``_splits``), with no walk: one in the
+span of the columns above it, or a column of the parity-check matrix in
+the span of those below it, as u -> u^(-T) maps U_P onto U_P*.
+``is_p_irreducible`` walks U.C, and builds no matrix, only where neither
+side has one.  ``verify_profile_uniqueness`` reads profiles and
+irreducibility off the row groups of its one walk of U.C, settles each
+component from its rows on its support with no subposet built, walks a
+component's unipotent orbit only where that test leaves it open and from
+a code no earlier walk of the call admitted, and counts the blocks from
+the codes of U.C of one row-group shape.  ``_block_images`` is the one
+walk of the blocks, which ``orbit_codes`` feeds all of U.C.  It takes
+plain codes, yields each image with its block map, and stops only at a
+block boundary.  The witnesses built from the walk are trusted, not
+validated again.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -68,7 +74,7 @@ from functools import lru_cache
 from itertools import accumulate, count
 from operator import itemgetter
 
-from .code import LinearCode, _check_length, enumerate_codes, rref
+from .code import LinearCode, _check_length, _parity_rows, enumerate_codes, rref
 from .decomposition import (
     Decomposition,
     _row_groups,
@@ -463,6 +469,53 @@ def orbit_codes(
     return orbit
 
 
+def _masks(columns: list) -> list:
+    """Each column held as the mask of its nonzero rows."""
+    masks = []
+    for column in columns:
+        mask = 0
+        for r, v in enumerate(column):
+            if v:
+                mask |= 1 << r
+        masks.append(mask)
+    return masks
+
+
+def _zeroing(q: int, columns: list, masks: list, i: int, over: list, eye: tuple):
+    """Row i of the element of U that zeroes column i when col_i lies in the
+    span of the columns at the 0-based indices ``over``, else None: e_i - sum
+    c_ij e_j with col_i = sum c_ij col_j, and e_i for a zero column.  The
+    unit rows e_i are those of ``eye``; with empty rows there, the verdict
+    alone is wanted, and the row is ().
+
+    ``masks`` holds each column as the mask of its nonzero rows, and the
+    support settles most columns with no elimination.  A zero column lies
+    in the span.  A column nonzero in a row where every column of ``over``
+    is zero does not.  Any other column is reduced: col_i + e_i against the
+    rows col_j + e_j of ``over``, so col_i lies in the span exactly when its
+    entries reduce to zero, and the unit entries are then the row, which
+    depends on that elimination when the columns of ``over`` are dependent.
+    A zero column reduces to e_i too, as every pivot of those rows lies
+    among the column's entries or at some j of ``over``.  The matrix need
+    not be canonical: whether a column lies in the span of others depends
+    only on the row space."""
+    mask, reached = masks[i], 0
+    for j in over:
+        reached |= masks[j]
+    if mask & ~reached:  # a row that only col_i reaches
+        return None
+    if not mask:
+        return eye[i]
+    k = len(columns[i])
+    row = columns[i] + eye[i]
+    for basis, p in zip(*rref(q, k + len(eye[i]), [columns[j] + eye[j] for j in over])):
+        c = row[p - 1]
+        row = tuple([(a - c * b) % q for a, b in zip(row, basis)])
+    if any(row[:k]):
+        return None
+    return row[k:]
+
+
 def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
     """u0, and the walk of U_Z.C0 by ``_unipotent_walk``: the codes of U.C
     that are zero on Z, which hold every code of least value in U.C.
@@ -472,18 +525,11 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
     with i below j in P: a zero column too.  Row i of u0 is e_i - sum c_ij
     e_j for i in Z, with col_i = sum c_ij col_j, and e_i otherwise, so u0
     is in U and C0 = u0.C is C with the columns of Z set to zero.
-
-    Each column is held as the mask of its nonzero rows, and the support
-    settles most coordinates with no elimination.  A zero column is in Z
-    with row e_i.  A column nonzero in a row where every column above it is
-    zero, as at a maximal i, lies outside W_i.  Every other column is
-    reduced: col_i + e_i against the rows col_j + e_j of the j above i,
-    over k + n entries, so col_i lies in W_i exactly when the first k
-    reduce to zero, and the last n are then row i of u0, which depends on
-    that elimination when the columns above are dependent.  A zero column
-    reduces to e_i too, as every pivot of those rows lies in the first k
-    entries or at some j above i.  C0 is C when Z holds only zero columns,
-    and is otherwise reduced again.
+    ``_zeroing`` gives each row of u0, and settles most coordinates from
+    the column supports alone: a zero column is in Z, and a column nonzero
+    in a row where every column above it is zero, as at a maximal i, is
+    not.  C0 is C when Z holds only zero columns, and is otherwise reduced
+    again.
 
     Column i of u.C, u in U, is col_i plus a combination of the columns
     above i, so every code of U.C has the same Z.  A code of U.C nonzero on
@@ -495,29 +541,19 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
     Z, so U_Z, generated by the additions into the rows outside Z, maps C0
     onto every matrix whose column i is 0 for i in Z and lies in col_i +
     W_i otherwise: U_Z.C0 is exactly the codes of U.C zero on Z."""
-    q, k, n = code.q, code.k, code.n
+    q, n = code.q, code.n
     columns = list(zip(*code.generators))
-    masks = [sum(1 << r for r, v in enumerate(column) if v) for column in columns]
+    masks = _masks(columns)
     above = [[] for _ in columns]
     for i, j in poset.strict_pairs():
         above[i - 1].append(j - 1)
     eye = _eye(n)
     u0, zeroed = list(eye), set()
-    for i, mask in enumerate(masks):
-        reached = 0
-        for j in above[i]:
-            reached |= masks[j]
-        if mask & ~reached:  # a row that only col_i reaches
-            continue
-        if mask:
-            row = columns[i] + eye[i]
-            for basis, p in zip(*rref(q, k + n, [columns[j] + eye[j] for j in above[i]])):
-                c = row[p - 1]
-                row = tuple([(a - c * b) % q for a, b in zip(row, basis)])
-            if any(row[:k]):
-                continue
-            u0[i] = row[k:]
-        zeroed.add(i)
+    for i in range(n):
+        row = _zeroing(q, columns, masks, i, above[i], eye)
+        if row is not None:
+            u0[i] = row
+            zeroed.add(i)
     start = code
     if any(masks[i] for i in zeroed):
         rows = [[0 if j in zeroed else v for j, v in enumerate(row)] for row in code.generators]
@@ -635,10 +671,60 @@ def _reducible(groups: list, n: int) -> bool:
     return len(rows) + deficiency < n
 
 
+def _strict_ups(poset: Poset) -> list:
+    """The mask of the elements strictly above each element (0-based)."""
+    ups = [0] * poset.n
+    for i, j in poset.strict_pairs():
+        ups[i - 1] |= 1 << j - 1
+    return ups
+
+
+def _zeroable(q: int, columns: list, over: list) -> bool:
+    """True when some column i lies in the span of the columns ``over[i]``:
+    ``_zeroing`` with no unit rows, as only the verdict is wanted."""
+    masks, blank = _masks(columns), ((),) * len(columns)
+    return any(
+        _zeroing(q, columns, masks, i, over[i], blank) is not None for i in range(len(columns))
+    )
+
+
+def _splits(q: int, rows: tuple, ups: list) -> bool:
+    """True when some code of U.C is reducible, C the full-support code of
+    the canonical ``rows`` on n coordinates and ``ups[i]`` the mask of the
+    coordinates strictly above i (0-based), found from a zeroable column on
+    either side with no walk; False leaves the verdict open.  On n = 1
+    every code is irreducible.
+
+    The code's side: a column in the span of the columns above it is
+    zeroed by some u0 in U (``_zeroing``), and u0.C, C0, has a smaller
+    support.  The dual's side: the dual of u.C is u^(-T).C^perp, and u ->
+    u^(-T) maps U_P onto U_P*, which adds column j of a parity-check matrix
+    to column i for each j below i in P.  So when column i of H, the rows
+    of ``_parity_rows``, lies in the span of the columns below i, some u.C
+    has a dual zero at i: u.C holds e_i, a component of its own, so with n
+    >= 2 it has several components or a smaller support.  With k = n, H has
+    no row and every column of it is zero: the full space is reducible."""
+    n = len(ups)
+    if n < 2:
+        return False
+    above = [[j for j in range(n) if up >> j & 1] for up in ups]
+    if _zeroable(q, list(zip(*rows)), above):
+        return True
+    below = [[j for j in range(n) if ups[j] >> i & 1] for i in range(n)]
+    pivots = [row.index(1) + 1 for row in rows]  # a canonical row's first nonzero entry is 1
+    columns = list(zip(*_parity_rows(q, n, rows, pivots))) or [()] * n
+    return _zeroable(q, columns, below)
+
+
 def _irreducible(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
-    """Walk the unipotent orbit of a full-support code up to its first
-    reducible code: the verdict, True when there is none, and the codes
-    walked, all of one orbit and so all of that verdict."""
+    """The verdict on a full-support code, True when no code of U.C is
+    reducible, and the codes walked, all of one orbit and so all of that
+    verdict.  When ``_splits`` finds a reducible code from a zeroable
+    column, no walk runs: the verdict is False, and the code alone is
+    walked.  Otherwise the unipotent orbit is walked up to its first
+    reducible code."""
+    if _splits(code.q, code.generators, _strict_ups(poset)):
+        return False, [code]
     walked = []
     for image, _ in _unipotent_walk(code, poset, orbit_budget):
         walked.append(image)
@@ -655,8 +741,11 @@ def is_p_irreducible(
     smaller support.
 
     The monomial part of the group, a permutation or a scaling, never
-    changes support size or the component count, so scanning the orbit
-    under the unipotent part alone decides the question.
+    changes support size or the component count, so U.C alone decides the
+    question (``_irreducible``).  A zeroable column, on the code's side or
+    on the dual's over the dual poset, shows a reducible code of U.C with no
+    walk; only when there is none is U.C walked, up to its first reducible
+    code.
     """
     _check_length(code, poset)
     if code.support() != frozenset(range(1, poset.n + 1)):
@@ -687,15 +776,18 @@ def verify_profile_uniqueness(
     exactly when no code of U.C is reducible, which the walk settles once it
     ends.  A component on a support holding no strict relation of P is
     irreducible, as the unipotent group of that subposet is trivial.  Any
-    other component's unipotent orbit on its subposet is walked, under the
+    other component is reducible when ``_splits`` finds a zeroable column
+    on its side or its dual's, from its rows on its support and the order
+    there, with no subposet built and no walk.  Only what that leaves open
+    is walked: the component's unipotent orbit on its subposet, under the
     same budget since it embeds in U.C, up to its first reducible code; the
     verdict holds for every code that walk yielded, all of one orbit, so
     no later component starting there is walked again in this call.
     """
     _check_length(code, poset)
     q, n = code.q, poset.n
-    relations = [1 << i - 1 | 1 << j - 1 for i, j in poset.strict_pairs()]
-    subposets, verdicts = {}, {}
+    ups = _strict_ups(poset)
+    supports, subposets, verdicts = {}, {}, {}
 
     def irreducible(image: LinearCode, rows: list) -> bool:
         mask = 0
@@ -703,23 +795,28 @@ def verify_profile_uniqueness(
             for j, v in enumerate(image.generators[index]):
                 if v:
                     mask |= 1 << j
-        if not any(r & mask == r for r in relations):
+        if mask not in supports:  # its coordinates, and the order there as masks
+            coords = [j for j in range(n) if mask >> j & 1]
+            local = [sum(1 << b for b, c in enumerate(coords) if ups[a] >> c & 1) for a in coords]
+            supports[mask] = coords, local
+        coords, local = supports[mask]
+        if not any(local):
             return True
-        coords = [j for j in range(n) if mask >> j & 1]
+        # the group's canonical rows stay canonical on its support
+        generators = tuple(tuple(image.generators[i][j] for j in coords) for i in rows)
+        key = (mask, generators)
+        if key in verdicts:
+            return verdicts[key]
+        if _splits(q, generators, local):
+            verdicts[key] = False
+            return False
         if mask not in subposets:
             subposets[mask] = poset.restrict([j + 1 for j in coords])
-        subposet = subposets[mask]
-        component = LinearCode(  # the group's canonical rows stay canonical on its support
-            q,
-            len(coords),
-            tuple(tuple(image.generators[i][j] for j in coords) for i in rows),
-            tuple(coords.index(image.pivots[i] - 1) + 1 for i in rows),
-        )
-        key = (subposet, component)
-        if key not in verdicts:
-            verdict, walked = _irreducible(component, subposet, orbit_budget)
-            verdicts.update({(subposet, other): verdict for other in walked})
-        return verdicts[key]
+        pivots = tuple(coords.index(image.pivots[i] - 1) + 1 for i in rows)
+        component = LinearCode(q, len(coords), generators, pivots)
+        verdict, walked = _irreducible(component, subposets[mask], orbit_budget)
+        verdicts.update({(mask, other.generators): verdict for other in walked})
+        return verdict
 
     walk, shapes = [], {}  # the codes of U.C, and those of each shape
     candidates = 0
@@ -841,8 +938,9 @@ def hierarchical_decomposition(code: LinearCode, poset: Poset) -> PDecomposition
     The code is equivalent to the direct sum of its level projections
     (``_level_sum``), whose cheapest grouping realises the minimal
     complexity: the canonical-systematic form of hierarchical poset codes.
-    The witness has the identity permutation and a unipotent matrix in the
-    triangular part, built here and so not checked again.
+    The complexity is read off that grouping, so the row groups are found
+    once.  The witness has the identity permutation and a unipotent matrix
+    in the triangular part, built here and so not checked again.
     """
     _check_length(code, poset)
     if not poset.is_hierarchical():
@@ -853,7 +951,8 @@ def hierarchical_decomposition(code: LinearCode, poset: Poset) -> PDecomposition
         matrix[i][p] = c
     matrix = tuple(map(tuple, matrix))
     witness = PIsometry._trusted(poset, code.q, tuple(range(1, code.n + 1)), matrix)
-    return PDecomposition(witness, cheapest_grouping(image), min_grouping_complexity(image))
+    dec = cheapest_grouping(image)
+    return PDecomposition(witness, dec, dec.complexity())
 
 
 def hierarchy_bounds(

@@ -12,9 +12,9 @@ import time
 import pytest
 
 from helpers import reference_primary_decomposition
-from posetcodes import cli, suites
+from posetcodes import cli, decomposition, suites
 from posetcodes.code import LinearCode, enumerate_codes
-from posetcodes.decomposition import maximal_decomposition
+from posetcodes.decomposition import maximal_decomposition, min_grouping_complexity
 from posetcodes.errors import ValidationError
 from posetcodes.isometry import PIsometry, group_size
 from posetcodes.poset import Poset, hierarchical_posets
@@ -95,6 +95,29 @@ def test_seeded_random_instances():
             continue
         check_against_the_walk(suites.random_code(rng, q, n), poset)
         checked += 1
+
+
+def test_closed_form_groups_the_rows_once(monkeypatch):
+    """The closed form takes its complexity from the one grouping it
+    reports: one ``_row_groups`` call per closed form, where taking the
+    complexity and the grouping apart made two."""
+    row_groups, calls = decomposition._row_groups, []
+
+    def counting(code):
+        calls.append(code)
+        return row_groups(code)
+
+    rng = random.Random(607)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        poset = Poset.from_ranks([rng.randrange(3) for _ in range(n)])
+        code = suites.random_code(rng, rng.choice((2, 3, 5)), n)
+        monkeypatch.setattr(decomposition, "_row_groups", counting)
+        calls.clear()
+        closed = hierarchical_decomposition(code, poset)
+        assert calls == [closed.dec.code]
+        monkeypatch.undo()
+        assert closed.complexity == min_grouping_complexity(closed.dec.code)
 
 
 def test_cheapest_grouping_profile_can_tie_over_gf2():

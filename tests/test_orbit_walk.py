@@ -72,7 +72,7 @@ from posetcodes.search import (
 from posetcodes.suites import random_code, random_poset
 
 try:
-    from hypothesis import assume, given, strategies as st
+    from hypothesis import assume, given, settings, strategies as st
 except ImportError:  # only the property test against the unskipped walk needs hypothesis
     given = None
 
@@ -1223,3 +1223,84 @@ def test_zeroed_setup_eliminates_where_the_support_settles_nothing(
     code = LinearCode.from_generators(2, poset.n, rows)
     search._zeroed_walk(code, poset, ZEROABLE_BUDGET)
     assert calls == eliminations
+
+
+# -- reducibility from a zeroable column on either side --------------------------
+
+SPLIT_GROUP_CAP = 1500
+
+
+def full_support_instance(draw):
+    """A hypothesis draw: a full-support code over GF(2), GF(3) or GF(5) with
+    n <= 6 (n <= 5 over GF(3), n <= 4 over GF(5)), each column a nonzero
+    multiple of one of a few drawn nonzero columns, on a poset of random
+    relations whose group the reference walks whole."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, {2: 6, 3: 5, 5: 4}[q]))
+    k = draw(st.integers(1, n))
+    vector = st.lists(st.integers(0, q - 1), min_size=k, max_size=k).filter(any)
+    bases = draw(st.lists(vector, min_size=1, max_size=n))
+    columns = [
+        [c * v % q for v in draw(st.sampled_from(bases))]
+        for c in draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    ]
+    labels = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1]),
+            max_size=n,
+        )
+    )
+    poset = Poset.from_covers(n, [(labels[a - 1], labels[b - 1]) for a, b in pairs])
+    assume(group_size(poset, q) <= SPLIT_GROUP_CAP)
+    return LinearCode.from_generators(q, n, [list(row) for row in zip(*columns)]), poset
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_zeroable_columns_never_call_an_irreducible_code_reducible(monkeypatch):
+    """``_splits`` calls a full-support code reducible only when the full
+    enumeration finds an orbit code with a smaller support or several
+    components, and ``is_p_irreducible``, which walks only what it leaves
+    open, agrees with the enumeration.  Both sides fire on the draws: a
+    column in the span of the columns above it, and, where there is none,
+    a dual column in the span of the dual columns below it."""
+    seen = {"code side": 0, "dual side": 0, "left open": 0, "irreducible": 0}
+    sides = []
+    zeroable = search._zeroable
+
+    def logged(*args):
+        sides.append(zeroable(*args))
+        return sides[-1]
+
+    monkeypatch.setattr(search, "_zeroable", logged)
+
+    def check(instance):
+        code, poset = instance
+        sides.clear()
+        splits = search._splits(code.q, code.generators, search._strict_ups(poset))
+        irreducible = reference_is_p_irreducible(code, poset)
+        assert not (splits and irreducible), (code, poset)
+        assert is_p_irreducible(code, poset) == irreducible, (code, poset)
+        if splits:
+            seen["code side" if sides[0] else "dual side"] += 1
+        else:
+            seen["left open"] += 1
+        seen["irreducible"] += irreducible
+
+    settings(max_examples=200)(given(st.composite(full_support_instance)())(check))()
+    assert min(seen.values()) > 0, seen
+
+
+def test_dual_side_reads_the_dual_columns_below():
+    """Over GF(3) with 1 < 4 and 1 < 5, the code of 10011, 01001 and 00110
+    is P-irreducible by the full enumeration.  Its parity-check column at
+    1, (2, 2), lies in the span of those at 4 and 5, above it, but no
+    parity-check column lies in the span of those below it, nor any column
+    of the code in the span of those above it: neither side fires."""
+    code = LinearCode.from_generators(3, 5, [(1, 0, 0, 1, 1), (0, 1, 0, 0, 1), (0, 0, 1, 1, 0)])
+    poset = Poset.from_covers(5, [(1, 4), (1, 5)])
+    assert reference_is_p_irreducible(code, poset)
+    dual = list(zip(*code.parity_check().rows))
+    assert dual[0] == (2, 2) and dual[3:] == [(1, 0), (0, 1)]
+    assert not search._splits(3, code.generators, search._strict_ups(poset))
+    assert is_p_irreducible(code, poset)

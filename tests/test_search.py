@@ -9,6 +9,7 @@ import pytest
 import posetcodes
 
 from helpers import reference_automorphisms
+from posetcodes import search
 from posetcodes.code import LinearCode
 from posetcodes.decomposition import maximal_decomposition
 from posetcodes.errors import ResourceLimitError, ValidationError
@@ -115,6 +116,77 @@ def test_irreducibility():
     assert not is_p_irreducible(split, Poset.antichain(2))
     with pytest.raises(ValidationError):
         is_p_irreducible(LinearCode.from_generators(2, 2, [(1, 0)]), Poset.antichain(2))
+
+
+def test_full_space_on_a_chain_is_reducible_with_no_walk(monkeypatch):
+    """The full space on ``chain:3`` has k = n, so its parity-check matrix
+    has no row and every dual column is zero: the dual side finds it
+    reducible, and U.C is not walked."""
+
+    def no_walk(*args):
+        raise AssertionError("U.C was walked")
+
+    monkeypatch.setattr(search, "_unipotent_walk", no_walk)
+    is_p_irreducible.cache_clear()
+    full = LinearCode.from_generators(2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert is_p_irreducible(full, Poset.chain(3)) is False
+
+
+def test_irreducibility_from_the_dual_side_needs_no_budget():
+    """Over GF(5) with 3 < 2 and 6 < 5 < 4, the walk of U.C overruns 37
+    codes before it meets a reducible one, and no column lies in the span
+    of the columns above it; a dual column lies in the span of the dual
+    columns below it, so the verdict comes within that budget."""
+    code = LinearCode.from_generators(
+        5, 6, [(1, 0, 0, 0, 2, 2), (0, 1, 0, 0, 1, 3), (0, 0, 1, 0, 3, 2), (0, 0, 0, 1, 2, 0)]
+    )
+    poset = Poset.from_covers(6, [(3, 2), (5, 4), (6, 5)])
+    with pytest.raises(ResourceLimitError, match="^orbit exceeds budget of 37 codes$"):
+        for image, _ in search._unipotent_walk(code, poset, 37):
+            assert not search._reducible(search._row_groups(image), poset.n)
+    ups = search._strict_ups(poset)
+    above = [[j for j in range(6) if up >> j & 1] for up in ups]
+    assert not search._zeroable(5, list(zip(*code.generators)), above)
+    assert search._splits(5, code.generators, ups)
+    assert is_p_irreducible(code, poset, orbit_budget=37) is False
+
+
+def test_profile_check_settles_a_component_from_the_dual_side(monkeypatch):
+    """On 4 points with 2 < 4 and 3 < 1, the code of 1001 and 0011 over
+    GF(2) has codes of U.C whose components hold a strict relation.  The
+    zeroable columns settle each of them, one from the dual side alone, so
+    no subposet is built and U.C is the one walk; the report is that of
+    the walks."""
+    sides, restricted, walks = [], [], []
+    zeroable, restrict, walk = search._zeroable, Poset.restrict, search._unipotent_walk
+
+    def logged_zeroable(*args):
+        sides.append(zeroable(*args))
+        return sides[-1]
+
+    def logged_restrict(poset, coords):
+        restricted.append(coords)
+        return restrict(poset, coords)
+
+    def logged_walk(*args):
+        walks.append(args[:2])
+        return walk(*args)
+
+    monkeypatch.setattr(search, "_zeroable", logged_zeroable)
+    monkeypatch.setattr(Poset, "restrict", logged_restrict)
+    monkeypatch.setattr(search, "_unipotent_walk", logged_walk)
+    poset = Poset.from_covers(4, [(2, 4), (3, 1)])
+    code = LinearCode.from_generators(2, 4, [(1, 0, 0, 1), (0, 0, 1, 1)])
+    report = verify_profile_uniqueness(code, poset).to_json_dict()
+    assert report == {
+        "ok": True,
+        "profile": [[1, 1], [1, 1], [2, 1]],
+        "candidates": 2,
+        "orbit_size": 8,
+        "conflicts": [],
+    }
+    assert restricted == [] and walks == [(code, poset)]
+    assert sides == [False, True, True]  # the dual side, then the code side
 
 
 def test_irreducibility_checks_length_before_support():
