@@ -57,19 +57,24 @@ zeroable column on either side (``_splits``), with no walk: one in the
 span of the columns above it, or a column of the parity-check matrix in
 the span of those below it, as u -> u^(-T) maps U_P onto U_P*.
 ``is_p_irreducible`` walks U.C, and builds no matrix, only where neither
-side has one.  ``verify_profile_uniqueness`` reads profiles and
-irreducibility off the row groups of its one walk of U.C, settles each
-component from its rows on its support with no subposet built, walks a
-component's unipotent orbit only where that test leaves it open and from
-a code no earlier walk of the call admitted, and counts the blocks from
-the codes of U.C of one row-group shape.  ``_block_images`` is the one
-walk of the blocks, which ``orbit_codes`` feeds all of U.C.  It takes
+side has one.  ``verify_profile_uniqueness`` walks U_Z.C0 too, as every
+candidate is zero on Z, under the budget over q^s, s the sum of dim W_i
+over Z, since |U.C| = |U_Z.C0| * q^s: it refuses before any walk when
+q^s alone exceeds the budget.  It reads profiles and irreducibility off
+the row groups of that one walk, settles each component from its rows
+on its support with no subposet built, walks a component's unipotent
+orbit only where that test leaves it open and from a code no earlier
+walk of the call admitted, and counts the blocks from the codes of
+U_Z.C0 of one row-group shape, as blocks of |U.C| codes.
+``_block_images`` is the one walk of the blocks, which ``orbit_codes``
+feeds all of U.C.  It takes
 plain codes, yields each image with its block map, and stops only at a
 block boundary.  The witnesses built from the walk are trusted, not
 validated again.
 """
 
 from dataclasses import dataclass, field as dataclass_field
+from bisect import bisect
 from functools import lru_cache
 from itertools import accumulate, count
 from operator import itemgetter
@@ -333,8 +338,10 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     sigma, scale)``: the image of the code x of ``codes`` under the block
     map (sigma, D), D the diagonal ``scale``, so its witness is (sigma, D.A)
     for the matrix A mapping C onto x (``_witness``).  ``codes`` are the
-    codes X of one value of a walk of ``size`` codes, U_Z.C0 or U.C, or all
-    of U.C; monomial maps keep values.
+    codes X that a block holds of one kind that monomial maps keep, with
+    ``size`` codes per block: those of one value of U_Z.C0 or U.C, with
+    its size, all of U.C, or those of one row-group shape of U_Z.C0, with
+    size |U.C|, the block's own size, so the budget counts whole blocks.
 
     A block map m = (sigma, D) acts as x -> T_sigma(D x), T_s(v)_i =
     v[s(i)], and T_g after T_b is T_take(b), take the ``itemgetter`` of g.
@@ -363,7 +370,7 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
     for a new image.
 
     A block m(U.C) is new exactly when m(X[0]) is, and its codes of that
-    value are m(X), so the blocks open in the order and with the maps of the
+    kind are m(X), so the blocks open in the order and with the maps of the
     whole walk, each image keeps its witness, and every image in a new
     block is new.  With b blocks opened, |X| * b images are admitted, which
     reaches |X| * (budget // size) exactly when ``size`` codes per block
@@ -482,38 +489,68 @@ def _masks(columns: list) -> list:
 
 
 def _zeroing(q: int, columns: list, masks: list, i: int, over: list, eye: tuple):
-    """Row i of the element of U that zeroes column i when col_i lies in the
-    span of the columns at the 0-based indices ``over``, else None: e_i - sum
-    c_ij e_j with col_i = sum c_ij col_j, and e_i for a zero column.  The
-    unit rows e_i are those of ``eye``; with empty rows there, the verdict
-    alone is wanted, and the row is ().
+    """When col_i lies in W_i, the span of the columns at the 0-based
+    indices ``over``, the pair (row i of the element of U that zeroes column
+    i, dim W_i), else None.  The row is e_i - sum c_ij e_j with col_i = sum
+    c_ij col_j, and e_i for a zero column.  The unit rows e_i are those of
+    ``eye``; with empty rows there, the verdict alone is wanted, and the row
+    is ().  dim W_i is read off the elimination, and is None where none
+    runs, at a zero column.
 
     ``masks`` holds each column as the mask of its nonzero rows, and the
     support settles most columns with no elimination.  A zero column lies
     in the span.  A column nonzero in a row where every column of ``over``
-    is zero does not.  Any other column is reduced: col_i + e_i against the
-    rows col_j + e_j of ``over``, so col_i lies in the span exactly when its
-    entries reduce to zero, and the unit entries are then the row, which
-    depends on that elimination when the columns of ``over`` are dependent.
-    A zero column reduces to e_i too, as every pivot of those rows lies
-    among the column's entries or at some j of ``over``.  The matrix need
-    not be canonical: whether a column lies in the span of others depends
-    only on the row space."""
+    is zero does not.  With k = 1 any nonzero column spans GF(q)^1, so a
+    verdict alone needs no elimination there.  Any other column is
+    reduced: col_i + e_i against the rows col_j + e_j of ``over``, so col_i
+    lies in the span exactly when its entries reduce to zero, the unit
+    entries are then the row, which depends on that elimination when the
+    columns of ``over`` are dependent, and the pivots among the first k
+    entries number dim W_i.  A zero column reduces to e_i too, as every
+    pivot of those rows lies among the column's entries or at some j of
+    ``over``.  The matrix need not be canonical: whether a column lies in
+    the span of others depends only on the row space."""
     mask, reached = masks[i], 0
     for j in over:
         reached |= masks[j]
     if mask & ~reached:  # a row that only col_i reaches
         return None
     if not mask:
-        return eye[i]
+        return eye[i], None
     k = len(columns[i])
+    if k == 1 and not eye[i]:
+        return (), 1
     row = columns[i] + eye[i]
-    for basis, p in zip(*rref(q, k + len(eye[i]), [columns[j] + eye[j] for j in over])):
+    bases, pivots = rref(q, k + len(eye[i]), [columns[j] + eye[j] for j in over])
+    for basis, p in zip(bases, pivots):
         c = row[p - 1]
         row = tuple([(a - c * b) % q for a, b in zip(row, basis)])
     if any(row[:k]):
         return None
-    return row[k:]
+    return row[k:], bisect(pivots, k)
+
+
+def _zeroed(code: LinearCode, poset: Poset, eye: tuple) -> tuple:
+    """The column structure of the code's canonical generator matrix: Z, as
+    a dict from each i in Z (0-based) to ``_zeroing``'s pair, with the unit
+    rows of ``eye``, and C0, which is C when Z holds only zero columns and
+    is otherwise reduced again."""
+    q, n = code.q, code.n
+    columns = list(zip(*code.generators))
+    masks = _masks(columns)
+    above = [[] for _ in columns]
+    for i, j in poset.strict_pairs():
+        above[i - 1].append(j - 1)
+    zeroed = {}
+    for i in range(n):
+        pair = _zeroing(q, columns, masks, i, above[i], eye)
+        if pair is not None:
+            zeroed[i] = pair
+    start = code
+    if any(masks[i] for i in zeroed):
+        rows = [[0 if j in zeroed else v for j, v in enumerate(row)] for row in code.generators]
+        start = LinearCode(q, n, *rref(q, n, rows))
+    return zeroed, start
 
 
 def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
@@ -525,11 +562,10 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
     with i below j in P: a zero column too.  Row i of u0 is e_i - sum c_ij
     e_j for i in Z, with col_i = sum c_ij col_j, and e_i otherwise, so u0
     is in U and C0 = u0.C is C with the columns of Z set to zero.
-    ``_zeroing`` gives each row of u0, and settles most coordinates from
-    the column supports alone: a zero column is in Z, and a column nonzero
-    in a row where every column above it is zero, as at a maximal i, is
-    not.  C0 is C when Z holds only zero columns, and is otherwise reduced
-    again.
+    ``_zeroed`` gives Z, each row of u0 and C0, and ``_zeroing`` settles
+    most coordinates from the column supports alone: a zero column is in
+    Z, and a column nonzero in a row where every column above it is zero,
+    as at a maximal i, is not.
 
     Column i of u.C, u in U, is col_i plus a combination of the columns
     above i, so every code of U.C has the same Z.  A code of U.C nonzero on
@@ -541,23 +577,11 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
     Z, so U_Z, generated by the additions into the rows outside Z, maps C0
     onto every matrix whose column i is 0 for i in Z and lies in col_i +
     W_i otherwise: U_Z.C0 is exactly the codes of U.C zero on Z."""
-    q, n = code.q, code.n
-    columns = list(zip(*code.generators))
-    masks = _masks(columns)
-    above = [[] for _ in columns]
-    for i, j in poset.strict_pairs():
-        above[i - 1].append(j - 1)
-    eye = _eye(n)
-    u0, zeroed = list(eye), set()
-    for i in range(n):
-        row = _zeroing(q, columns, masks, i, above[i], eye)
-        if row is not None:
-            u0[i] = row
-            zeroed.add(i)
-    start = code
-    if any(masks[i] for i in zeroed):
-        rows = [[0 if j in zeroed else v for j, v in enumerate(row)] for row in code.generators]
-        start = LinearCode(q, n, *rref(q, n, rows))
+    eye = _eye(code.n)
+    zeroed, start = _zeroed(code, poset, eye)
+    u0 = list(eye)
+    for i, (row, _) in zeroed.items():
+        u0[i] = row
     return tuple(u0), _unipotent_walk(start, poset, orbit_budget, zeroed)
 
 
@@ -717,14 +741,10 @@ def _splits(q: int, rows: tuple, ups: list) -> bool:
 
 
 def _irreducible(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
-    """The verdict on a full-support code, True when no code of U.C is
-    reducible, and the codes walked, all of one orbit and so all of that
-    verdict.  When ``_splits`` finds a reducible code from a zeroable
-    column, no walk runs: the verdict is False, and the code alone is
-    walked.  Otherwise the unipotent orbit is walked up to its first
-    reducible code."""
-    if _splits(code.q, code.generators, _strict_ups(poset)):
-        return False, [code]
+    """The verdict on a full-support code that ``_splits`` leaves open, True
+    when no code of U.C is reducible, and the codes walked, all of one
+    orbit and so all of that verdict: the unipotent orbit is walked up to
+    its first reducible code."""
     walked = []
     for image, _ in _unipotent_walk(code, poset, orbit_budget):
         walked.append(image)
@@ -742,14 +762,16 @@ def is_p_irreducible(
 
     The monomial part of the group, a permutation or a scaling, never
     changes support size or the component count, so U.C alone decides the
-    question (``_irreducible``).  A zeroable column, on the code's side or
-    on the dual's over the dual poset, shows a reducible code of U.C with no
-    walk; only when there is none is U.C walked, up to its first reducible
-    code.
+    question.  A zeroable column, on the code's side or on the dual's over
+    the dual poset, shows a reducible code of U.C with no walk
+    (``_splits``); only when there is none is U.C walked, up to its first
+    reducible code (``_irreducible``).
     """
     _check_length(code, poset)
     if code.support() != frozenset(range(1, poset.n + 1)):
         raise ValidationError("irreducibility expects a code with full support")
+    if _splits(code.q, code.generators, _strict_ups(poset)):
+        return False
     return _irreducible(code, poset, orbit_budget)[0]
 
 
@@ -759,34 +781,59 @@ def verify_profile_uniqueness(
     """Scan the orbit and check that every maximal decomposition carries the
     same canonical profile.
 
-    Only the codes of U.C are decomposed.  Each monomial block m(U.C) is a
-    bijective image of U.C that keeps maximal decompositions, profiles and
-    the irreducibility of components, so each block holds as many
-    candidates as U.C, and the first code with each profile lies in U.C.
-    The orbit size is |U.C| times the number of blocks.  A monomial map
-    keeps a code's shape, the sorted row count and deficiency of each row
-    group, so each block holds the image of the codes X of U.C of one
-    shape; the blocks are counted by walking X alone, for the shape with
-    fewest codes, under the part of the budget that X's images may take.
+    Only the codes of U_Z.C0 are decomposed (``_zeroed``).  Every candidate
+    of U.C is zero on Z: a component nonzero at i in Z holds col_i on its
+    rows, where the columns outside its support are zero, so col_i lies in
+    the span of the columns above it on the component's own support, and
+    ``_splits`` finds the component reducible.  U_Z.C0 is the codes of U.C
+    zero on Z, so it holds every candidate of U.C, and the first code of
+    its walk with each profile.  Setting the columns of Z to zero maps the
+    generator matrices of U.C, column i ranging over col_i + W_i, onto
+    those of U_Z.C0, q^(dim W_i) to one at each i in Z; a matrix X with
+    X.col_j in W_j for every j outside Z has it for j in Z too, as col_j
+    lies in W_j there, so both families have the same matrices per code,
+    and |U.C| = |U_Z.C0| * q^s with s the sum of dim W_i over Z.  The walk
+    of U_Z.C0 runs under the budget // q^s, so it refuses at once when q^s
+    alone exceeds the budget, and stops exactly when |U.C| does.
 
-    A code of U.C is a candidate when each of its row groups, on its
-    support, is irreducible for the subposet there, and one walk of U.C
+    Each monomial block m(U.C) is a bijective image of U.C that keeps
+    maximal decompositions, profiles, the irreducibility of components and
+    Z up to the automorphism, so each block holds as many candidates as
+    U.C.  The orbit size is |U.C| times the number of blocks.  A monomial
+    map keeps a code's shape, the sorted row count and deficiency of each
+    row group, so each block holds the image of the codes X of U_Z.C0 of
+    one shape, its codes of that shape zero on its Z; the blocks are
+    counted by walking X alone, for the shape with fewest codes, as a walk
+    of blocks of |U.C| codes, so it stops exactly when the orbit exceeds
+    the budget.
+
+    A code of U_Z.C0 is a candidate when each of its row groups, on its
+    support, is irreducible for the subposet there, and the one walk
     decides that.  A code that is one group on full support is its own
     component, whose unipotent orbit is U.C: every such code is a candidate
     exactly when no code of U.C is reducible, which the walk settles once it
-    ends.  A component on a support holding no strict relation of P is
+    ends; then Z is empty, as C0 would have a smaller support, and U_Z.C0
+    is U.C.  A component on a support holding no strict relation of P is
     irreducible, as the unipotent group of that subposet is trivial.  Any
     other component is reducible when ``_splits`` finds a zeroable column
     on its side or its dual's, from its rows on its support and the order
     there, with no subposet built and no walk.  Only what that leaves open
-    is walked: the component's unipotent orbit on its subposet, under the
-    same budget since it embeds in U.C, up to its first reducible code; the
-    verdict holds for every code that walk yielded, all of one orbit, so
-    no later component starting there is walked again in this call.
+    is walked (``_irreducible``): the component's unipotent orbit on its
+    subposet, under the same budget since it embeds in U.C, up to its first
+    reducible code; the verdict holds for every code that walk yielded, all
+    of one orbit, so no later component starting there is walked again in
+    this call.
     """
     _check_length(code, poset)
     q, n = code.q, poset.n
     ups = _strict_ups(poset)
+    zeroed, start = _zeroed(code, poset, ((),) * n)
+    columns, s = list(zip(*code.generators)), 0
+    for i, (_, dim) in zeroed.items():
+        if dim is None:  # a zero column: W_i is spanned by the columns above it
+            dim = len(rref(q, code.k, [columns[j] for j in range(n) if ups[i] >> j & 1])[1])
+        s += dim
+    per_code = q**s  # the codes of U.C per code of U_Z.C0
     supports, subposets, verdicts = {}, {}, {}
 
     def irreducible(image: LinearCode, rows: list) -> bool:
@@ -818,38 +865,42 @@ def verify_profile_uniqueness(
         verdicts.update({(mask, other.generators): verdict for other in walked})
         return verdict
 
-    walk, shapes = [], {}  # the codes of U.C, and those of each shape
+    walk, shapes = [], {}  # the codes of U_Z.C0, and those of each shape
     candidates = 0
     profiles = {}
     pending = True  # every code so far is one group on full support
-    for image, _ in _unipotent_walk(code, poset, orbit_budget):
-        groups = _row_groups(image)
-        shape = tuple(sorted((len(rows), deficiency) for rows, deficiency in groups))
-        shapes.setdefault(shape, []).append(image)
-        walk.append(image)
-        if not _reducible(groups, n):
-            continue  # a candidate only if every code of U.C is one too
-        pending = False
-        if all(irreducible(image, rows) for rows, _ in groups):
-            candidates += 1
-            sizes = [(len(rows) + deficiency, len(rows)) for rows, deficiency in groups]
-            j0 = n - sum(size for size, _ in sizes)
-            profiles.setdefault(((j0, j0), *sorted(sizes)), image)
+    try:
+        for image, _ in _unipotent_walk(start, poset, orbit_budget // per_code, zeroed):
+            groups = _row_groups(image)
+            shape = tuple(sorted((len(rows), deficiency) for rows, deficiency in groups))
+            shapes.setdefault(shape, []).append(image)
+            walk.append(image)
+            if not _reducible(groups, n):
+                continue  # a candidate only if every code of U.C is one too
+            pending = False
+            if all(irreducible(image, rows) for rows, _ in groups):
+                candidates += 1
+                sizes = [(len(rows) + deficiency, len(rows)) for rows, deficiency in groups]
+                j0 = n - sum(size for size, _ in sizes)
+                profiles.setdefault(((j0, j0), *sorted(sizes)), image)
+    except ResourceLimitError:
+        raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes") from None
+    unipotent = len(walk) * per_code  # |U.C|
     if pending:
-        candidates = len(walk)
+        candidates = unipotent
         profiles = {((0, 0), (n, code.k)): code}
-    # A monomial map m keeps a code's shape, so the orbit's codes of U.C's
-    # rarest shape are the images m(X) of its codes X of that shape, |X|
-    # per block.
+    # A monomial map m keeps a code's shape, so the orbit's codes of U_Z.C0's
+    # rarest shape, each zero on its block's Z, are the images m(X) of its
+    # codes X of that shape, |X| per block.
     _, rarest = min(shapes.items(), key=lambda item: (len(item[1]), item[0]))
-    images = sum(1 for _ in _block_images(rarest, len(walk), poset, orbit_budget))
-    orbit_size = len(walk) * (1 + images // len(rarest))
+    images = sum(1 for _ in _block_images(rarest, unipotent, poset, orbit_budget))
+    blocks = 1 + images // len(rarest)
     ok = len(profiles) == 1
     return ProfileUniquenessReport(
         ok=ok,
         profile=next(iter(profiles)) if ok else None,
-        candidates=candidates * orbit_size // len(walk),
-        orbit_size=orbit_size,
+        candidates=candidates * blocks,
+        orbit_size=unipotent * blocks,
         conflicts=[] if ok else sorted(profiles.items(), key=lambda item: item[0]),
     )
 

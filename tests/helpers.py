@@ -514,11 +514,9 @@ def reference_is_p_irreducible(code, poset):
     )
 
 
-def reference_profile_uniqueness(code, poset):
-    """Profile-uniqueness report from two full walks of the orbit."""
-    from posetcodes.search import ProfileUniquenessReport
-
-    orbit = reference_orbit_codes(code, poset)
+def reference_profile_candidates(code, poset):
+    """The maximal decompositions of the orbit codes whose every component
+    is irreducible on its support, from a full walk of the orbit."""
     candidates = []
     for image in reference_orbit_codes(code, poset):
         dec = reference_maximal_decomposition(image)
@@ -530,6 +528,15 @@ def reference_profile_uniqueness(code, poset):
             for comp in dec.components
         ):
             candidates.append(dec)
+    return candidates
+
+
+def reference_profile_uniqueness(code, poset):
+    """Profile-uniqueness report from two full walks of the orbit."""
+    from posetcodes.search import ProfileUniquenessReport
+
+    orbit = reference_orbit_codes(code, poset)
+    candidates = reference_profile_candidates(code, poset)
     profiles = {}
     for dec in candidates:
         profiles.setdefault(dec.profile(), dec.code)

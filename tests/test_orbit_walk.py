@@ -48,6 +48,7 @@ from helpers import (
     reference_orbit_codes,
     reference_orbit_walk,
     reference_primary_decomposition,
+    reference_profile_candidates,
     reference_profile_uniqueness,
     reference_unipotent_walk,
     reference_zeroable,
@@ -216,16 +217,17 @@ def _component_walk_instances(per_field=12, seed=19, group_cap=400):
 
 def test_profile_check_walks_no_component_code_twice(monkeypatch):
     """The profile check settles components by its own walks, and each
-    matches the full enumeration.  No component walk runs on a subposet
-    with no strict relation, nor starts at a code that an earlier walk of
-    the same call yielded on the same subposet."""
+    matches the full enumeration.  Its first walk is of U_Z.C0, from C0 and
+    adding into no row of Z.  No component walk runs on a subposet with no
+    strict relation, nor starts at a code that an earlier walk of the same
+    call yielded on the same subposet."""
     walks = []
     walk = search._unipotent_walk
 
-    def logged(code, poset, orbit_budget):
+    def logged(code, poset, orbit_budget, fixed=()):
         yielded = set()
         walks.append((poset, code, yielded))
-        for item in walk(code, poset, orbit_budget):
+        for item in walk(code, poset, orbit_budget, fixed):
             yielded.add(item[0])
             yield item
 
@@ -235,13 +237,58 @@ def test_profile_check_walks_no_component_code_twice(monkeypatch):
         walks.clear()
         report = verify_profile_uniqueness(code, poset).to_json_dict()
         assert report == reference_profile_uniqueness(code, poset).to_json_dict(), (poset, code)
-        assert walks[0][0] == poset and walks[0][1] == code
+        zeroed = [image for image, _ in reference_zeroed_walk(code, poset, 10**5)]
+        assert walks[0][0] == poset and walks[0][1] == zeroed[0]
+        assert walks[0][2] == set(zeroed), (poset, code)
         for index, (subposet, start, _) in enumerate(walks[1:], start=1):
             assert subposet.n < poset.n and subposet.strict_pairs()
             for earlier, _, yielded in walks[1:index]:
                 assert earlier != subposet or start not in yielded, (poset, code, start)
         component_walks += len(walks) - 1
     assert component_walks > 0
+
+
+def test_profile_check_tests_each_component_once(monkeypatch):
+    """The profile check runs ``_splits`` once on each component, with its
+    rows on its support and the order there; a component that test leaves
+    open goes to ``_irreducible``, which walks it and does not test it
+    again."""
+    calls, walked = [], 0
+    splits, irreducible = search._splits, search._irreducible
+
+    def logged_splits(q, rows, ups):
+        calls.append((q, rows, tuple(ups)))
+        return splits(q, rows, ups)
+
+    def logged_irreducible(*args):
+        nonlocal walked
+        walked += 1
+        return irreducible(*args)
+
+    monkeypatch.setattr(search, "_splits", logged_splits)
+    monkeypatch.setattr(search, "_irreducible", logged_irreducible)
+    for poset, code in _component_walk_instances():
+        calls.clear()
+        verify_profile_uniqueness(code, poset)
+        assert len(calls) == len(set(calls)), (poset, code)
+    assert walked > 0
+
+
+def test_every_profile_candidate_is_zero_on_its_zeroable_coordinates():
+    """Each candidate of the full enumeration, an orbit code whose every
+    component is irreducible on its support, is zero at each coordinate
+    whose column lies in the listed span of the columns above it: a
+    component nonzero there would have that column in the span of the
+    columns above it on its own support, and so be reducible.  So the
+    candidates of U.C all lie in U_Z.C0."""
+    zeroing = 0
+    for poset, code in INSTANCES[::4] + _component_walk_instances(per_field=4):
+        for dec in reference_profile_candidates(code, poset):
+            zeroable = reference_zeroable(dec.code, poset)
+            support = dec.code.support()
+            assert all(i + 1 not in support for i in zeroable), (poset, code, dec.code)
+            zeroing += bool(zeroable)
+    assert zeroing > 0
 
 
 def test_profile_check_stops_exactly_past_its_budget():
@@ -1068,10 +1115,11 @@ def test_addition_equals_elimination(monkeypatch):
 ZEROABLE_BUDGET = 2000
 
 
-def zeroable_instance(draw):
-    """A hypothesis draw: a code as for the additions, n <= 7 over GF(2),
-    GF(3) or GF(5), on a poset of random relations."""
-    code = addition_instance(draw)
+def zeroable_instance(draw, fields=(2, 3, 5)):
+    """A hypothesis draw: a ``column_code`` with 2 <= n <= 7 over one of
+    ``fields``, by default GF(2), GF(3) or GF(5) as for the additions, on a
+    poset of random relations."""
+    code = column_code(draw, fields, 2, 7)
     n = code.n
     labels = draw(st.permutations(range(1, n + 1)))
     pairs = draw(
@@ -1151,6 +1199,53 @@ def test_zeroed_walk_is_the_zeroed_column_family():
             seen["several codes"] += len(items) > 1
 
     given(st.one_of(st.composite(zeroable_instance)(), st.composite(walk_instance)()))(check)()
+    assert min(seen.values()) > 0, seen
+
+
+COUNT_BUDGET = 2000
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_unipotent_walk_is_the_zeroed_walk_times_q_to_the_s():
+    """|U.C| = |U_Z.C0| * q^s, s the sum of dim W_i over Z: setting the
+    columns of Z to zero maps the generator matrices of U.C onto those of
+    U_Z.C0, q^(dim W_i) to one at each i in Z, with as many matrices per
+    code on both sides.  Z and each dim W_i are found here by ranks alone.
+    Whenever the walk of U.C ends within the budget its length is the
+    count, and it stops when the count passes the budget.  The draws are
+    those of the zeroable coordinates, over GF(2), GF(3), GF(5) and
+    GF(7)."""
+    seen = {"s > 0": 0, "zero column under a nonzero span": 0, "walked": 0, "stopped": 0}
+
+    def check(instance):
+        code, poset = instance
+        q, k, n = code.q, code.k, code.n
+        columns = list(zip(*code.generators))
+        s = 0
+        for i, column in enumerate(columns):
+            above = [columns[j] for j in range(n) if j != i and poset.leq(i + 1, j + 1)]
+            dim = len(rref(q, k, above)[1])
+            if len(rref(q, k, above + [column])[1]) == dim:  # column i lies in W_i
+                s += dim
+                seen["zero column under a nonzero span"] += dim > 0 and not any(column)
+        seen["s > 0"] += s > 0
+        try:
+            count = len(list(search._zeroed_walk(code, poset, COUNT_BUDGET)[1])) * q**s
+        except ResourceLimitError:
+            count = None  # U_Z.C0, a part of U.C, is past the budget
+        walk = search._unipotent_walk(code, poset, COUNT_BUDGET)
+        if count is not None and count <= COUNT_BUDGET:
+            assert len(list(walk)) == count, (code, poset)
+            seen["walked"] += 1
+        else:
+            with pytest.raises(ResourceLimitError):
+                list(walk)
+            seen["stopped"] += 1
+
+    # the all-ones code on a chain: U_Z.C0 is C0 alone, U.C has 7^2 and 7^5 codes
+    check((LinearCode.from_generators(7, 3, [(1,) * 3]), Poset.chain(3)))
+    check((LinearCode.from_generators(7, 6, [(1,) * 6]), Poset.chain(6)))
+    given(st.composite(zeroable_instance)(fields=(2, 3, 5, 7)))(check)()
     assert min(seen.values()) > 0, seen
 
 

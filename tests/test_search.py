@@ -10,7 +10,7 @@ import posetcodes
 
 from helpers import reference_automorphisms
 from posetcodes import search
-from posetcodes.code import LinearCode
+from posetcodes.code import LinearCode, rref
 from posetcodes.decomposition import maximal_decomposition
 from posetcodes.errors import ResourceLimitError, ValidationError
 from posetcodes.isometry import PIsometry
@@ -153,10 +153,13 @@ def test_irreducibility_from_the_dual_side_needs_no_budget():
 
 def test_profile_check_settles_a_component_from_the_dual_side(monkeypatch):
     """On 4 points with 2 < 4 and 3 < 1, the code of 1001 and 0011 over
-    GF(2) has codes of U.C whose components hold a strict relation.  The
-    zeroable columns settle each of them, one from the dual side alone, so
-    no subposet is built and U.C is the one walk; the report is that of
-    the walks."""
+    GF(2) is zero at its one zeroable coordinate, 2, so it is C0, and
+    U_Z.C0 holds it and the code of 1000 and 0011.  Its component on
+    {1, 3, 4} holds 3 < 1, and the dual side alone settles it, so no
+    subposet is built and U_Z.C0 is the one walk; the report is that of
+    the walks.  The two codes of U.C nonzero at 2 are not walked: their
+    component on {2, 3, 4} has a zeroable column, so neither is a
+    candidate."""
     sides, restricted, walks = [], [], []
     zeroable, restrict, walk = search._zeroable, Poset.restrict, search._unipotent_walk
 
@@ -186,7 +189,7 @@ def test_profile_check_settles_a_component_from_the_dual_side(monkeypatch):
         "conflicts": [],
     }
     assert restricted == [] and walks == [(code, poset)]
-    assert sides == [False, True, True]  # the dual side, then the code side
+    assert sides == [False, True]  # the code side, then the dual side
 
 
 def test_irreducibility_checks_length_before_support():
@@ -279,6 +282,55 @@ def test_profile_check_stops_at_its_budget_on_a_large_unipotent_orbit():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "orbit exceeds budget of 20000 codes\n"
+
+
+def test_profile_check_refuses_sixteen_coordinates_before_any_walk():
+    """On the random 16-point poset with the GF(3) code drawn next, U_Z.C0
+    has 19,683 codes and U.C has 3^27 times as many: the zeroable columns
+    alone give q^s = 3^27 codes of U.C per code of U_Z.C0, past the default
+    budget, so the check stops before it walks, where walking U.C took
+    seconds to reach the same stop.  In a child process, so that a slow
+    check fails the test instead of stalling it."""
+    script = (
+        "import random\n"
+        "from posetcodes import suites\n"
+        "from posetcodes.errors import ResourceLimitError\n"
+        "from posetcodes.search import verify_profile_uniqueness\n"
+        "rng = random.Random(16)\n"
+        "poset = suites.random_poset(rng, 16)\n"
+        "code = suites.random_code(rng, 3, 16)\n"
+        "try:\n"
+        "    verify_profile_uniqueness(code, poset)\n"
+        "except ResourceLimitError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(posetcodes.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "orbit exceeds budget of 100000 codes\n"
+
+
+def test_one_row_component_is_settled_with_no_elimination(monkeypatch):
+    """With k = 1 any nonzero column spans GF(q)^1, so a one-row component
+    whose column lies under a nonzero column is found reducible from the
+    column supports alone, with no ``rref``; a column with no column above
+    it is settled from the supports too.  With k = 2 the elimination
+    runs."""
+    eliminations = []
+
+    def counting_rref(*args):
+        eliminations.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(search, "rref", counting_rref)
+    # 1 < 2 over GF(3): column 1, (1), lies in the span of column 2, (2)
+    assert search._splits(3, ((1, 2, 1),), [0b010, 0, 0])
+    assert search._zeroable(5, [(3,), (4,)], [[], []]) is False
+    assert eliminations == []
+    assert search._zeroable(5, [(1, 2), (2, 4)], [[1], []])  # k = 2 still eliminates
+    assert len(eliminations) == 1
 
 
 def test_orbit_budget_is_keyword_only():
