@@ -12,20 +12,10 @@ demand: the walks yield each code with the step or block map that
 reaches it, and ``_matrices`` replays the steps of U.C, and ``_witness``
 applies a block map, only for the codes a caller reports.
 
-The block walk does not canonicalise a move whose image it has provably
-seen.  Each stage's table lists its moves, each with a skip mask: a
-queued block representative X keeps the mask of the move g that first
-reached it, X = g.P, which holds each earlier move h that commutes with
-g, and g itself when g is an involution: h.X = g.(h.P), and h.P, or the
-block it repeated, left the queue before X, so g was applied to it or
-provably skipped; and g.X = P.  By induction on queue order, after X is
-processed every move's image of X is in ``seen``, so ``_admit`` would
-refuse each skipped image before its budget check.  The scalings commute,
-and each is an involution over GF(3); generators of Aut(P) commute or
-are involutions as their compositions say.  Nor does a stage take the
-image of a move whose map arranges the code's columns, each a multiple of
-its projective class, as a map it tried before: equal arrangements give
-equal generator matrices.  The block order, witnesses and budget
+The block walk does not take the image of a move whose map arranges the
+code's columns, each a multiple of its projective class, as a map it
+tried before: equal arrangements give equal generator matrices, so
+``_admit`` would refuse the image.  The block order, witnesses and budget
 messages are those of the block walk that tries every move from the same
 walk of U.C.  Each image is one move from its representative's image,
 taken by the kernel of that kind of move: ``_permuted`` under a generator
@@ -89,6 +79,7 @@ from .decomposition import (
 from .errors import ResourceLimitError, ValidationError
 from .field import primitive_root
 from .isometry import PIsometry, _eye
+from .metric import support_mask
 from .poset import Poset
 
 DEFAULT_ORBIT_BUDGET = 10**5
@@ -345,20 +336,18 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
 
     A block map m = (sigma, D) acts as x -> T_sigma(D x), T_s(v)_i =
     v[s(i)], and T_g after T_b is T_take(b), take the ``itemgetter`` of g.
-    Each stage has its table of moves (take, place, c, skip): first the
+    Each stage has its table of moves (take, place, c): first the
     primitive-root scaling of each x_c (no take or place), as the scalings
     normalise U, then each generator g of Aut(P), which normalises both,
-    walking X and its scaled images.  ``skip`` masks the moves not tried
-    from a block the move first reached (see the module docstring).  For
-    each block's representative rep, in the order found, and each move
-    outside rep's mask, a new image of X[0] under the move after rep opens
-    its block, walked in the order of the stage's codes.  The stage keeps
-    its blocks' images in order, so each image is one move from rep's, as
-    a scaling stage's sigma is the identity and an Aut(P) stage's D is
-    that of the scaled code it moves; a rep keeps only the other.  A move
-    is taken by its kind's kernel: ``_permuted`` with g's ``take`` and
-    inverse ``place``, both built once per call with the move table, or
-    ``_scaled`` with c and the root.
+    walking X and its scaled images.  For each block's representative rep,
+    in the order found, and each move, a new image of X[0] under the move
+    after rep opens its block, walked in the order of the stage's codes.
+    The stage keeps its blocks' images in order, so each image is one move
+    from rep's, as a scaling stage's sigma is the identity and an Aut(P)
+    stage's D is that of the scaled code it moves; a rep keeps only the
+    other.  A move is taken by its kind's kernel: ``_permuted`` with g's
+    ``take`` and inverse ``place``, both built once per call with the move
+    table, or ``_scaled`` with c and the root.
 
     Column j of X[0] is mult[j] times the representative of its projective
     class, so a map's arrangement, one int per place t, is class * q +
@@ -392,23 +381,18 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
         inv = pow(lead, q - 2, q) if lead > 1 else 1
         column = tuple([v * inv % q for v in column])
         start.append(classes.setdefault(column, len(classes)) * q + lead)
-    scalings = [(None, None, c, (1 << c) - 1 | (q == 3) << c) for c in range(n * (q > 2))]
-    automorphisms = []
-    takes = [itemgetter(*[s - 1 for s in g]) for g in gens]
-    for k, (g, take) in enumerate(zip(gens, takes)):
-        mask = sum(1 << h for h, f in enumerate(gens[:k]) if take(f) == takes[h](g))
-        place = tuple(t - 1 for t in _inverse(g))
-        automorphisms.append((take, place, None, mask | (take(g) == identity) << k))
+    scalings = [(None, None, c) for c in range(n * (q > 2))]
+    automorphisms = [
+        (itemgetter(*[s - 1 for s in g]), tuple(t - 1 for t in _inverse(g)), None) for g in gens
+    ]
     scaled = []  # (image, x, D) of the scaling stage, whose images the Aut(P) stage walks too
     try:
         for moves, first in ((scalings, ones), (automorphisms, identity)):
             walked = [(x, x, ones) for x in codes] + scaled
             imaged = [image for image, _, _ in walked]  # each block's, whole, in order
-            reps, tried = [(first, 0, tuple(start))], {tuple(start)}
-            for at, (rep_map, skip, rep_arranged) in zip(count(0, len(walked)), reps):
-                for k, (take, place, c, mask) in enumerate(moves):
-                    if skip >> k & 1:
-                        continue
+            reps, tried = [(first, tuple(start))], {tuple(start)}
+            for at, (rep_map, rep_arranged) in zip(count(0, len(walked)), reps):
+                for take, place, c in moves:
                     if take:
                         arranged = take(rep_arranged)
                     else:  # the multiple at place c times the root
@@ -429,7 +413,7 @@ def _block_images(codes: list, size: int, poset: Poset, orbit_budget: int):
                     else:
                         sigma = identity
                         mapped = rep_map[:c] + (rep_map[c] * root % q,) + rep_map[c + 1 :]
-                    reps.append((mapped, mask, arranged))
+                    reps.append((mapped, arranged))
                     for index, (_, x, scale) in enumerate(walked):
                         if index:  # every image in a new block is new
                             if take:
@@ -457,15 +441,15 @@ def orbit_codes(
 
     That makes at most |U.C| - 1 + r canonicalisations for U.C, r the
     number of strict relations, and at most n + generators of Aut(P) + 1
-    monomial images for each later code, fewer as the block walks skip the
-    moves that provably repeat a code, and an image needs an elimination
-    only when a pivot does not stay its row's first entry: the all-ones
-    code on ``chain:6`` over GF(2) takes 41 canonicalisations, 9 of them
-    eliminations (``_add``), for its 32 codes, where trying every move from
-    every code takes 480, and the pair code on ``antichain:6`` takes 14
-    images and no elimination for its 15.  A poset of another length is
-    refused before any image; the orbit budget stops the walk exactly when
-    the orbit exceeds it."""
+    monomial images for each later code, fewer as the block walks skip a
+    move that arranges the columns as one tried before, and an image needs
+    an elimination only when a pivot does not stay its row's first entry:
+    the all-ones code on ``chain:6`` over GF(2) takes 41 canonicalisations,
+    9 of them eliminations (``_add``), for its 32 codes, where trying every
+    move from every code takes 480, and the pair code on ``antichain:6``
+    takes 14 images and no elimination for its 15.  A poset of another
+    length is refused before any image; the orbit budget stops the walk
+    exactly when the orbit exceeds it."""
     _check_length(code, poset)
     identity, ones = tuple(range(1, code.n + 1)), (1,) * code.n
     walk = list(_unipotent_walk(code, poset, orbit_budget))
@@ -474,18 +458,6 @@ def orbit_codes(
     for image, x, sigma, scale in _block_images(list(matrices), len(walk), poset, orbit_budget):
         orbit[image] = _witness(poset, code.q, sigma, scale, matrices[x])
     return orbit
-
-
-def _masks(columns: list) -> list:
-    """Each column held as the mask of its nonzero rows."""
-    masks = []
-    for column in columns:
-        mask = 0
-        for r, v in enumerate(column):
-            if v:
-                mask |= 1 << r
-        masks.append(mask)
-    return masks
 
 
 def _zeroing(q: int, columns: list, masks: list, i: int, over: list, eye: tuple):
@@ -537,7 +509,7 @@ def _zeroed(code: LinearCode, poset: Poset, eye: tuple) -> tuple:
     is otherwise reduced again."""
     q, n = code.q, code.n
     columns = list(zip(*code.generators))
-    masks = _masks(columns)
+    masks = list(map(support_mask, columns))
     above = [[] for _ in columns]
     for i, j in poset.strict_pairs():
         above[i - 1].append(j - 1)
@@ -706,7 +678,7 @@ def _strict_ups(poset: Poset) -> list:
 def _zeroable(q: int, columns: list, over: list) -> bool:
     """True when some column i lies in the span of the columns ``over[i]``:
     ``_zeroing`` with no unit rows, as only the verdict is wanted."""
-    masks, blank = _masks(columns), ((),) * len(columns)
+    masks, blank = list(map(support_mask, columns)), ((),) * len(columns)
     return any(
         _zeroing(q, columns, masks, i, over[i], blank) is not None for i in range(len(columns))
     )
@@ -834,19 +806,15 @@ def verify_profile_uniqueness(
             dim = len(rref(q, code.k, [columns[j] for j in range(n) if ups[i] >> j & 1])[1])
         s += dim
     per_code = q**s  # the codes of U.C per code of U_Z.C0
-    supports, subposets, verdicts = {}, {}, {}
+    verdicts = {}
 
     def irreducible(image: LinearCode, rows: list) -> bool:
         mask = 0
         for index in rows:
-            for j, v in enumerate(image.generators[index]):
-                if v:
-                    mask |= 1 << j
-        if mask not in supports:  # its coordinates, and the order there as masks
-            coords = [j for j in range(n) if mask >> j & 1]
-            local = [sum(1 << b for b, c in enumerate(coords) if ups[a] >> c & 1) for a in coords]
-            supports[mask] = coords, local
-        coords, local = supports[mask]
+            mask |= support_mask(image.generators[index])
+        # its coordinates, and the order there as masks
+        coords = [j for j in range(n) if mask >> j & 1]
+        local = [sum(1 << b for b, c in enumerate(coords) if ups[a] >> c & 1) for a in coords]
         if not any(local):
             return True
         # the group's canonical rows stay canonical on its support
@@ -857,15 +825,14 @@ def verify_profile_uniqueness(
         if _splits(q, generators, local):
             verdicts[key] = False
             return False
-        if mask not in subposets:
-            subposets[mask] = poset.restrict([j + 1 for j in coords])
         pivots = tuple(coords.index(image.pivots[i] - 1) + 1 for i in rows)
         component = LinearCode(q, len(coords), generators, pivots)
-        verdict, walked = _irreducible(component, subposets[mask], orbit_budget)
+        subposet = poset.restrict([j + 1 for j in coords])
+        verdict, walked = _irreducible(component, subposet, orbit_budget)
         verdicts.update({(mask, other.generators): verdict for other in walked})
         return verdict
 
-    walk, shapes = [], {}  # the codes of U_Z.C0, and those of each shape
+    shapes = {}  # the codes of U_Z.C0 of each shape
     candidates = 0
     profiles = {}
     pending = True  # every code so far is one group on full support
@@ -874,7 +841,6 @@ def verify_profile_uniqueness(
             groups = _row_groups(image)
             shape = tuple(sorted((len(rows), deficiency) for rows, deficiency in groups))
             shapes.setdefault(shape, []).append(image)
-            walk.append(image)
             if not _reducible(groups, n):
                 continue  # a candidate only if every code of U.C is one too
             pending = False
@@ -885,7 +851,7 @@ def verify_profile_uniqueness(
                 profiles.setdefault(((j0, j0), *sorted(sizes)), image)
     except ResourceLimitError:
         raise ResourceLimitError(f"orbit exceeds budget of {orbit_budget} codes") from None
-    unipotent = len(walk) * per_code  # |U.C|
+    unipotent = sum(map(len, shapes.values())) * per_code  # |U.C|
     if pending:
         candidates = unipotent
         profiles = {((0, 0), (n, code.k)): code}

@@ -21,9 +21,9 @@ GF(7), must equal the one that maps every walked image by each monomial
 block map the block walks try, and a budget that cuts the orbit must stop
 it with the same message.  A scaling-stage image never eliminates.  On
 hypothesis draws with n <= 6 over GF(2), GF(3) and GF(5), the block
-walks, which skip the moves that provably repeat a code, must give the
-items of that walk, which tries every move.  On draws with n <= 8 over
-GF(2), GF(3), GF(5) and GF(7), a permuted image must equal the
+walks, which skip a move that arranges the columns as one tried before,
+must give the items of that walk, which tries every move.  On draws with
+n <= 8 over GF(2), GF(3), GF(5) and GF(7), a permuted image must equal the
 elimination of the permuted rows, and a scaled image that of the rows
 with one column scaled, with the same pivots and no elimination; on
 seeded instances with n from 8 to 16 a stopped primary search must say
@@ -709,18 +709,19 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
     """On a GF(2) antichain the unipotent part is trivial and no scaling
     applies, so each block is one code; the walk takes the image of each
     block under at most each generator of Aut(P), n - 1 transpositions,
-    where permuting every code would take |Aut| - 1 images.  A block that a
-    transposition reached skips that transposition, an involution, and the
-    earlier ones that commute with it, and no move that arranges the code's
-    columns as a move tried before is taken: the pair code on
-    ``antichain:6`` reaches its 14 other codes with 14 images, not 75
-    canonicalisations, and none of them needs an elimination, where the
-    walk that reduced every image took 38.  On ``chain:6`` the all-ones
-    code's 32 codes take 9 eliminations, not 480, and no image: the walk
-    of U.C canonicalises each code after the first once, five of them as
-    the test of an addition that doubles the orbit, and tests the ten other
-    additions once each, 41 canonicalisations, and only the 9 whose
-    addition moves a row's leading entry or meets a pivot column eliminate."""
+    where permuting every code would take |Aut| - 1 images.  No move that
+    arranges the code's columns as a move tried before is taken: the pair
+    code on ``antichain:6`` reaches its 14 other codes with 14 images, not
+    75 canonicalisations, and none of them needs an elimination, where the
+    walk that reduced every image took 38.  That one filter also holds
+    ``THREE_CYCLE`` (|Aut| = 12) to 44 images for its 48 codes, and a
+    GF(3) code on covers [[1, 3], [2, 3], [4, 5]] to 87 for its 108.  On
+    ``chain:6`` the all-ones code's 32 codes take 9 eliminations, not 480,
+    and no image: the walk of U.C canonicalises each code after the first
+    once, five of them as the test of an addition that doubles the orbit,
+    and tests the ten other additions once each, 41 canonicalisations, and
+    only the 9 whose addition moves a row's leading entry or meets a pivot
+    column eliminate."""
     images = eliminations = 0
 
     def counting_rref(*args):
@@ -748,12 +749,18 @@ def test_permutation_step_canonicalises_few_codes(monkeypatch):
             orbit = orbit_codes(code, poset)
             assert images <= len(orbit) * (n - 1), (code, images, len(orbit))
             assert eliminations <= images, (code, eliminations, images)
-    for poset, generator, counts in [
-        (Poset.antichain(6), (1, 1, 0, 0, 0, 0), (15, 14, 0)),
-        (Poset.chain(6), (1,) * 6, (32, 0, 9)),
+    for code, poset, counts in [
+        (LinearCode.from_generators(2, 6, [(1, 1, 0, 0, 0, 0)]), Poset.antichain(6), (15, 14, 0)),
+        (LinearCode.from_generators(2, 6, [(1,) * 6]), Poset.chain(6), (32, 0, 9)),
+        (*THREE_CYCLE, (48, 44, 34)),
+        (
+            LinearCode.from_generators(3, 5, [(1, 0, 0, 1, 2), (0, 0, 1, 2, 1)]),
+            Poset.from_covers(5, [(1, 3), (2, 3), (4, 5)]),
+            (108, 87, 24),
+        ),
     ]:
         images = eliminations = 0
-        orbit = orbit_codes(LinearCode.from_generators(2, 6, [generator]), poset)
+        orbit = orbit_codes(code, poset)
         assert (len(orbit), images, eliminations) == counts
 
 
@@ -920,9 +927,9 @@ def check_least_value_floor_under_cuts(code, poset, outcomes):
         outcomes.add(got == message)
 
 
-# Three 2-chains and two free points: a generator of Aut(P) of order 3
-# commutes with the swap of the free points, so a walk that took every
-# automorphism for an involution would reach some blocks later.
+# Three 2-chains and two free points: Aut(P) has a generator of order 3
+# that commutes with the swap of the free points, so many moves from a
+# block arrange the columns as a move tried from another block.
 THREE_CYCLE = (
     LinearCode.from_generators(
         2, 8, [(1, 0, 1, 1, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1, 0, 0)]
@@ -936,7 +943,7 @@ def test_walks_match_the_unskipped_walk():
     """``_unipotent_walk`` reaches the codes of the breadth-first walk that
     tries every addition (helpers), each once.  From the same U.C list,
     ``orbit_codes`` gives the items of ``reference_orbit_walk``, which
-    canonicalises every move, so every move it skips as a provable repeat
+    canonicalises every move, so every move whose arrangement it has tried
     would have been refused, and that walk's budget messages, also under
     budgets that cut inside a block; ``_least_complexity`` gives the least
     value of the breadth-first walk of U_Z.C0 (helpers), that of U.C, with
