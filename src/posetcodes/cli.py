@@ -1,9 +1,12 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 validation error, 2 resource or budget error,
-3 property violation in a verification suite.  Budgets come from flags,
-falling back to POSETCODES_ORBIT_BUDGET / POSETCODES_COSET_BUDGET and then
-to the built-in defaults.  The orbit budget bounds the codes an orbit
+3 property violation in a verification suite.  Each option is declared
+once, in ``_OPTIONS``, and each command takes, after its name, only the
+options its handler reads; argparse refuses any other with one
+``error:`` line.  Budgets come from flags alone: ``--orbit-budget`` on
+the commands that walk an orbit, ``--coset-budget`` on ``decode``, each
+a positive integer.  The orbit budget bounds the codes an orbit
 walk admits, and so its work: the walk of U.C, U the unipotent part,
 takes at most one canonicalisation per code plus one per strict
 relation, and each later code at most one monomial image per generator
@@ -11,9 +14,7 @@ of Aut(P) and coordinate, plus one.  A primary decomposition on a
 hierarchical poset is taken in closed form with no walk, so the orbit
 budget never stops it.
 The coset budget bounds the q^(n_i) vectors a table build scans for each
-component.  Every command but ``verify`` checks both budgets before it
-starts; ``verify`` runs its suites at their own budgets, so it refuses
-both budget flags and both budget environment variables.
+component.  The ``verify`` suites run at their own budgets.
 Vectors on the command line are comma-separated residues; coordinates are
 1-based.
 """
@@ -24,7 +25,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import decoder, search, suites
 from .code import LinearCode, _check_length
@@ -38,49 +38,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RESOURCE = 2
 EXIT_VIOLATION = 3
-
-
-@dataclass
-class RunConfig:
-    orbit_budget: int
-    coset_budget: int
-    seed: int
-    output_format: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "orbit_budget": self.orbit_budget,
-            "coset_budget": self.coset_budget,
-            "seed": self.seed,
-            "format": self.output_format,
-        }
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"environment variable {name}={raw!r} is not an integer") from exc
-
-
-def _config(args) -> RunConfig:
-    config = RunConfig(
-        orbit_budget=args.orbit_budget
-        if args.orbit_budget is not None
-        else _env_int("POSETCODES_ORBIT_BUDGET", search.DEFAULT_ORBIT_BUDGET),
-        coset_budget=args.coset_budget
-        if args.coset_budget is not None
-        else _env_int("POSETCODES_COSET_BUDGET", decoder.COSET_BUDGET),
-        seed=args.seed,
-        output_format=args.format,
-    )
-    for name in ("orbit_budget", "coset_budget"):
-        if getattr(config, name) <= 0:
-            raise ValidationError(f"{name} must be positive")
-    return config
 
 
 def load_poset(spec: str) -> Poset:
@@ -208,10 +165,10 @@ def cmd_analyze_mindist(args) -> int:
 def cmd_analyze_decompose(args) -> int:
     poset = load_poset(args.poset)
     code = load_code(args.code)
-    config = args.config
+    config = {"orbit_budget": args.orbit_budget}
     if args.primary:
-        pd = search.primary_decomposition(code, poset, orbit_budget=config.orbit_budget)
-        payload = {"config": config.to_json_dict(), "primary": pd.to_json_dict()}
+        pd = search.primary_decomposition(code, poset, orbit_budget=args.orbit_budget)
+        payload = {"config": config, "primary": pd.to_json_dict()}
         emit(
             args,
             payload,
@@ -225,7 +182,7 @@ def cmd_analyze_decompose(args) -> int:
     else:
         _check_length(code, poset)
         dec = maximal_decomposition(code)
-        payload = {"config": config.to_json_dict(), "decomposition": dec.to_json_dict()}
+        payload = {"config": config, "decomposition": dec.to_json_dict()}
         emit(
             args,
             payload,
@@ -241,9 +198,8 @@ def cmd_analyze_decompose(args) -> int:
 def cmd_analyze_bounds(args) -> int:
     poset = load_poset(args.poset)
     code = load_code(args.code)
-    config = args.config
-    bounds = search.hierarchy_bounds(code, poset, orbit_budget=config.orbit_budget)
-    payload = {"config": config.to_json_dict(), "bounds": bounds.to_json_dict()}
+    bounds = search.hierarchy_bounds(code, poset, orbit_budget=args.orbit_budget)
+    payload = {"config": {"orbit_budget": args.orbit_budget}, "bounds": bounds.to_json_dict()}
     emit(
         args,
         payload,
@@ -263,14 +219,14 @@ def cmd_analyze_bounds(args) -> int:
 def cmd_decode(args) -> int:
     poset = load_poset(args.poset)
     code = load_code(args.code)
-    config = args.config
-    pd = search.primary_decomposition(code, poset, orbit_budget=config.orbit_budget)
-    table = decoder.build_table(pd, poset, config.coset_budget)
+    config = {"orbit_budget": args.orbit_budget, "coset_budget": args.coset_budget}
+    pd = search.primary_decomposition(code, poset, orbit_budget=args.orbit_budget)
+    table = decoder.build_table(pd, poset, args.coset_budget)
     stats = decoder.table_stats(table)
     if args.stats_only:
         emit(
             args,
-            {"config": config.to_json_dict(), "stats": stats},
+            {"config": config, "stats": stats},
             [
                 f"total entries = {stats['total']}",
                 f"complexity = {stats['complexity']}",
@@ -283,7 +239,7 @@ def cmd_decode(args) -> int:
     y = parse_vector(args.y, code.q)
     word, flags = decoder.decode(table, y)
     payload = {
-        "config": config.to_json_dict(),
+        "config": config,
         "codeword": list(word),
         "flags": list(flags),
         "stats": stats,
@@ -302,43 +258,36 @@ def cmd_decode(args) -> int:
 
 # -- verification ----------------------------------------------------------
 
+_SAMPLED = ("--n", "--q", "--samples", "--seed")
 
-def _refinement_witness(args):
-    if not args.p or not args.q_poset:
-        raise ValidationError("refinement-witness needs --p and --q-poset")
-    return suites.refinement_witness_suite(
-        finer=load_poset(args.p), coarser=load_poset(args.q_poset), q=args.q
-    )
-
-
-# Suite name -> call.  Each entry looks its suite up in ``suites`` when run.
+# Suite name -> the options it takes, then its call.  Each call looks its
+# suite up in ``suites`` when run.
 VERIFY_SUITES = {
-    "metric": lambda a: suites.metric_suite(
+    "metric": (_SAMPLED, lambda a: suites.metric_suite(
         n=a.n, q=a.q, posets=a.samples, seed=a.seed
-    ),
-    "partition": lambda a: suites.partition_suite(max_n=a.n),
-    "profile": lambda a: suites.profile_suite(
+    )),
+    "partition": (("--n",), lambda a: suites.partition_suite(max_n=a.n)),
+    "profile": (_SAMPLED, lambda a: suites.profile_suite(
         n=a.n, q=a.q, samples=a.samples, seed=a.seed
-    ),
-    "monotone": lambda a: suites.monotonicity_suite(
+    )),
+    "monotone": (_SAMPLED, lambda a: suites.monotonicity_suite(
         n=a.n, q=a.q, samples=a.samples, seed=a.seed
-    ),
-    "bounds": lambda a: suites.bounds_suite(
+    )),
+    "bounds": (_SAMPLED, lambda a: suites.bounds_suite(
         n=a.n, q=a.q, samples=a.samples, seed=a.seed
-    ),
-    "neighbours": lambda a: suites.neighbour_suite(n=a.n),
-    "refinement-witness": _refinement_witness,
+    )),
+    "neighbours": (("--n",), lambda a: suites.neighbour_suite(n=a.n)),
+    "refinement-witness": (("--p", "--q-poset", "--q"), lambda a: (
+        suites.refinement_witness_suite(
+            finer=load_poset(a.p), coarser=load_poset(a.q_poset), q=a.q
+        )
+    )),
 }
 
 
 def cmd_verify(args) -> int:
-    if args.orbit_budget is not None or args.coset_budget is not None:
-        raise ValidationError("verify takes no --orbit-budget or --coset-budget")
-    for name in ("POSETCODES_ORBIT_BUDGET", "POSETCODES_COSET_BUDGET"):
-        if name in os.environ:
-            raise ValidationError(f"verify takes no {name}; unset it to run the suites")
     start = time.monotonic()
-    report = VERIFY_SUITES[args.suite](args)
+    report = VERIFY_SUITES[args.suite][1](args)
     report.elapsed = time.monotonic() - start
     payload = report.to_json_dict()
     emit(
@@ -360,24 +309,47 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors map to the validation exit code."""
+    """An argument error is one ``error:`` line and the validation exit code."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _add_common_options(parser, suppress: bool) -> None:
-    defaults = argparse.SUPPRESS if suppress else None
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=defaults if suppress else "text",
-    )
-    parser.add_argument("--seed", type=int, default=defaults if suppress else 1)
-    parser.add_argument("--orbit-budget", type=int, default=defaults)
-    parser.add_argument("--coset-budget", type=int, default=defaults)
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+# Option -> its settings; each command names the options it takes.
+_OPTIONS = {
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--orbit-budget": dict(type=_positive_int, default=search.DEFAULT_ORBIT_BUDGET),
+    "--coset-budget": dict(type=_positive_int, default=decoder.COSET_BUDGET),
+    "--primary": dict(action="store_true"),
+    "--x": dict(required=True),
+    "--y": dict(),
+    "--stats-only": dict(action="store_true"),
+    "--n": dict(type=int, default=4),
+    "--q": dict(type=int, default=2),
+    "--samples": dict(type=int, default=50),
+    "--seed": dict(type=int, default=1),
+    "--p": dict(required=True, help="finer poset"),
+    "--q-poset": dict(required=True, help="coarser poset"),
+}
+
+
+def _command(parser, handler, positionals, options=("--format",)) -> None:
+    for name in positionals:
+        parser.add_argument(name)
+    for option in options:
+        parser.add_argument(option, **_OPTIONS[option])
+    parser.set_defaults(handler=handler)
 
 
 @functools.cache  # built once per process; parsing leaves it unchanged
@@ -386,68 +358,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="posetcodes",
         description="Linear codes with poset metrics: decomposition, bounds, decoding.",
     )
-    _add_common_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = ("poset", "code")
 
-    poset_cmd = sub.add_parser("poset", help="inspect posets")
-    poset_sub = poset_cmd.add_subparsers(dest="subcommand", required=True)
-    info = poset_sub.add_parser("info")
-    info.add_argument("poset")
-    info.set_defaults(handler=cmd_poset_info)
-    neighbours = poset_sub.add_parser("neighbours")
-    neighbours.add_argument("poset")
-    neighbours.set_defaults(handler=cmd_poset_neighbours)
-    dot = poset_sub.add_parser("dot")
-    dot.add_argument("poset")
-    dot.set_defaults(handler=cmd_poset_dot)
-    compare = poset_sub.add_parser("compare")
-    compare.add_argument("first")
-    compare.add_argument("second")
-    compare.set_defaults(handler=cmd_poset_compare)
+    poset_sub = sub.add_parser("poset", help="inspect posets").add_subparsers(
+        dest="subcommand", required=True
+    )
+    _command(poset_sub.add_parser("info"), cmd_poset_info, ("poset",))
+    _command(poset_sub.add_parser("neighbours"), cmd_poset_neighbours, ("poset",))
+    _command(poset_sub.add_parser("dot"), cmd_poset_dot, ("poset",), ())
+    _command(poset_sub.add_parser("compare"), cmd_poset_compare, ("first", "second"))
 
-    analyze = sub.add_parser("analyze", help="weights, distances, decompositions, bounds")
-    analyze_sub = analyze.add_subparsers(dest="subcommand", required=True)
-    weight = analyze_sub.add_parser("weight")
-    weight.add_argument("poset")
-    weight.add_argument("--x", required=True)
-    weight.add_argument("--q", type=int, default=2)
-    weight.set_defaults(handler=cmd_analyze_weight)
-    mindist = analyze_sub.add_parser("mindist")
-    mindist.add_argument("poset")
-    mindist.add_argument("code")
-    mindist.set_defaults(handler=cmd_analyze_mindist)
-    decompose = analyze_sub.add_parser("decompose")
-    decompose.add_argument("poset")
-    decompose.add_argument("code")
-    decompose.add_argument("--primary", action="store_true")
-    decompose.set_defaults(handler=cmd_analyze_decompose)
-    bounds = analyze_sub.add_parser("bounds")
-    bounds.add_argument("poset")
-    bounds.add_argument("code")
-    bounds.set_defaults(handler=cmd_analyze_bounds)
+    analyze_sub = sub.add_parser(
+        "analyze", help="weights, distances, decompositions, bounds"
+    ).add_subparsers(dest="subcommand", required=True)
+    _command(analyze_sub.add_parser("weight"), cmd_analyze_weight, ("poset",),
+             ("--x", "--q", "--format"))
+    _command(analyze_sub.add_parser("mindist"), cmd_analyze_mindist, pair)
+    _command(analyze_sub.add_parser("decompose"), cmd_analyze_decompose, pair,
+             ("--primary", "--orbit-budget", "--format"))
+    _command(analyze_sub.add_parser("bounds"), cmd_analyze_bounds, pair,
+             ("--orbit-budget", "--format"))
 
-    decode_cmd = sub.add_parser("decode", help="syndrome decoding")
-    decode_cmd.add_argument("poset")
-    decode_cmd.add_argument("code")
-    decode_cmd.add_argument("--y", default=None)
-    decode_cmd.add_argument("--stats-only", action="store_true")
-    decode_cmd.set_defaults(handler=cmd_decode)
+    _command(sub.add_parser("decode", help="syndrome decoding"), cmd_decode, pair,
+             ("--y", "--stats-only", "--orbit-budget", "--coset-budget", "--format"))
 
-    verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=tuple(VERIFY_SUITES))
-    verify.add_argument("--n", type=int, default=4)
-    verify.add_argument("--q", type=int, default=2)
-    verify.add_argument("--samples", type=int, default=50)
-    verify.add_argument("--p", default=None, help="finer poset (refinement-witness)")
-    verify.add_argument("--q-poset", default=None, help="coarser poset (refinement-witness)")
-    verify.set_defaults(handler=cmd_verify)
-
-    for leaf in (
-        info, neighbours, dot, compare,
-        weight, mindist, decompose, bounds,
-        decode_cmd, verify,
-    ):
-        _add_common_options(leaf, suppress=True)
+    verify_sub = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="suite", required=True
+    )
+    for name, (options, _) in VERIFY_SUITES.items():
+        _command(verify_sub.add_parser(name), cmd_verify, (), (*options, "--format"))
 
     return parser
 
@@ -469,8 +409,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_joined_vectors(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command != "verify":  # verify refuses budgets; see cmd_verify
-            args.config = _config(args)
         return args.handler(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

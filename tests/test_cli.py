@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -47,9 +49,74 @@ def files(tmp_path):
 
 
 def run(capsys, argv):
-    code = cli.main(argv)
+    """``cli.main`` on ``argv``, with an argument error's exit as its status,
+    as the entry point reports it."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Command -> the options it takes, in the order it declares them: those its
+# handler reads, and no other.
+SURFACE = {
+    "poset info": ("--format",),
+    "poset neighbours": ("--format",),
+    "poset dot": (),
+    "poset compare": ("--format",),
+    "analyze weight": ("--x", "--q", "--format"),
+    "analyze mindist": ("--format",),
+    "analyze decompose": ("--primary", "--orbit-budget", "--format"),
+    "analyze bounds": ("--orbit-budget", "--format"),
+    "decode": ("--y", "--stats-only", "--orbit-budget", "--coset-budget", "--format"),
+    **{
+        f"verify {suite}": ("--n", "--q", "--samples", "--seed", "--format")
+        for suite in ("metric", "profile", "monotone", "bounds")
+    },
+    "verify partition": ("--n", "--format"),
+    "verify neighbours": ("--n", "--format"),
+    "verify refinement-witness": ("--p", "--q-poset", "--q", "--format"),
+}
+
+
+def leaf_of(argv):
+    """The command that ``argv`` runs, as ``SURFACE`` names it."""
+    return argv[0] if argv[0] == "decode" else " ".join(argv[:2])
+
+
+def parser_leaves(parser, path=()):
+    """(command, option strings) for each command under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from parser_leaves(child, (*path, name))
+            return
+    options = tuple(
+        action.option_strings[0] for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    )
+    yield " ".join(path), options
+
+
+def test_each_command_declares_the_options_its_handler_reads():
+    """Each command takes only the options its handler reads: 45 option
+    slots over 16 commands, ``verify`` having one command per suite."""
+    leaves = dict(parser_leaves(cli.build_parser()))
+    assert leaves == SURFACE
+    assert sum(map(len, leaves.values())) == 45
+
+
+def test_readme_lists_each_commands_options():
+    """README's table of options per command is the parser's."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| command | options |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines():
+        command, options = re.fullmatch(r"\| `([^`]+)` \| (.*) \|", row).groups()
+        listed[command] = tuple(re.findall(r"--[a-z-]+", options))
+    assert listed == SURFACE
 
 
 def test_poset_info(files, capsys):
@@ -61,7 +128,7 @@ def test_poset_info(files, capsys):
 
 
 def test_poset_info_json(files, capsys):
-    code, out, _ = run(capsys, ["--format", "json", "poset", "info", files["n_poset"]])
+    code, out, _ = run(capsys, ["poset", "info", files["n_poset"], "--format", "json"])
     assert code == 0
     data = json.loads(out)
     assert data["type"] == [2, 2]
@@ -70,7 +137,7 @@ def test_poset_info_json(files, capsys):
 
 def test_poset_neighbours(files, capsys):
     code, out, _ = run(
-        capsys, ["--format", "json", "poset", "neighbours", files["n_poset"]]
+        capsys, ["poset", "neighbours", files["n_poset"], "--format", "json"]
     )
     assert code == 0
     data = json.loads(out)
@@ -112,7 +179,7 @@ def test_analyze_mindist(files, capsys):
 def test_analyze_decompose_primary(files, capsys):
     code, out, _ = run(
         capsys,
-        ["--format", "json", "analyze", "decompose", "--primary", files["chain4"], files["r4"]],
+        ["analyze", "decompose", "--primary", files["chain4"], files["r4"], "--format", "json"],
     )
     assert code == 0
     data = json.loads(out)
@@ -127,7 +194,7 @@ def test_analyze_decompose_primary(files, capsys):
 
 def test_analyze_decompose_maximal(files, capsys):
     code, out, _ = run(
-        capsys, ["--format", "json", "analyze", "decompose", files["chain4"], files["r4"]]
+        capsys, ["analyze", "decompose", files["chain4"], files["r4"], "--format", "json"]
     )
     assert code == 0
     data = json.loads(out)
@@ -136,7 +203,7 @@ def test_analyze_decompose_maximal(files, capsys):
 
 def test_analyze_bounds(files, capsys):
     code, out, _ = run(
-        capsys, ["--format", "json", "analyze", "bounds", files["n_poset"], files["r4"]]
+        capsys, ["analyze", "bounds", files["n_poset"], files["r4"], "--format", "json"]
     )
     assert code == 0
     data = json.loads(out)["bounds"]
@@ -151,7 +218,7 @@ def test_analyze_bounds_budgets_bound_only_the_poset_value(files, capsys, budget
     codes, both of value 2, above the upper neighbour's 1."""
     code, out, err = run(
         capsys,
-        ["--format", "json", "analyze", "bounds", files["n_poset"], files["two4"], budget, "1"],
+        ["analyze", "bounds", files["n_poset"], files["two4"], budget, "1", "--format", "json"],
     )
     assert code == 0
     assert err == ""
@@ -177,7 +244,7 @@ def test_analyze_bounds_stops_at_the_upper_neighbours_value(tmp_path, capsys, bu
     )
     status, out, err = run(
         capsys,
-        ["--format", "json", "analyze", "bounds", str(poset), str(code), "--orbit-budget", budget],
+        ["analyze", "bounds", str(poset), str(code), "--orbit-budget", budget, "--format", "json"],
     )
     assert (status, err) == (0, "")
     data = json.loads(out)["bounds"]
@@ -192,8 +259,8 @@ def test_analyze_bounds_stops_at_the_upper_neighbours_value(tmp_path, capsys, bu
 def test_analyze_bounds_on_a_hierarchical_poset_needs_no_walk(files, capsys):
     code, out, err = run(
         capsys,
-        ["--format", "json", "analyze", "bounds", "hierarchical:2,2", files["r4"],
-         "--orbit-budget", "1"],
+        ["analyze", "bounds", "hierarchical:2,2", files["r4"], "--orbit-budget", "1",
+         "--format", "json"],
     )
     assert code == 0
     assert err == ""
@@ -252,7 +319,7 @@ def test_a_vector_that_starts_with_a_minus_is_read_after_a_space(tmp_path, capsy
 
 def test_decode_stats_only(files, capsys):
     code, out, _ = run(
-        capsys, ["--format", "json", "decode", files["chain4"], files["r4"], "--stats-only"]
+        capsys, ["decode", files["chain4"], files["r4"], "--stats-only", "--format", "json"]
     )
     assert code == 0
     stats = json.loads(out)["stats"]
@@ -283,16 +350,24 @@ def test_decode_refuses_a_table_scan_above_the_coset_budget(tmp_path):
     ],
 )
 def test_verify_rejects_budget_flags(capsys, monkeypatch, budget, where):
+    """The suites run at their own budgets: ``verify`` refuses a budget flag
+    after the suite name, the command takes no option before its name, and
+    a budget variable in the environment is not read, so the suite prints
+    what it prints without it."""
     suite = ["verify", "partition", "--n", "2"]
     if where == "env":
+        want = run(capsys, suite)
+        assert want[0] == 0
         monkeypatch.setenv(budget, "1")
-        argv = suite
-    else:
-        argv = suite + [budget, "1"] if where == "after" else [budget, "1"] + suite
+        assert run(capsys, suite) == want
+        return
+    argv = suite + [budget, "1"] if where == "after" else [budget, "1"] + suite
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if where == "after":
+        assert err == f"error: unrecognized arguments: {budget} 1\n"
 
 
 @pytest.mark.parametrize("suite", ["profile", "bounds", "monotone", "metric"])
@@ -324,8 +399,8 @@ def test_verify_refinement_witness(files, capsys):
     "argv, message",
     [
         (["decode", "antichain:4", "r4"], "decode needs --y RECEIVED or --stats-only"),
-        (["verify", "refinement-witness"], "refinement-witness needs --p and --q-poset"),
-        (["verify", "refinement-witness", "--p", "anti2"], "refinement-witness needs --p and --q-poset"),
+        (["verify", "refinement-witness"], "the following arguments are required: --p, --q-poset"),
+        (["verify", "refinement-witness", "--p", "anti2"], "the following arguments are required: --q-poset"),
     ],
     ids=["decode-without-y", "witness-without-posets", "witness-without-q-poset"],
 )
@@ -364,7 +439,7 @@ def test_verify_bounds_walks_its_own_o_p(capsys, monkeypatch):
         return skewed[0]
 
     monkeypatch.setattr(suites, "minimal_complexity", skew_first_sample)
-    argv = ["--format", "json", "verify", "bounds", "--n", "5", "--samples", "50", "--seed", "7"]
+    argv = ["verify", "bounds", "--n", "5", "--samples", "50", "--seed", "7", "--format", "json"]
     code, out, _ = run(capsys, argv)
     assert code == 3
     counterexample = json.loads(out)["counterexample"]
@@ -552,10 +627,10 @@ def test_resource_exit_code(files, capsys):
     """The budget counts the codes of U_Z.C0 per block: 2 here, one block,
     where U.C has 8, so a budget of 1 code exits 2 and one of 2 ends."""
     argv = ["analyze", "decompose", "--primary", files["n_poset"], files["two4"]]
-    code, _, err = run(capsys, ["--orbit-budget", "1", *argv])
+    code, _, err = run(capsys, [*argv, "--orbit-budget", "1"])
     assert code == 2
     assert "budget" in err
-    code, _, err = run(capsys, ["--orbit-budget", "2", *argv])
+    code, _, err = run(capsys, [*argv, "--orbit-budget", "2"])
     assert (code, err) == (0, "")
 
 
@@ -583,7 +658,7 @@ def test_primary_search_stopped_past_the_unipotent_orbit_is_proven_minimal(capsy
 def test_budget_validation(files, capsys):
     code, _, err = run(
         capsys,
-        ["--orbit-budget", "-5", "analyze", "decompose", "--primary", files["chain4"], files["r4"]],
+        ["analyze", "decompose", "--primary", files["chain4"], files["r4"], "--orbit-budget", "-5"],
     )
     assert code == 1
 
@@ -615,23 +690,25 @@ NON_VERIFY_COMMANDS = {
 )
 @pytest.mark.parametrize("command", tuple(NON_VERIFY_COMMANDS))
 def test_every_command_but_verify_validates_its_budgets(files, capsys, monkeypatch, command, setting):
-    """A budget that is not a positive integer, from a flag or from the
-    environment, ends every command but ``verify`` in one ``error:`` line
-    and exit 1, whether or not the command walks an orbit or builds a
-    table; ``verify`` refuses budgets of its own accord."""
+    """A budget flag that is not a positive integer ends every command but
+    ``verify`` in one ``error:`` line and exit 1: a command that takes the
+    flag refuses its value, any other refuses the flag.  A budget variable
+    in the environment is not read, so the command prints what it prints
+    without it; ``verify`` refuses budgets of its own accord."""
     argv = [arg.format(**files) for arg in NON_VERIFY_COMMANDS[command]]
+    want = run(capsys, argv)
+    assert want[0] == 0
     if isinstance(setting, dict):
         for name, value in setting.items():
             monkeypatch.setenv(name, value)
+        assert run(capsys, argv) == want
+        return
+    flag, value = setting
+    if flag in SURFACE[leaf_of(argv)]:
+        message = f"argument {flag}: {value!r} is not a positive integer"
     else:
-        argv += setting
-    code, out, err = run(capsys, argv)
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    monkeypatch.delenv("POSETCODES_ORBIT_BUDGET", raising=False)
-    monkeypatch.delenv("POSETCODES_COSET_BUDGET", raising=False)
-    assert run(capsys, [arg.format(**files) for arg in NON_VERIFY_COMMANDS[command]])[0] == 0
+        message = f"unrecognized arguments: {flag} {value}"
+    assert run(capsys, argv + setting) == (1, "", f"error: {message}\n")
 
 
 DEEP_DOCUMENT = "[" * 100_000 + "]" * 100_000
@@ -668,7 +745,7 @@ def test_every_command_but_verify_refuses_a_bad_document(capsys, tmp_path, comma
 
 def test_group_budget_option_is_gone(files):
     result = run_process(
-        ["--group-budget", "5", "analyze", "decompose", "--primary", files["chain4"], files["r4"]]
+        ["analyze", "decompose", "--primary", files["chain4"], files["r4"], "--group-budget", "5"]
     )
     assert result.returncode == 1
     assert result.stdout == ""
@@ -676,12 +753,35 @@ def test_group_budget_option_is_gone(files):
     assert len(errors) == 1
 
 
-def test_env_budget_override(files, capsys, monkeypatch):
+def test_budget_variables_are_not_read(files, capsys, monkeypatch):
+    """Budgets come from flags alone.  ``POSETCODES_ORBIT_BUDGET=abc``
+    leaves ``poset dot``, which never walks, at exit 0, and
+    ``POSETCODES_ORBIT_BUDGET=1`` leaves the primary search that a budget
+    flag of 1 stops (``test_resource_exit_code``) at the default budget."""
+    monkeypatch.setenv("POSETCODES_ORBIT_BUDGET", "abc")
+    monkeypatch.setenv("POSETCODES_COSET_BUDGET", "0")
+    code, out, err = run(capsys, ["poset", "dot", "chain:2"])
+    assert (code, err) == (0, "")
+    assert out.count("->") == 1
     monkeypatch.setenv("POSETCODES_ORBIT_BUDGET", "1")
-    code, _, err = run(
-        capsys, ["analyze", "decompose", "--primary", files["n_poset"], files["two4"]]
-    )
-    assert code == 2
+    argv = ["analyze", "decompose", "--primary", files["n_poset"], files["two4"]]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "complexity = 2"
+
+
+def test_a_suite_refuses_the_options_it_does_not_read(capsys):
+    """``verify partition`` reads ``--n`` alone, so a ``--q`` that is not
+    prime and a ``--samples`` of 0 end in one ``error:`` line instead of a
+    pass."""
+    argv = ["verify", "partition", "--n", "2", "--q", "4", "--samples", "0"]
+    assert run(capsys, argv) == (1, "", "error: unrecognized arguments: --q 4 --samples 0\n")
+
+
+def test_poset_dot_refuses_a_format(capsys):
+    """``poset dot`` prints DOT alone, so it takes no ``--format``."""
+    argv = ["poset", "dot", "chain:3", "--format", "json"]
+    assert run(capsys, argv) == (1, "", "error: unrecognized arguments: --format json\n")
 
 
 def test_walk_is_not_refused_for_its_group_size(tmp_path):
@@ -714,13 +814,13 @@ def test_full_space_over_a_large_field_walks_a_few_generators(tmp_path):
     code = tmp_path / "code.json"
     code.write_text(json.dumps({"q": 1048573, "n": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     for budget in ([], ["--orbit-budget", "1"]):
-        result = run_process([*budget, "analyze", "decompose", "--primary", "chain:3", str(code)])
+        result = run_process(["analyze", "decompose", "--primary", "chain:3", str(code), *budget])
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[0] == "complexity = 1"
 
 
 def test_json_outputs_round_trip(files, capsys):
-    code, out, _ = run(capsys, ["--format", "json", "poset", "neighbours", files["n_poset"]])
+    code, out, _ = run(capsys, ["poset", "neighbours", files["n_poset"], "--format", "json"])
     assert code == 0
     from posetcodes.poset import Poset
 
@@ -732,13 +832,18 @@ def test_json_outputs_round_trip(files, capsys):
 @pytest.mark.parametrize("options_after_suite", [False, True])
 def test_parser_is_built_once_and_leaks_no_options(capsys, options_after_suite):
     """Two calls in one process share the parser; options given to the
-    first do not carry over to the second."""
+    first do not carry over to the second.  Options go after the suite
+    name: before the command they are refused in one ``error:`` line."""
     suite = ["verify", "metric", "--n", "2", "--samples", "2"]
     options = ["--format", "json", "--seed", "5"]
     first = suite + options if options_after_suite else options + suite
-    code, out, _ = run(capsys, first)
-    assert code == 0
-    assert json.loads(out)["seed"] == 5
+    code, out, err = run(capsys, first)
+    if options_after_suite:
+        assert code == 0
+        assert json.loads(out)["seed"] == 5
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
     code, out, _ = run(capsys, suite)
     assert code == 0
     assert out.splitlines()[:3] == ["suite = metric", "checked = 4", "seed = 1"]
@@ -752,7 +857,7 @@ def test_analyze_bounds_reaches_sixteen_coordinates(tmp_path):
     but the walk for o_p takes only U_Z.C0's 19,683, so o_p is 243."""
     ones = tmp_path / "ones12.json"
     ones.write_text(json.dumps({"q": 2, "n": 12, "generators": [[1] * 12]}))
-    result = run_process(["--format", "json", "analyze", "bounds", "chain:12", str(ones)], timeout=10)
+    result = run_process(["analyze", "bounds", "chain:12", str(ones), "--format", "json"], timeout=10)
     assert result.returncode == 0, result.stderr
     data = json.loads(result.stdout)["bounds"]
     assert data["o_upper"] == data["o_p"] == data["o_lower"] == 1
@@ -767,7 +872,7 @@ def test_analyze_bounds_reaches_sixteen_coordinates(tmp_path):
     poset_path.write_text(json.dumps(poset.to_json_dict()))
     code_path = tmp_path / "code16.json"
     code_path.write_text(json.dumps(code.to_json_dict()))
-    result = run_process(["--format", "json", "analyze", "bounds", str(poset_path), str(code_path)], timeout=10)
+    result = run_process(["analyze", "bounds", str(poset_path), str(code_path), "--format", "json"], timeout=10)
     assert result.returncode == 0, result.stderr
     data = json.loads(result.stdout)["bounds"]
     assert data["o_p"] == 243
@@ -788,7 +893,7 @@ def test_primary_search_at_sixteen_coordinates_stops_at_the_budget(tmp_path, cap
     poset_path.write_text(json.dumps(poset.to_json_dict()))
     code_path = tmp_path / "code16.json"
     code_path.write_text(json.dumps(code.to_json_dict()))
-    argv = ["--orbit-budget", "1000", "analyze", "decompose", "--primary", str(poset_path), str(code_path)]
+    argv = ["analyze", "decompose", "--primary", str(poset_path), str(code_path), "--orbit-budget", "1000"]
     status, out, err = run(capsys, argv)
     assert status == 2
     assert out == ""
@@ -811,7 +916,7 @@ def test_analyze_bounds_past_the_walks_reach_when_the_sandwich_fixes_o_p(tmp_pat
     poset_path.write_text(json.dumps(poset.to_json_dict()))
     code_path = tmp_path / "code12.json"
     code_path.write_text(json.dumps(code.to_json_dict()))
-    result = run_process(["--format", "json", "analyze", "bounds", str(poset_path), str(code_path)], timeout=10)
+    result = run_process(["analyze", "bounds", str(poset_path), str(code_path), "--format", "json"], timeout=10)
     assert result.returncode == 0, result.stderr
     data = json.loads(result.stdout)["bounds"]
     assert data["o_upper"] == data["o_p"] == data["o_lower"] == 32
@@ -821,16 +926,17 @@ def test_analyze_bounds_past_the_walks_reach_when_the_sandwich_fixes_o_p(tmp_pat
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
 def test_verify_fuzz_exits_cleanly():
-    """Drawn ``verify`` options end in an exit code, never a traceback; a
-    validation or budget exit prints exactly one stderr line and nothing
-    else."""
+    """Drawn values of the options each suite takes end in an exit code,
+    never a traceback; a validation or budget exit prints exactly one
+    stderr line and nothing else."""
     exits = set()
 
     def check(suite, n, q, samples, seed):
-        argv = ["verify", suite, "--n", str(n), "--q", str(q), "--samples", str(samples),
-                "--seed", str(seed)]
-        if suite == "refinement-witness":
-            argv += ["--p", f"antichain:{n}", "--q-poset", f"chain:{n}"]
+        values = {"--n": n, "--q": q, "--samples": samples, "--seed": seed,
+                  "--p": f"antichain:{n}", "--q-poset": f"chain:{n}", "--format": "text"}
+        argv = ["verify", suite]
+        for option in SURFACE[f"verify {suite}"]:
+            argv += [option, str(values[option])]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -967,8 +1073,8 @@ def test_code_command_fuzz_exits_cleanly(tmp_path):
     """Drawn code documents and family specs, often of the document's
     length, through ``analyze mindist``, ``decompose`` with and without
     ``--primary``, ``bounds``, and ``decode`` with ``--stats-only`` or
-    ``--y``, under drawn orbit and coset budgets, end in an exit code from
-    0 to 3, never a traceback.  A nonzero exit prints nothing on stdout and
+    ``--y``, under the drawn orbit and coset budgets each command takes, end
+    in an exit code from 0 to 3, never a traceback.  A nonzero exit prints nothing on stdout and
     exactly one ``error:`` or ``budget exceeded:`` line on stderr; exit 0
     prints nothing on stderr."""
     path = tmp_path / "code.json"
@@ -990,10 +1096,16 @@ def test_code_command_fuzz_exits_cleanly(tmp_path):
             (["decode"], [f"--y={received}"]),
             (["decode"], ["--format", "json", f"--y={received}"]),
         ):
-            argv = [*command, spec, str(path), *options, *budgets]
+            argv = [*command, spec, str(path), *options]
+            for flag, value in zip(budgets[::2], budgets[1::2]):
+                if flag in SURFACE[leaf_of(argv)]:
+                    argv += [flag, value]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
             exits.add(code)
             assert code in (0, 1, 2, 3), argv
             if code:
