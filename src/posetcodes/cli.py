@@ -1,9 +1,11 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 validation error, 2 resource or budget error,
-3 property violation in a verification suite.  Each option is declared
-once, in ``_OPTIONS``, and each command takes, after its name, only the
-options its handler reads; argparse refuses any other with one
+3 property violation in a verification suite, 141 (128 + SIGPIPE) when
+standard output is closed before the output is written, with nothing on
+stderr.  Each option is declared once, in ``_OPTIONS``, and each command
+takes, after its name, only the options its handler reads; argparse
+refuses any other, and an option before the command's name, with one
 ``error:`` line.  Budgets come from flags alone: ``--orbit-budget`` on
 the commands that walk an orbit, ``--coset-budget`` on ``decode``, each
 a positive integer.  The orbit budget bounds the codes an orbit
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RESOURCE = 2
 EXIT_VIOLATION = 3
+EXIT_CLOSED_OUTPUT = 141
 
 
 def load_poset(spec: str) -> Poset:
@@ -309,7 +312,16 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument error is one ``error:`` line and the validation exit code."""
+    """An argument error is one ``error:`` line and the validation exit code.
+    ``commands`` maps each command name to its parser on a parser whose
+    next argument names a command."""
+
+    commands = None
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self.commands = action.choices
+        return action
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -405,11 +417,43 @@ def _joined_vectors(argv) -> list:
     return out
 
 
+def _option_before_command(parser, argv):
+    """The first option in ``argv`` that comes before the command's full
+    name, as ``--format`` in ``--format json poset info``; None if there
+    is none or the words before it name no command."""
+    for token in argv:
+        if parser.commands is None or token in ("-h", "--help"):
+            return None
+        if token.startswith("-"):
+            return token
+        parser = parser.commands.get(token)
+        if parser is None:
+            return None
+    return None
+
+
+def _drop_stdout() -> None:
+    """Point standard output at the null device, so that the flush at exit
+    meets no closed pipe."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_joined_vectors(sys.argv[1:] if argv is None else argv))
+    argv = _joined_vectors(sys.argv[1:] if argv is None else argv)
+    option = _option_before_command(parser, argv)
+    if option is not None:
+        parser.error(f"option {option} comes before the command; options go after the command's name")
+    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_CLOSED_OUTPUT
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,17 +10,21 @@ entries it keeps.
 
 Decoding is linear in the witness frame F, so a received word y is never
 transported: F^-1(F y - e) = y - F^-1 e.  Each component's parity rows
-are composed with F once per table, so its syndrome is read off y
-directly, and each leader e is stored with its correction F^-1 e, one per
-coset.  The coordinates j0 off the decomposed code's support form the
-zeroth component: wherever F_j y is nonzero there, j is flagged and that
-value times column j of F^-1 is subtracted too.  The output is always a
-codeword of the original code.
+are composed with F once per table, and so are the frame rows F_j of the
+coordinates j0 off the decomposed code's support, the zeroth component.
+Every such row is one digit of width b = bit length of n (q - 1)^2, and
+column j of all of them is packed into one int, so one sum of y_j times
+column j reads every syndrome and every F_j y at once: with y reduced
+into [0, q) no digit carries into the next.  A component's syndrome, its
+digits mod q read as a base-q number, indexes its correction -F^-1 e,
+one per coset.  Wherever F_j y is nonzero on j0, j is flagged and that
+value times -F^-1[:, j] is added too.  The output is always a codeword of
+the original code.
 """
 
 from dataclasses import dataclass
-from itertools import product
-from operator import mul, sub
+from itertools import product, repeat
+from operator import add, mul, neg
 
 from .code import LinearCode, ParityData, _check_length
 from .errors import ResourceLimitError, ValidationError
@@ -35,19 +39,22 @@ AGREEMENT_BUDGET = 1 << 16
 
 @dataclass(frozen=True)
 class ComponentTable:
-    """Coset leaders for one component inside its support space, with the
-    same syndromes read off a received word in its own frame.
+    """Coset leaders for one component inside its support space, and the
+    corrections that a received word's packed syndrome picks in its own
+    frame.
 
-    ``checks`` are the component's parity rows composed with the frame's
-    rows on ``support``: they act on the received word directly.
-    ``corrections`` maps each syndrome to its leader taken back through
-    the frame's inverse, a vector of length n.
+    ``leaders`` maps each syndrome of the component's parity rows to its
+    leader on ``support``.  ``rows`` counts those parity rows, n_i - k_i,
+    one digit each of the packed syndrome.  ``corrections`` holds the
+    q^rows negated leaders taken back through the frame's inverse,
+    vectors of length n with entries in [0, q), at the index of their
+    syndrome read as a base-q number, the first row most significant.
     """
 
     support: tuple
     leaders: dict
-    checks: tuple
-    corrections: dict
+    rows: int
+    corrections: tuple
 
     @property
     def entries(self) -> int:
@@ -55,18 +62,26 @@ class ComponentTable:
 
 
 class SyndromeTable:
-    """The component tables plus, for each j in j0, the frame's row j and
-    its inverse's column j: (j, F_j, F^-1[:, j])."""
+    """The component tables and the packed read of a received word:
+    ``columns[j - 1]`` is column j of every component's composed parity
+    rows, then of the frame rows F_j for j in j0, each row one digit of
+    ``width`` bits, the first row least significant.  ``j0_corrections``
+    holds, for each j in j0, (j, -F^-1[:, j] mod q)."""
 
-    __slots__ = ("pd", "q", "n", "j0", "components", "j0_frame")
+    __slots__ = ("pd", "q", "n", "j0", "components", "columns", "width", "j0_corrections")
 
-    def __init__(self, pd: PDecomposition, components, j0_frame):
+    def __init__(self, pd: PDecomposition, components, checks, j0_corrections):
         self.pd = pd
-        self.q = pd.dec.code.q
-        self.n = pd.dec.code.n
+        self.q = q = pd.dec.code.q
+        self.n = n = pd.dec.code.n
         self.components = tuple(components)
         self.j0 = tuple(sorted(pd.dec.j0))
-        self.j0_frame = tuple(j0_frame)
+        self.j0_corrections = tuple(j0_corrections)
+        # Rows and words have entries in [0, q), so no digit exceeds n (q - 1)^2.
+        self.width = width = (n * (q - 1) ** 2).bit_length()
+        self.columns = tuple(
+            sum(row[j] << (width * r) for r, row in enumerate(checks)) for j in range(n)
+        )
 
     @property
     def total_entries(self) -> int:
@@ -112,23 +127,27 @@ def build_table(pd: PDecomposition, poset: Poset, coset_budget: int = COSET_BUDG
         raise ValidationError("the decomposition's witness acts on a different poset")
     q, n = code.q, code.n
     frame = pd.witness.matrix()
-    columns = tuple(zip(*invert_matrix(q, frame)))
+    inverse = tuple(zip(*invert_matrix(q, frame)))  # the columns of F^-1
+    checks = []
     tables = []
     for comp in pd.dec.components:
         coords = tuple(sorted(comp.support()))
         parity = comp.restrict(coords).parity_check()
         least = _least_weight_vectors(parity, poset.restrict(coords), coset_budget)
         leaders = {s: vec for s, (_, vec) in least.items()}
-        checks = tuple(
+        checks.extend(
             _combine(q, n, row, (frame[j - 1] for j in coords)) for row in parity.rows
         )
-        corrections = {
-            s: _combine(q, n, vec, (columns[j - 1] for j in coords))
-            for s, vec in leaders.items()
-        }
-        tables.append(ComponentTable(coords, leaders, checks, corrections))
-    j0_frame = tuple((j, frame[j - 1], columns[j - 1]) for j in sorted(pd.dec.j0))
-    table = SyndromeTable(pd, tables, j0_frame)
+        rows = len(parity.rows)
+        corrections = tuple(
+            _combine(q, n, map(neg, leaders[s]), (inverse[j - 1] for j in coords))
+            for s in product(range(q), repeat=rows)
+        )
+        tables.append(ComponentTable(coords, leaders, rows, corrections))
+    j0 = sorted(pd.dec.j0)
+    checks.extend(frame[j - 1] for j in j0)
+    j0_corrections = tuple((j, tuple(-c % q for c in inverse[j - 1])) for j in j0)
+    table = SyndromeTable(pd, tables, checks, j0_corrections)
     if table.total_entries != pd.complexity:
         raise AssertionError("table size disagrees with the decomposition complexity")
     return table
@@ -137,26 +156,36 @@ def build_table(pd: PDecomposition, poset: Poset, coset_budget: int = COSET_BUDG
 def decode(table: SyndromeTable, y) -> tuple:
     """Correct a received word; returns (codeword, flags).
 
-    Each component's syndrome is read off ``y`` by its composed check rows
-    and its pre-transported correction is subtracted from ``y``.  Flags
-    are the distinguished coordinates j of the decomposed frame where
-    F_j y is nonzero: no codeword has support there, so those positions
-    are detected, not corrected, and F_j y times column j of F^-1 is
-    subtracted as well.
+    One packed sum over ``y`` reads every component's syndrome, which
+    picks the component's correction, added to ``y``.  Flags are the
+    distinguished coordinates j of the decomposed frame where F_j y is
+    nonzero: no codeword has support there, so those positions are
+    detected, not corrected, and F_j y times -F^-1[:, j] is added as well.
     """
     if len(y) != table.n:
         raise ValidationError(f"expected vector of length {table.n}, got {len(y)}")
-    q = table.q
+    q, width = table.q, table.width
+    if min(y) < 0 or max(y) >= q:
+        y = [v % q for v in y]
+    packed = sum(map(mul, table.columns, y))
+    mask = (1 << width) - 1
     word = y
     for comp in table.components:
-        syndrome = tuple([sum(map(mul, row, y)) % q for row in comp.checks])
-        word = list(map(sub, word, comp.corrections[syndrome]))
+        index = 0
+        for _ in range(comp.rows):
+            index = index * q + (packed & mask) % q
+            packed >>= width
+        if index:
+            word = list(map(add, word, comp.corrections[index]))
     flags = []
-    for j, row, column in table.j0_frame:
-        f = sum(map(mul, row, y)) % q
+    for j, correction in table.j0_corrections:
+        f = (packed & mask) % q
+        packed >>= width
         if f:
             flags.append(j)
-            word = [w - f * c for w, c in zip(word, column)]
+            word = list(map(add, word, map(mul, correction, repeat(f))))
+    if word is y:  # nothing added: y is already reduced
+        return tuple(y), ()
     return tuple([w % q for w in word]), tuple(flags)
 
 

@@ -784,6 +784,40 @@ def test_poset_dot_refuses_a_format(capsys):
     assert run(capsys, argv) == (1, "", "error: unrecognized arguments: --format json\n")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--format", "json", "poset", "info", "chain:2"], "--format"),
+        (["poset", "--format", "json", "info", "chain:2"], "--format"),
+        (["--orbit-budget", "1", "verify", "partition"], "--orbit-budget"),
+        (["verify", "--n", "3", "partition"], "--n"),
+    ],
+)
+def test_an_option_before_the_command_is_refused_as_such(capsys, argv, option):
+    """An option before the command's full name would be read as the
+    command; the one ``error:`` line says where options go instead."""
+    message = f"error: option {option} comes before the command; options go after the command's name\n"
+    assert run(capsys, argv) == (1, "", message)
+
+
+def test_a_closed_stdout_ends_quietly():
+    """A reader that has closed the pipe, as ``| head -1`` may before the
+    command writes, stops the command with exit status 141 and nothing on
+    stderr: no ``error:`` line, no traceback, no noise from the flush at
+    exit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(posetcodes.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "posetcodes.cli", "poset", "info", "chain:12", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=20, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
 def test_walk_is_not_refused_for_its_group_size(tmp_path):
     """|G| = 9.2e8 on chain:6 over GF(3), yet this orbit has 81 codes."""
     code = tmp_path / "code.json"

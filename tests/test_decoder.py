@@ -324,26 +324,51 @@ def random_isometry(rng, poset, q):
     return PIsometry(poset, q, rng.choice(reference_automorphisms(poset)), rows)
 
 
+def transport_code(rng, q, n, gap):
+    """A random code of length n, zero at one random coordinate if ``gap``."""
+    if not gap:
+        return random_code(rng, q, n)
+    zero = rng.randrange(n)
+    rows = [row[:zero] + (0,) + row[zero:] for row in random_code(rng, q, n - 1).generators]
+    return LinearCode.from_generators(q, n, rows)
+
+
 def transport_tables():
-    """(table, poset) over GF(2), GF(3) and GF(5): the finest decomposition
-    of a code's image under a random isometry, every other code with a
-    zero coordinate, and the primary decompositions of the smaller spaces."""
+    """(table, poset) over GF(2), GF(3), GF(5), GF(7) and GF(101): the
+    finest decomposition of a code's image under a random isometry, every
+    other code with a zero coordinate, and the primary decompositions of
+    the smaller spaces."""
     rng = random.Random(97)
     for index in range(36):
         q = (2, 3, 5)[index % 3]
         n = rng.randint(2, {2: 6, 3: 4, 5: 3}[q])
         poset = Poset.antichain(n) if index % 4 == 0 else random_poset(rng, n)
-        if index % 2:
-            gap = rng.randrange(n)
-            rows = [row[:gap] + (0,) + row[gap:] for row in random_code(rng, q, n - 1).generators]
-            code = LinearCode.from_generators(q, n, rows)
-        else:
-            code = random_code(rng, q, n)
+        code = transport_code(rng, q, n, index % 2)
         witness = random_isometry(rng, poset, q)
         dec = maximal_decomposition(witness.apply_code(code))
         yield build_table(PDecomposition(witness, dec, dec.complexity()), poset), poset
         if q**n <= 3**4:
             yield build_table(primary_decomposition(code, poset), poset), poset
+    rng = random.Random(701)
+    for index in range(16):
+        q, gap = (7, 101)[index % 2], index % 8 >= 4
+        n = rng.randint(2, 3) if q == 7 else 2 + gap
+        # A zero coordinate on the antichain keeps GF(101) supports within
+        # two coordinates, so no table build scans 101^3 vectors.
+        flat = index % 4 < 2 or q == 101 and gap
+        poset = Poset.antichain(n) if flat else random_poset(rng, n)
+        code = transport_code(rng, q, n, gap)
+        witness = random_isometry(rng, poset, q)
+        dec = maximal_decomposition(witness.apply_code(code))
+        yield build_table(PDecomposition(witness, dec, dec.complexity()), poset), poset
+
+
+def received_words(rng, q, n):
+    """Every word of GF(q)^n up to 7^3 of them; past that, the word of all
+    q - 1 and 300 random ones."""
+    if q**n <= 7**3:
+        return list(product(range(q), repeat=n))
+    return [(q - 1,) * n] + [tuple(rng.randrange(q) for _ in range(n)) for _ in range(300)]
 
 
 def test_decode_matches_the_reference_transport():
@@ -358,7 +383,10 @@ def test_decode_matches_the_reference_transport():
         seen.add(("permuted", witness.sigma != tuple(range(1, n + 1))))
         seen.add(("scaled", any(witness.matrix_rows[i][i] != 1 for i in range(n))))
         seen.add(("components", min(len(table.components), 2)))
-        for y in product(range(q), repeat=n):
+        if q > 5:
+            seen.add(("large q", q, "j0", bool(table.j0)))
+            seen.add(("large q", q, "components", min(len(table.components), 2)))
+        for y in received_words(rng, q, n):
             expected = reference_decode(table, y)
             assert decode(table, y) == expected
             shifted = tuple(v + q * rng.randint(-3, 3) for v in y)
@@ -366,12 +394,37 @@ def test_decode_matches_the_reference_transport():
             negated = tuple(-v for v in y)
             assert decode(table, negated) == reference_decode(table, negated)
     assert seen == {
-        ("q", 2), ("q", 3), ("q", 5),
+        ("q", 2), ("q", 3), ("q", 5), ("q", 7), ("q", 101),
         ("j0", False), ("j0", True),
         ("permuted", False), ("permuted", True),
         ("scaled", False), ("scaled", True),
         ("components", 1), ("components", 2),
+        *(
+            ("large q", q, key, value)
+            for q in (7, 101)
+            for key, value in (("j0", False), ("j0", True), ("components", 1), ("components", 2))
+        ),
     }
+
+
+def test_decode_reads_the_largest_digit():
+    """Frame row 1 of all q - 1 on the 16-chain, against the word of all
+    q - 1: its digit F_1 y = 16 (q - 1)^2 is the largest one can hold, and
+    the digits of the coordinates j0 = {1, 4, ..., 16} follow it."""
+    chain = Poset.chain(16)
+    for q in (2, 3, 5, 7):
+        rows = [[q - 1] * 16] + [[int(i == j) for j in range(16)] for i in range(1, 16)]
+        witness = PIsometry(chain, q, range(1, 17), rows)
+        code = LinearCode.from_generators(q, 16, [[0, 1, q - 1] + [0] * 13])
+        dec = maximal_decomposition(witness.apply_code(code))
+        table = build_table(PDecomposition(witness, dec, dec.complexity()), chain)
+        assert table.j0 == (1, *range(4, 17))
+        assert [c.rows for c in table.components] == [1]
+        y = (q - 1,) * 16
+        word, flags = decode(table, y)
+        assert (word, flags) == reference_decode(table, y)
+        assert flags == ((1,) if 16 % q else ()) + tuple(range(4, 17))
+        assert code.contains(word)
 
 
 def decoding_instance(draw):
