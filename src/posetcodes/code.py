@@ -101,9 +101,7 @@ class LinearCode:
         return len(self.generators)
 
     def support(self) -> frozenset:
-        return frozenset(
-            j + 1 for j in range(self.n) if any(row[j] for row in self.generators)
-        )
+        return frozenset(j for j, column in enumerate(zip(*self.generators), 1) if any(column))
 
     def contains(self, x) -> bool:
         if len(x) != self.n:
@@ -159,8 +157,14 @@ class LinearCode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LinearCode":
-        """A code from a document with exactly the keys q, n and generators."""
-        if not isinstance(data, dict) or data.keys() != {"q", "n", "generators"}:
+        """A code from a document with exactly the keys q, n and generators,
+        the last a list of lists."""
+        if (
+            not isinstance(data, dict)
+            or data.keys() != {"q", "n", "generators"}
+            or not isinstance(data["generators"], list)
+            or not all(isinstance(row, list) for row in data["generators"])
+        ):
             raise ValidationError(f"malformed code document: {data!r}")
         try:
             return cls.from_generators(data["q"], data["n"], data["generators"])

@@ -6,7 +6,8 @@ automorphism computations simple at the small n this package targets.
 Elements are 1-based throughout the public API.
 
 A poset is immutable after construction; derived data (heights, levels,
-generators of the automorphism group) is computed lazily and cached.
+hierarchy flags, generators of the automorphism group) is computed lazily
+and cached.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ class LevelStructure:
 
 
 class Poset:
-    __slots__ = ("n", "_up", "_down", "_hash", "_levels", "_autos", "_strict")
+    __slots__ = ("n", "_up", "_down", "_hash", "_levels", "_flags", "_autos", "_strict")
 
     def __init__(self, n: int, up_masks):
         """Internal constructor; use :meth:`from_covers` or a family builder."""
@@ -40,6 +41,7 @@ class Poset:
         self._down = tuple(down)
         self._hash = hash((n, self._up))
         self._levels = None
+        self._flags = None
         self._autos = None
         self._strict = None
 
@@ -182,15 +184,16 @@ class Poset:
         """Per-level flags: level i is flagged when each of its elements
         dominates every element of all lower levels.  Level 1 is flagged
         vacuously."""
-        ls = self.level_structure()
-        flags = [True]
-        lower = 0
-        for lvl in range(1, len(ls.levels)):
-            for i in ls.levels[lvl - 1]:
-                lower |= 1 << (i - 1)
-            ok = all(self._down[a - 1] & lower == lower for a in ls.levels[lvl])
-            flags.append(ok)
-        return tuple(flags)
+        if self._flags is None:
+            levels = self.level_structure().levels
+            flags = [True]
+            lower = 0
+            for lvl in range(1, len(levels)):
+                for i in levels[lvl - 1]:
+                    lower |= 1 << (i - 1)
+                flags.append(all(self._down[a - 1] & lower == lower for a in levels[lvl]))
+            self._flags = tuple(flags)
+        return self._flags
 
     def hierarchical_levels(self) -> frozenset:
         return frozenset(i + 1 for i, flag in enumerate(self.hierarchy_flags()) if flag)
@@ -242,8 +245,13 @@ class Poset:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Poset":
         """A poset from ``{"n": ..., "covers": [...]}``; a document with
-        another key, or without either, is refused."""
-        if not isinstance(data, dict) or data.keys() != {"n", "covers"}:
+        another key, without either, or whose covers are not a list is
+        refused."""
+        if (
+            not isinstance(data, dict)
+            or data.keys() != {"n", "covers"}
+            or not isinstance(data["covers"], list)
+        ):
             raise ValidationError(f"malformed poset document: {data!r}")
         try:
             covers = [tuple(pair) for pair in data["covers"]]
@@ -297,16 +305,24 @@ def _automorphism_generators(p: Poset) -> tuple:
     1..i-1 and mapping i to m, for each m in ascending order that the
     generators so far do not map i to; |Aut| is the product of i's orbit
     lengths.  Each comes from a backtrack that fixes sigma(i+1), ... in turn
-    from the elements with the same (height, |up|, |down|), keeping m when
-    it is unused and its up- and down-sets among the images placed are the
-    images of the element's among the elements placed.  It tries one unused
-    candidate per twin class (equal strict up- and down-sets), as swapping
-    two unused twins is an automorphism that keeps every placed image.
-    Only m > i is tried, as 1..i-1 are fixed.  A backtrack from i writes
-    only image[i:], so image[:i] stays the identity that it starts as."""
+    from the elements with the same signature (height, |up|, |down|),
+    keeping m when it is unused and its up- and down-sets among the images
+    placed are the images of the element's among the elements placed.  It
+    tries one unused candidate per twin class (equal strict up- and
+    down-sets), as swapping two unused twins is an automorphism that keeps
+    every placed image.  Only m > i is tried, as 1..i-1 are fixed.  A
+    backtrack from i writes only image[i:], so image[:i] stays the identity
+    that it starts as.
+
+    When the n signatures are pairwise distinct, ``((), 1)`` returns before
+    any table is built.  This is exact: an automorphism keeps each element's
+    height and the sizes of its up- and down-sets, so it maps each element
+    to one of equal signature, here only to itself."""
     n = p.n
     up, down, heights = p._up, p._down, p.heights()
     sig = [(heights[i], bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
+    if len(set(sig)) == n:
+        return (), 1
     candidates = [[m for m in range(n) if sig[m] == sig[i]] for i in range(n)] + [[]]
     strict = [(up[m] & ~(1 << m), down[m] & ~(1 << m)) for m in range(n)]
     twin = [strict.index(strict[m]) for m in range(n)]

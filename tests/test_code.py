@@ -81,6 +81,28 @@ def test_support_examples():
     assert both.support() == {1, 2, 3, 4}
 
 
+def test_support_matches_the_entries():
+    """The support is the set of columns with a non-zero generator entry,
+    on seeded random codes over GF(2), GF(3) and GF(5), some of whose
+    columns are zero."""
+    rng = random.Random(37)
+    zero_columns = 0
+    for _ in range(90):
+        q = rng.choice((2, 3, 5))
+        n = rng.randint(1, 8)
+        zero = {j for j in range(n) if rng.random() < 0.3}
+        rows = [[0 if j in zero else rng.randrange(q) for j in range(n)]
+                for _ in range(rng.randint(1, n))]
+        if not any(map(any, rows)):
+            continue
+        code = LinearCode.from_generators(q, n, rows)
+        expected = {j + 1 for j in range(n) for row in code.generators if row[j]}
+        assert code.support() == expected
+        assert not expected & {j + 1 for j in zero}
+        zero_columns += len(zero)
+    assert zero_columns > 0
+
+
 def test_contains():
     c = LinearCode.from_generators(2, 4, [(1, 1, 1, 1)])
     assert c.contains((1, 1, 1, 1))
@@ -172,6 +194,9 @@ def test_json_round_trip():
         LinearCode.from_json_dict({"q": 2, "generators": [[1]]})
     with pytest.raises(ValidationError, match="^malformed code document"):
         LinearCode.from_json_dict({**code.to_json_dict(), "covers": [[1, 2]]})
+    for generators in ("11", ["11"], {"1": [1, 1]}, [[1, 1], (0, 1)]):
+        with pytest.raises(ValidationError, match="^malformed code document"):
+            LinearCode.from_json_dict({"q": 2, "n": 2, "generators": generators})
 
 
 def test_enumerate_codes_counts():

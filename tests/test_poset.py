@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -114,6 +114,33 @@ def test_level_structure(n_poset):
     assert ls.heights == longest_chain_heights(4, strict_of(n_poset))
 
 
+def test_heights_match_the_longest_chains():
+    """On every labelled poset on up to 4 points and seeded random posets on
+    5 to 16, the heights are the longest-chain heights, and the hierarchy
+    flags read before and after ``level_structure`` are those of a fresh
+    copy and of the definition: each element of a flagged level lies above
+    every element of the levels below it."""
+    cases = [poset for n in range(1, 5) for poset in all_posets(n)]
+    rng = random.Random(19)
+    cases += [random_poset(rng, n) for n in range(5, 17) for _ in range(4)]
+    for poset in cases:
+        flags = poset.hierarchy_flags()
+        ls = poset.level_structure()
+        assert ls.heights == longest_chain_heights(poset.n, strict_of(poset))
+        assert poset.hierarchy_flags() == flags
+        fresh = Poset.from_covers(poset.n, poset.covers())
+        fresh.level_structure()
+        assert fresh.hierarchy_flags() == flags
+        below = set()
+        expected = []
+        for level in ls.levels:
+            expected.append(all(poset.leq(b, a) for a in level for b in below))
+            below |= level
+        assert flags == tuple(expected)
+        assert poset.is_hierarchical() == all(flags)
+        assert poset.hierarchical_levels() == {i + 1 for i, f in enumerate(flags) if f}
+
+
 def test_levels_partition_ground_set():
     rng = random.Random(11)
     for _ in range(20):
@@ -205,15 +232,65 @@ def test_from_ranks_matches_the_closure_of_rank_ordered_pairs():
 
 
 def brute_force_automorphisms(poset):
+    """Every permutation that keeps the order both ways, in lexicographic
+    order.  sigma(1), sigma(2), ... are fixed in turn from every unused
+    element, and a prefix is dropped at its first pair whose relation it
+    does not keep, so a rigid poset on 16 points is settled in well under
+    a second, where the 16! permutations could not be listed."""
+    n = poset.n
+    leq = [[poset.leq(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    image = []
     out = []
-    for perm in permutations(range(1, poset.n + 1)):
-        if all(
-            poset.leq(i, j) == poset.leq(perm[i - 1], perm[j - 1])
-            for i in range(1, poset.n + 1)
-            for j in range(1, poset.n + 1)
-        ):
-            out.append(perm)
-    return sorted(out)
+
+    def extend(i):
+        if i == n:
+            out.append(tuple(m + 1 for m in image))
+            return
+        for m in range(n):
+            if m not in image and all(
+                leq[i][k] == leq[m][image[k]] and leq[k][i] == leq[image[k]][m]
+                for k in range(i)
+            ):
+                image.append(m)
+                extend(i + 1)
+                image.pop()
+
+    extend(0)
+    return out
+
+
+def signatures(poset):
+    """Each element's (height, |up-set|, |down-set|), which an automorphism keeps."""
+    elements = range(1, poset.n + 1)
+    heights = longest_chain_heights(poset.n, strict_of(poset))
+    return [
+        (h, sum(poset.leq(i, j) for j in elements), sum(poset.leq(j, i) for j in elements))
+        for i, h in zip(elements, heights)
+    ]
+
+
+def _rigid_cases():
+    """One seeded poset on each of 8 to 16 points whose signatures are
+    pairwise distinct, drawn from random relations of random density on
+    randomly labelled points."""
+    rng = random.Random(43)
+    cases = []
+    for n in range(8, 17):
+        while True:
+            density = rng.uniform(0.2, 0.6)
+            label = rng.sample(range(1, n + 1), n)
+            pairs = [(label[a], label[b]) for a, b in combinations(range(n), 2)
+                     if rng.random() < density]
+            poset = Poset.from_covers(n, pairs)
+            if len(set(signatures(poset))) == n:
+                break
+        cases.append(poset)
+    return cases
+
+
+# 1 < 2, 1 < 5 and 3 < 4 < 5: 1 and 3 share the signature (1, 3, 1), yet
+# no automorphism swaps them, as 2 is maximal and 4 is not
+REPEATED_SIGNATURE = Poset.from_covers(5, [(1, 2), (1, 5), (3, 4), (4, 5)])
 
 
 def test_automorphisms(n_poset):
@@ -224,9 +301,10 @@ def test_automorphisms(n_poset):
 
 def _automorphism_cases():
     """12 random posets on up to 5 points, every labelled poset on up to 4,
-    40 randomly labelled posets on 5 or 6, and four posets on 7 with twin
+    40 randomly labelled posets on 5 or 6, four posets on 7 with twin
     classes (equal strict up- and down-sets), so that most levels have
-    several candidates above them."""
+    several candidates above them, the rigid posets on 8 to 16 points, and
+    a rigid poset on which two signatures repeat."""
     rng = random.Random(13)
     cases = []
     for _ in range(12):
@@ -250,7 +328,7 @@ def _automorphism_cases():
         Poset.from_covers(7, [(1, 5), (2, 5), (3, 6), (4, 6)]),
         Poset.from_covers(7, [(3, 1), (3, 6), (5, 1), (5, 6), (2, 4), (7, 4)]),
     ]
-    return cases
+    return cases + _rigid_cases() + [REPEATED_SIGNATURE]
 
 
 def test_automorphisms_match_brute_force():
@@ -269,6 +347,19 @@ def test_reference_automorphisms_match_brute_force():
     lexicographic, order."""
     for poset in _automorphism_cases():
         assert reference_automorphisms(poset) == brute_force_automorphisms(poset)
+
+
+def test_distinct_signatures_leave_only_the_identity():
+    """A poset whose signatures are pairwise distinct has the trivial group
+    and no generator; one on which two signatures repeat is still searched,
+    and its generators are the reference ones."""
+    for poset in _rigid_cases():
+        assert poset.automorphisms() == ((), 1)
+    sigs = signatures(REPEATED_SIGNATURE)
+    assert sigs[0] == sigs[2] and len(set(sigs)) == 4
+    generators, order = REPEATED_SIGNATURE.automorphisms()
+    assert order == 1
+    assert list(generators) == reference_generators(REPEATED_SIGNATURE) == []
 
 
 def test_automorphism_group_closure():
@@ -333,12 +424,19 @@ def test_json_round_trip(n_poset):
         {"q": 2, "n": 4, "generators": [[1, 1, 0, 0]]},
         {"n": 2, "covers": [[1, 2]], "name": "chain"},
         [["n", 2], ["covers", []]],
+        {"n": 3, "covers": {}},
+        {"n": 3, "covers": ""},
+        {"n": 3, "covers": "ab"},
     ],
-    ids=["no-covers", "code-document", "unknown-key", "pair-list"],
+    ids=[
+        "no-covers", "code-document", "unknown-key", "pair-list",
+        "covers-object", "covers-empty-string", "covers-string",
+    ],
 )
 def test_json_document_needs_exactly_n_and_covers(document):
-    """A poset document holds ``n`` and ``covers`` and nothing else, so
-    an antichain is never read from a document that lacks its covers."""
+    """A poset document holds ``n`` and ``covers`` and nothing else, and
+    its covers are a list, so an antichain is never read from a document
+    that lacks its covers or holds them in another type."""
     with pytest.raises(ValidationError, match="^malformed poset document"):
         Poset.from_json_dict(document)
 
