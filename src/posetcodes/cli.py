@@ -19,6 +19,13 @@ The coset budget bounds the q^(n_i) vectors a table build scans for each
 component.  The ``verify`` suites run at their own budgets.
 Vectors on the command line are comma-separated residues; coordinates are
 1-based.
+
+Each ``cmd_*`` handler prints nothing: it returns its exit status, its
+JSON payload and its text lines, and ``main`` alone prints them, the
+payload under ``--format json`` and the lines otherwise.  ``main`` adds
+to the payload ``config``, the values of the budget flags the command
+declares, on the commands that declare one: ``orbit_budget`` on
+``analyze decompose`` and ``analyze bounds``, both budgets on ``decode``.
 """
 
 import argparse
@@ -73,18 +80,10 @@ def _read_json(path: str):
             raise ValidationError(f"{path} is not a readable JSON document: {exc}") from exc
 
 
-def emit(args, payload: dict, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 # -- poset commands ----------------------------------------------------
 
 
-def cmd_poset_info(args) -> int:
+def cmd_poset_info(args) -> tuple:
     poset = load_poset(args.poset)
     ls = poset.level_structure()
     hset = sorted(poset.hierarchical_levels())
@@ -97,166 +96,120 @@ def cmd_poset_info(args) -> int:
         "hierarchical_levels": hset,
         "hierarchical": poset.is_hierarchical(),
     }
-    emit(
-        args,
-        payload,
-        [
-            f"n = {poset.n}",
-            f"type = {tuple(ls.type_vector)}",
-            "levels = " + "; ".join(str(sorted(lv)) for lv in ls.levels),
-            f"hierarchical levels = {hset}",
-            f"hierarchical = {poset.is_hierarchical()}",
-        ],
-    )
-    return EXIT_OK
+    return EXIT_OK, payload, [
+        f"n = {poset.n}",
+        f"type = {tuple(ls.type_vector)}",
+        "levels = " + "; ".join(str(sorted(lv)) for lv in ls.levels),
+        f"hierarchical levels = {hset}",
+        f"hierarchical = {poset.is_hierarchical()}",
+    ]
 
 
-def cmd_poset_neighbours(args) -> int:
+def cmd_poset_neighbours(args) -> tuple:
     poset = load_poset(args.poset)
     upper = search.upper_neighbour(poset)
     lower = search.lower_neighbour(poset)
     payload = {"upper": upper.to_json_dict(), "lower": lower.to_json_dict()}
-    emit(
-        args,
-        payload,
-        [
-            f"upper = {json.dumps(upper.to_json_dict())}",
-            f"lower = {json.dumps(lower.to_json_dict())}",
-        ],
-    )
-    return EXIT_OK
+    return EXIT_OK, payload, [
+        f"upper = {json.dumps(upper.to_json_dict())}",
+        f"lower = {json.dumps(lower.to_json_dict())}",
+    ]
 
 
-def cmd_poset_dot(args) -> int:
-    print(load_poset(args.poset).to_dot())
-    return EXIT_OK
+def cmd_poset_dot(args) -> tuple:
+    return EXIT_OK, None, [load_poset(args.poset).to_dot()]
 
 
-def cmd_poset_compare(args) -> int:
+def cmd_poset_compare(args) -> tuple:
     first = load_poset(args.first)
     second = load_poset(args.second)
     forward = first.is_finer_than(second)
     backward = second.is_finer_than(first)
     payload = {"first_finer": forward, "second_finer": backward, "equal": first == second}
-    emit(
-        args,
-        payload,
-        [f"first <= second: {forward}", f"second <= first: {backward}"],
-    )
-    return EXIT_OK
+    return EXIT_OK, payload, [f"first <= second: {forward}", f"second <= first: {backward}"]
 
 
 # -- analysis commands ---------------------------------------------------
 
 
-def cmd_analyze_weight(args) -> int:
+def cmd_analyze_weight(args) -> tuple:
     poset = load_poset(args.poset)
     x = parse_vector(args.x, args.q)
     value = pweight(poset, x)
-    emit(args, {"weight": value}, [f"weight = {value}"])
-    return EXIT_OK
+    return EXIT_OK, {"weight": value}, [f"weight = {value}"]
 
 
-def cmd_analyze_mindist(args) -> int:
+def cmd_analyze_mindist(args) -> tuple:
     poset = load_poset(args.poset)
     code = load_code(args.code)
     value = min_pdistance(poset, code)
-    emit(args, {"min_distance": value}, [f"minimal distance = {value}"])
-    return EXIT_OK
+    return EXIT_OK, {"min_distance": value}, [f"minimal distance = {value}"]
 
 
-def cmd_analyze_decompose(args) -> int:
+def cmd_analyze_decompose(args) -> tuple:
     poset = load_poset(args.poset)
     code = load_code(args.code)
-    config = {"orbit_budget": args.orbit_budget}
     if args.primary:
         pd = search.primary_decomposition(code, poset, orbit_budget=args.orbit_budget)
-        payload = {"config": config, "primary": pd.to_json_dict()}
-        emit(
-            args,
-            payload,
-            [
-                f"complexity = {pd.complexity}",
-                f"profile = {pd.dec.profile()}",
-                f"witness sigma = {pd.witness.sigma}",
-                f"witness matrix = {[list(r) for r in pd.witness.matrix_rows]}",
-            ],
-        )
-    else:
-        _check_length(code, poset)
-        dec = maximal_decomposition(code)
-        payload = {"config": config, "decomposition": dec.to_json_dict()}
-        emit(
-            args,
-            payload,
-            [
-                f"components = {[sorted(c.support()) for c in dec.components]}",
-                f"profile = {dec.profile()}",
-                f"complexity = {dec.complexity()}",
-            ],
-        )
-    return EXIT_OK
+        payload = {"primary": pd.to_json_dict()}
+        return EXIT_OK, payload, [
+            f"complexity = {pd.complexity}",
+            f"profile = {pd.dec.profile()}",
+            f"witness sigma = {pd.witness.sigma}",
+            f"witness matrix = {[list(r) for r in pd.witness.matrix_rows]}",
+        ]
+    _check_length(code, poset)
+    dec = maximal_decomposition(code)
+    payload = {"decomposition": dec.to_json_dict()}
+    return EXIT_OK, payload, [
+        f"components = {[sorted(c.support()) for c in dec.components]}",
+        f"profile = {dec.profile()}",
+        f"complexity = {dec.complexity()}",
+    ]
 
 
-def cmd_analyze_bounds(args) -> int:
+def cmd_analyze_bounds(args) -> tuple:
     poset = load_poset(args.poset)
     code = load_code(args.code)
     bounds = search.hierarchy_bounds(code, poset, orbit_budget=args.orbit_budget)
-    payload = {"config": {"orbit_budget": args.orbit_budget}, "bounds": bounds.to_json_dict()}
-    emit(
-        args,
-        payload,
-        [
-            f"upper-neighbour complexity = {bounds.o_upper}",
-            f"poset complexity = {bounds.o_p}",
-            f"lower-neighbour complexity = {bounds.o_lower}",
-            f"sandwich holds = {bounds.sandwich_ok}",
-        ],
-    )
-    return EXIT_OK
+    payload = {"bounds": bounds.to_json_dict()}
+    return EXIT_OK, payload, [
+        f"upper-neighbour complexity = {bounds.o_upper}",
+        f"poset complexity = {bounds.o_p}",
+        f"lower-neighbour complexity = {bounds.o_lower}",
+        f"sandwich holds = {bounds.sandwich_ok}",
+    ]
 
 
 # -- decoding -------------------------------------------------------------
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> tuple:
     poset = load_poset(args.poset)
     code = load_code(args.code)
-    config = {"orbit_budget": args.orbit_budget, "coset_budget": args.coset_budget}
     pd = search.primary_decomposition(code, poset, orbit_budget=args.orbit_budget)
     table = decoder.build_table(pd, poset, args.coset_budget)
     stats = decoder.table_stats(table)
     if args.stats_only:
-        emit(
-            args,
-            {"config": config, "stats": stats},
-            [
-                f"total entries = {stats['total']}",
-                f"complexity = {stats['complexity']}",
-                f"matches complexity = {stats['matches_complexity']}",
-            ],
-        )
-        return EXIT_OK
+        return EXIT_OK, {"stats": stats}, [
+            f"total entries = {stats['total']}",
+            f"complexity = {stats['complexity']}",
+            f"matches complexity = {stats['matches_complexity']}",
+        ]
     if args.y is None:
         raise ValidationError("decode needs --y RECEIVED or --stats-only")
     y = parse_vector(args.y, code.q)
     word, flags = decoder.decode(table, y)
     payload = {
-        "config": config,
         "codeword": list(word),
         "flags": list(flags),
         "stats": stats,
     }
-    emit(
-        args,
-        payload,
-        [
-            f"codeword = {','.join(str(v) for v in word)}",
-            f"flags = {list(flags)}",
-            f"table entries = {stats['total']}",
-        ],
-    )
-    return EXIT_OK
+    return EXIT_OK, payload, [
+        f"codeword = {','.join(str(v) for v in word)}",
+        f"flags = {list(flags)}",
+        f"table entries = {stats['total']}",
+    ]
 
 
 # -- verification ----------------------------------------------------------
@@ -288,24 +241,21 @@ VERIFY_SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     start = time.monotonic()
     report = VERIFY_SUITES[args.suite][1](args)
     report.elapsed = time.monotonic() - start
+    lines = [
+        f"suite = {report.name}",
+        f"checked = {report.checked}",
+        f"seed = {report.seed}",
+        *report.details,
+        f"result = {'pass' if report.ok else 'FAIL'}",
+    ]
+    if report.counterexample:
+        lines.append(f"counterexample = {json.dumps(report.counterexample)}")
     payload = report.to_json_dict()
-    emit(
-        args,
-        payload,
-        [
-            f"suite = {report.name}",
-            f"checked = {report.checked}",
-            f"seed = {report.seed}",
-            *report.details,
-            f"result = {'pass' if report.ok else 'FAIL'}",
-        ]
-        + ([f"counterexample = {json.dumps(report.counterexample)}"] if report.counterexample else []),
-    )
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return (EXIT_OK if report.ok else EXIT_VIOLATION), payload, lines
 
 
 # -- parser ------------------------------------------------------------------
@@ -448,7 +398,15 @@ def main(argv=None) -> int:
         parser.error(f"option {option} comes before the command; options go after the command's name")
     args = parser.parse_args(argv)
     try:
-        status = args.handler(args)
+        status, payload, lines = args.handler(args)
+        if getattr(args, "format", "text") == "json":
+            config = {name: value for name, value in vars(args).items() if name.endswith("_budget")}
+            if config:
+                payload["config"] = config
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return status
     except BrokenPipeError:

@@ -215,6 +215,7 @@ def enumerate_codes(q: int, n: int, k: int):
     Enumerates canonical RREF matrices directly: pick pivot columns, fill the
     free positions.
     """
+    FieldSpec(q)
     if not 1 <= k <= n:
         raise ValidationError(f"dimension must satisfy 1 <= k <= n, got k={k}, n={n}")
     total = sum(1 for _ in combinations(range(n), k)) * q ** (k * (n - k))

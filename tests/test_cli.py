@@ -119,6 +119,71 @@ def test_readme_lists_each_commands_options():
     assert listed == SURFACE
 
 
+_SUITE_KEYS = {"suite", "ok", "checked", "seed", "elapsed_seconds", "details", "counterexample"}
+
+# A small run of each command -> the top-level keys of its JSON output, or
+# None for a command with no ``--format``.  The budget flags, where a
+# command declares them, carry values that are not the defaults.
+OUTPUT_CONTRACT = [
+    (["poset", "info", "n_poset"], {
+        "n", "covers", "heights", "levels", "type", "hierarchical_levels", "hierarchical",
+    }),
+    (["poset", "neighbours", "n_poset"], {"upper", "lower"}),
+    (["poset", "dot", "chain4"], None),
+    (["poset", "compare", "n_poset", "chain4"], {"first_finer", "second_finer", "equal"}),
+    (["analyze", "weight", "chain4", "--x", "0,1,0,0"], {"weight"}),
+    (["analyze", "mindist", "chain4", "r4"], {"min_distance"}),
+    (["analyze", "decompose", "chain4", "r4", "--orbit-budget", "7"],
+     {"config", "decomposition"}),
+    (["analyze", "decompose", "chain4", "r4", "--primary", "--orbit-budget", "7"],
+     {"config", "primary"}),
+    (["analyze", "bounds", "n_poset", "r4", "--orbit-budget", "7"], {"config", "bounds"}),
+    (["decode", "antichain:4", "r4", "--y", "1,1,0,1", "--orbit-budget", "7",
+      "--coset-budget", "99"], {"config", "codeword", "flags", "stats"}),
+    (["decode", "chain4", "r4", "--stats-only", "--orbit-budget", "7", "--coset-budget", "99"],
+     {"config", "stats"}),
+    (["verify", "metric", "--n", "2", "--samples", "2"], _SUITE_KEYS),
+    (["verify", "partition", "--n", "2"], _SUITE_KEYS),
+    (["verify", "profile", "--n", "3", "--samples", "2"], _SUITE_KEYS),
+    (["verify", "monotone", "--n", "3", "--samples", "2"], _SUITE_KEYS),
+    (["verify", "bounds", "--n", "3", "--samples", "2"], _SUITE_KEYS),
+    (["verify", "neighbours", "--n", "2"], _SUITE_KEYS),
+    (["verify", "refinement-witness", "--p", "anti2", "--q-poset", "chain2"], _SUITE_KEYS),
+]
+
+
+def test_the_output_contract_covers_every_command():
+    leaves = dict(parser_leaves(cli.build_parser()))
+    assert {leaf_of(argv) for argv, _ in OUTPUT_CONTRACT} == set(leaves)
+
+
+@pytest.mark.parametrize(
+    "argv, keys", OUTPUT_CONTRACT, ids=[" ".join(argv) for argv, _ in OUTPUT_CONTRACT]
+)
+def test_each_command_prints_its_result_in_either_format(files, capsys, argv, keys):
+    """Text is lines of ``name = value`` or the DOT text, and JSON is one
+    document with the command's keys.  Only the commands that declare a
+    budget flag carry ``config``, and it holds exactly those flags' values."""
+    argv = [files.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and "\n\n" not in out
+    if keys is None:
+        assert out.startswith("digraph")
+        return
+    assert not out.startswith("{")
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert set(data) == keys
+    options = dict(parser_leaves(cli.build_parser()))[leaf_of(argv)]
+    want = {
+        option[2:].replace("-", "_"): int(argv[argv.index(option) + 1])
+        for option in options if option.endswith("-budget")
+    }
+    assert data.get("config", {}) == want
+
+
 def test_poset_info(files, capsys):
     code, out, _ = run(capsys, ["poset", "info", files["n_poset"]])
     assert code == 0

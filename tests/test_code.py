@@ -7,6 +7,8 @@ import pytest
 from helpers import reference_code_restrict, reference_rref
 from posetcodes.code import LinearCode, enumerate_codes, rref
 from posetcodes.errors import ResourceLimitError, ValidationError
+from posetcodes.poset import Poset
+from posetcodes.search import witness_refinement
 from posetcodes.suites import random_code
 
 
@@ -208,6 +210,16 @@ def test_enumerate_codes_counts():
     assert all(c.k == 2 for c in catalog)
     assert len(list(enumerate_codes(2, 4, 1))) == 15
     assert len(list(enumerate_codes(3, 3, 1))) == 13
+
+
+@pytest.mark.parametrize("q", [4, 1])
+def test_codes_over_a_modulus_that_is_no_field_are_refused(q):
+    """Z/4 is not a field, and Z/1 has no unit for a pivot: neither yields a
+    code, nor a refinement witness built from one."""
+    with pytest.raises(ValidationError, match="^field modulus must be"):
+        next(enumerate_codes(q, 2, 1))
+    with pytest.raises(ValidationError, match="^field modulus must be"):
+        witness_refinement(Poset.antichain(2), Poset.chain(2), q=q)
 
 
 def test_restrict_matches_the_reference_on_supersets_of_the_support():
