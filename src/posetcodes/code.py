@@ -142,7 +142,7 @@ class LinearCode:
         inside = set(coords)
         sub = sorted(inside)
         for j in sub:
-            if not isinstance(j, int) or not 1 <= j <= self.n:
+            if type(j) is not int or not 1 <= j <= self.n:
                 raise ValidationError(f"coordinate {j!r} not in [{self.n}]")
         outside = [j for j in range(1, self.n + 1) if j not in inside]
         for row in self.generators:
@@ -236,9 +236,7 @@ def enumerate_codes(q: int, n: int, k: int):
                 rows[i][p - 1] = 1
             for (i, j), v in zip(free_positions, values):
                 rows[i][j - 1] = v
-            matrices.append(tuple(tuple(r) for r in rows))
-    matrices.sort()
-    for mat in matrices:
-        yield LinearCode(q, n, mat, tuple(sorted(
-            next(j + 1 for j in range(n) if row[j]) for row in mat
-        )))
+            matrices.append((tuple(tuple(r) for r in rows), pivots))
+    matrices.sort()  # by matrix alone, as no two are equal
+    for mat, pivots in matrices:
+        yield LinearCode(q, n, mat, pivots)

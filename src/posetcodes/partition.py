@@ -38,7 +38,7 @@ class PointedPartition:
         return len(self.parts)
 
     def _part(self, l: int) -> frozenset:
-        if not isinstance(l, int) or not 1 <= l <= len(self.parts):
+        if type(l) is not int or not 1 <= l <= len(self.parts):
             raise ValidationError(f"part index {l!r} out of range 1..{len(self.parts)}")
         return self.parts[l - 1]
 

@@ -93,7 +93,7 @@ class Poset:
         """Hierarchical poset with naturally labelled consecutive level blocks;
         a type vector past the size limit is refused before any list is built."""
         tv = tuple(type_vector)
-        if not tv or any(not isinstance(m, int) or m < 1 for m in tv):
+        if not tv or any(type(m) is not int or m < 1 for m in tv):
             raise ValidationError(f"type vector must be nonempty with positive entries, got {tv!r}")
         _check_size(sum(tv))
         block = []
@@ -140,7 +140,7 @@ class Poset:
         return out
 
     def _check_element(self, i) -> None:
-        if not isinstance(i, int) or not 1 <= i <= self.n:
+        if type(i) is not int or not 1 <= i <= self.n:
             raise ValidationError(f"element {i!r} not in [{self.n}]")
 
     # -- heights and levels -------------------------------------------

@@ -29,42 +29,42 @@ decomposition up to an automorphism of P, so every block has the values
 of U.C.  Every code of least value in U.C is zero on Z, the coordinates
 whose column lies in the span of the columns above it, and those codes
 are U_Z.C0: C0 = u0.C is C with the columns of Z set to zero, and U_Z
-adds into no row of Z (``_zeroed_walk``).  Z and u0 take an elimination
-only at a nonzero column whose rows the columns above it all reach: a
-zero column is in Z, and a column nonzero in a row that every column
-above it misses is not.  The searches that value codes walk U_Z.C0
-alone, value every code they walk, and count its codes per block against
-the orbit budget: ``minimal_complexity`` and the ``o_p`` of
-``hierarchy_bounds`` build no matrix, and ``primary_decomposition`` walks
-the blocks only for the images of its codes of least value, the only
-codes its tie-break can choose.  On a hierarchical poset
-``primary_decomposition`` walks nothing: it returns the closed form of
-``hierarchical_decomposition``, the direct sum of the code's level
-projections, whose witness is built in the triangular part and trusted.
-``minimal_complexity`` walks U_Z.C0 there too, and the tests check the
-closed form against it.  Irreducibility is settled first by a
-zeroable column on either side (``_splits``), with no walk: one in the
-span of the columns above it, or a column of the parity-check matrix in
-the span of those below it, as u -> u^(-T) maps U_P onto U_P*.
-``is_p_irreducible`` walks U.C, and builds no matrix, only where neither
-side has one.  ``verify_profile_uniqueness`` walks U_Z.C0 too, as every
-candidate is zero on Z, under the budget over q^s, s the sum of dim W_i
-over Z, since |U.C| = |U_Z.C0| * q^s: it refuses before any walk when
-q^s alone exceeds the budget.  It reads profiles and irreducibility off
-the row groups of that one walk, settles each component from its rows
-on its support with no subposet built, walks a component's unipotent
-orbit only where that test leaves it open and from a code no earlier
-walk of the call admitted, and counts the blocks from the codes of
-U_Z.C0 of one row-group shape, as blocks of |U.C| codes.
-``_block_images`` is the one walk of the blocks, which ``orbit_codes``
-feeds all of U.C.  It takes
-plain codes, yields each image with its block map, and stops only at a
-block boundary.  The witnesses built from the walk are trusted, not
-validated again.
+adds into no row of Z (``_zeroed_walk``).  One kernel, ``_spanned``,
+finds the columns in the span of the columns on one side of them in P,
+with the row of the element that zeroes each; Z and u0 are its columns
+above.  It takes an elimination only at a nonzero column whose rows the
+columns on that side all reach: a zero column is in the span, and a
+column nonzero in a row that every one of them misses is not.  The
+searches that value codes walk U_Z.C0 alone, value every code they walk,
+and count its codes per block against the orbit budget:
+``minimal_complexity`` and the ``o_p`` of ``hierarchy_bounds`` build no
+matrix, and ``primary_decomposition`` walks the blocks only for the
+images of its codes of least value, the only codes its tie-break can
+choose.  On a hierarchical poset ``primary_decomposition`` walks
+nothing: it returns the closed form of ``hierarchical_decomposition``,
+the direct sum of the code's level projections, whose witness is built
+in the triangular part and trusted.  ``minimal_complexity`` walks U_Z.C0
+there too, and the tests check the closed form against it.
+Irreducibility is settled first by a zeroable column on either side
+(``_splits``), with no walk: ``_spanned`` over the columns above, or
+over the columns of the parity-check matrix below, as u -> u^(-T) maps
+U_P onto U_P*.  ``is_p_irreducible`` walks U.C, and builds no matrix,
+only where neither side has one.  ``verify_profile_uniqueness`` walks
+U_Z.C0 too, as every candidate is zero on Z, under the budget over q^s,
+s the sum of dim W_i over Z, one rank each, since |U.C| = |U_Z.C0| *
+q^s: it refuses before any walk when q^s alone exceeds the budget.  It
+reads profiles and irreducibility off the row groups of that one walk,
+settles each component from its rows on its support with no subposet
+built, walks a component's unipotent orbit only where that test leaves
+it open and from a code no earlier walk of the call admitted, and counts
+the blocks from the codes of U_Z.C0 of one row-group shape, as blocks of
+|U.C| codes.  ``_block_images`` is the one walk of the blocks, which
+``orbit_codes`` feeds all of U.C.  It takes plain codes, yields each
+image with its block map, and stops only at a block boundary.  The
+witnesses built from the walk are trusted, not validated again.
 """
 
 from dataclasses import dataclass, field as dataclass_field
-from bisect import bisect
 from functools import lru_cache
 from itertools import accumulate, count
 from operator import itemgetter
@@ -460,66 +460,56 @@ def orbit_codes(
     return orbit
 
 
-def _zeroing(q: int, columns: list, masks: list, i: int, over: list, eye: tuple):
-    """When col_i lies in W_i, the span of the columns at the 0-based
-    indices ``over``, the pair (row i of the element of U that zeroes column
-    i, dim W_i), else None.  The row is e_i - sum c_ij e_j with col_i = sum
-    c_ij col_j, and e_i for a zero column.  The unit rows e_i are those of
-    ``eye``; with empty rows there, the verdict alone is wanted, and the row
-    is ().  dim W_i is read off the elimination, and is None where none
-    runs, at a zero column.
+def _spanned(q: int, columns: list, over: list):
+    """Each ``(i, row)``, i ascending, where column i lies in the span of
+    the columns at the 0-based indices ``over[i]``: row is e_i - sum c_ij
+    e_j with col_i = sum c_ij col_j, the row i of the element that zeroes
+    that column, and e_i for a zero column.  On the code's side ``over``
+    holds the columns above each coordinate and the element lies in U; on
+    the dual's, it holds the parity-check columns below it and the element
+    lies in U_P*.
 
-    ``masks`` holds each column as the mask of its nonzero rows, and the
-    support settles most columns with no elimination.  A zero column lies
-    in the span.  A column nonzero in a row where every column of ``over``
-    is zero does not.  With k = 1 any nonzero column spans GF(q)^1, so a
-    verdict alone needs no elimination there.  Any other column is
-    reduced: col_i + e_i against the rows col_j + e_j of ``over``, so col_i
-    lies in the span exactly when its entries reduce to zero, the unit
-    entries are then the row, which depends on that elimination when the
-    columns of ``over`` are dependent, and the pivots among the first k
-    entries number dim W_i.  A zero column reduces to e_i too, as every
-    pivot of those rows lies among the column's entries or at some j of
-    ``over``.  The matrix need not be canonical: whether a column lies in
-    the span of others depends only on the row space."""
-    mask, reached = masks[i], 0
-    for j in over:
-        reached |= masks[j]
-    if mask & ~reached:  # a row that only col_i reaches
-        return None
-    if not mask:
-        return eye[i], None
-    k = len(columns[i])
-    if k == 1 and not eye[i]:
-        return (), 1
-    row = columns[i] + eye[i]
-    bases, pivots = rref(q, k + len(eye[i]), [columns[j] + eye[j] for j in over])
-    for basis, p in zip(bases, pivots):
-        c = row[p - 1]
-        row = tuple([(a - c * b) % q for a, b in zip(row, basis)])
-    if any(row[:k]):
-        return None
-    return row[k:], bisect(pivots, k)
+    The supports settle most columns with no elimination: a zero column
+    lies in the span, and a column nonzero in a row where every column of
+    ``over[i]`` is zero does not.  Any other column takes one ``rref`` over
+    k + n entries: col_i + e_i is reduced against the rows col_j + e_j of
+    ``over[i]``, so col_i lies in the span exactly when its first k entries
+    reduce to zero, and the unit entries are then the row, which depends on
+    that elimination when the columns of ``over[i]`` are dependent.  The
+    matrix need not be canonical: whether a column lies in the span of
+    others depends only on the row space."""
+    eye = _eye(len(columns))
+    masks = list(map(support_mask, columns))
+    for i, column in enumerate(columns):
+        reached = 0
+        for j in over[i]:
+            reached |= masks[j]
+        if masks[i] & ~reached:  # a row that only col_i reaches
+            continue
+        k, row = len(column), column + eye[i]
+        if masks[i]:
+            rows = [columns[j] + eye[j] for j in over[i]]
+            for basis, p in zip(*rref(q, k + len(eye), rows)):
+                c = row[p - 1]
+                row = tuple([(a - c * b) % q for a, b in zip(row, basis)])
+            if any(row[:k]):
+                continue
+        yield i, row[k:]
 
 
-def _zeroed(code: LinearCode, poset: Poset, eye: tuple) -> tuple:
+def _zeroed(code: LinearCode, poset: Poset) -> tuple:
     """The column structure of the code's canonical generator matrix: Z, as
-    a dict from each i in Z (0-based) to ``_zeroing``'s pair, with the unit
-    rows of ``eye``, and C0, which is C when Z holds only zero columns and
+    a dict from each i in Z (0-based) to row i of u0 (``_spanned`` over the
+    columns above i), and C0, which is C when Z holds only zero columns and
     is otherwise reduced again."""
     q, n = code.q, code.n
     columns = list(zip(*code.generators))
-    masks = list(map(support_mask, columns))
     above = [[] for _ in columns]
     for i, j in poset.strict_pairs():
         above[i - 1].append(j - 1)
-    zeroed = {}
-    for i in range(n):
-        pair = _zeroing(q, columns, masks, i, above[i], eye)
-        if pair is not None:
-            zeroed[i] = pair
+    zeroed = dict(_spanned(q, columns, above))
     start = code
-    if any(masks[i] for i in zeroed):
+    if any(any(columns[i]) for i in zeroed):
         rows = [[0 if j in zeroed else v for j, v in enumerate(row)] for row in code.generators]
         start = LinearCode(q, n, *rref(q, n, rows))
     return zeroed, start
@@ -534,10 +524,10 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
     with i below j in P: a zero column too.  Row i of u0 is e_i - sum c_ij
     e_j for i in Z, with col_i = sum c_ij col_j, and e_i otherwise, so u0
     is in U and C0 = u0.C is C with the columns of Z set to zero.
-    ``_zeroed`` gives Z, each row of u0 and C0, and ``_zeroing`` settles
-    most coordinates from the column supports alone: a zero column is in
-    Z, and a column nonzero in a row where every column above it is zero,
-    as at a maximal i, is not.
+    ``_zeroed`` gives Z, each row of u0 and C0, from ``_spanned`` over the
+    columns above each coordinate, which settles most of them from the
+    column supports alone: a zero column is in Z, and a column nonzero in
+    a row where every column above it is zero, as at a maximal i, is not.
 
     Column i of u.C, u in U, is col_i plus a combination of the columns
     above i, so every code of U.C has the same Z.  A code of U.C nonzero on
@@ -549,12 +539,9 @@ def _zeroed_walk(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
     Z, so U_Z, generated by the additions into the rows outside Z, maps C0
     onto every matrix whose column i is 0 for i in Z and lies in col_i +
     W_i otherwise: U_Z.C0 is exactly the codes of U.C zero on Z."""
-    eye = _eye(code.n)
-    zeroed, start = _zeroed(code, poset, eye)
-    u0 = list(eye)
-    for i, (row, _) in zeroed.items():
-        u0[i] = row
-    return tuple(u0), _unipotent_walk(start, poset, orbit_budget, zeroed)
+    zeroed, start = _zeroed(code, poset)
+    u0 = tuple(zeroed.get(i, row) for i, row in enumerate(_eye(code.n)))
+    return u0, _unipotent_walk(start, poset, orbit_budget, zeroed)
 
 
 def primary_decomposition(
@@ -675,15 +662,6 @@ def _strict_ups(poset: Poset) -> list:
     return ups
 
 
-def _zeroable(q: int, columns: list, over: list) -> bool:
-    """True when some column i lies in the span of the columns ``over[i]``:
-    ``_zeroing`` with no unit rows, as only the verdict is wanted."""
-    masks, blank = list(map(support_mask, columns)), ((),) * len(columns)
-    return any(
-        _zeroing(q, columns, masks, i, over[i], blank) is not None for i in range(len(columns))
-    )
-
-
 def _splits(q: int, rows: tuple, ups: list) -> bool:
     """True when some code of U.C is reducible, C the full-support code of
     the canonical ``rows`` on n coordinates and ``ups[i]`` the mask of the
@@ -691,12 +669,13 @@ def _splits(q: int, rows: tuple, ups: list) -> bool:
     either side with no walk; False leaves the verdict open.  On n = 1
     every code is irreducible.
 
-    The code's side: a column in the span of the columns above it is
-    zeroed by some u0 in U (``_zeroing``), and u0.C, C0, has a smaller
-    support.  The dual's side: the dual of u.C is u^(-T).C^perp, and u ->
-    u^(-T) maps U_P onto U_P*, which adds column j of a parity-check matrix
-    to column i for each j below i in P.  So when column i of H, the rows
-    of ``_parity_rows``, lies in the span of the columns below i, some u.C
+    The code's side: a column in the span of the columns above it, the
+    first that ``_spanned`` yields over ``above``, is zeroed by some u0 in
+    U, and u0.C, C0, has a smaller support.  The dual's side: the dual of
+    u.C is u^(-T).C^perp, and u -> u^(-T) maps U_P onto U_P*, which adds
+    column j of a parity-check matrix to column i for each j below i in P.
+    So when column i of H, the rows of ``_parity_rows``, lies in the span
+    of the columns below i, as ``_spanned`` over ``below`` finds, some u.C
     has a dual zero at i: u.C holds e_i, a component of its own, so with n
     >= 2 it has several components or a smaller support.  With k = n, H has
     no row and every column of it is zero: the full space is reducible."""
@@ -704,12 +683,12 @@ def _splits(q: int, rows: tuple, ups: list) -> bool:
     if n < 2:
         return False
     above = [[j for j in range(n) if up >> j & 1] for up in ups]
-    if _zeroable(q, list(zip(*rows)), above):
+    if next(_spanned(q, list(zip(*rows)), above), None) is not None:
         return True
     below = [[j for j in range(n) if ups[j] >> i & 1] for i in range(n)]
     pivots = [row.index(1) + 1 for row in rows]  # a canonical row's first nonzero entry is 1
     columns = list(zip(*_parity_rows(q, n, rows, pivots))) or [()] * n
-    return _zeroable(q, columns, below)
+    return next(_spanned(q, columns, below), None) is not None
 
 
 def _irreducible(code: LinearCode, poset: Poset, orbit_budget: int) -> tuple:
@@ -799,12 +778,10 @@ def verify_profile_uniqueness(
     _check_length(code, poset)
     q, n = code.q, poset.n
     ups = _strict_ups(poset)
-    zeroed, start = _zeroed(code, poset, ((),) * n)
+    zeroed, start = _zeroed(code, poset)
     columns, s = list(zip(*code.generators)), 0
-    for i, (_, dim) in zeroed.items():
-        if dim is None:  # a zero column: W_i is spanned by the columns above it
-            dim = len(rref(q, code.k, [columns[j] for j in range(n) if ups[i] >> j & 1])[1])
-        s += dim
+    for i in zeroed:  # dim W_i, the rank of the columns above i
+        s += len(rref(q, code.k, [columns[j] for j in range(n) if ups[i] >> j & 1])[1])
     per_code = q**s  # the codes of U.C per code of U_Z.C0
     verdicts = {}
 

@@ -703,21 +703,25 @@ def reference_unipotent_walk(code, poset, orbit_budget, fixed=()):
                 queue.append((image, product))
 
 
+def reference_span(q, vectors, length):
+    """The span over GF(q) of ``vectors``, each of ``length`` entries,
+    listed whole."""
+    span = {(0,) * length}
+    for other in vectors:
+        span = {tuple((v + c * w) % q for v, w in zip(s, other)) for s in span for c in range(q)}
+    return span
+
+
 def reference_spans(code, poset):
     """W_i for each coordinate i (0-based): the span of the columns of the
     canonical generator matrix above i in P, listed whole."""
-    q = code.q
     columns = list(zip(*code.generators))
-    spans = []
-    for i in range(code.n):
-        span = {(0,) * code.k}
-        for j, other in enumerate(columns):
-            if j != i and poset.leq(i + 1, j + 1):
-                span = {
-                    tuple((v + c * w) % q for v, w in zip(s, other)) for s in span for c in range(q)
-                }
-        spans.append(span)
-    return spans
+    return [
+        reference_span(
+            code.q, [other for j, other in enumerate(columns) if j != i and poset.leq(i + 1, j + 1)], code.k
+        )
+        for i in range(code.n)
+    ]
 
 
 def reference_zeroable(code, poset):

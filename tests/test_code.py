@@ -208,6 +208,7 @@ def test_enumerate_codes_counts():
     mats = [c.generators for c in catalog]
     assert mats == sorted(mats)
     assert all(c.k == 2 for c in catalog)
+    assert all(c.pivots == LinearCode.from_generators(2, 4, c.generators).pivots for c in catalog)
     assert len(list(enumerate_codes(2, 4, 1))) == 15
     assert len(list(enumerate_codes(3, 3, 1))) == 13
 

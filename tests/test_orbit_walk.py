@@ -50,6 +50,7 @@ from helpers import (
     reference_primary_decomposition,
     reference_profile_candidates,
     reference_profile_uniqueness,
+    reference_span,
     reference_unipotent_walk,
     reference_zeroable,
     reference_zeroed_family,
@@ -1368,13 +1369,14 @@ def test_zeroable_columns_never_call_an_irreducible_code_reducible(monkeypatch):
     a dual column in the span of the dual columns below it."""
     seen = {"code side": 0, "dual side": 0, "left open": 0, "irreducible": 0}
     sides = []
-    zeroable = search._zeroable
+    spanned = search._spanned
 
     def logged(*args):
-        sides.append(zeroable(*args))
-        return sides[-1]
+        found = list(spanned(*args))
+        sides.append(bool(found))
+        return iter(found)
 
-    monkeypatch.setattr(search, "_zeroable", logged)
+    monkeypatch.setattr(search, "_spanned", logged)
 
     def check(instance):
         code, poset = instance
@@ -1406,3 +1408,55 @@ def test_dual_side_reads_the_dual_columns_below():
     assert dual[0] == (2, 2) and dual[3:] == [(1, 0), (0, 1)]
     assert not search._splits(3, code.generators, search._strict_ups(poset))
     assert is_p_irreducible(code, poset)
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_spanned_is_the_listed_span_on_both_sides():
+    """``_spanned`` yields, over the columns above on the code's side and
+    over the parity-check columns below on the dual's, the coordinates i
+    whose column lies in the listed span of those columns (helpers), each
+    with a row that is 1 at i, zero outside i and ``over[i]``, and combines
+    the columns to zero.  ``_zeroed`` takes the code's side and ``_splits``
+    both, so a side taken over the wrong columns shows."""
+    seen = {"zero column": 0, "nonzero code-side column": 0, "dual-side column": 0}
+
+    def check(instance):
+        code, poset = instance
+        q, n = code.q, code.n
+        ups = search._strict_ups(poset)
+        above = [[j for j in range(n) if ups[i] >> j & 1] for i in range(n)]
+        below = [[j for j in range(n) if ups[j] >> i & 1] for i in range(n)]
+        sides = []
+        for columns, over in (
+            (list(zip(*code.generators)), above),
+            (list(zip(*code.parity_check().rows)) or [()] * n, below),
+        ):
+            found = dict(search._spanned(q, columns, over))
+            listed = [
+                i
+                for i, column in enumerate(columns)
+                if column in reference_span(q, [columns[j] for j in over[i]], len(column))
+            ]
+            assert list(found) == listed, (code, poset, over)
+            for i, row in found.items():
+                assert row[i] == 1, (code, poset, i, row)
+                assert not any(v for j, v in enumerate(row) if j != i and j not in over[i]), (code, poset, i, row)
+                for entries in zip(*columns):  # each entry of sum_j row_j col_j
+                    assert sum(r * v for r, v in zip(row, entries)) % q == 0, (code, poset, i, row)
+            sides.append((columns, found))
+        (columns, code_side), (dual, dual_side) = sides
+        assert search._zeroed(code, poset)[0] == code_side, (code, poset)
+        splits = n > 1 and bool(code_side or dual_side)  # on n = 1 every code is irreducible
+        assert search._splits(q, code.generators, ups) == splits, (code, poset)
+        seen["zero column"] += any(not any(columns[i]) for i in code_side)
+        seen["nonzero code-side column"] += any(any(columns[i]) for i in code_side)
+        seen["dual-side column"] += any(any(dual[i]) for i in dual_side)
+
+    # 1 < 2 and 1 < 3 over GF(2): col_1 = col_2 + col_3 lies in the span of
+    # the columns above it, and no column of either side in the span of
+    # those below it, so only the code's side over the columns above fires
+    code = LinearCode.from_generators(2, 4, [(1, 0, 1, 1), (0, 1, 1, 0)])
+    check((code, Poset.from_covers(4, [(1, 2), (1, 3)])))
+    draws = st.one_of(st.composite(zeroable_instance)(), st.composite(full_support_instance)())
+    settings(max_examples=200)(given(draws)(check))()
+    assert min(seen.values()) > 0, seen

@@ -14,6 +14,7 @@ from helpers import (
     reference_generators,
     reference_poset_restrict,
 )
+from posetcodes.code import LinearCode
 from posetcodes.errors import ResourceLimitError, ValidationError
 from posetcodes.isometry import group_size
 from posetcodes.poset import (
@@ -23,6 +24,7 @@ from posetcodes.poset import (
     hierarchical_posets,
     make_family,
 )
+from posetcodes.partition import PointedPartition
 from posetcodes.suites import random_poset
 
 N_COVERS = [(1, 3), (1, 4), (2, 4)]
@@ -400,6 +402,28 @@ def test_restrict(n_poset):
     assert sub2.strict_pairs() == set()
     with pytest.raises(ValidationError):
         n_poset.restrict([])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Poset.chain(3).leq(True, 2),
+        lambda: Poset.chain(3).leq(1, True),
+        lambda: Poset.chain(3).ideal([True]),
+        lambda: Poset.chain(3).restrict([True, 3]),
+        lambda: Poset.hierarchical((2, True)),
+        lambda: LinearCode.from_generators(2, 2, [(1, 1)]).restrict([True, 2]),
+        lambda: PointedPartition(3, [], [[1, 2], [3]]).split(True, {2}),
+        lambda: PointedPartition(3, [], [[1, 2], [3]]).aggregate(True, {2}),
+    ],
+    ids=["leq", "leq-second", "ideal", "restrict", "hierarchical", "code-restrict", "split", "aggregate"],
+)
+def test_a_bool_is_no_element_coordinate_part_index_or_level_size(call):
+    """``True`` is refused where an element, a coordinate, a part index or
+    a level size is expected, as ``from_covers`` and ``PointedPartition``
+    refuse it, rather than read as 1."""
+    with pytest.raises(ValidationError, match="True"):
+        call()
 
 
 def test_covers_and_dot():

@@ -146,7 +146,7 @@ def test_irreducibility_from_the_dual_side_needs_no_budget():
             assert not search._reducible(search._row_groups(image), poset.n)
     ups = search._strict_ups(poset)
     above = [[j for j in range(6) if up >> j & 1] for up in ups]
-    assert not search._zeroable(5, list(zip(*code.generators)), above)
+    assert not list(search._spanned(5, list(zip(*code.generators)), above))
     assert search._splits(5, code.generators, ups)
     assert is_p_irreducible(code, poset, orbit_budget=37) is False
 
@@ -161,11 +161,12 @@ def test_profile_check_settles_a_component_from_the_dual_side(monkeypatch):
     component on {2, 3, 4} has a zeroable column, so neither is a
     candidate."""
     sides, restricted, walks = [], [], []
-    zeroable, restrict, walk = search._zeroable, Poset.restrict, search._unipotent_walk
+    spanned, restrict, walk = search._spanned, Poset.restrict, search._unipotent_walk
 
-    def logged_zeroable(*args):
-        sides.append(zeroable(*args))
-        return sides[-1]
+    def logged_spanned(*args):
+        found = list(spanned(*args))
+        sides.append([i for i, _ in found])
+        return iter(found)
 
     def logged_restrict(poset, coords):
         restricted.append(coords)
@@ -175,7 +176,7 @@ def test_profile_check_settles_a_component_from_the_dual_side(monkeypatch):
         walks.append(args[:2])
         return walk(*args)
 
-    monkeypatch.setattr(search, "_zeroable", logged_zeroable)
+    monkeypatch.setattr(search, "_spanned", logged_spanned)
     monkeypatch.setattr(Poset, "restrict", logged_restrict)
     monkeypatch.setattr(search, "_unipotent_walk", logged_walk)
     poset = Poset.from_covers(4, [(2, 4), (3, 1)])
@@ -189,7 +190,8 @@ def test_profile_check_settles_a_component_from_the_dual_side(monkeypatch):
         "conflicts": [],
     }
     assert restricted == [] and walks == [(code, poset)]
-    assert sides == [False, True]  # the code side, then the dual side
+    # Z = {2}, then the component's code side, then its dual side
+    assert sides == [[1], [], [0]]
 
 
 def test_irreducibility_checks_length_before_support():
@@ -313,11 +315,9 @@ def test_profile_check_refuses_sixteen_coordinates_before_any_walk():
 
 
 def test_one_row_component_is_settled_with_no_elimination(monkeypatch):
-    """With k = 1 any nonzero column spans GF(q)^1, so a one-row component
-    whose column lies under a nonzero column is found reducible from the
-    column supports alone, with no ``rref``; a column with no column above
-    it is settled from the supports too.  With k = 2 the elimination
-    runs."""
+    """A column with no column above it is settled from the column
+    supports alone, with no ``rref``.  With k = 2 a column that the others
+    reach takes one elimination, which gives its row."""
     eliminations = []
 
     def counting_rref(*args):
@@ -325,11 +325,10 @@ def test_one_row_component_is_settled_with_no_elimination(monkeypatch):
         return rref(*args)
 
     monkeypatch.setattr(search, "rref", counting_rref)
-    # 1 < 2 over GF(3): column 1, (1), lies in the span of column 2, (2)
-    assert search._splits(3, ((1, 2, 1),), [0b010, 0, 0])
-    assert search._zeroable(5, [(3,), (4,)], [[], []]) is False
+    assert list(search._spanned(5, [(3,), (4,)], [[], []])) == []
     assert eliminations == []
-    assert search._zeroable(5, [(1, 2), (2, 4)], [[1], []])  # k = 2 still eliminates
+    # col_1 = 3 col_2 over GF(5), so row 1 is e_1 - 3 e_2
+    assert list(search._spanned(5, [(1, 2), (2, 4)], [[1], []])) == [(0, (1, 2))]
     assert len(eliminations) == 1
 
 
