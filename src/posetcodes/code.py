@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import ResourceLimitError, ValidationError
-from .field import FieldSpec
+from .field import FieldSpec, check_entries
 
 ENUMERATION_BUDGET = 1 << 20
 
@@ -62,6 +62,7 @@ class ParityData:
     def syndrome(self, y) -> tuple:
         if len(y) != self.n:
             raise ValidationError(f"expected vector of length {self.n}, got {len(y)}")
+        check_entries(y)
         return tuple(sum(h * v for h, v in zip(row, y)) % self.q for row in self.rows)
 
 
@@ -106,6 +107,7 @@ class LinearCode:
     def contains(self, x) -> bool:
         if len(x) != self.n:
             raise ValidationError(f"expected vector of length {self.n}, got {len(x)}")
+        check_entries(x)
         q = self.q
         y = [v % q for v in x]
         for row, pivot in zip(self.generators, self.pivots):

@@ -61,9 +61,19 @@ class FieldSpec:
         return a % self.q
 
 
+def check_entries(x) -> None:
+    """Refuse a vector entry that is not an ``int``: a bool or a float is
+    no residue, as ``LinearCode.from_generators`` refuses it in a row."""
+    for v in x:
+        if type(v) is not int:
+            raise ValidationError(f"vector entry {v!r} is not an integer")
+
+
 def vec_sub(field: FieldSpec, u, v) -> tuple:
     if len(u) != len(v):
         raise ValidationError(f"length mismatch: {len(u)} vs {len(v)}")
+    check_entries(u)
+    check_entries(v)
     return tuple((a - b) % field.q for a, b in zip(u, v))
 
 

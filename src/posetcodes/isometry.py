@@ -13,7 +13,7 @@ from itertools import product
 
 from .code import ENUMERATION_BUDGET, LinearCode, rref
 from .errors import ResourceLimitError, ValidationError
-from .field import FieldSpec
+from .field import FieldSpec, check_entries
 from .metric import pweight
 from .poset import Poset
 
@@ -79,6 +79,7 @@ class PIsometry:
     def apply(self, x) -> tuple:
         if len(x) != self.poset.n:
             raise ValidationError(f"expected vector of length {self.poset.n}")
+        check_entries(x)
         ax = apply_matrix(self.q, self.matrix_rows, x)
         return tuple(ax[s - 1] for s in self.sigma)
 

@@ -7,12 +7,13 @@ in the test oracles so that production has a single code path.
 
 from .code import LinearCode, _check_length
 from .errors import ValidationError
-from .field import FieldSpec, vec_sub
+from .field import FieldSpec, check_entries, vec_sub
 from .poset import Poset
 
 
 def support(x) -> frozenset:
     """Coordinates carrying a nonzero residue, 1-based."""
+    check_entries(x)
     return frozenset(i + 1 for i, v in enumerate(x) if v)
 
 
@@ -28,6 +29,7 @@ def pweight(poset: Poset, x) -> int:
     """Cardinality of the ideal generated by the support of ``x``."""
     if len(x) != poset.n:
         raise ValidationError(f"vector length {len(x)} != poset size {poset.n}")
+    check_entries(x)
     return bin(poset.ideal_mask(support_mask(x))).count("1")
 
 

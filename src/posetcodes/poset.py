@@ -1,13 +1,14 @@
 """Partial orders on [n] = {1, ..., n}.
 
-The relation is stored densely as per-element bitmasks of the up-sets
-(reflexive-transitive closure), which keeps closure, ideal and
-automorphism computations simple at the small n this package targets.
-Elements are 1-based throughout the public API.
+The relation is stored densely as per-element bitmasks of the up- and
+down-sets (reflexive-transitive closure); every derived table is read off
+them by bit loops, cheap at the small n this package targets.  Elements
+are 1-based throughout the public API.
 
 A poset is immutable after construction; derived data (heights, levels,
 hierarchy flags, generators of the automorphism group) is computed lazily
-and cached.
+and cached.  Aut(P) is the product of the symmetric groups on the classes
+of equal signature, found with no search, when each is one twin class.
 """
 
 from dataclasses import dataclass
@@ -30,15 +31,11 @@ class LevelStructure:
 class Poset:
     __slots__ = ("n", "_up", "_down", "_hash", "_levels", "_flags", "_autos", "_strict")
 
-    def __init__(self, n: int, up_masks):
-        """Internal constructor; use :meth:`from_covers` or a family builder."""
+    def __init__(self, n: int, up_masks, down_masks):
+        """Internal, from up- and down-set bitmasks; use :meth:`from_covers` or a family builder."""
         self.n = n
         self._up = tuple(up_masks)
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(self._up[i]):
-                down[j] |= 1 << i
-        self._down = tuple(down)
+        self._down = tuple(down_masks)
         self._hash = hash((n, self._up))
         self._levels = None
         self._flags = None
@@ -49,11 +46,9 @@ class Poset:
 
     @classmethod
     def from_covers(cls, n: int, covers) -> "Poset":
-        """Poset generated by the given relations (not necessarily covers).
-
-        The reflexive-transitive closure is taken; inputs whose closure
-        violates antisymmetry are rejected as cyclic.
-        """
+        """Poset generated by the given relations (not necessarily covers):
+        the reflexive-transitive closure is taken, and inputs whose closure
+        violates antisymmetry are rejected as cyclic."""
         _check_size(n)
         up = [1 << i for i in range(n)]
         for pair in covers:
@@ -71,13 +66,19 @@ class Poset:
             for i in range(n):
                 if up[i] & bit:
                     up[i] |= reach
-        for i in range(n):
-            for j in _bits(up[i] & ~(1 << i)):
-                if up[j] >> i & 1:
+        down = [0] * n
+        for i in range(n):  # i ascending, then j: a cycle names its least pair
+            mask, bit = up[i], 1 << i
+            while mask:
+                low = mask & -mask
+                j = low.bit_length() - 1
+                if j > i and up[j] & bit:  # j lies in up[i] & down[i] beyond i
                     raise ValidationError(
                         f"not a partial order: elements {i + 1} and {j + 1} lie on a cycle"
                     )
-        return cls(n, up)
+                down[j] |= bit
+                mask ^= low
+        return cls(n, up, down)
 
     @classmethod
     def antichain(cls, n: int) -> "Poset":
@@ -96,10 +97,7 @@ class Poset:
         if not tv or any(type(m) is not int or m < 1 for m in tv):
             raise ValidationError(f"type vector must be nonempty with positive entries, got {tv!r}")
         _check_size(sum(tv))
-        block = []
-        for idx, size in enumerate(tv):
-            block.extend([idx] * size)
-        return cls.from_ranks(block)
+        return cls.from_ranks([rank for rank, size in enumerate(tv) for _ in range(size)])
 
     @classmethod
     def from_ranks(cls, ranks) -> "Poset":
@@ -107,8 +105,14 @@ class Poset:
         ``ranks[i-1] < ranks[j-1]``."""
         n = len(ranks)
         _check_size(n)
-        up = [sum(1 << b for b in range(n) if b == a or ranks[a] < ranks[b]) for a in range(n)]
-        return cls(n, up)
+        at = {}  # the mask of each rank's elements
+        for a, rank in enumerate(ranks):
+            at[rank] = at.get(rank, 0) | 1 << a
+        below, lower = {}, 0  # the mask of the elements of lower ranks
+        for rank in sorted(at):
+            below[rank], lower = lower, lower | at[rank]
+        up = [lower & ~(below[r] | at[r]) | 1 << a for a, r in enumerate(ranks)]
+        return cls(n, up, [below[r] | 1 << a for a, r in enumerate(ranks)])
 
     # -- basic queries ------------------------------------------------
 
@@ -119,9 +123,14 @@ class Poset:
 
     def strict_pairs(self) -> frozenset:
         if self._strict is None:
-            self._strict = frozenset(
-                (i + 1, j + 1) for i in range(self.n) for j in _bits(self._up[i] & ~(1 << i))
-            )
+            pairs = []
+            for i, mask in enumerate(self._up):
+                mask &= ~(1 << i)
+                while mask:
+                    low = mask & -mask
+                    pairs.append((i + 1, low.bit_length()))
+                    mask ^= low
+            self._strict = frozenset(pairs)
         return self._strict
 
     def ideal(self, elements) -> frozenset:
@@ -130,7 +139,7 @@ class Poset:
         for i in elements:
             self._check_element(i)
             mask |= self._down[i - 1]
-        return _mask_to_set(mask)
+        return frozenset(j + 1 for j in _bits(mask))
 
     def ideal_mask(self, mask: int) -> int:
         """Bitmask variant of :meth:`ideal` (bit k stands for element k+1)."""
@@ -155,19 +164,28 @@ class Poset:
         return self.level_structure().type_vector
 
     def level_structure(self) -> LevelStructure:
+        """Level h is what stays minimal once levels 1..h-1 are taken off;
+        the same pass flags it when each of its elements lies above them all."""
         if self._levels is None:
-            n = self.n
-            order = sorted(range(n), key=lambda i: bin(self._down[i]).count("1"))
-            h = [1] * n
-            for i in order:
-                for j in _bits(self._down[i] & ~(1 << i)):
-                    if h[j] + 1 > h[i]:
-                        h[i] = h[j] + 1
-            top = max(h)
-            levels = tuple(
-                frozenset(i + 1 for i in range(n) if h[i] == lvl) for lvl in range(1, top + 1)
-            )
-            self._levels = LevelStructure(tuple(h), levels, tuple(len(lv) for lv in levels))
+            down, heights, levels, flags = self._down, [0] * self.n, [], []
+            rest, lower = (1 << self.n) - 1, 0
+            while rest:
+                level, members, flag, mask = 0, [], True, rest
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    i = low.bit_length() - 1
+                    if down[i] & rest == low:
+                        level |= low
+                        members.append(i + 1)
+                        heights[i] = len(levels) + 1
+                        flag = flag and down[i] & lower == lower
+                rest ^= level
+                lower |= level
+                levels.append(frozenset(members))
+                flags.append(flag)
+            self._levels = LevelStructure(tuple(heights), tuple(levels), tuple(map(len, levels)))
+            self._flags = tuple(flags)
         return self._levels
 
     # -- comparisons between posets -----------------------------------
@@ -184,15 +202,7 @@ class Poset:
         """Per-level flags: level i is flagged when each of its elements
         dominates every element of all lower levels.  Level 1 is flagged
         vacuously."""
-        if self._flags is None:
-            levels = self.level_structure().levels
-            flags = [True]
-            lower = 0
-            for lvl in range(1, len(levels)):
-                for i in levels[lvl - 1]:
-                    lower |= 1 << (i - 1)
-                flags.append(all(self._down[a - 1] & lower == lower for a in levels[lvl]))
-            self._flags = tuple(flags)
+        self.level_structure()  # which sets the flags too
         return self._flags
 
     def hierarchical_levels(self) -> frozenset:
@@ -220,11 +230,10 @@ class Poset:
             self._check_element(i)
         if not sub:
             raise ValidationError("cannot restrict to an empty coordinate set")
-        up = [
-            sum(1 << b for b, j in enumerate(sub) if self._up[i - 1] >> (j - 1) & 1)
-            for i in sub
-        ]
-        return Poset(len(sub), up)
+        def cut(masks):
+            return [sum(1 << b for b, j in enumerate(sub) if masks[i - 1] >> (j - 1) & 1) for i in sub]
+
+        return Poset(len(sub), cut(self._up), cut(self._down))
 
     # -- Hasse diagram and serialization --------------------------------
 
@@ -296,35 +305,41 @@ def _bits(mask: int):
         mask &= mask - 1
 
 
-def _mask_to_set(mask: int) -> frozenset:
-    return frozenset(j + 1 for j in _bits(mask))
-
-
 def _automorphism_generators(p: Poset) -> tuple:
     """For i = n down to 1, the lexicographically first automorphism fixing
     1..i-1 and mapping i to m, for each m in ascending order that the
     generators so far do not map i to; |Aut| is the product of i's orbit
-    lengths.  Each comes from a backtrack that fixes sigma(i+1), ... in turn
-    from the elements with the same signature (height, |up|, |down|),
-    keeping m when it is unused and its up- and down-sets among the images
-    placed are the images of the element's among the elements placed.  It
-    tries one unused candidate per twin class (equal strict up- and
-    down-sets), as swapping two unused twins is an automorphism that keeps
-    every placed image.  Only m > i is tried, as 1..i-1 are fixed.  A
-    backtrack from i writes only image[i:], so image[:i] stays the identity
-    that it starts as.
-
-    When the n signatures are pairwise distinct, ``((), 1)`` returns before
-    any table is built.  This is exact: an automorphism keeps each element's
-    height and the sizes of its up- and down-sets, so it maps each element
-    to one of equal signature, here only to itself."""
+    lengths.  An automorphism keeps each element's signature (height, |up|,
+    |down|).  So with n distinct signatures ``((), 1)`` returns before any
+    other table is built; and when each signature class is one twin class
+    (equal strict up- and down-sets), as the levels of a hierarchical poset
+    are, Aut is the product of the symmetric groups on the classes, and the
+    generators are the transpositions of i with the next element of its
+    class, whose orbit is its class from i on.  Otherwise a backtrack fixes
+    sigma(i+1), ... in turn from the class, keeping m when it is unused and
+    its up- and down-sets among the images placed are the images of the
+    element's among the elements placed, and tries one unused candidate per
+    twin class, as swapping two unused twins keeps every placed image.
+    Only m > i is tried, as 1..i-1 are fixed; a backtrack from i writes
+    only image[i:], so image[:i] stays the identity that it starts as."""
     n = p.n
     up, down, heights = p._up, p._down, p.heights()
-    sig = [(heights[i], bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
+    sig = [(heights[i], up[i].bit_count(), down[i].bit_count()) for i in range(n)]
     if len(set(sig)) == n:
         return (), 1
-    candidates = [[m for m in range(n) if sig[m] == sig[i]] for i in range(n)] + [[]]
     strict = [(up[m] & ~(1 << m), down[m] & ~(1 << m)) for m in range(n)]
+    if len(set(strict)) == len(set(sig)):  # twin classes refine signature classes
+        generators, order, after = [], 1, {}
+        for i in range(n - 1, -1, -1):
+            j, size = after.get(strict[i], (i, 0))  # i's least twin above, and the count above
+            if size:
+                sigma = list(range(1, n + 1))
+                sigma[i], sigma[j] = j + 1, i + 1
+                generators.append(tuple(sigma))
+            after[strict[i]] = (i, size + 1)
+            order *= size + 1
+        return tuple(generators), order
+    candidates = [[m for m in range(n) if sig[m] == sig[i]] for i in range(n)] + [[]]
     twin = [strict.index(strict[m]) for m in range(n)]
     image = [1 << k for k in range(n)]  # image[k] is the bit of sigma(k + 1)
 
@@ -369,14 +384,10 @@ def _automorphism_generators(p: Poset) -> tuple:
 
 def make_family(kind: str, n: int | None = None, type_vector=None) -> Poset:
     """Standard families by name: antichain, chain, hierarchical(type_vector)."""
-    if kind == "antichain":
+    if kind in ("antichain", "chain"):
         if n is None:
-            raise ValidationError("antichain family needs one size n")
-        return Poset.antichain(n)
-    if kind == "chain":
-        if n is None:
-            raise ValidationError("chain family needs one size n")
-        return Poset.chain(n)
+            raise ValidationError(f"{kind} family needs one size n")
+        return Poset.antichain(n) if kind == "antichain" else Poset.chain(n)
     if kind == "hierarchical":
         if type_vector is None:
             raise ValidationError("hierarchical family needs a type vector")
@@ -385,22 +396,15 @@ def make_family(kind: str, n: int | None = None, type_vector=None) -> Poset:
 
 
 def all_posets(n: int):
-    """Every labeled poset on [n], by filtering strict-relation subsets.
-
-    Exponential in n*(n-1); intended for n <= 4.
-    """
+    """Every labeled poset on [n], by filtering strict-relation subsets;
+    exponential in n*(n-1), so intended for n <= 4."""
     if n > 4:
         raise ResourceLimitError("full poset catalog supported only for n <= 4")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     for chosen in range(1 << len(pairs)):
         rel = {pairs[k] for k in _bits(chosen)}
-        if any((b, a) in rel for a, b in rel):
-            continue
-        if any(
-            (a, d) not in rel
-            for a, b in rel
-            for c, d in rel
-            if b == c and a != d
+        if any((b, a) in rel for a, b in rel) or any(
+            (a, d) not in rel for a, b in rel for c, d in rel if b == c and a != d
         ):
             continue
         yield Poset.from_covers(n, rel)
@@ -426,9 +430,5 @@ def hierarchical_posets(n: int):
                 for tail in ordered_partitions(remaining):
                     yield [chosen] + tail
 
-    for blocks in ordered_partitions(elements):
-        ranks = [0] * n
-        for rank, block in enumerate(blocks):
-            for a in block:
-                ranks[a - 1] = rank
-        yield Poset.from_ranks(ranks)
+    for blocks in ordered_partitions(elements):  # each element's rank is its block's index
+        yield Poset.from_ranks([next(r for r, b in enumerate(blocks) if a in b) for a in elements])

@@ -37,6 +37,63 @@ def longest_chain_heights(n, strict_pairs):
     return tuple(height(i) for i in range(1, n + 1))
 
 
+def order_masks(poset):
+    """Each element's up-set and down-set as bitmasks, read off ``leq``."""
+    elements = range(1, poset.n + 1)
+    up = [sum(1 << (j - 1) for j in elements if poset.leq(i, j)) for i in elements]
+    down = [sum(1 << (j - 1) for j in elements if poset.leq(j, i)) for i in elements]
+    return up, down
+
+
+def reference_level_structure(poset):
+    """Heights, levels and type vector as ``Poset.level_structure`` first
+    built them: the elements in order of down-set size, each one higher
+    than the highest element below it."""
+    n = poset.n
+    _, down = order_masks(poset)
+    h = [1] * n
+    for i in sorted(range(n), key=lambda i: bin(down[i]).count("1")):
+        for j in range(n):
+            if j != i and down[i] >> j & 1 and h[j] + 1 > h[i]:
+                h[i] = h[j] + 1
+    levels = tuple(
+        frozenset(i + 1 for i in range(n) if h[i] == lvl) for lvl in range(1, max(h) + 1)
+    )
+    return tuple(h), levels, tuple(len(lv) for lv in levels)
+
+
+def reference_hierarchy_flags(poset, levels):
+    """The flags as ``Poset.hierarchy_flags`` first built them from
+    ``levels``: a level is flagged when the down-set of each of its
+    elements holds every element of the levels below it."""
+    _, down = order_masks(poset)
+    flags = [True]
+    lower = 0
+    for lvl in range(1, len(levels)):
+        for i in levels[lvl - 1]:
+            lower |= 1 << (i - 1)
+        flags.append(all(down[a - 1] & lower == lower for a in levels[lvl]))
+    return tuple(flags)
+
+
+def reference_cycle(n, pairs):
+    """The pair of elements that ``Poset.from_covers`` first named for a
+    cyclic input, or None: after Warshall on the up-sets, the least i, then
+    the least j in i's strict up-set, whose up-set holds i."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a - 1] |= 1 << (b - 1)
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    for i in range(n):
+        for j in range(n):
+            if j != i and up[i] >> j & 1 and up[j] >> i & 1:
+                return i + 1, j + 1
+    return None
+
+
 def hamming_distance(x, y):
     return sum(a != b for a, b in zip(x, y))
 
@@ -347,8 +404,7 @@ def reference_automorphisms(poset):
     so far are the images of i's up- and down-sets among the elements placed
     so far.  It lists the whole group, n! tuples on an antichain."""
     n = poset.n
-    up = [sum(1 << (j - 1) for j in range(1, n + 1) if poset.leq(i, j)) for i in range(1, n + 1)]
-    down = [sum(1 << (j - 1) for j in range(1, n + 1) if poset.leq(j, i)) for i in range(1, n + 1)]
+    up, down = order_masks(poset)
     heights = poset.heights()
     sig = [(heights[i], bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
     candidates = [[m for m in range(n) if sig[m] == sig[i]] for i in range(n)]

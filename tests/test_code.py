@@ -7,6 +7,9 @@ import pytest
 from helpers import reference_code_restrict, reference_rref
 from posetcodes.code import LinearCode, enumerate_codes, rref
 from posetcodes.errors import ResourceLimitError, ValidationError
+from posetcodes.field import FieldSpec
+from posetcodes.isometry import PIsometry, _eye
+from posetcodes.metric import pdist, pweight, support
 from posetcodes.poset import Poset
 from posetcodes.search import witness_refinement
 from posetcodes.suites import random_code
@@ -110,6 +113,39 @@ def test_contains():
     assert c.contains((1, 1, 1, 1))
     assert not c.contains((1, 1, 0, 0))
     assert c.contains((0, 0, 0, 0))
+
+
+REPETITION = LinearCode.from_generators(2, 4, [(1, 1, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: REPETITION.contains([True] * 4),
+        lambda: REPETITION.contains([1.0] * 4),
+        lambda: REPETITION.parity_check().syndrome([True, 0, 0, 0]),
+        lambda: pweight(Poset.chain(4), [0, 0, True, 0]),
+        lambda: support([0, 1.0]),
+        lambda: pdist(Poset.chain(4), FieldSpec(2), [0, 0, True, 0], [0, 0, 0, 0]),
+        lambda: PIsometry(Poset.chain(3), 2, (1, 2, 3), _eye(3)).apply([True, 0, 1.0]),
+    ],
+    ids=["contains-bool", "contains-float", "syndrome", "pweight", "support", "pdist", "apply"],
+)
+def test_a_vector_entry_must_be_an_int(call):
+    """A bool or a float is refused as a vector entry, as
+    ``from_generators`` refuses it in a row, rather than read as a residue:
+    each of these returned a value before."""
+    with pytest.raises(ValidationError, match=r"^vector entry (True|1\.0) is not an integer$"):
+        call()
+
+
+def test_an_int_vector_is_still_read():
+    assert REPETITION.contains([1, 1, 1, 1]) and not REPETITION.contains([1, 0, 1, 1])
+    assert REPETITION.parity_check().syndrome([1, 0, 0, 0]) == (1, 1, 1)
+    assert pweight(Poset.chain(4), [0, 0, 1, 0]) == 3
+    assert support([0, 3, 0, 1]) == {2, 4}
+    assert pdist(Poset.chain(4), FieldSpec(2), [0, 0, 1, 0], [0, 0, 0, 0]) == 3
+    assert PIsometry(Poset.chain(3), 2, (1, 2, 3), _eye(3)).apply([1, 0, 3]) == (1, 0, 1)
 
 
 def test_codewords():

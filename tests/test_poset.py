@@ -1,7 +1,7 @@
 import json
 import random
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -10,8 +10,11 @@ from helpers import (
     generated_group,
     longest_chain_heights,
     reference_automorphisms,
+    reference_cycle,
     reference_from_ranks,
     reference_generators,
+    reference_hierarchy_flags,
+    reference_level_structure,
     reference_poset_restrict,
 )
 from posetcodes.code import LinearCode
@@ -19,6 +22,7 @@ from posetcodes.errors import ResourceLimitError, ValidationError
 from posetcodes.isometry import group_size
 from posetcodes.poset import (
     MAX_GROUND_SET,
+    LevelStructure,
     Poset,
     all_posets,
     hierarchical_posets,
@@ -72,10 +76,35 @@ def test_random_relations_match_closure_oracle():
 
 
 def test_cycle_is_rejected():
-    with pytest.raises(ValidationError):
+    """The error names the least element that lies on a cycle and the least
+    element on a cycle with it, as the replaced loop did."""
+    with pytest.raises(ValidationError, match="^not a partial order: elements 1 and 2 lie on a cycle$"):
         Poset.from_covers(3, [(1, 2), (2, 1)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^not a partial order: elements 1 and 2 lie on a cycle$"):
         Poset.from_covers(3, [(1, 2), (2, 3), (3, 1)])
+    with pytest.raises(ValidationError, match="^not a partial order: elements 2 and 3 lie on a cycle$"):
+        Poset.from_covers(4, [(4, 3), (3, 2), (2, 4)])
+
+
+def test_cycle_error_names_the_pair_of_the_replaced_loop():
+    """On seeded random relations, cyclic or not, ``from_covers`` refuses
+    exactly the inputs the reference Warshall finds a cycle in, naming the
+    same pair; both kinds of input are drawn at least 50 times."""
+    rng = random.Random(29)
+    cyclic = 0
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                 if a != b and rng.random() < rng.uniform(0.02, 0.2)]
+        pair = reference_cycle(n, pairs)
+        if pair is None:
+            assert Poset.from_covers(n, pairs).n == n
+            continue
+        cyclic += 1
+        with pytest.raises(ValidationError) as info:
+            Poset.from_covers(n, pairs)
+        assert str(info.value) == f"not a partial order: elements {pair[0]} and {pair[1]} lie on a cycle"
+    assert 50 <= cyclic <= 350, cyclic
 
 
 def test_out_of_range_and_loops_rejected():
@@ -141,6 +170,53 @@ def test_heights_match_the_longest_chains():
         assert flags == tuple(expected)
         assert poset.is_hierarchical() == all(flags)
         assert poset.hierarchical_levels() == {i + 1 for i, f in enumerate(flags) if f}
+
+
+def _table_cases():
+    """Every labelled poset on up to 4 points, the 5,316 hierarchical posets
+    on up to 6, seeded random posets on 5 to 16 points and a restriction of
+    each of these to a random subset."""
+    cases = [poset for n in range(1, 5) for poset in all_posets(n)]
+    cases += [poset for n in range(1, 7) for poset in hierarchical_posets(n)]
+    rng = random.Random(37)
+    drawn = [random_poset(rng, n) for n in range(5, 17) for _ in range(6)]
+    cases += drawn
+    cases += [p.restrict(rng.sample(range(1, p.n + 1), rng.randint(1, p.n))) for p in drawn]
+    return cases
+
+
+def test_order_tables_match_the_replaced_loops():
+    """The levels, heights, type vector, hierarchy flags, strict pairs and
+    down-sets built from the masks are those of the loops they replaced
+    and of ``leq``, whichever constructor built the poset: ``from_covers``,
+    ``from_ranks`` (the hierarchical catalog) or ``restrict``."""
+    cases = _table_cases()
+    assert len(cases) == 242 + 5316 + 72 + 72
+    for poset in cases:
+        n = poset.n
+        heights, levels, type_vector = reference_level_structure(poset)
+        assert poset.level_structure() == LevelStructure(heights, levels, type_vector)
+        assert poset.hierarchy_flags() == reference_hierarchy_flags(poset, levels)
+        elements = range(1, n + 1)
+        assert poset.strict_pairs() == {
+            (i, j) for i in elements for j in elements if i != j and poset.leq(i, j)
+        }
+        for i in elements:
+            assert poset.ideal([i]) == {j for j in elements if poset.leq(j, i)}
+        if poset.is_hierarchical():
+            assert poset == reference_from_ranks(heights)
+
+
+def test_automorphisms_match_the_reference_on_every_small_hierarchical_poset():
+    """On the 5,316 hierarchical posets on up to 6 points, where each
+    signature class is one level, so one twin class, the generators read
+    off the classes are those of the lexicographic list, and the order is
+    the product of the factorials of the level sizes."""
+    for n in range(1, 7):
+        for poset in hierarchical_posets(n):
+            generators, order = poset.automorphisms()
+            assert list(generators) == reference_generators(poset)
+            assert order == prod(factorial(size) for size in poset.type_vector())
 
 
 def test_levels_partition_ground_set():
@@ -295,18 +371,25 @@ def _rigid_cases():
 REPEATED_SIGNATURE = Poset.from_covers(5, [(1, 2), (1, 5), (3, 4), (4, 5)])
 
 
+# 1, 2 < 3 with 4 and 5 apart: not hierarchical, yet each signature class
+# ({1, 2}, {3} and {4, 5}) is one twin class
+TWIN_CLASSES = Poset.from_covers(5, [(1, 3), (2, 3)])
+
+
 def test_automorphisms(n_poset):
     assert n_poset.automorphisms() == ((), 1)
     assert Poset.antichain(3).automorphisms() == (((1, 3, 2), (2, 1, 3)), 6)
     assert Poset.hierarchical((2, 2)).automorphisms() == (((1, 2, 4, 3), (2, 1, 3, 4)), 4)
+    assert not TWIN_CLASSES.is_hierarchical()
+    assert TWIN_CLASSES.automorphisms() == (((1, 2, 3, 5, 4), (2, 1, 3, 4, 5)), 4)
 
 
 def _automorphism_cases():
     """12 random posets on up to 5 points, every labelled poset on up to 4,
     40 randomly labelled posets on 5 or 6, four posets on 7 with twin
     classes (equal strict up- and down-sets), so that most levels have
-    several candidates above them, the rigid posets on 8 to 16 points, and
-    a rigid poset on which two signatures repeat."""
+    several candidates above them, the rigid posets on 8 to 16 points, a
+    rigid poset on which two signatures repeat, and TWIN_CLASSES."""
     rng = random.Random(13)
     cases = []
     for _ in range(12):
@@ -330,7 +413,7 @@ def _automorphism_cases():
         Poset.from_covers(7, [(1, 5), (2, 5), (3, 6), (4, 6)]),
         Poset.from_covers(7, [(3, 1), (3, 6), (5, 1), (5, 6), (2, 4), (7, 4)]),
     ]
-    return cases + _rigid_cases() + [REPEATED_SIGNATURE]
+    return cases + _rigid_cases() + [REPEATED_SIGNATURE, TWIN_CLASSES]
 
 
 def test_automorphisms_match_brute_force():
